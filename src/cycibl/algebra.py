@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .linalg import SparseMatrix, rank, solve
 from .signs import GradedBasis, koszul_sign
-from .words import CochainTensor, Word, canonical_words, canonicalize, dual_word
+from .words import CochainTensor, Word, canonical_words, canonicalize
 
 Vector = dict[int, Fraction]
 MuTable = dict[tuple[int, ...], Vector]
@@ -85,13 +86,11 @@ class CyclicStructure:
             if self.pairing is None:
                 raise ValueError(f"{self.name}: no pairing")
             n = len(self.basis)
-            cols = []
-            for j in range(n):
-                x = _solve(self.pairing, j)
-                if x is None:
-                    raise ValueError(f"{self.name}: degenerate pairing")
-                cols.append(_clean(x))
-            self._dual = cols
+            dual = solve(_pairing_columns(self.pairing),
+                         [{j: Fraction(1)} for j in range(n)])
+            if None in dual:
+                raise ValueError(f"{self.name}: degenerate pairing")
+            self._dual = dual
         return self._dual
 
     # -- operations ---------------------------------------------------
@@ -138,38 +137,11 @@ class CyclicStructure:
             raise ValueError(f"{self.name}: no unit")
         return self.dual_basis()[self.unit]
 
-    def reduced_letters(self) -> list[int]:
-        """Indices spanning the augmentation kernel; requires a basis-aligned unit."""
-        if self.unit is None:
-            raise ValueError(f"{self.name}: no unit")
-        return [i for i in range(len(self.basis)) if i != self.unit]
 
-
-def _solve(matrix: list[list[Fraction]], j: int) -> Vector | None:
-    """Solve M x = e_j by dense elimination (tiny matrices only)."""
-    n = len(matrix)
-    aug = [[matrix[r][c] for c in range(n)] + [Fraction(1 if r == j else 0)]
-           for r in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        row += 1
-    if row < n:
-        return None
-    x: Vector = {}
-    for r in range(n):
-        col = next(c for c in range(n) if aug[r][c])
-        x[col] = aug[r][n]
-    return x
+def _pairing_columns(pairing: list[list[Fraction]]) -> list[Vector]:
+    n = len(pairing)
+    return [{i: pairing[i][j] for i in range(n) if pairing[i][j]}
+            for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +182,7 @@ def check_cyclic_dga(s: CyclicStructure) -> CheckReport:
                 if s.pairing[i][j] and deg[i] + deg[j] != s.manifold_dim - 2:
                     record("pairing degree", (i, j), Fraction(deg[i] + deg[j]),
                            Fraction(s.manifold_dim - 2))
-        if _solve(s.pairing, 0) is None:
+        if rank(SparseMatrix.from_columns(n, _pairing_columns(s.pairing))) < n:
             fails.append(("pairing nondegenerate", (), Fraction(0), one))
 
     for i in range(n):
@@ -445,14 +417,6 @@ def hochschild_b_cyclic(s: CyclicStructure, letters: Word) -> Tensor:
     return acc
 
 
-def apply_to_chain(fn, s: CyclicStructure, chain: Tensor) -> Tensor:
-    acc: Tensor = {}
-    for w, c in chain.items():
-        for w2, c2 in fn(s, w).items():
-            _add_into(acc, w2, c * c2)
-    return acc
-
-
 def dual_b(s: CyclicStructure, psi: CochainTensor,
            out_weights=None) -> CochainTensor:
     """Precomposition of an arity-1 cochain with the cyclic bar differential.
@@ -510,10 +474,6 @@ def suspension_sign(s: CyclicStructure, letters: Word) -> int:
 
 def classical_shift_U(s: CyclicStructure, letters: Word) -> tuple[Word, int]:
     """The degree shift sending an unshifted word to its shifted image."""
-    return tuple(letters), suspension_sign(s, letters)
-
-
-def classical_shift_U_inverse(s: CyclicStructure, letters: Word) -> tuple[Word, int]:
     return tuple(letters), suspension_sign(s, letters)
 
 
@@ -618,12 +578,3 @@ def unit_cochain(s: CyclicStructure, q: int,
             out.add((u,), coeff)
     return out
 
-
-def cochain_basis(s: CyclicStructure, weight: int, degree: int | None = None,
-                  reduced: bool = False, slot_shift: int | None = None):
-    """Dual-word generators of the (reduced) cyclic cochain complex."""
-    shift = s.slot_shift if slot_shift is None else slot_shift
-    for u in canonical_words(s.basis, weight, degree):
-        if reduced and s.unit is not None and s.unit in u:
-            continue
-        yield dual_word(s.basis, u, shift)

@@ -250,15 +250,6 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor,
     return out
 
 
-def q210_tensor(s: CyclicStructure, phi: CochainTensor, word: Word,
-                T=None) -> Fraction:
-    """Product value against a general arity-2 tensor (not necessarily a product)."""
-    if phi.arity != 2:
-        raise ValueError("expected an arity-2 tensor")
-    T = t_tensor(s) if T is None else T
-    return _q210_value(s, T, lambda x1, x2: phi.eval_tuple((x1, x2)), tuple(word))
-
-
 def coproduct_value(s, T, psi: CochainTensor, w1: Word, w2: Word) -> Fraction:
     """Coproduct value on an ordered pair of words."""
     deg = s.basis.degrees

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CyclicStructure
-from .linalg import Eliminator
+from .linalg import SparseMatrix, kernel_basis, solve
 
 Vector = dict[int, Fraction]
 
@@ -335,13 +335,17 @@ class HarmonicSplitting:
     H is chosen inside ker(m1) and C inside the pairing-orthogonal
     complement of H, which makes the projection onto H self-adjoint for
     the pairing; both choices are deterministic (dot-product complements
-    within each degree).
+    within each degree).  ``image`` is m1 applied to ``complement``, and
+    ``coordinates[j]`` expands e_j in the basis harmonic + image +
+    complement: the inverse change of basis, shared by the harmonic
+    projection and the Green operator.
     """
 
     structure: CyclicStructure
     harmonic: list[Vector]
     image: list[Vector]
     complement: list[Vector]
+    coordinates: list[Vector]
 
     def dims(self):
         return (len(self.harmonic), len(self.image), len(self.complement))
@@ -356,17 +360,9 @@ def _degree_indices(s: CyclicStructure):
 
 def _orth_complement_inside(universe: list[Vector], subspace: list[Vector]) -> list[Vector]:
     """Dot-product orthogonal complement of span(subspace) inside span(universe)."""
-    out = []
-    elim = Eliminator()
-    for v in subspace:
-        elim.add(dict(v))
-    # Gram-style: vectors of the universe reduced against the subspace will
-    # not generally be orthogonal; use the positive-definite dot product:
-    # solve for universe-combinations annihilating all dot products.
     if not subspace:
         return [dict(v) for v in universe]
-    from .linalg import SparseMatrix, kernel_basis
-
+    # universe-combinations annihilating every dot product with the subspace
     rows = []
     for w in subspace:
         rows.append({c: sum((w.get(i, Fraction(0)) * u.get(i, Fraction(0))
@@ -374,6 +370,7 @@ def _orth_complement_inside(universe: list[Vector], subspace: list[Vector]) -> l
                      for c, u in enumerate(universe)})
         rows[-1] = {c: v for c, v in rows[-1].items() if v}
     mat = SparseMatrix(len(subspace), len(universe), rows)
+    out = []
     for combo in kernel_basis(mat):
         vec: Vector = {}
         for c, a in combo.items():
@@ -389,43 +386,25 @@ def _orth_complement_inside(universe: list[Vector], subspace: list[Vector]) -> l
 
 def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     """Deterministic splitting adapted to the differential and the pairing."""
-    from .linalg import SparseMatrix, kernel_basis
-
     n = len(s.basis)
     m1 = s.m1_matrix()
     by_deg = _degree_indices(s)
     harmonic: list[Vector] = []
-    image: list[Vector] = []
-    # kernel and image, degree by degree
+    # kernel and image, degree by degree, from one elimination each
     kernel_by_deg: dict[int, list[Vector]] = {}
     image_by_deg: dict[int, list[Vector]] = {}
     for d, idx in sorted(by_deg.items()):
-        cols = [m1[i] for i in idx]
-        tgt = sorted({r for col in cols for r in col})
-        pos = {r: p for p, r in enumerate(tgt)}
-        mat = SparseMatrix(max(len(tgt), 1), len(idx),
-                           [dict() for _ in range(max(len(tgt), 1))])
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                mat.rows[pos[r]][c] = v
-        kb = kernel_basis(mat)
+        kb = kernel_basis(SparseMatrix.from_columns(n, [m1[i] for i in idx]))
         kernel_by_deg[d] = [{idx[c]: v for c, v in vec.items()} for vec in kb]
-        imgs = []
-        elim = Eliminator()
-        for i in idx:
-            if m1[i] and elim.add(dict(m1[i])):
-                imgs.append(dict(m1[i]))
-        image_by_deg[d + 1] = image_by_deg.get(d + 1, []) + imgs
+        # a kernel vector ends at its free column; the other (pivot)
+        # columns are independent and span the image
+        free = {max(vec) for vec in kb}
+        image_by_deg[d + 1] = [m1[i] for c, i in enumerate(idx) if c not in free]
     for d in sorted(by_deg):
-        ker = kernel_by_deg.get(d, [])
-        img = image_by_deg.get(d, [])
-        image.extend(img)
-        harmonic.extend(_orth_complement_inside(ker, img))
+        harmonic.extend(_orth_complement_inside(kernel_by_deg[d],
+                                                image_by_deg.get(d, [])))
 
     # C: inside the pairing-orthogonal complement of H, a complement of im(m1)
-    perp: list[Vector] = []
-    from .linalg import SparseMatrix as SM
-
     if harmonic:
         rows = []
         for h in harmonic:
@@ -435,141 +414,60 @@ def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
                 if val:
                     row[j] = val
             rows.append(row)
-        mat = SM(len(harmonic), n, rows)
-        perp_v = kernel_basis(mat)
-        perp = [dict(v) for v in perp_v]
+        perp = kernel_basis(SparseMatrix(len(harmonic), n, rows))
     else:
         perp = [{j: Fraction(1)} for j in range(n)]
     # split perp by degree and take the dot-orthogonal complement of image
     complement: list[Vector] = []
     for d in sorted(by_deg):
         uni = [v for v in perp if v and _vector_degree(s, v) == d]
-        img = [v for v in image_by_deg.get(d, [])]
-        comp = _orth_complement_inside(uni, img)
-        complement.extend(comp)
-    # sanity: m1 must be injective on C
-    elim = Eliminator()
+        complement.extend(_orth_complement_inside(uni, image_by_deg.get(d, [])))
+
     mop = m1_operator(s)
-    for cvec in complement:
-        if not elim.add(dict(mop.apply(cvec))):
-            raise ValueError("differential is not injective on the complement")
-    return HarmonicSplitting(s, harmonic, image, complement)
+    image = [mop.apply(c) for c in complement]
+    basis_vecs = harmonic + image + complement
+    if len(basis_vecs) != n:
+        raise ValueError("splitting does not span")
+    # m1 fails to be injective on C exactly when these are dependent
+    coordinates = solve(basis_vecs, [{j: Fraction(1)} for j in range(n)])
+    if None in coordinates:
+        raise ValueError("splitting vectors are dependent")
+    return HarmonicSplitting(s, harmonic, image, complement, coordinates)
+
+
+def _expand(coord: Vector, vectors: list[Vector], offset: int) -> Vector:
+    """sum over r of coord[offset + r] * vectors[r]."""
+    out: Vector = {}
+    for r, vec in enumerate(vectors):
+        a = coord.get(offset + r)
+        if not a:
+            continue
+        for i, v in vec.items():
+            new = out.get(i, Fraction(0)) + a * v
+            if new:
+                out[i] = new
+            else:
+                out.pop(i, None)
+    return out
 
 
 def harmonic_projection(split: HarmonicSplitting) -> LinearOperator:
     """Projection onto H along im(m1) ⊕ C."""
-    s = split.structure
-    n = len(s.basis)
-    basis_vecs = split.harmonic + split.image + split.complement
-    if len(basis_vecs) != n:
-        raise ValueError("splitting does not span")
-    # solve for each basis vector e_j its H-component
-    from .linalg import SparseMatrix, rref
-
-    rows = [dict() for _ in range(n)]
-    for c, vec in enumerate(basis_vecs):
-        for i, v in vec.items():
-            rows[i][c] = v
-    # invert the change of basis
-    aug = [dict(rows[i]) for i in range(n)]
-    for i in range(n):
-        aug[i][n + i] = Fraction(1)
-    mat = SparseMatrix(n, 2 * n, aug)
-    red, pivots = rref(mat)
-    if pivots != list(range(n)):
-        raise ValueError("splitting vectors are dependent")
-    inv_rows = [{c - n: v for c, v in row.items() if c >= n} for row in red]
-    # coordinates of e_j in the splitting basis: column j of the inverse
-    h_count = len(split.harmonic)
-    cols: list[Vector] = []
-    for j in range(n):
-        coord = {r: inv_rows[r].get(j, Fraction(0)) for r in range(n)}
-        out: Vector = {}
-        for r in range(h_count):
-            a = coord.get(r, Fraction(0))
-            if not a:
-                continue
-            for i, v in split.harmonic[r].items():
-                new = out.get(i, Fraction(0)) + a * v
-                if new:
-                    out[i] = new
-                else:
-                    out.pop(i, None)
-        cols.append(out)
-    return LinearOperator(s.basis, 0, cols)
+    return LinearOperator(split.structure.basis, 0,
+                          [_expand(coord, split.harmonic, 0)
+                           for coord in split.coordinates])
 
 
 def green_build(s: CyclicStructure, split: HarmonicSplitting) -> LinearOperator:
     """Degree -1 solution of m1 G + G m1 = proj_H - id:
-    G = -(m1|_C)^{-1} on im(m1), zero on H and C."""
-    mop = m1_operator(s)
-    n = len(s.basis)
-    basis_vecs = split.harmonic + split.image + split.complement
-    images = [mop.apply(c) for c in split.complement]
-    # expansion of e_j in the splitting basis, as in harmonic_projection
-    from .linalg import SparseMatrix, rref
+    G = -(m1|_C)^{-1} on im(m1), zero on H and C.
 
-    aug = [dict() for _ in range(n)]
-    for c, vec in enumerate(basis_vecs):
-        for i, v in vec.items():
-            aug[i][c] = v
-    for i in range(n):
-        aug[i][n + i] = Fraction(1)
-    red, pivots = rref(SparseMatrix(n, 2 * n, aug))
-    inv_rows = [{c - n: v for c, v in row.items() if c >= n} for row in red]
-    h_count, i_count = len(split.harmonic), len(split.image)
-    # rewrite the image part of e_j through m1(C): first express the stored
-    # image basis through m1(complement)
-    # build transition: image[r] = sum_t M[t][r] images[t]
-    elim_rows = []
-    for t, im in enumerate(images):
-        elim_rows.append(im)
-    trans_cols = []
-    for r, im in enumerate(split.image):
-        sol = _solve_in_span(images, im)
-        if sol is None:
-            raise ValueError("differential not surjective onto the image part")
-        trans_cols.append(sol)
-    cols: list[Vector] = []
-    for j in range(n):
-        coord = {r: inv_rows[r].get(j, Fraction(0)) for r in range(n)}
-        out: Vector = {}
-        for r in range(i_count):
-            a = coord.get(h_count + r, Fraction(0))
-            if not a:
-                continue
-            for t, b in trans_cols[r].items():
-                for i, v in split.complement[t].items():
-                    new = out.get(i, Fraction(0)) - a * b * v
-                    if new:
-                        out[i] = new
-                    else:
-                        out.pop(i, None)
-        cols.append(out)
-    return LinearOperator(s.basis, -1, cols)
-
-
-def _solve_in_span(vectors: list[Vector], target: Vector) -> Vector | None:
-    """Coefficients expressing target in the span, or None."""
-    from .linalg import SparseMatrix, rref
-
-    coords = sorted({i for v in vectors for i in v} | set(target))
-    pos = {i: p for p, i in enumerate(coords)}
-    rows = [dict() for _ in range(len(coords))]
-    for c, v in enumerate(vectors):
-        for i, a in v.items():
-            rows[pos[i]][c] = a
-    for i, a in target.items():
-        rows[pos[i]][len(vectors)] = a
-    red, pivots = rref(SparseMatrix(len(coords), len(vectors) + 1, rows))
-    if len(vectors) in pivots:
-        return None
-    sol: Vector = {}
-    for row, p in zip(red, pivots):
-        val = row.get(len(vectors), Fraction(0))
-        if val:
-            sol[p] = val
-    return sol
+    The image part of e_j is expanded in image = m1(C), so (m1|_C)^{-1}
+    maps it to the same coefficients on C.
+    """
+    return LinearOperator(s.basis, -1,
+                          [_expand(coord, split.complement, len(split.harmonic))
+                           for coord in split.coordinates]).scaled(-1)
 
 
 def green_symmetrize(s: CyclicStructure, G: LinearOperator) -> LinearOperator:

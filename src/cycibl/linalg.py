@@ -1,10 +1,25 @@
 """Exact sparse linear algebra over the rationals and filtered graded homology.
 
-Elimination is plain Gaussian elimination on ``Fraction`` entries (exact by
-construction) with pivots chosen by row sparsity.  The homology engine works
-per degree on a weight-filtered complex whose differential shifts weight by
-0 or +1 (dual side) or by 0 or -1 (primal side); dimensions of the weight-
-graded pieces come from the rank identity
+This module is the package's one exact eliminator; every other module
+solves, inverts, ranks and takes determinant signs through it:
+
+* ``rref`` -- reduced row echelon form, with pivots chosen by row sparsity;
+* ``rank``, ``kernel_basis`` and ``image_basis`` -- read off one ``rref``;
+* ``solve`` -- coefficients of several right-hand sides in the span of a
+  list of columns, from one ``rref`` of ``[A | B]``;
+* ``det_sign`` -- the sign of a square determinant, from one incremental
+  elimination;
+* ``Eliminator`` -- incremental echelon form for span membership, basis
+  extension and filtered image dimensions;
+* ``graded_homology`` -- weight-graded homology of a weight-filtered
+  complex.
+
+Entries are ``Fraction``s, so elimination is exact by construction.  The
+homology engine works per degree on a weight-filtered complex whose
+differential shifts weight by 0 or +1 (dual side) or by 0 or -1 (primal
+side), and eliminates each degree once: one ``kernel_basis`` of the
+differential and one ``Eliminator`` over the incoming image give the
+dimensions of every filtration level, from the rank identity
 
     dim gr_w H = (k_w - k_next) - (i_w - i_next),
 
@@ -16,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .signs import koszul_sign
 
 
 class SparseMatrix:
@@ -66,9 +83,6 @@ class SparseMatrix:
             if s:
                 out[r] = s
         return out
-
-    def column(self, c: int) -> dict:
-        return {r: row[c] for r, row in enumerate(self.rows) if c in row}
 
 
 def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
@@ -136,17 +150,52 @@ def image_basis(mat: SparseMatrix) -> list[dict]:
     return rows
 
 
-def span_dims(vectors: list[dict], subspace_cols: set) -> tuple[int, int]:
-    """(dim span, dim of span ∩ coordinate subspace) for a list of vectors."""
-    total = Eliminator()
-    for v in vectors:
-        total.add(dict(v))
-    joint = Eliminator()
-    for v in vectors:
-        joint.add(dict(v))
-    for c in subspace_cols:
-        joint.add({c: Fraction(1)})
-    return total.rank, total.rank + len(subspace_cols) - joint.rank
+def solve(columns: list[dict], rhs_list: list[dict]) -> list[dict | None]:
+    """Coefficients ``x`` with ``sum_c x[c] * columns[c] == rhs``, per right-hand side.
+
+    Vectors are dicts over nonnegative integer row indices.  One ``rref``
+    of ``[A | B]`` serves every right-hand side; the entry for one outside
+    the span of the columns is ``None``.  Coefficients of non-pivot columns
+    are zero, so the answer is unique when the columns are independent.
+    """
+    n = len(columns)
+    cols = list(columns) + list(rhs_list)
+    nrows = 1 + max((r for col in cols for r in col), default=-1)
+    rows, pivots = rref(SparseMatrix.from_columns(nrows, cols))
+    out: list[dict | None] = []
+    for j in range(n, len(cols)):
+        sol: dict | None = {}
+        for row, p in zip(rows, pivots):
+            if j in row:
+                if p >= n:
+                    sol = None
+                    break
+                sol[p] = row[j]
+        out.append(sol)
+    return out
+
+
+def det_sign(columns: list[dict]) -> int:
+    """Sign of the determinant of the square matrix with these columns; 0 if singular.
+
+    Reducing each column against the earlier ones keeps the determinant;
+    the reduced columns are triangular once sorted by their leads, so the
+    sign is that of the lead permutation times the signs of the lead
+    coefficients before normalization.
+    """
+    elim = Eliminator()
+    leads = []
+    sign = 1
+    for col in columns:
+        red = elim.reduce(col)
+        if not red:
+            return 0
+        lead = min(red)
+        if red[lead] < 0:
+            sign = -sign
+        leads.append(lead)
+        elim.add(red)
+    return sign * koszul_sign(leads, [1] * len(leads))
 
 
 class Eliminator:
@@ -260,7 +309,8 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
         return diff_cache[key]
 
     for d in degrees:
-        src = sorted(basis_fn(d))
+        # Deepest filtration level first, so that every F_w is a prefix.
+        src = sorted(basis_fn(d), key=lambda key: (-weight_step * key[0], key))
         prev = sorted(basis_fn(d - degree_step))
 
         if check_square:
@@ -277,83 +327,56 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
                     raise SquareZeroError(
                         f"d*d != 0 at degree {d}, key {key}: {acc}")
 
-        # Two coordinate spaces: targets of d (for the kernel matrix), and
-        # this degree's own keys plus phantom targets beyond the bound (for
-        # the image vectors coming from the previous degree).
+        # Kernel: the vector of a free column is supported at or before that
+        # column (which is its maximum), so the vectors of the free columns
+        # inside a prefix span ker ∩ F_w.
         coord_t: dict = {}
+        cols = [{coord_t.setdefault(t, len(coord_t)): c
+                 for t, c in diff(key).items()} for key in src]
+        kernel = kernel_basis(SparseMatrix.from_columns(len(coord_t), cols))
 
-        def t_col(key):
-            if key not in coord_t:
-                coord_t[key] = len(coord_t)
-            return coord_t[key]
+        # Image: coordinates count down from the deepest key (len(src) - 1)
+        # to the outermost one (0) and on to the phantom targets beyond the
+        # bound (negative).  Every F_w is then a suffix of the nonnegative
+        # coordinates, and dim(im ∩ F_w) is the number of echelon leads in it.
+        top = len(src) - 1
+        coord = {key: top - i for i, key in enumerate(src)}
 
-        src_cols = {i: {t_col(t): c for t, c in diff(key).items()}
-                    for i, key in enumerate(src)}
-
-        coord_d: dict = {key: i for i, key in enumerate(src)}
-
-        def d_col(key):
-            if key not in coord_d:
+        def img_col(key):
+            if key not in coord:
                 if 1 <= key[0] <= weight_bound:
                     raise ValueError(
                         f"differential target {key} missing from basis({d})")
-                coord_d[key] = len(coord_d)
-            return coord_d[key]
+                coord[key] = top - len(coord)
+            return coord[key]
 
-        img_vecs = []
+        elim = Eliminator()
         for key in prev:
-            vec = {d_col(t): c for t, c in diff(key).items()}
-            if vec:
-                img_vecs.append(vec)
+            elim.add({img_col(t): c for t, c in diff(key).items()})
 
+        # dim gr_w H: free columns of weight w minus image leads of weight w.
         weights = sorted({key[0] for key in src})
-        if not weights:
-            continue
-        levels = weights if weight_step == -1 else list(reversed(weights))
-        # levels run from the deepest filtration level outward
-
-        def filt_cols(w):
-            if weight_step == 1:
-                return [i for i, key in enumerate(src) if key[0] >= w]
-            return [i for i, key in enumerate(src) if key[0] <= w]
-
-        nrows = max(len(coord_t), 1)
-        kdim: dict[int, int] = {}
-        kernels: dict[int, list[dict]] = {}
-        idim: dict[int, int] = {}
-        for w in weights:
-            idx = filt_cols(w)
-            sub = SparseMatrix.from_columns(nrows, [src_cols[i] for i in idx])
-            kb = kernel_basis(sub)
-            kernels[w] = [{idx[c]: v for c, v in vec.items()} for vec in kb]
-            kdim[w] = len(kb)
-            _, idim[w] = span_dims(img_vecs, set(idx))
+        dims = dict.fromkeys(weights, 0)
+        for vec in kernel:
+            dims[src[max(vec)][0]] += 1
+        for lead in elim.rows:
+            if lead >= 0:
+                dims[src[top - lead][0]] -= 1
 
         # Representatives adapted to the filtration: extend the image span
-        # level by level from the deepest one outward.
-        elim = Eliminator()
-        for vec in img_vecs:
-            elim.add(dict(vec))
-        added: dict[int, list[dict]] = {w: [] for w in weights}
-        for w in levels:
-            for vec in kernels[w]:
-                if elim.add(dict(vec)):
-                    added[w].append(vec)
+        # by the kernel vectors, from the deepest level outward.
+        reps: dict[int, list[dict]] = {w: [] for w in weights}
+        for vec in kernel:
+            if elim.add({top - i: c for i, c in vec.items()}):
+                reps[src[max(vec)][0]].append(
+                    {src[i]: c for i, c in vec.items()})
 
-        for pos, w in enumerate(weights):
-            nxt = pos + 1 if weight_step == 1 else pos - 1
-            if 0 <= nxt < len(weights):
-                wn = weights[nxt]
-                k_next, i_next = kdim[wn], idim[wn]
-            else:
-                k_next = i_next = 0
-            dim = (kdim[w] - k_next) - (idim[w] - i_next)
-            report.dims[(d, w)] = dim
+        for w in weights:
+            report.dims[(d, w)] = dims[w]
             report.stable[(d, w)] = w <= weight_bound - 1
-            reps = [{src[i]: c for i, c in vec.items()} for vec in added[w]]
-            if len(reps) != dim:
+            if len(reps[w]) != dims[w]:
                 raise AssertionError(
                     f"adapted representatives disagree with graded dimension "
-                    f"at degree {d}, weight {w}: {len(reps)} vs {dim}")
-            report.reps[(d, w)] = reps
+                    f"at degree {d}, weight {w}: {len(reps[w])} vs {dims[w]}")
+            report.reps[(d, w)] = reps[w]
     return report

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .algebra import CyclicStructure
-from .linalg import Eliminator, SparseMatrix, kernel_basis
+from .linalg import Eliminator, SparseMatrix, det_sign, kernel_basis
 from .signs import koszul_sign
 from .words import CochainTensor, Word, canonicalize, canonical_key
 
@@ -316,26 +316,6 @@ def _is_degenerate(graph: RibbonGraph, k: int, l: int, g: int) -> bool:
 # orientation compatibility
 # ---------------------------------------------------------------------------
 
-def _det_sign_dense(columns: list[dict], dim: int) -> int:
-    mat = [[Fraction(columns[c].get(r, 0)) for c in range(dim)] for r in range(dim)]
-    det = Fraction(1)
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if mat[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, dim):
-            if mat[r][col]:
-                f = mat[r][col] * inv
-                for c in range(col, dim):
-                    mat[r][c] -= f * mat[col][c]
-    return 1 if det > 0 else -1
-
-
 @dataclass(frozen=True)
 class Labeling:
     """Vertex order, boundary order, oriented ordered edges, first marks.
@@ -396,13 +376,16 @@ def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,
             col[idx] = col.get(idx, Fraction(0)) + direction
         d2_cols[b_pos[b_idx]] = {r: v for r, v in col.items() if v}
 
-    # level 0: [d1(lift of image basis) | point class] against C0
+    # level 0: [d1(lift of image basis) | point class] against C0; the
+    # edges lifting the image basis are reused at level 1
     elim = Eliminator()
     lift_cols = []
+    lift1_cols_in_c1 = []
     for c, col in enumerate(d1_cols):
-        if col and elim.add(dict(col)):
+        if col and elim.add(col):
             lift_cols.append(col)
-    level0 = _det_sign_dense(lift_cols + [{0: Fraction(1)}], k) \
+            lift1_cols_in_c1.append({c: Fraction(1)})
+    level0 = det_sign(lift_cols + [{0: Fraction(1)}]) \
         if len(lift_cols) + 1 == k else 0
 
     # level 2: [fundamental class | lifts of the image of d2] against C2
@@ -410,11 +393,11 @@ def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,
     lift2 = []
     lift2_cols_in_c2 = []
     for c, col in enumerate(d2_cols):
-        if col and elim2.add(dict(col)):
+        if col and elim2.add(col):
             lift2.append(col)
             lift2_cols_in_c2.append({c: Fraction(1)})
     fund = {c: Fraction(1) for c in range(l)}
-    level2 = _det_sign_dense([fund] + lift2_cols_in_c2, l) \
+    level2 = det_sign([fund] + lift2_cols_in_c2) \
         if 1 + len(lift2_cols_in_c2) == l else 0
 
     # level 1: [image of d2 | middle homology reference | kernel-lifts used
@@ -431,12 +414,7 @@ def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,
             flip = 1 if edge_order[idx] == (a, b) else -1
             col[idx] = flip * v
         middle.append(col)
-    elim_used = Eliminator()
-    lift1_cols_in_c1 = []
-    for c, col in enumerate(d1_cols):
-        if col and elim_used.add(dict(col)):
-            lift1_cols_in_c1.append({c: Fraction(1)})
-    level1 = _det_sign_dense(img2 + middle + lift1_cols_in_c1, e) \
+    level1 = det_sign(img2 + middle + lift1_cols_in_c1) \
         if len(img2) + len(middle) + len(lift1_cols_in_c1) == e else 0
 
     if e == 0:

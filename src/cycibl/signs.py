@@ -20,7 +20,6 @@ from itertools import permutations as _itertools_permutations
 
 Scalar = Fraction
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
@@ -66,10 +65,6 @@ def all_perms(k: int):
     return _itertools_permutations(range(k))
 
 
-def is_perm(sigma: tuple[int, ...]) -> bool:
-    return sorted(sigma) == list(range(len(sigma)))
-
-
 def koszul_sign(sigma: tuple[int, ...], degrees) -> int:
     """Sign for reordering homogeneous factors of the given degrees along sigma.
 
@@ -99,29 +94,6 @@ def permute_tensor(factors: list, sigma: tuple[int, ...], degrees) -> tuple[list
     for i, f in enumerate(factors):
         out[sigma[i]] = f
     return out, koszul_sign(sigma, degrees)
-
-
-def reorder_sign(degrees_in, positions_out) -> int:
-    """Koszul sign of the reordering that sends source slot i to slot positions_out[i]."""
-    return koszul_sign(tuple(positions_out), degrees_in)
-
-
-def sort_with_sign(items, degrees, key=None) -> tuple[list, int] | None:
-    """Stable-sort graded items, tracking the Koszul sign.
-
-    Returns ``None`` when two equal items of odd degree must be transposed,
-    which forces the (anti)symmetrized tensor to vanish.
-    """
-    k = len(items)
-    order = sorted(range(k), key=(lambda i: items[i]) if key is None else (lambda i: key(items[i])))
-    keyed = [items[i] if key is None else key(items[i]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if keyed[i] == keyed[j] and degrees[i] % 2 and degrees[j] % 2:
-                return None
-    sigma = perm_inverse(tuple(order))
-    sign = koszul_sign(sigma, degrees)
-    return [items[i] for i in order], sign
 
 
 @dataclass(frozen=True)

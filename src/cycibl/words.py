@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .signs import GradedBasis, Scalar, koszul_sign
+from .signs import GradedBasis, Scalar, koszul_sign, perm_inverse
 
 Word = tuple[int, ...]
 
@@ -77,11 +77,6 @@ def canonicalize(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
     in the cyclic quotient, or ``(None, 1)`` when the class is annihilated.
     """
     return _canonical(tuple(letters), basis)
-
-
-def is_canonical(letters: Word, basis: GradedBasis) -> bool:
-    canon, _ = canonicalize(letters, basis)
-    return canon == tuple(letters)
 
 
 def section_iota(letters: Word, basis: GradedBasis) -> list[tuple[Word, Fraction]]:
@@ -341,10 +336,12 @@ def product_cochain(psis: list[CochainTensor]) -> CochainTensor:
         degs = [slot_degree(w, basis, shift) for w in key]
         total = Fraction(0)
         for sigma in permutations(range(k)):
+            # reordering the key along sigma puts key[inv[i]] in slot i
             sign = koszul_sign(sigma, degs)
+            inv = perm_inverse(sigma)
             term = Fraction(1)
             for i in range(k):
-                term *= psis[i].eval_tuple((key[sigma[i]],))
+                term *= psis[i].eval_tuple((key[inv[i]],))
                 if not term:
                     break
             total += sign * term
@@ -367,18 +364,3 @@ def completion_needed(reduced_basis: GradedBasis) -> bool:
     """
     return any(d <= 0 for d in reduced_basis.degrees)
 
-
-class WeightReport:
-    """Per-weight dimensions of a complex slice, with stable-range flags."""
-
-    __slots__ = ("dims", "stable")
-
-    def __init__(self, dims: dict[int, int], stable: dict[int, bool]):
-        for d in dims.values():
-            if d < 0:
-                raise ValueError("dimensions must be nonnegative")
-        self.dims = dict(dims)
-        self.stable = dict(stable)
-
-    def rows(self):
-        return [(w, self.dims[w], self.stable.get(w, False)) for w in sorted(self.dims)]

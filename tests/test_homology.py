@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from cycibl.algebra import CyclicStructure
 from cycibl.dibl import canonical_mc, twisted_q110
 from cycibl.homology import chain_homology, cochain_homology, degree_window
 from cycibl.linalg import (Eliminator, SparseMatrix, SquareZeroError,
-                           graded_homology, image_basis, kernel_basis, rank)
+                           det_sign, graded_homology, image_basis,
+                           kernel_basis, rank, solve)
 from cycibl.models import build_cpn, build_sn, truncated_polynomial
 from cycibl.signs import GradedBasis
 from cycibl.words import canonical_words
@@ -37,6 +39,134 @@ def test_linalg_rank_nullity_random():
             assert not mat.matvec(vec)
         img = image_basis(mat)
         assert len(img) == rank(mat)
+    # solve and det_sign on square and rectangular matrices, singular ones
+    # included; the determinant reference is the Leibniz expansion
+    seen = set()
+    for nrows, ncols in [(5, 5), (6, 6), (4, 6), (6, 4)] * 8:
+        cols = [{r: Fraction(rng.randint(-3, 3)) for r in range(nrows)
+                 if rng.random() < 0.5} for _ in range(ncols)]
+        if rng.random() < 0.3:
+            cols[-1] = {r: cols[0].get(r, 0) - 2 * cols[1].get(r, 0)
+                        for r in range(nrows)}
+        cols = [{r: v for r, v in col.items() if v} for col in cols]
+        mat = SparseMatrix.from_columns(nrows, cols)
+        inside = mat.matvec({c: Fraction(rng.randint(-2, 2)) for c in range(ncols)})
+        other = {r: Fraction(rng.randint(-3, 3)) for r in range(nrows)}
+        other = {r: v for r, v in other.items() if v}
+        sol_in, sol_other = solve(cols, [inside, other])
+        assert mat.matvec(sol_in) == inside
+        outside = rank(SparseMatrix.from_columns(nrows, cols + [other])) > rank(mat)
+        assert (sol_other is None) == outside
+        if not outside:
+            assert mat.matvec(sol_other) == other
+        seen.add(("outside", outside))
+        if nrows == ncols:
+            det = _leibniz_det(cols, nrows)
+            assert det_sign(cols) == (det > 0) - (det < 0)
+            seen.add(("singular", det == 0))
+    assert seen == {("outside", True), ("outside", False),
+                    ("singular", True), ("singular", False)}
+
+
+def _leibniz_det(cols, n):
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction(1)
+        for c, r in enumerate(perm):
+            term *= cols[c].get(r, 0)
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def _random_two_term(rng, size, weight_step):
+    """A random complex C0 -> C1 whose differential moves weight by 0 or
+    ``weight_step``: (degrees, weights, differential columns)."""
+    degs = [rng.randint(0, 1) for _ in range(size)]
+    wts = [rng.randint(0, 2) for _ in range(size)]
+    diff = []
+    for i in range(size):
+        col = {}
+        if degs[i] == 0:
+            for j in range(size):
+                if degs[j] == 1 and wts[j] - wts[i] in (0, weight_step) \
+                        and rng.random() < 0.8:
+                    col[j] = Fraction(rng.randint(-2, 2))
+        diff.append({j: c for j, c in col.items() if c})
+    return degs, wts, diff
+
+
+def _per_level_dims(basis_fn, diff_fn, d, weight_step, degree_step):
+    """dim gr_w H at degree d from ranks of submatrices, level by level."""
+    src, prev = basis_fn(d), basis_fn(d - degree_step)
+    coords: dict = {}
+
+    def col(vec):
+        return {coords.setdefault(k, len(coords)): c for k, c in vec.items()}
+
+    src_cols = {k: col(diff_fn(k)) for k in src}
+    img = [col(diff_fn(k)) for k in prev]
+    unit = {k: col({k: 1}) for k in src}
+
+    def rk(cols):
+        return rank(SparseMatrix.from_columns(len(coords), cols))
+
+    levels = sorted({k[0] for k in src}, key=lambda w: -weight_step * w)
+    out, k_next, i_next = {}, 0, 0
+    for w in levels:
+        filt = [k for k in src if weight_step * (k[0] - w) >= 0]
+        k_w = len(filt) - rk([src_cols[k] for k in filt])
+        i_w = rk(img) + len(filt) - rk(img + [unit[k] for k in filt])
+        out[w] = (k_w - k_next) - (i_w - i_next)
+        k_next, i_next = k_w, i_w
+    return out
+
+
+def test_graded_homology_matches_per_level_ranks():
+    # tensor products of two random two-term complexes: d^2 = 0, weight
+    # moves by 0 or weight_step, and the dual-side truncation has phantom
+    # targets; every graded dimension must match the per-level rank formula
+    phantoms = 0
+    for seed in range(8):
+        for weight_step in (1, -1):
+            rng = random.Random(seed)
+            du, wu, dif_u = _random_two_term(rng, 6, weight_step)
+            dv, wv, dif_v = _random_two_term(rng, 6, weight_step)
+
+            def key(i, j):
+                return (wu[i] + wv[j] + 1, (i, j))
+
+            bound = rng.randint(2, 4)
+            keys = [key(i, j) for i in range(6) for j in range(6)]
+
+            def basis_fn(d):
+                return [k for k in keys
+                        if du[k[1][0]] + dv[k[1][1]] == d and k[0] <= bound]
+
+            def diff_fn(k):
+                i, j = k[1]
+                out = {key(i2, j): c for i2, c in dif_u[i].items()}
+                sgn = -1 if du[i] % 2 else 1
+                for j2, c in dif_v[j].items():
+                    out[key(i, j2)] = out.get(key(i, j2), 0) + sgn * c
+                return out
+
+            phantoms += sum(t[0] > bound for d in (0, 1) for k in basis_fn(d)
+                            for t in diff_fn(k))
+            rep = graded_homology(basis_fn, diff_fn, [0, 1, 2], bound,
+                                  weight_step=weight_step, degree_step=1)
+            for d in (0, 1, 2):
+                want = _per_level_dims(basis_fn, diff_fn, d, weight_step, 1)
+                got = {w: n for (dd, w), n in rep.dims.items() if dd == d}
+                assert got == want, (seed, weight_step, d)
+            for (d, w), vecs in rep.reps.items():
+                for vec in vecs:
+                    acc: dict = {}
+                    for k, c in vec.items():
+                        for t, c2 in diff_fn(k).items():
+                            acc[t] = acc.get(t, 0) + c * c2
+                    assert not any(acc.values()), (seed, weight_step, d, w)
+    assert phantoms
 
 
 def test_zero_differential_homology_is_chains():

@@ -1,0 +1,58 @@
+"""Dead-definition guard: every module-level name of the package is used.
+
+A module-level function, class or constant of ``src/cycibl`` counts as used
+when some Python file under ``src/``, ``tests/``, ``scripts/`` or
+``perfbench/`` refers to it apart from its own definition: as a loaded
+name, an attribute, an imported name, or a string naming it (the benchmark
+tracer wraps functions by name, e.g. ``"Eliminator.reduce"``).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cycibl"
+SEARCHED = ("src", "tests", "scripts", "perfbench")
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                refs.update(parts)
+    return refs
+
+
+def test_no_unreferenced_module_level_definitions():
+    refs: set[str] = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            refs |= _references(ast.parse(path.read_text(), str(path)))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        dead.extend(f"{path.stem}.{name}" for name in _definitions(tree)
+                    if name not in refs)
+    assert not dead, "unreferenced module-level definitions: " + ", ".join(dead)

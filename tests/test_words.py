@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -125,6 +126,16 @@ def test_product_cochain_symmetrization():
     assert pair(prod, [(0,), (1, 1)]) == Fraction(1, 2)
     assert pair(prod, [(1, 1), (0,)]) != 0
     assert pair(prod, [(0,), (1, 1, 1)]) == 0
+    # distinct words: the product of their duals, evaluated in factor
+    # order, is 1/k! (one matching survives, with sign +1)
+    for basis in (S3, CP2):
+        words = [u for w in (1, 2, 3) for u in canonical_words(basis, w)]
+        for shift in (0, 1):
+            for k in (2, 3):
+                for combo in itertools.permutations(words, k):
+                    duals = [dual_word(basis, u, slot_shift=shift) for u in combo]
+                    assert pair(product_cochain(duals), combo) == \
+                        Fraction(1, math.factorial(k)), (basis, shift, combo)
 
 
 def test_cochain_flip_symmetry():
