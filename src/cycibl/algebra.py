@@ -26,7 +26,8 @@ from itertools import product
 
 from .linalg import SparseMatrix, rank, solve
 from .signs import GradedBasis, koszul_sign
-from .words import CochainTensor, Word, canonical_words, canonicalize
+from .words import (CochainTensor, Word, canonical_words, canonicalize,
+                    rotation_sign)
 
 Vector = dict[int, Fraction]
 MuTable = dict[tuple[int, ...], Vector]
@@ -322,63 +323,58 @@ Tensor = dict[Word, Fraction]
 
 
 def _add_into(acc: Tensor, w: Word, c: Fraction) -> None:
-    new = acc.get(w, Fraction(0)) + c
-    if new:
-        acc[w] = new
+    old = acc.get(w)
+    if old is None:
+        if c:
+            acc[w] = c
     else:
-        acc.pop(w, None)
+        new = old + c
+        if new:
+            acc[w] = new
+        else:
+            del acc[w]
 
 
 def hochschild_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
     """The full bar differential b = b' + R on a plain tensor word.
 
     b'^k sums t^i ∘ (mu_j ⊗ id) ∘ t^{-i} over j = 1..k, i = 0..k-j; the
-    remainder R^k sums (mu_j ⊗ id) ∘ t^i over j and i = 1..j-1.
+    remainder R^k sums (mu_j ⊗ id) ∘ t^i over j and i = 1..j-1.  Rotation
+    signs come from the prefix degree sums of the word.
     """
     letters = tuple(letters)
     k = len(letters)
     deg = s.basis.degrees
+    prefix = [0]
+    for x in letters:
+        prefix.append(prefix[-1] + deg[x])
+    total = prefix[k]
     acc: Tensor = {}
-
-    def rot_sign(word, r):
-        # (word2, sign) with t^r(word) = sign * word2
-        cur, sign = tuple(word), 1
-        for _ in range(r % max(len(word), 1)):
-            if len(cur) == 1:
-                break
-            last = deg[cur[-1]]
-            rest = sum(deg[i] for i in cur[:-1])
-            sign *= -1 if (last % 2) and (rest % 2) else 1
-            cur = (cur[-1],) + cur[:-1]
-        return cur, sign
-
     for j in s.arities():
         if j > k:
             continue
-        # b' part: i = 0..k-j, conjugated by rotations
+        table = s.mu[j]
+        # b' part: t^{-i} = t^{k-i} brings letters[i:] to the front, mu_j
+        # acts on letters[i:i+j], and t^i moves letters[:i] back in front
         for i in range(0, k - j + 1):
-            # t_k^{-i}: rotate k - i times
-            base, sgn0 = rot_sign(letters, (k - i) % k if k else 0)
-            head = base[:j]
-            img = s.mu_apply(j, head)
+            img = table.get(letters[i:i + j])
             if not img:
                 continue
+            sgn0 = rotation_sign(total, total - prefix[i])
+            rest = total - prefix[i + j] + prefix[i]
             for mid, c in img.items():
-                word2 = (mid,) + base[j:]
-                out, sgn1 = rot_sign(word2, i % len(word2))
-                _add_into(acc, out, sgn0 * sgn1 * c)
-        # R part: i = 1..j-1
+                sign = sgn0 * rotation_sign(rest + deg[mid], prefix[i])
+                _add_into(acc, letters[:i] + (mid,) + letters[i + j:],
+                          c if sign > 0 else -c)
+        # R part: t^i brings the last i letters to the front
         for i in range(1, j):
-            base, sgn0 = rot_sign(letters, i % k if k else 0)
-            if len(base) < j:
-                continue
-            head = base[:j]
-            img = s.mu_apply(j, head)
+            base = letters[k - i:] + letters[:k - i]
+            img = table.get(base[:j])
             if not img:
                 continue
+            negate = rotation_sign(total, total - prefix[k - i]) < 0
             for mid, c in img.items():
-                word2 = (mid,) + base[j:]
-                _add_into(acc, word2, sgn0 * c)
+                _add_into(acc, (mid,) + base[j:], -c if negate else c)
     return acc
 
 
@@ -413,7 +409,7 @@ def hochschild_b_cyclic(s: CyclicStructure, letters: Word) -> Tensor:
     for w, c in hochschild_b_tensor(s, letters).items():
         canon, sign = canonicalize(w, s.basis)
         if canon is not None:
-            _add_into(acc, canon, sign * c)
+            _add_into(acc, canon, c if sign > 0 else -c)
     return acc
 
 

@@ -170,8 +170,25 @@ def cmd_model(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are input errors: one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"input error: {self.prog}: {message}\n")
+
+
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cycibl",
         description="exact computations with cyclic cochains: boundary, "
                     "product, coproduct, twisting, ribbon-graph pairings, "
@@ -200,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_homology)
 
     sp = sub.add_parser("graphs", help="list ribbon graph classes")
-    sp.add_argument("k", type=int)
-    sp.add_argument("l", type=int)
-    sp.add_argument("g", type=int)
-    sp.add_argument("--legs", type=int, default=3)
+    sp.add_argument("k", type=_nonnegative)
+    sp.add_argument("l", type=_nonnegative)
+    sp.add_argument("g", type=_nonnegative)
+    sp.add_argument("--legs", type=_nonnegative, default=3)
     sp.add_argument("--trivalent", action="store_true")
     common(sp, weight=False)
     sp.set_defaults(fn=cmd_graphs)

@@ -18,6 +18,17 @@ class InputError(Exception):
     """Malformed input file; carries a line/field diagnostic."""
 
 
+def _scalar(x, where) -> Fraction:
+    """An exact scalar from a file; a malformed one (``"1/0"``, ``"x"``, a
+    float) is an input error."""
+    try:
+        return scalar(x)
+    except ZeroDivisionError:
+        raise InputError(f"{where}: zero denominator in {x!r}")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: bad scalar {x!r} ({exc})")
+
+
 def _need(obj, key, where):
     if key not in obj:
         raise InputError(f"{where}: missing field '{key}'")
@@ -77,10 +88,8 @@ def structure_from_dict(doc: dict) -> CyclicStructure:
         rows = doc["pairing"]
         if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
             raise InputError(f"{where}: pairing must be {len(labels)}x{len(labels)}")
-        try:
-            pairing = [[scalar(x) for x in row] for row in rows]
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"{where}: bad pairing entry ({exc})")
+        pairing = [[_scalar(x, f"{where}: pairing[{i}][{j}]")
+                    for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
     mu = {}
     for key, table in (doc.get("mu") or {}).items():
@@ -98,7 +107,8 @@ def structure_from_dict(doc: dict) -> CyclicStructure:
                 if lab not in index:
                     raise InputError(f"{where}: unknown label '{lab}'")
             tbl[tuple(index[i] for i in ins)] = {
-                index[o]: scalar(c) for o, c in outs.items()}
+                index[o]: _scalar(c, f"{where}: mu[{key}][{row_no}]")
+                for o, c in outs.items()}
         mu[k] = tbl
 
     unit = None
@@ -109,7 +119,7 @@ def structure_from_dict(doc: dict) -> CyclicStructure:
     augmentation = None
     if doc.get("augmentation") is not None:
         try:
-            augmentation = {index[lab]: scalar(c)
+            augmentation = {index[lab]: _scalar(c, f"{where}: augmentation")
                             for lab, c in doc["augmentation"].items()}
         except KeyError as exc:
             raise InputError(f"{where}: unknown label in augmentation ({exc})")
@@ -142,7 +152,7 @@ def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
         try:
             i = index[row["i"]]
             j = index[row["j"]]
-            out[(i, j)] = scalar(row["value"])
+            out[(i, j)] = _scalar(row["value"], f"kernel entry {row_no}")
         except KeyError as exc:
             raise InputError(f"kernel entry {row_no}: unknown label {exc}")
     return {k: v for k, v in out.items() if v}
@@ -172,7 +182,7 @@ def cochain_from_dict(s: CyclicStructure, doc: dict,
             words = tuple(tuple(index[lab] for lab in w) for w in row["tuple"])
         except KeyError as exc:
             raise InputError(f"cochain record {row_no}: unknown label {exc}")
-        ten.add(words, scalar(row["coefficient"]))
+        ten.add(words, _scalar(row["coefficient"], f"cochain record {row_no}"))
     return ten
 
 

@@ -17,36 +17,42 @@ from .linalg import HomologyReport, graded_homology
 from .words import canonical_words, dual_word
 
 
-def degree_window(s: CyclicStructure, weight_bound: int,
-                  reduced: bool = False) -> list[int]:
-    degs = set()
-    for w in range(1, weight_bound + 1):
-        for u in canonical_words(s.basis, w):
-            if reduced and s.unit is not None and s.unit in u:
-                continue
-            degs.add(s.basis.word_degree(u))
-    return sorted(degs)
+def _word_index(s: CyclicStructure, weight_bound: int, reduced: bool):
+    """``(weight, word)`` for every canonical word of weight up to the bound,
+    in enumeration order, skipping unit words when ``reduced``: the one
+    enumeration a homology call makes."""
+    unit = s.unit if reduced else None
+    return [(w, u) for w in range(1, weight_bound + 1)
+            for u in canonical_words(s.basis, w) if unit is None or unit not in u]
 
 
-def _word_basis(s: CyclicStructure, weight_bound: int, reduced: bool):
+def _by_degree(s: CyclicStructure, index, weight_bound: int):
     by_degree: dict[int, list] = {}
-    for w in range(1, weight_bound + 1):
-        for u in canonical_words(s.basis, w):
-            if reduced and s.unit is not None and s.unit in u:
-                continue
+    for w, u in index:
+        if w <= weight_bound:
             by_degree.setdefault(s.basis.word_degree(u), []).append((w, u))
     return by_degree
 
 
+def degree_window(s: CyclicStructure, weight_bound: int,
+                  reduced: bool = False) -> list[int]:
+    """Degrees of the canonical words of weight up to the bound."""
+    return sorted(_by_degree(s, _word_index(s, weight_bound, reduced),
+                             weight_bound))
+
+
 def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
-                            top_weight: int, reduced: bool = False):
+                            top_weight: int, reduced: bool = False,
+                            index=None):
     """The dual (twisted) boundary as a transpose of the primal bar
     differential: word u maps to the dict of words v with the coefficient
     of u in b(v).
 
     The twisted boundary is the dual bar differential of the family induced
     by the one-output entry, so one cheap primal sweep over all words of
-    weight up to ``top_weight`` assembles every column at once.
+    weight up to ``top_weight`` assembles every column at once.  A caller
+    that already holds the word index of ``top_weight`` passes it as
+    ``index``.
     """
     if pmc is None:
         amb = s
@@ -57,15 +63,14 @@ def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
                 "twist entry is truncated below the homology range")
         top_arity = max(e10.weights(), default=2) - 1
         amb = mu_from_mc(s, e10, max(2, top_arity))
+    if index is None:
+        index = _word_index(s, top_weight, reduced)
     table: dict = {}
-    for w in range(1, top_weight + 1):
-        for v in canonical_words(s.basis, w):
-            if reduced and s.unit is not None and s.unit in v:
+    for _, v in index:
+        for u, c in hochschild_b_cyclic(amb, v).items():
+            if reduced and s.unit is not None and s.unit in u:
                 continue
-            for u, c in hochschild_b_cyclic(amb, v).items():
-                if reduced and s.unit is not None and s.unit in u:
-                    continue
-                table.setdefault(u, {})[v] = c
+            table.setdefault(u, {})[v] = c
     return table
 
 
@@ -80,13 +85,14 @@ def cochain_homology(s: CyclicStructure, pmc: MaurerCartanFamily | None,
     acceptance suite).  The dual boundary lowers the degree grading by one
     and raises weight by at most one.
     """
-    by_degree = _word_basis(s, weight_bound + 2, reduced)
+    index = _word_index(s, weight_bound + 2, reduced)
+    by_degree = _by_degree(s, index, weight_bound)
     if degrees is None:
-        degrees = degree_window(s, weight_bound, reduced)
-    table = dual_differential_table(s, pmc, weight_bound + 2, reduced)
+        degrees = sorted(by_degree)
+    table = dual_differential_table(s, pmc, weight_bound + 2, reduced, index)
 
     def basis_fn(d):
-        return [(w, u) for (w, u) in by_degree.get(d, []) if w <= weight_bound]
+        return list(by_degree.get(d, []))
 
     def diff_fn(key):
         w, u = key
@@ -103,9 +109,10 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     The bar differential raises the degree grading by one and lowers weight
     by at most one; the truncation is a subcomplex.
     """
-    by_degree = _word_basis(s, weight_bound, reduced)
+    by_degree = _by_degree(s, _word_index(s, weight_bound, reduced),
+                           weight_bound)
     if degrees is None:
-        degrees = degree_window(s, weight_bound, reduced)
+        degrees = sorted(by_degree)
 
     def basis_fn(d):
         return list(by_degree.get(d, []))

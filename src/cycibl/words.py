@@ -34,40 +34,64 @@ class TruncationError(Exception):
     """Raised when a value is requested beyond a cochain's truncation bound."""
 
 
+def rotation_sign(total: int, tail: int) -> int:
+    """Koszul sign of ``t^r`` on a word of degree ``total`` whose last r
+    letters, the ones moved to the front, have degree ``tail``.
+
+    The moved block crosses the rest, of degree ``total - tail``, so the
+    sign is ``(-1)**(tail * (total - tail)) = (-1)**(tail * (total - 1))``:
+    every rotation of an odd-degree word has sign +1.
+    """
+    return -1 if tail & 1 and not total & 1 else 1
+
+
 def rotate(letters: Word, basis: GradedBasis) -> tuple[Word, int]:
     """Apply the rotation once: last letter to the front, with Koszul sign."""
     if not letters:
         raise ValueError("words are nonempty")
-    k = len(letters)
-    if k == 1:
+    if len(letters) == 1:
         return letters, 1
     last = basis.degrees[letters[-1]]
-    rest = sum(basis.degrees[i] for i in letters[:-1])
-    sign = -1 if (last % 2) and (rest % 2) else 1
-    return (letters[-1],) + letters[:-1], sign
+    return (letters[-1],) + letters[:-1], rotation_sign(
+        basis.word_degree(letters), last)
 
 
 def rotations(letters: Word, basis: GradedBasis) -> list[tuple[Word, int]]:
-    """All k rotations ``t^r`` of a word with their accumulated signs, r = 0..k-1."""
-    out = [(letters, 1)]
-    cur, sign = letters, 1
-    for _ in range(len(letters) - 1):
-        cur, s = rotate(cur, basis)
-        sign *= s
-        out.append((cur, sign))
-    return out
+    """All k rotations ``t^r(w) = w[k-r:] + w[:k-r]`` of a word with their
+    signs, r = 0..k-1."""
+    deg = basis.degrees
+    prefix = [0]
+    for i in letters:
+        prefix.append(prefix[-1] + deg[i])
+    k, total = len(letters), prefix[-1]
+    return [(letters, 1)] + [
+        (letters[k - r:] + letters[:k - r],
+         rotation_sign(total, total - prefix[k - r])) for r in range(1, k)]
 
 
-@lru_cache(maxsize=None)
+# Canonical forms of recently seen words.  The bound keeps the memo from
+# holding every word and basis a long run has touched.
+_MEMO_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _canonical(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
-    rots = rotations(letters, basis)
-    ranked = [(tuple(basis.lex_rank[i] for i in w), r) for r, (w, _) in enumerate(rots)]
-    best_rank, best_r = min(ranked)
-    canon, sign = rots[best_r]
-    for rank, r in ranked:
-        if rank == best_rank and rots[r][1] != sign and rots[r][0] == canon:
-            return None, 1
-    return canon, sign
+    k = len(letters)
+    rank = basis.lex_rank
+    ranked = tuple([rank[i] for i in letters])
+    doubled = ranked + ranked
+    rots = [doubled[r:r + k] for r in range(k)]
+    best = min(rots)
+    start = rots.index(best)
+    deg = basis.degrees
+    total = sum([deg[i] for i in letters])
+    # a word made of c copies of a block: t^(k/c) fixes it with the sign of
+    # moving one block, -1 exactly when c is even and the block odd
+    copies = rots.count(best)
+    if not copies & 1 and (total // copies) & 1:
+        return None, 1
+    head = sum([deg[i] for i in letters[:start]])
+    return letters[start:] + letters[:start], rotation_sign(total, total - head)
 
 
 def canonicalize(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
@@ -95,24 +119,51 @@ def section_iota(letters: Word, basis: GradedBasis) -> list[tuple[Word, Fraction
     return [(w, c) for w, c in terms.items() if c]
 
 
-def canonical_words(basis: GradedBasis, weight: int, degree: int | None = None):
-    """All non-annihilated canonical cyclic words of a given weight (and degree)."""
-    if weight < 1:
-        return
-    m = len(basis)
+def _necklaces(m: int, n: int):
+    """Fredricksen-Kessler-Maiorana generation of the necklaces (rotation
+    minimal words) of length n over ``range(m)``, in lexicographic order.
 
-    def rec(prefix):
-        if len(prefix) == weight:
-            if degree is not None and basis.word_degree(prefix) != degree:
-                return
-            canon, _ = canonicalize(prefix, basis)
-            if canon == prefix:
-                yield prefix
+    Yields ``(word, period)``; the word is a list reused between steps.
+    """
+    a = [0] * n
+    yield a, 1
+    while True:
+        i = n - 1
+        while i >= 0 and a[i] == m - 1:
+            i -= 1
+        if i < 0:
             return
-        for i in range(m):
-            yield from rec(prefix + (i,))
+        a[i] += 1
+        for j in range(i + 1, n):
+            a[j] = a[j - i - 1]
+        if n % (i + 1) == 0:
+            yield a, i + 1
 
-    yield from rec(())
+
+def canonical_words(basis: GradedBasis, weight: int, degree: int | None = None):
+    """All non-annihilated canonical cyclic words of a given weight (and
+    degree), in ascending order of letter indices.
+
+    Necklaces are generated over the label ranks, so they are exactly the
+    canonical rotations; a periodic one is annihilated when moving one
+    period to the front has sign -1.
+    """
+    if weight < 1 or not len(basis):
+        return
+    deg = basis.degrees
+    letter_of = sorted(range(len(basis)), key=basis.lex_rank.__getitem__)
+    out = []
+    for a, period in _necklaces(len(basis), weight):
+        word = tuple([letter_of[r] for r in a])
+        block = sum([deg[i] for i in word[:period]])
+        copies = weight // period
+        if not copies & 1 and block & 1:
+            continue
+        if degree is None or block * copies == degree:
+            out.append(word)
+    if letter_of != list(range(len(basis))):
+        out.sort()
+    yield from out
 
 
 def slot_degree(letters: Word, basis: GradedBasis, slot_shift: int) -> int:

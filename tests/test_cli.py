@@ -133,3 +133,60 @@ def test_byte_stable_structured_output(tmp_path, capsys):
     run(capsys, "model", "cpn", "--n", "2", "--output", str(a))
     run(capsys, "model", "cpn", "--n", "2", "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _one_line_input_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["pairing", "mu", "augmentation"])
+def test_zero_denominator_in_algebra_is_input_error(tmp_path, capsys, where):
+    doc = fileio.structure_to_dict(build_sn(3).structure)
+    if where == "pairing":
+        doc["pairing"][0][1] = "1/0"
+    elif where == "mu":
+        doc["mu"]["2"][0]["output"] = {"1": "1/0"}
+    else:
+        doc["unit"] = "1"
+        doc["augmentation"] = {"1": "1/0"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "algebra-check", str(path))
+    assert code == 2
+    _one_line_input_error(err)
+    assert "zero denominator" in err
+
+
+def test_zero_denominator_in_cochain_and_kernel_is_input_error(tmp_path, capsys):
+    s3 = tmp_path / "s3.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps(
+        {"arity": 1, "values": [{"tuple": [["w"]], "coefficient": "1/0"}]}))
+    code, _, err = run(capsys, "eval", "boundary", "--algebra", str(s3),
+                       "--psi", str(psi))
+    assert code == 2
+    _one_line_input_error(err)
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps(
+        {"entries": [{"i": "1", "j": "w", "value": "1/0"}]}))
+    code, _, err = run(capsys, "pushforward", str(s3), "--kernel-file",
+                       str(kernel), "--weight-bound", "3")
+    assert code == 2
+    _one_line_input_error(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["graphs", "2", "1", "0", "--legs", "-1"],
+    ["graphs", "-1", "1", "0"],
+    ["graphs", "2", "-1", "0"],
+    ["graphs", "2", "1", "-1"],
+    ["graphs", "2", "1", "x"],
+])
+def test_negative_graph_arguments_are_input_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    _one_line_input_error(capsys.readouterr().err)

@@ -1,4 +1,6 @@
-"""Dead-definition guard: every module-level name of the package is used.
+"""Hygiene guards over the package source.
+
+Dead definitions: every module-level name of the package is used.
 
 A module-level function, class or constant of ``src/cycibl`` counts as used
 when some Python file under ``src/``, ``tests/``, ``scripts/`` or
@@ -56,3 +58,29 @@ def test_no_unreferenced_module_level_definitions():
         dead.extend(f"{path.stem}.{name}" for name in _definitions(tree)
                     if name not in refs)
     assert not dead, "unreferenced module-level definitions: " + ", ".join(dead)
+
+
+def _unbounded_memo(node: ast.AST) -> bool:
+    """``functools.cache`` (imported or as an attribute) or
+    ``lru_cache(maxsize=None)``."""
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name == "cache" for alias in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "cache" and getattr(node.value, "id", None) == "functools"
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "attr", getattr(func, "id", None)) != "lru_cache":
+            return False
+        sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+        return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+    return False
+
+
+def test_no_unbounded_memo():
+    """No cache may grow without bound across structures."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _unbounded_memo(node):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert not found, "unbounded memo: " + ", ".join(found)

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycibl.models import build_cpn, build_sn, random_cyclic_dga
 from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
                           canonical_words, canonicalize, completion_needed,
-                          dual_word, pair, product_cochain, rotate, rotations,
-                          section_iota)
+                          dual_word, pair, product_cochain, rotate,
+                          rotation_sign, rotations, section_iota)
 
 S2 = GradedBasis(("1", "w"), (-1, 1))   # volume letter of odd shifted degree
 S3 = GradedBasis(("1", "w"), (-1, 2))
@@ -176,3 +177,103 @@ def test_canonicalize_rotation_invariant(letters):
         if canon is not None:
             # [w] = sign [canon] and [rot] = s2 [canon], with [w] = rsign [rot]
             assert sign == rsign * s2
+
+
+# -- the necklace word layer against brute force -----------------------------
+
+def _step(word, basis):
+    """One rotation t from its definition: the last letter crosses the rest."""
+    deg = basis.degrees
+    crossed = deg[word[-1]] * sum(deg[i] for i in word[:-1])
+    return (word[-1],) + word[:-1], -1 if crossed % 2 else 1
+
+
+def _stepped_rotations(word, basis):
+    out, cur, sign = [], word, 1
+    for _ in range(len(word)):
+        out.append((cur, sign))
+        cur, s = _step(cur, basis)
+        sign *= s
+    return out
+
+
+def _oracle_canonicalize(word, basis):
+    """The rank-minimal rotation (least rotation count on ties) and its sign;
+    annihilated when an equal rotation carries the other sign."""
+    rots = _stepped_rotations(word, basis)
+    ranked = [(tuple(basis.lex_rank[i] for i in w), r) for r, (w, _) in enumerate(rots)]
+    best_rank, best_r = min(ranked)
+    canon, sign = rots[best_r]
+    if any(w == canon and s != sign for w, s in rots):
+        return None, 1
+    return canon, sign
+
+
+def _oracle_words(basis, weight):
+    """Every letter tuple of the weight, kept when it is its own canonical
+    form, in ascending index order: the m^w scan."""
+    return [w for w in itertools.product(range(len(basis)), repeat=weight)
+            if _oracle_canonicalize(w, basis)[0] == w]
+
+
+NECKLACE_BASES = [
+    (S2, 6), (S3, 6), (CP2, 6), (build_cpn(3).structure.basis, 6),
+    (random_cyclic_dga(6, seed=1).basis, 6),
+    (random_cyclic_dga(10, seed=0).basis, 4),
+    # shuffled labels with odd and negative degrees
+    (GradedBasis(("c", "a", "d", "b"), (1, -1, 0, 3)), 6),
+]
+
+
+@pytest.mark.parametrize("basis,top", NECKLACE_BASES)
+def test_necklaces_match_brute_force_enumeration(basis, top):
+    for weight in range(1, top + 1):
+        expected = _oracle_words(basis, weight)
+        assert list(canonical_words(basis, weight)) == expected, weight
+        degrees = {basis.word_degree(w) for w in expected}
+        for d in sorted(degrees) + [max(degrees, default=0) + 1]:
+            assert list(canonical_words(basis, weight, d)) == \
+                [w for w in expected if basis.word_degree(w) == d], (weight, d)
+
+
+@pytest.mark.parametrize("basis,top", NECKLACE_BASES)
+def test_canonicalize_and_rotations_match_single_steps(basis, top):
+    for weight in range(1, min(top, 5) + 1):
+        for w in itertools.product(range(len(basis)), repeat=weight):
+            assert canonicalize(w, basis) == _oracle_canonicalize(w, basis), w
+            stepped = _stepped_rotations(w, basis)
+            assert rotations(w, basis) == stepped, w
+            assert rotate(w, basis) == (stepped + stepped)[1], w
+
+
+def test_rank_order_differs_from_index_order():
+    # the sort after generation is exercised: labels do not sort by index
+    for basis, _ in NECKLACE_BASES[4:]:
+        assert list(basis.lex_rank) != sorted(basis.lex_rank)
+
+
+def test_periodic_words_with_odd_block_and_even_copies_vanish():
+    basis = GradedBasis(("x", "y", "z"), (1, 2, 0))
+    # odd block repeated an even number of times: annihilated
+    for word in [(0, 0), (0, 0, 0, 0), (0, 1, 0, 1), (0, 2, 0, 2, 0, 2, 0, 2)]:
+        assert canonicalize(word, basis) == (None, 1), word
+        assert word not in canonical_words(basis, len(word))
+    # odd copies, or an even block, survive
+    for word in [(0,), (0, 0, 0), (1, 1), (0, 0, 1, 0, 0, 1), (0, 1, 0, 1, 0, 1)]:
+        canon, _ = canonicalize(word, basis)
+        assert canon == word and word in canonical_words(basis, len(word)), word
+
+
+def test_rotation_sign_is_prefix_parity_rule():
+    # t^r moves the last r letters (degree tail) to the front with sign
+    # (-1)^(tail * (total - 1)); repeated single steps agree
+    basis = GradedBasis(("x", "y", "z", "u"), (1, 2, -1, -2))
+    for weight in range(1, 6):
+        for w in itertools.product(range(4), repeat=weight):
+            total = basis.word_degree(w)
+            for r, (rot, sign) in enumerate(_stepped_rotations(w, basis)):
+                tail = basis.word_degree(w[len(w) - r:]) if r else 0
+                assert rot == w[len(w) - r:] + w[:len(w) - r]
+                assert rotation_sign(total, tail) == sign, (w, r)
+                if total % 2:
+                    assert sign == 1
