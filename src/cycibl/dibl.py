@@ -19,6 +19,14 @@ Conventions (for a structure of manifold dimension m, pairing degree 2-m):
 * The canonical twist element is supported on weight three:
   ``mc(v1 v2 v3) = (-1)^(m-2) P(m2(v1, v2), v3)``.
 
+A cochain is a combination of dual words, and the product, the coproduct
+and the partial composition against a twist entry are each one contraction
+over ``T`` of the rotations of its stored words, never an evaluation word
+by word.  :func:`dual_word_product` contracts a pair of dual words; the
+product and the partial composition (once per slot of the entry) sum it
+over pairs of stored words, and the coproduct cuts one stored word twice.
+Each output word is counted once per rotation equal to it as a tensor.
+
 All cochains are stored unshifted; the degree shift per slot under which
 these operations become symmetric is ``m - 3``, carried as the tensors'
 ``slot_shift``; Koszul signs between slots always use the shifted degrees.
@@ -32,9 +40,9 @@ from itertools import product as iproduct
 
 from .algebra import CyclicStructure, dual_b
 from .signs import ZERO
-from .words import (CochainTensor, TruncationError, Word, canonical_key,
-                    canonical_words, canonicalize, dual_word, product_cochain,
-                    rotations, slot_degree)
+from .words import (CochainTensor, Word, canonical_key, canonical_words,
+                    canonicalize, dual_word, product_cochain, rotations,
+                    slot_degree)
 
 
 def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
@@ -48,17 +56,6 @@ def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
             if v:
                 out[(i, j)] = v
     return out
-
-
-def _splittings(word: Word, basis):
-    """(rotation sign, left half, right half) over all rotations and cuts.
-
-    Rotations run over the full cyclic group; each rotated tensor is split
-    at every position, halves of length zero included.
-    """
-    for rotated, sign in rotations(tuple(word), basis):
-        for cut in range(len(word) + 1):
-            yield sign, rotated[:cut], rotated[cut:]
 
 
 # ---------------------------------------------------------------------------
@@ -93,92 +90,6 @@ def q110(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
         if val:
             out.add((u,), val)
     return out
-
-
-def _q210_value(s, T, phi2, word: Word, info1=None, info2=None) -> Fraction:
-    """Product value on one word, for an arity-2 functional phi2(x1, x2).
-
-    Optional support info (weights, head letters) for the two factors
-    prunes split lengths and contraction entries.
-    """
-    deg = s.basis.degrees
-    total = Fraction(0)
-    k = len(word)
-
-    def admits(info, weight):
-        weights, heads, bound = info
-        return weight in weights or (bound is not None and weight > bound)
-
-    cuts = None
-    if info1 is not None and info2 is not None:
-        cuts = [c for c in range(k + 1)
-                if admits(info1, c + 1) and admits(info2, k - c + 1)]
-        if not cuts:
-            return total
-    for rotated, sign in rotations(tuple(word), s.basis):
-        for cut in (range(k + 1) if cuts is None else cuts):
-            w1, w2 = rotated[:cut], rotated[cut:]
-            d1 = s.basis.word_degree(w1)
-            for (i, j), t in T.items():
-                if info1 is not None and info1[1] is not None \
-                        and i not in info1[1]:
-                    continue
-                if info2 is not None and info2[1] is not None \
-                        and j not in info2[1]:
-                    continue
-                extra = -1 if (deg[j] % 2) and (d1 % 2) else 1
-                val = phi2((i,) + w1, (j,) + w2)
-                if val:
-                    total += sign * extra * t * val
-    return total
-
-
-def _support_info(psi: CochainTensor):
-    """(known weights, head-letter filter, truncation bound) of a cochain.
-
-    Beyond a truncation bound values are unknown rather than zero, so the
-    letter filter is disabled there and any over-bound weight is admitted.
-    """
-    weights = set()
-    heads: set | None = set()
-    for (u,), _ in psi.items():
-        weights.add(len(u))
-        for letter in set(u):
-            heads.add(letter)
-    if psi.weight_bound is not None:
-        heads = None
-    return weights, heads, psi.weight_bound
-
-
-def _pair_candidates(s, psi1, psi2):
-    candidates = set()
-    for (u1,), _ in psi1.items():
-        for (u2,), _ in psi2.items():
-            for r1, _ in rotations(u1, s.basis):
-                for r2, _ in rotations(u2, s.basis):
-                    if len(r1) + len(r2) < 3:
-                        continue
-                    canon, _ = canonicalize(r1[1:] + r2[1:], s.basis)
-                    if canon is not None:
-                        candidates.add(canon)
-    return candidates
-
-
-def _guarded_pair(psi1, psi2):
-    """Product of two evaluations where either factor may be truncated; a
-    term is zero whenever one factor is known to vanish, even if the other
-    cannot be evaluated there."""
-    def phi2(x1, x2):
-        try:
-            v = psi1.eval_tuple((x1,))
-        except TruncationError:
-            if psi2.eval_tuple((x2,)) == 0:
-                return Fraction(0)
-            raise
-        if not v:
-            return v
-        return v * psi2.eval_tuple((x2,))
-    return phi2
 
 
 def _tensor_multiplicity(word: Word) -> int:
@@ -220,49 +131,28 @@ def dual_word_product(s: CyclicStructure, T, u: Word, v: Word) -> dict[Word, Fra
 
 def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor,
          T=None) -> CochainTensor:
-    """The product on an ordered pair of arity-1 cochains.
+    """The product on an ordered pair of arity-1 cochains: both factors are
+    expanded bilinearly over their stored dual words
+    (:func:`dual_word_product`).
 
-    Untruncated factors are expanded over dual words
-    (:func:`dual_word_product`); truncated ones are evaluated word by word.
+    A pair of words u, v contributes at weight |u| + |v| - 2 only; weights
+    above the contraction bound, where a truncated factor's unknown values
+    would enter, are dropped.
     """
     if psi1.arity != 1 or psi2.arity != 1:
         raise ValueError("q210 takes arity-1 cochains")
     T = t_tensor(s) if T is None else T
     bound = _contraction_bound(psi1, psi2)
     out = CochainTensor(s.basis, 1, psi1.slot_shift, bound)
-    if bound is None:
-        acc: dict[Word, Fraction] = {}
-        for (u,), c1 in psi1.items():
-            for (v,), c2 in psi2.items():
-                for w, c in dual_word_product(s, T, u, v).items():
-                    acc[w] = acc.get(w, ZERO) + c1 * c2 * c
-        out.values = {(w,): c for w, c in acc.items() if c}
-        return out
-    phi2 = _guarded_pair(psi1, psi2)
-    info1, info2 = _support_info(psi1), _support_info(psi2)
-
-    for u in _pair_candidates(s, psi1, psi2):
-        if bound is not None and len(u) > bound:
-            continue
-        val = _q210_value(s, T, phi2, u, info1, info2)
-        if val:
-            out.add((u,), val)
+    acc: dict[Word, Fraction] = {}
+    for (u,), c1 in psi1.items():
+        for (v,), c2 in psi2.items():
+            if bound is not None and len(u) + len(v) - 2 > bound:
+                continue
+            for w, c in dual_word_product(s, T, u, v).items():
+                acc[w] = acc.get(w, ZERO) + c1 * c2 * c
+    out.values = {(w,): c for w, c in acc.items() if c}
     return out
-
-
-def coproduct_value(s, T, psi: CochainTensor, w1: Word, w2: Word) -> Fraction:
-    """Coproduct value on an ordered pair of words."""
-    deg = s.basis.degrees
-    total = Fraction(0)
-    for r1, s1 in rotations(tuple(w1), s.basis):
-        d1 = s.basis.word_degree(r1)
-        for r2, s2 in rotations(tuple(w2), s.basis):
-            for (i, j), t in T.items():
-                extra = -1 if (deg[j] % 2) and (d1 % 2) else 1
-                val = psi.eval_tuple(((i,) + r1 + (j,) + r2,))
-                if val:
-                    total += Fraction(1, 2) * s1 * s2 * extra * t * val
-    return total
 
 
 def collection_sign(s: CyclicStructure, psi: CochainTensor) -> int:
@@ -293,6 +183,13 @@ def distribution_sign(s: CyclicStructure, words: tuple[Word, ...]) -> int:
 def q120(s: CyclicStructure, psi: CochainTensor, T=None) -> CochainTensor:
     """The coproduct of an arity-1 cochain, as an arity-2 tensor.
 
+    Each stored word is cut twice, by direct contraction: every distinct
+    rotation x and position p with T^{x_0 x_p} != 0 is one term of the
+    coproduct formula on the pair of classes of x_1..x_{p-1} and
+    x_{p+1}..x_k, counted once for each pair of rotations of the halves
+    equal to them as tensors.  Terms are collected on pairs already in
+    canonical slot order, which is where the tensor stores its values.
+
     Values are stored in the distributed-suspension normalization, under
     which slot swaps cost the shifted Koszul sign; the displayed collected
     formula is corrected by the sign distributing the two suspensions.
@@ -300,33 +197,34 @@ def q120(s: CyclicStructure, psi: CochainTensor, T=None) -> CochainTensor:
     if psi.arity != 1:
         raise ValueError("q120 takes arity-1 cochains")
     T = t_tensor(s) if T is None else T
+    basis, shift = s.basis, psi.slot_shift
+    deg = basis.degrees
     bound = None if psi.weight_bound is None else psi.weight_bound - 2
-    out = CochainTensor(s.basis, 2, psi.slot_shift, bound)
-
-    candidates = set()
-    for (u,), _ in psi.items():
+    out = CochainTensor(basis, 2, shift, bound)
+    acc: dict[tuple[Word, Word], Fraction] = {}
+    for (u,), c in psi.items():
         k = len(u)
-        if k < 4:
+        if bound is not None and k - 2 > bound:
             continue
-        for rot, _ in rotations(u, s.basis):
-            for p2 in range(2, k - 1 + 1):
-                if (rot[0], rot[p2]) not in T:
+        for x, sx in dict(rotations(u, basis)).items():
+            for p in range(2, k - 1):
+                t = T.get((x[0], x[p]))
+                if not t:
                     continue
-                a = canonicalize(rot[1:p2], s.basis)[0]
-                b = canonicalize(rot[p2 + 1:], s.basis)[0] if p2 + 1 < k else None
-                if a is not None and b is not None:
-                    candidates.add((a, b))
-
-    seen = set()
-    for a, b in candidates:
-        keyed = canonical_key((a, b), s.basis, psi.slot_shift)
-        if keyed is None or keyed[0] in seen:
-            continue
-        seen.add(keyed[0])
-        key = keyed[0]
-        val = coproduct_value(s, T, psi, key[0], key[1])
-        if val:
-            out.add(key, distribution_sign(s, key) * val)
+                w1, w2 = x[1:p], x[p + 1:]
+                a, sa = canonicalize(w1, basis)
+                b, sb = canonicalize(w2, basis)
+                if a is None or b is None:
+                    continue
+                keyed = canonical_key((a, b), basis, shift)
+                if keyed is None or keyed[0] != (a, b):
+                    continue
+                sign = sx * sa * sb
+                if deg[x[p]] % 2 and basis.word_degree(w1) % 2:
+                    sign = -sign
+                mult = _tensor_multiplicity(w1) * _tensor_multiplicity(w2)
+                acc[(a, b)] = acc.get((a, b), ZERO) + Fraction(mult, 2) * sign * t * c
+    out.values = {key: distribution_sign(s, key) * c for key, c in acc.items() if c}
     return out
 
 
@@ -409,115 +307,40 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor,
 
     in shifted slot degrees: |e_b|(|W_1|+..+|W_{j-1}| + |s| + |w1|)
     + |w1|(|W_1|+..+|W_{j-1}| + |s|).
+
+    This is the product of psi with the entry's j-th slot, so it is computed
+    by the product's contraction, once per slot: a stored key K with v in
+    slot j and a stored word u of psi send each word w of the dual-word
+    product of u and v to K' = K[:j] + (w,) + K[j+1:].  Beyond the sign of
+    the product, which has only |e_b| |w1|, eps' adds (|v| + |w|) times the
+    parity before slot j.  The entry's slots holding v account for K.count(v)
+    such terms where the formula on K' has one per slot holding w, hence the
+    factor K'.count(w) / K.count(v).
     """
     if psi.arity != 1:
         raise ValueError("circ1 twists arity-1 cochains")
-    l = pmc_lg.arity
     T = t_tensor(s) if T is None else T
-    shift = psi.slot_shift
-    deg = s.basis.degrees
+    basis, shift = s.basis, psi.slot_shift
     bound = _contraction_bound(pmc_lg, psi)
-    out = CochainTensor(s.basis, l, shift, bound)
-    s_par = shift % 2
-
-    candidates = set()
-    psi_heads = set()
-    for (u,), _ in psi.items():
-        for rot, _ in rotations(u, s.basis):
-            psi_heads.add(rot)
-    for key in list(pmc_lg.values):
-        for j in range(l):
-            for rot, _ in rotations(key[j], s.basis):
-                for (a, b), t in T.items():
-                    if rot[0] != b:
-                        continue
-                    for head in psi_heads:
-                        if head[0] != a:
-                            continue
-                        joined = head[1:] + rot[1:]
-                        if not joined:
-                            continue
-                        canon, _ = canonicalize(joined, s.basis)
-                        if canon is None:
-                            continue
-                        keyed = canonical_key(key[:j] + (canon,) + key[j + 1:],
-                                              s.basis, shift)
-                        if keyed is not None:
-                            candidates.add(keyed[0])
-
-    def value(words: tuple[Word, ...]) -> Fraction:
-        total = Fraction(0)
-        slot_degs = [slot_degree(w, s.basis, shift) for w in words]
-        for j in range(l):
-            pre = sum(slot_degs[:j]) % 2
-            for sign, w1, w2 in _splittings(words[j], s.basis):
-                d_w1 = s.basis.word_degree(w1) % 2
-                for (a, b), t in T.items():
-                    try:
-                        pv = psi.eval_tuple(((a,) + w1,))
-                    except TruncationError:
-                        if pmc_lg.eval_tuple(
-                                words[:j] + ((b,) + w2,) + words[j + 1:]) == 0:
-                            continue
-                        raise
-                    if not pv:
-                        continue
-                    inner = pmc_lg.eval_tuple(
-                        words[:j] + ((b,) + w2,) + words[j + 1:])
-                    if not inner:
-                        continue
-                    eps = ((deg[b] % 2) * ((pre + s_par + d_w1) % 2)
-                           + d_w1 * ((pre + s_par) % 2)) % 2
-                    term = sign * t * pv * inner
-                    total += -term if eps else term
-        return total
-
-    for words in sorted(candidates, key=lambda ws: (sum(len(w) for w in ws), ws)):
-        total = sum(len(w) for w in words)
-        if out.weight_bound is not None and total > out.weight_bound:
-            continue
-        try:
-            val = value(words)
-        except TruncationError:
-            # genuinely unknown here: tighten the honest bound
-            out.weight_bound = total - 1
-            out.values = {k: v for k, v in out.values.items()
-                          if sum(len(w) for w in k) < total}
-            continue
-        if val:
-            out.add(words, val)
-    return out
-
-
-def circ1_l1(s: CyclicStructure, pmc_1g: CochainTensor, psi: CochainTensor,
-             T=None) -> CochainTensor:
-    """Independent route for one-output entries:
-
-        (-1)^(m-3) sum T^{ab} eps(w -> w1 w2) entry(e_a w1) psi(e_b w2),
-
-    with no interleaving sign; must agree with :func:`circ1` and with the
-    ordered product of (entry, psi).
-    """
-    if pmc_1g.arity != 1:
-        raise ValueError("one-output entries only")
-    T = t_tensor(s) if T is None else T
-    sgn = Fraction(-1) ** (s.manifold_dim - 3)
-    bound = _contraction_bound(pmc_1g, psi)
-    out = CochainTensor(s.basis, 1, psi.slot_shift, bound)
-    phi2 = _guarded_pair(pmc_1g, psi)
-
-    for u in _pair_candidates(s, pmc_1g, psi):
-        if bound is not None and len(u) > bound:
-            continue
-        total = Fraction(0)
-        for sign, w1, w2 in _splittings(u, s.basis):
-            for (a, b), t in T.items():
-                val = phi2((a,) + w1, (b,) + w2)
-                if val:
-                    total += sign * t * val
-        total *= sgn
-        if total:
-            out.add((u,), total)
+    out = CochainTensor(basis, pmc_lg.arity, shift, bound)
+    products: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
+    for key, ce in pmc_lg.items():
+        weight = sum(len(v) for v in key)
+        before = shift  # |s| plus the shifted degrees of key[:j]
+        for j, v in enumerate(key):
+            dv = basis.word_degree(v)
+            for (u,), cp in psi.items():
+                if bound is not None and weight + len(u) - 2 > bound:
+                    continue
+                prod = products.get((u, v))
+                if prod is None:
+                    prod = products[(u, v)] = dual_word_product(s, T, u, v)
+                for w, c in prod.items():
+                    new = key[:j] + (w,) + key[j + 1:]
+                    if (dv + basis.word_degree(w)) * before % 2:
+                        c = -c
+                    out.add(new, c * ce * cp * Fraction(new.count(w), key.count(v)))
+            before += slot_degree(v, basis, shift)
     return out
 
 
@@ -693,25 +516,26 @@ def twisted_boundary_vs_bar_dual(s: CyclicStructure, pmc: MaurerCartanFamily,
 
 def decompose_arity2(phi: CochainTensor) -> list[tuple[Fraction, Word, Word]]:
     """Write an arity-2 tensor as a combination of products of dual words:
-    (coefficient, first word, second word) per stored value."""
-    out = []
-    for (a, b), v in phi.values.items():
-        x = dual_word(phi.basis, a, phi.slot_shift)
-        y = dual_word(phi.basis, b, phi.slot_shift)
-        ref = product_cochain([x, y]).eval_tuple((a, b))
-        out.append((v / ref, a, b))
-    return out
+    (coefficient, first word, second word) per stored value.  The product
+    of the duals of a and b has value 1/2 on (a, b) for distinct words and
+    1 for a repeated one."""
+    return [(v if a == b else 2 * v, a, b) for (a, b), v in phi.values.items()]
 
 
 @dataclass
 class RelationReport:
     passed: bool
     failures: list[tuple[str, tuple]]
+    # relation name -> number of instances (generator tuples) checked
+    checked: dict[str, int]
 
     def summary(self) -> str:
+        counts = ", ".join(f"{name} {n}" for name, n in self.checked.items())
+        if not any(self.checked.values()):
+            return "no relation instance checked"
         if self.passed:
-            return "all relations hold"
-        lines = [f"{len(self.failures)} failing relation(s):"]
+            return f"all relations hold on the instances checked ({counts})"
+        lines = [f"{len(self.failures)} failing relation(s), instances checked: {counts}"]
         for name, witness in self.failures[:10]:
             lines.append(f"  {name} at {witness}")
         return "\n".join(lines)
@@ -729,7 +553,8 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
     of coproduct followed by product vanishes (involutivity).  All Koszul
     signs run over shifted slot degrees, under which all three operations
     are odd and symmetric.  A failure names the relation and the tuple of
-    generators (canonical words) it fails on.
+    generators (canonical words) it fails on; ``checked`` counts the
+    instances of each relation.
 
     Each relation is checked as a sparse contraction of three tables that
     belong to this call alone and are dropped when it returns: the boundary
@@ -748,6 +573,16 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
     T = t_tensor(s) if T is None else T
     basis, shift = s.basis, s.slot_shift
     fails: list[tuple[str, tuple]] = []
+    checked = dict.fromkeys(
+        ("boundary squared", "coproduct coderivation", "involutivity",
+         "product derivation", "Jacobi", "co-Jacobi", "Drinfeld compatibility"), 0)
+
+    def check(name, acc, witness):
+        """Count one instance of a relation; a nonzero acc fails it."""
+        checked[name] += 1
+        if any(acc.values()):
+            fails.append((name, witness))
+
     by_weight = {w: list(canonical_words(basis, w)) for w in range(1, max_weight + 1)}
     gens = [u for w in range(1, max_weight + 1) for u in by_weight[w]]
     dual = {u: dual_word(basis, u, shift) for u in gens}
@@ -798,8 +633,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
         acc = {}
         for v, c in bdry[u].items():
             add(acc, bdry[v], c)
-        if any(acc.values()):
-            fails.append(("boundary squared", (u,)))
+        check("boundary squared", acc, (u,))
         acc = {}
         for v, c in bdry[u].items():
             for c2, a, b in cop[v]:
@@ -811,10 +645,8 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
             for y2, c2 in bdry[y].items():
                 add_pair(acc, x, y2, c * sgn * c2)
             add(inv, product(x, y), c)
-        if any(acc.values()):
-            fails.append(("coproduct coderivation", (u,)))
-        if any(inv.values()):
-            fails.append(("involutivity", (u,)))
+        check("coproduct coderivation", acc, (u,))
+        check("involutivity", inv, (u,))
 
     # derivation over the product
     for u1 in gens:
@@ -826,8 +658,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
             add_product(acc, bdry[u1], u2, 1)
             for v, c in bdry[u2].items():
                 add(acc, product(u1, v), sgn * c)
-            if any(acc.values()):
-                fails.append(("product derivation", (u1, u2)))
+            check("product derivation", acc, (u1, u2))
 
     # Jacobi
     for u1 in gens:
@@ -843,8 +674,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
                         add_product(acc, product(u1, u3), u2, -1 if p2 * p3 else 1)
                         add_product(acc, product(u2, u3), u1,
                                     -1 if p1 * (p2 + p3) % 2 else 1)
-                        if any(acc.values()):
-                            fails.append(("Jacobi", (u1, u2, u3)))
+                        check("Jacobi", acc, (u1, u2, u3))
 
     # co-Jacobi: extend the coproduct over its own output
     for u in gens:
@@ -856,8 +686,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
             for c2, a, b in cop[y]:
                 add(acc, product_cochain([dual[x], dual[a], dual[b]]).values,
                     c * c2 * sgn)
-        if any(acc.values()):
-            fails.append(("co-Jacobi", (u,)))
+        check("co-Jacobi", acc, (u,))
 
     # Drinfeld compatibility: the genus-zero part of extending the product
     # over one output of the coproduct balances the coproduct of the product
@@ -881,7 +710,6 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
                 add_pairs(acc, product(u1, x), y, c * sgn1)
                 s2 = -1 if px * py else 1
                 add_pairs(acc, product(u1, y), x, c * s2 * sgn1)
-            if any(acc.values()):
-                fails.append(("Drinfeld compatibility", (u1, u2)))
+            check("Drinfeld compatibility", acc, (u1, u2))
 
-    return RelationReport(not fails, fails)
+    return RelationReport(not fails, fails, checked)

@@ -224,7 +224,11 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
     the classes with no legs (two-vertex family) and with at most one leg
     (one-vertex two-boundary family); for other types, graphs with a legless
     boundary component are dropped (they cannot pair with nonempty words).
+    Negative counts are rejected before the cache is consulted, so it only
+    ever holds the finitely many types within the enumeration budget.
     """
+    if min(k, l, g, legs) < 0:
+        raise ValueError("k, l, g and legs must be nonnegative")
     cache_key = (k, l, g, legs, trivalent, reduced)
     if cache_key in _ENUM_CACHE:
         return _ENUM_CACHE[cache_key]

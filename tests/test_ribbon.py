@@ -79,6 +79,16 @@ def test_enumerate_one_two_zero():
     assert enumerate_graphs(1, 2, 0, 1) == []
 
 
+def test_enumerate_graphs_rejects_negative_counts():
+    # rejected before the cache is read or written
+    from cycibl import ribbon
+    before = len(ribbon._ENUM_CACHE)
+    for args in ((-1, 3, 0, 3), (2, -1, 0, 3), (1, 1, -1, 3), (2, 1, 0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_graphs(*args)
+    assert len(ribbon._ENUM_CACHE) == before
+
+
 def test_enumerate_trivalent_tree():
     found = enumerate_graphs(1, 1, 0, 3, trivalent=True)
     assert len(found) == 1
