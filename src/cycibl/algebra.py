@@ -26,8 +26,8 @@ from itertools import product
 
 from .linalg import SparseMatrix, rank, solve
 from .signs import GradedBasis, koszul_sign
-from .words import (CochainTensor, Word, canonical_words, canonicalize,
-                    rotation_sign)
+from .words import (CochainTensor, TruncationError, Word, canonical_words,
+                    canonicalize, rotation_sign, rotations)
 
 Vector = dict[int, Fraction]
 MuTable = dict[tuple[int, ...], Vector]
@@ -413,40 +413,44 @@ def hochschild_b_cyclic(s: CyclicStructure, letters: Word) -> Tensor:
     return acc
 
 
-def dual_b(s: CyclicStructure, psi: CochainTensor,
-           out_weights=None) -> CochainTensor:
+def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
     """Precomposition of an arity-1 cochain with the cyclic bar differential.
 
-    The output is supported on weights up to (max input weight) + 1; with a
-    truncation bound W on psi the result is honest up to W + 1.
+    A word u can only be nonzero when a term of b(u) is a stored word v,
+    that is when some mu_k sends k consecutive letters of u to a letter of
+    v.  The candidates are read off the stored words through the transposed
+    tables: each position p of v and each input tuple t whose image holds
+    v[p] give u = canon(v[:p] + t + v[p+1:]).  The value on u is b(u)
+    contracted with the stored values.
+
+    The value on u needs psi up to weight |u| - (least arity) + 1, so with a
+    truncation bound W on psi the result is honest up to W + (least arity)
+    - 1.
     """
     if psi.arity != 1:
         raise ValueError("dual_b takes arity-1 cochains")
-    bound = None if psi.weight_bound is None else psi.weight_bound + 1
+    bound = psi.weight_bound
+    if bound is not None:
+        bound += min(s.arities(), default=1) - 1
     out = CochainTensor(psi.basis, 1, psi.slot_shift, bound)
-    if psi.is_zero() and out_weights is None:
-        return out
-    if out_weights is None:
-        ws = psi.weights()
-        out_weights = sorted({w for w in ws} | {w + 1 for w in ws})
-    degs = {s.basis.word_degree(key[0]) for key in psi.values}
-    from .words import TruncationError
-
-    for w in sorted(out_weights):
-        if out.weight_bound is not None and w > out.weight_bound:
-            continue
-        try:
-            for deg_out in {d - 1 for d in degs}:
-                for u in canonical_words(s.basis, w, deg_out):
-                    val = Fraction(0)
-                    for v, c in hochschild_b_cyclic(s, u).items():
-                        val += c * psi.eval_word(v)
-                    if val:
-                        out.add((u,), val)
-        except TruncationError:
-            # a weight-preserving term needed psi beyond its bound
-            out.weight_bound = w - 1
-            out.values = {k: v for k, v in out.values.items() if len(k[0]) < w}
+    hits: dict[int, list[Word]] = {}  # letter -> input tuples whose image holds it
+    for k in s.arities():
+        for t, img in s.mu[k].items():
+            for letter in img:
+                hits.setdefault(letter, []).append(t)
+    candidates = set()
+    for (v,) in psi.values:
+        for p, letter in enumerate(v):
+            for t in hits.get(letter, ()):
+                u = canonicalize(v[:p] + t + v[p + 1:], s.basis)[0]
+                if u is not None and (bound is None or len(u) <= bound):
+                    candidates.add(u)
+    for u in sorted(candidates, key=lambda u: (len(u), u)):
+        val = Fraction(0)
+        for v, c in hochschild_b_cyclic(s, u).items():
+            val += c * psi.values.get((v,), Fraction(0))
+        if val:
+            out.values[(u,)] = val
     return out
 
 
@@ -536,20 +540,26 @@ def conjugated_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
 
 def reduced_membership(s: CyclicStructure, psi: CochainTensor,
                        max_weight: int | None = None) -> bool:
-    """Whether an arity-1 cochain kills every word with the unit prepended."""
+    """Whether an arity-1 cochain kills every word with the unit prepended.
+
+    A word ``(unit,) + u`` with u canonical is a rotation of the stored word
+    it canonicalizes to, so psi fails exactly when a stored word of weight
+    up to the top has a rotation that starts with the unit and continues
+    with a canonical word (or with nothing).
+    """
     if s.unit is None:
         raise ValueError(f"{s.name}: no unit")
     if psi.arity != 1:
         raise ValueError("reduced membership is for arity-1 cochains")
-    ws = psi.weights()
-    if not ws:
-        return True
-    top = max(ws) if max_weight is None else max_weight
-    if psi.eval_word((s.unit,)):
-        return False
-    for w in range(1, top):
-        for u in canonical_words(s.basis, w):
-            if psi.eval_tuple(((s.unit,) + u,)):
+    top = max(psi.weights(), default=0) if max_weight is None else max_weight
+    if psi.weight_bound is not None and top > psi.weight_bound:
+        raise TruncationError(f"weight {top} exceeds the bound {psi.weight_bound}")
+    for (v,) in psi.values:
+        if len(v) > top:
+            continue
+        for x, _ in rotations(v, s.basis):
+            if x[0] == s.unit and (len(x) == 1
+                                   or canonicalize(x[1:], s.basis)[0] == x[1:]):
                 return False
     return True
 

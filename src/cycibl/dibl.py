@@ -34,15 +34,14 @@ these operations become symmetric is ``m - 3``, carried as the tensors'
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .algebra import CyclicStructure, dual_b
 from .signs import ZERO
-from .words import (CochainTensor, Word, canonical_key, canonical_words,
-                    canonicalize, dual_word, product_cochain, rotations,
-                    slot_degree)
+from .words import (CochainTensor, TruncationError, Word, canonical_key,
+                    canonical_words, canonicalize, dual_word, product_cochain,
+                    rotations, slot_degree)
 
 
 def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
@@ -63,33 +62,14 @@ def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
 # ---------------------------------------------------------------------------
 
 def q110(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
-    """The boundary: insert the differential at each letter with Koszul prefix."""
+    """The boundary: insert the differential at each letter with Koszul
+    prefix.  This is the dual bar differential of the differential alone,
+    so it is :func:`dual_b` on the structure cut down to mu_1, which needs
+    no pairing; the bound stays psi's."""
     if psi.arity != 1:
         raise ValueError("q110 takes arity-1 cochains")
-    out = CochainTensor(s.basis, 1, psi.slot_shift, psi.weight_bound)
-    if not s.mu.get(1):
-        return out
-    deg = s.basis.degrees
-    sources: dict[int, list[int]] = {}  # letter -> letters whose mu_1 hits it
-    for (j,), img in sorted(s.mu[1].items()):
-        for letter in img:
-            sources.setdefault(letter, []).append(j)
-    candidates = set()
-    for (u,), _ in psi.items():
-        for pos, letter in enumerate(u):
-            for j in sources.get(letter, ()):
-                candidates.add(canonicalize(u[:pos] + (j,) + u[pos + 1:], s.basis)[0])
-    for u in candidates:
-        if u is None:
-            continue
-        val = Fraction(0)
-        for pos in range(len(u)):
-            sgn = -1 if sum(deg[x] for x in u[:pos]) % 2 else 1
-            for o, c in s.mu_apply(1, (u[pos],)).items():
-                val += sgn * c * psi.eval_tuple((u[:pos] + (o,) + u[pos + 1:],))
-        if val:
-            out.add((u,), val)
-    return out
+    return dual_b(CyclicStructure(s.name, s.basis, s.manifold_dim, None,
+                                  {1: s.mu.get(1, {})}), psi)
 
 
 def _tensor_multiplicity(word: Word) -> int:
@@ -450,37 +430,35 @@ def mu_from_mc(s: CyclicStructure, pmc10: CochainTensor,
 
         mu_k(v_1..v_k) = (-1)^(m-3) sum T^{ij} entry(e_i v_1..v_k) e_j,
 
-    with mu_1 the structure differential.  Returns a new structure carrying
-    the family on the same basis, pairing and unit.
+    with mu_1 the structure differential.  The entry is nonzero only on the
+    rotations of its stored words: each distinct rotation x of a stored
+    word of weight k + 1 <= max_arity + 1, with its rotation sign, feeds
+    mu_k(x_1..x_k) through the row T^{x_0 j}.  Returns a new structure
+    carrying the family on the same basis, pairing and unit.
     """
     if pmc10.arity != 1:
         raise ValueError("one-output entries only")
     if not pmc10.is_zero() and pmc10.filtration_degree() <= 2:
         raise ValueError("entry must have filtration degree > 2")
-    T = t_tensor(s)
-    sgn = Fraction(-1) ** (s.manifold_dim - 3)
+    if pmc10.weight_bound is not None and max_arity >= pmc10.weight_bound:
+        raise TruncationError(f"arity {max_arity} needs the entry beyond its bound")
+    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    for (i, j), t in t_tensor(s).items():
+        rows.setdefault(i, []).append((j, t))
+    sgn = -1 if (s.manifold_dim - 3) % 2 else 1
+    acc: dict[int, dict] = {k: {} for k in range(2, max_arity + 1)}
+    for (w,), c in pmc10.items():
+        table = acc.get(len(w) - 1)
+        if table is None:
+            continue
+        for x, sx in dict(rotations(w, s.basis)).items():
+            img = table.setdefault(x[1:], {})
+            for j, t in rows.get(x[0], ()):
+                img[j] = img.get(j, ZERO) + sgn * sx * t * c
     mu = {1: dict(s.mu.get(1, {}))}
-    for k in range(2, max_arity + 1):
-        table = {}
-        for letters in iproduct(range(len(s.basis)), repeat=k):
-            img: dict[int, Fraction] = {}
-            for (i, j), t in T.items():
-                c = pmc10.eval_tuple(((i,) + letters,))
-                if c:
-                    img[j] = img.get(j, Fraction(0)) + sgn * t * c
-            img = {o: c for o, c in img.items() if c}
-            if img:
-                table[letters] = img
-        mu[k] = table
-    return CyclicStructure(
-        name=f"{s.name}+twist",
-        basis=s.basis,
-        manifold_dim=s.manifold_dim,
-        pairing=s.pairing,
-        mu=mu,
-        unit=s.unit,
-        augmentation=s.augmentation,
-    )
+    for k, table in acc.items():
+        mu[k] = {key: dict(sorted(table[key].items())) for key in sorted(table)}
+    return replace(s, name=f"{s.name}+twist", mu=mu)
 
 
 def mc_reconstruction_check(s: CyclicStructure, pmc10: CochainTensor,
@@ -500,14 +478,15 @@ def mc_reconstruction_check(s: CyclicStructure, pmc10: CochainTensor,
 
 
 def twisted_boundary_vs_bar_dual(s: CyclicStructure, pmc: MaurerCartanFamily,
-                                 psi: CochainTensor, max_arity: int = 6
+                                 psi: CochainTensor
                                  ) -> tuple[CochainTensor, CochainTensor]:
     """Both routes to the twisted boundary: the operation itself, and the
-    dual bar differential of the induced A-infinity family."""
+    dual bar differential of the induced A-infinity family, up to the arity
+    of the entry's top weight."""
     left = twisted_q110(s, pmc, psi)
-    twisted = mu_from_mc(s, pmc.entry(1, 0), max_arity)
-    right = dual_b(twisted, psi)
-    return left, right
+    e10 = pmc.entry(1, 0)
+    twisted = mu_from_mc(s, e10, max(e10.weights(), default=3) - 1)
+    return left, dual_b(twisted, psi)
 
 
 # ---------------------------------------------------------------------------

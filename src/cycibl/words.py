@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .signs import GradedBasis, Scalar, koszul_sign, perm_inverse
 
@@ -69,13 +68,13 @@ def rotations(letters: Word, basis: GradedBasis) -> list[tuple[Word, int]]:
          rotation_sign(total, total - prefix[k - r])) for r in range(1, k)]
 
 
-# Canonical forms of recently seen words.  The bound keeps the memo from
-# holding every word and basis a long run has touched.
-_MEMO_SIZE = 1 << 15
+def canonicalize(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
+    """Canonical rotation of a word.
 
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _canonical(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
+    Returns ``(canonical_letters, sign)`` with ``[letters] = sign * [canonical]``
+    in the cyclic quotient, or ``(None, 1)`` when the class is annihilated.
+    """
+    letters = tuple(letters)
     k = len(letters)
     rank = basis.lex_rank
     ranked = tuple([rank[i] for i in letters])
@@ -92,15 +91,6 @@ def _canonical(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
         return None, 1
     head = sum([deg[i] for i in letters[:start]])
     return letters[start:] + letters[:start], rotation_sign(total, total - head)
-
-
-def canonicalize(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
-    """Canonical rotation of a word.
-
-    Returns ``(canonical_letters, sign)`` with ``[letters] = sign * [canonical]``
-    in the cyclic quotient, or ``(None, 1)`` when the class is annihilated.
-    """
-    return _canonical(tuple(letters), basis)
 
 
 def section_iota(letters: Word, basis: GradedBasis) -> list[tuple[Word, Fraction]]:

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from cycibl.algebra import (check_ainfty, check_cyclic_dga, check_mu_plus_cyclic
                             hochschild_b_dga_tensor, hochschild_b_tensor,
                             reduced_membership, unit_cochain)
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga, truncated_polynomial
-from cycibl.words import canonical_words, canonicalize, dual_word
+from cycibl.words import (CochainTensor, TruncationError, canonical_words, canonicalize,
+                          dual_word)
 
 
 def test_sphere_models_pass_axioms():
@@ -252,6 +255,36 @@ def test_reduced_membership():
         assert reduced_membership(s, psi, max_weight=7)
     unit_dual = unit_cochain(s, 1)
     assert not reduced_membership(s, unit_dual, max_weight=5)
+
+
+def oracle_reduced_membership(s, psi, top):
+    """psi on the unit letter and on (unit,) + u for every canonical word u
+    of weight below the top, word by word."""
+    return not psi.eval_word((s.unit,)) and not any(
+        psi.eval_word((s.unit,) + u)
+        for w in range(1, top) for u in canonical_words(s.basis, w))
+
+
+def test_reduced_membership_matches_enumeration():
+    # seeded cochains with at least one word through the unit letter
+    rng = random.Random(31)
+    outcomes = Counter()
+    for s in (build_sn(3).structure, build_cpn(2).structure,
+              random_cyclic_dga(6, seed=2)):
+        words = [u for w in range(1, 5) for u in canonical_words(s.basis, w)]
+        with_unit = [u for u in words if s.unit in u]
+        for _ in range(30):
+            psi = CochainTensor(s.basis, 1, s.slot_shift)
+            for u in rng.sample(with_unit, 1) + rng.sample(words, 2):
+                psi.add((u,), rng.choice((-1, 2)))
+            for top in (None, 2, 3, 4):
+                got = reduced_membership(s, psi, max_weight=top)
+                want = oracle_reduced_membership(s, psi, top or max(psi.weights()))
+                assert got == want, (s.name, psi, top)
+                outcomes[got] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+    with pytest.raises(TruncationError):
+        reduced_membership(s, psi.restricted(3), max_weight=4)
 
 
 def test_unit_cochain_parity():

@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from cycibl.algebra import check_ainfty, unit_cochain
+from cycibl.algebra import check_ainfty, dual_b, hochschild_b_cyclic, unit_cochain
 from cycibl.dibl import (MaurerCartanFamily, canonical_mc, circ1, collection_sign,
                          decompose_arity2, distribution_sign, ibl_relations_check,
                          iota_vol, iota_vol_pairing, mc_reconstruction_check,
@@ -14,8 +15,8 @@ from cycibl.dibl import (MaurerCartanFamily, canonical_mc, circ1, collection_sig
 from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
                            random_cyclic_dga)
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
-                          canonical_words, dual_word, pair, product_cochain,
-                          rotations, slot_degree)
+                          canonical_words, canonicalize, dual_word, pair,
+                          product_cochain, rotations, slot_degree)
 
 
 def wdual(s, letters, bound=None):
@@ -107,6 +108,90 @@ def oracle_circ1(s, T, entry, psi, words):
     return total
 
 
+def oracle_mu_from_mc(s, entry, max_arity):
+    """The induced family by scanning every letter tuple v of arity 2..max:
+    mu_k(v) = (-1)^(m-3) sum T^{ij} entry(e_i v) e_j, as nonzero tables."""
+    T = t_tensor(s)
+    sgn = -1 if (s.manifold_dim - 3) % 2 else 1
+    mu = {}
+    for k in range(2, max_arity + 1):
+        for letters in iproduct(range(len(s.basis)), repeat=k):
+            img = {}
+            for (i, j), t in T.items():
+                c = entry.eval_word((i,) + letters)
+                if c:
+                    img[j] = img.get(j, 0) + sgn * t * c
+            img = {o: c for o, c in img.items() if c}
+            if img:
+                mu.setdefault(k, {})[letters] = img
+    return mu
+
+
+def oracle_dual_b(s, psi):
+    """psi ∘ b on one word through eval_word, which fails on a term beyond
+    psi's bound; and the arities of the operations in b."""
+    def value(u):
+        return sum(c * psi.eval_word(v) for v, c in hochschild_b_cyclic(s, u).items())
+    return value, s.arities()
+
+
+def oracle_q110(s, psi):
+    """The differential inserted letterwise with Koszul prefixes, on one word
+    through eval_word; and its arity."""
+    deg = s.basis.degrees
+
+    def value(u):
+        val = Fraction(0)
+        for pos in range(len(u)):
+            sgn = -1 if sum(deg[x] for x in u[:pos]) % 2 else 1
+            for o, c in s.mu_apply(1, (u[pos],)).items():
+                val += sgn * c * psi.eval_word(u[:pos] + (o,) + u[pos + 1:])
+        return val
+    return value, [1]
+
+
+def _sweep(s, weights, value):
+    """Nonzero ``value(u)`` on every canonical word u of the given weights."""
+    out = {}
+    for w in weights:
+        for u in canonical_words(s.basis, w):
+            val = value(u)
+            if val:
+                out[(u,)] = val
+    return out
+
+
+def _assert_matches_oracle(s, psi, op, oracle):
+    """op(s, psi) against the oracle on every canonical word up to the top
+    weight it can reach.  Under a truncation bound W that is W + (least
+    arity) - 1, which must be op's bound, and tight: a word one weight above
+    needs a value beyond W.  Otherwise it is the top stored weight plus the
+    largest arity minus one."""
+    value, arities = oracle(s, psi)
+    out = op(s, psi)
+    if psi.weight_bound is None:
+        top = max(psi.weights(), default=0) + max(arities, default=1) - 1
+        assert out.weight_bound is None
+    else:
+        top = psi.weight_bound + min(arities, default=1) - 1
+        assert out.weight_bound == top, (s.name, psi.weight_bound)
+        with pytest.raises(TruncationError):
+            _sweep(s, [top + 1], value)
+    assert out.values == _sweep(s, range(1, top + 1), value), (s.name, psi)
+
+
+def _seeded_entry(s, rng, weights, terms=3):
+    """The canonical (1,0) entry plus seeded values of its degree at the
+    given weights."""
+    entry = canonical_mc(s).entry(1, 0).copy()
+    d = entry.degree()
+    for w in weights:
+        words = list(canonical_words(s.basis, w, d))
+        for u in rng.sample(words, min(terms, len(words))):
+            entry.add((u,), Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)))
+    return entry
+
+
 def _random_cochain(s, rng, top, terms, bound=None):
     """A seeded combination of dual words of weight 1..top."""
     words = [u for w in range(1, top + 1) for u in canonical_words(s.basis, w)]
@@ -162,6 +247,21 @@ def _assert_circ1_matches_oracle(s, T, entry, psi):
         if bound is None or sum(map(len, key)) <= bound:
             assert out.eval_tuple(key) == oracle_circ1(s, T, entry, psi, key), key
     return out
+
+
+@pytest.fixture(scope="module")
+def pushforward():
+    """The criterion-9 transfer: the harmonic part of a random 6-letter
+    algebra and the (1,0) entry pushed to it, truncated at weight 6."""
+    from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
+    from cycibl.ribbon import pushforward_mc
+    s = random_cyclic_dga(6, seed=3)
+    g, _, _ = green_pipeline(s)
+    harm = harmonic_substructure(s, [0, 1])
+    e10 = pushforward_mc(s, harm, schwartz_kernel(s, g).entries, weight_bound=6,
+                         l_bound=1).entry(1, 0)
+    assert e10.weight_bound == 6
+    return harm, e10
 
 
 def test_t_tensor_sphere():
@@ -456,6 +556,32 @@ def test_twisted_boundary_matches_bar_dual():
                 assert left.equal_values(right), (s.name, u)
 
 
+@pytest.mark.parametrize("heavy", [False, True])
+def test_twisted_boundary_matches_bar_dual_beyond_arity_two(heavy):
+    # entries with values above weight three induce mu_k with k >= 3, whose
+    # terms reach weight |psi| + k - 1: three seeded weight-4 values (mu_3),
+    # or one weight-8 value (mu_7)
+    s = random_cyclic_dga(6, seed=0)
+    rng = random.Random(0)
+    if heavy:
+        entry = canonical_mc(s).entry(1, 0).copy()
+        while True:
+            u = tuple(rng.randrange(len(s.basis)) for _ in range(8))
+            if s.basis.word_degree(u) == entry.degree() and canonicalize(u, s.basis)[0]:
+                break
+        entry.add((u,), 2)
+    else:
+        entry = _seeded_entry(s, rng, (4,))
+    fam = MaurerCartanFamily(s, {(1, 0): entry})
+    reached = 0
+    for w in (1, 2, 3):
+        for u in canonical_words(s.basis, w):
+            left, right = twisted_boundary_vs_bar_dual(s, fam, wdual(s, u))
+            assert left.equal_values(right), u
+            reached = max(reached, *right.weights(), 0)
+    assert reached == (9 if heavy else 5)
+
+
 def test_twisted_boundary_squares_to_zero():
     for bundle in (build_sn(2), build_cpn(2)):
         s = bundle.structure
@@ -487,6 +613,53 @@ def test_mu_from_mc_recovers_product():
         assert not twisted.mu.get(4)
         assert mc_reconstruction_check(s, mc.entry(1, 0), twisted, 5)
         assert check_ainfty(twisted, 5).passed
+
+
+def test_mu_from_mc_matches_letter_tuple_scan(pushforward):
+    # the stored-word family against the scan of every letter tuple, on the
+    # canonical entries, the criterion-9 pushforward entry, and seeded
+    # entries with values at weights 4..6, for the arities the scan affords
+    rng = random.Random(23)
+    cases = [(b.structure, None) for b in (build_sn(2), build_sn(3), build_cpn(2),
+                                           build_cpn(3))]
+    cases += [(random_cyclic_dga(6, seed=0), None),
+              (random_cyclic_dga(8, seed=1), None), pushforward]
+    for s in (build_sn(3).structure, build_cpn(2).structure,
+              random_cyclic_dga(6, seed=0)):
+        entry = _seeded_entry(s, rng, (4, 5, 6))
+        assert max(entry.weights()) > 3
+        cases.append((s, entry))
+    for s, entry in cases:
+        entry = canonical_mc(s).entry(1, 0) if entry is None else entry
+        for k in (2, 3, 5):
+            if len(s.basis) ** k > 10 ** 4:
+                continue
+            twisted = mu_from_mc(s, entry, k)
+            assert twisted.mu[1] == s.mu.get(1, {})
+            got = {a: table for a, table in twisted.mu.items() if a > 1 and table}
+            assert got == oracle_mu_from_mc(s, entry, k), (s.name, k)
+    # mu_6 needs the truncated pushforward entry at weight 7
+    with pytest.raises(TruncationError):
+        mu_from_mc(*pushforward, 6)
+
+
+def test_dual_b_and_q110_match_word_by_word_evaluation():
+    # dual_b on structures whose least arity is 1 (a dg algebra and a family
+    # with mu_3 over it) or 2 (spheres and projective planes, a family with
+    # mu_5), and q110 on algebras with a differential, against word-by-word
+    # evaluation on truncated and untruncated cochains
+    rng = random.Random(29)
+    r6 = random_cyclic_dga(6, seed=0)
+    s3 = build_sn(3).structure
+    for s in (r6, mu_from_mc(r6, _seeded_entry(r6, rng, (4,)), 3), s3,
+              mu_from_mc(s3, _seeded_entry(s3, rng, (6,)), 5), build_cpn(2).structure):
+        for bound in (None, 2, 3):
+            psi = _random_cochain(s, rng, bound or 3, 4, bound)
+            _assert_matches_oracle(s, psi, dual_b, oracle_dual_b)
+    for s in (r6, random_cyclic_dga(6, seed=1), random_cyclic_dga(8, seed=1)):
+        for bound in (None, 2, 3):
+            psi = _random_cochain(s, rng, bound or 3, 4, bound)
+            _assert_matches_oracle(s, psi, q110, oracle_q110)
 
 
 def test_twisted_q120_untwisted_when_entry_missing():
@@ -552,7 +725,7 @@ def test_relation_report_counts_instances():
     assert f"Jacobi {triples}" in rep.summary()
 
 
-def test_dual_word_product_matches_word_by_word_evaluation():
+def test_dual_word_product_matches_word_by_word_evaluation(pushforward):
     # q210 against the word-by-word oracle: on pairs of dual words, on
     # seeded general cochains truncated at bounds 2..6 or not at all, and on
     # the criterion-9 pushforward (1,0) entry against every dual word
@@ -579,14 +752,7 @@ def test_dual_word_product_matches_word_by_word_evaluation():
         parts = q210(s, wdual(s, words[1]), wdual(s, words[2])) + \
             q210(s, wdual(s, words[4]), wdual(s, words[2])).scaled(3)
         assert total.equal_values(parts)
-    from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
-    from cycibl.ribbon import pushforward_mc
-    s = random_cyclic_dga(6, seed=3)
-    g, _, _ = green_pipeline(s)
-    harm = harmonic_substructure(s, [0, 1])
-    e10 = pushforward_mc(s, harm, schwartz_kernel(s, g).entries, weight_bound=6,
-                         l_bound=1).entry(1, 0)
-    assert e10.weight_bound == 6
+    harm, e10 = pushforward
     T = t_tensor(harm)
     for w in range(1, 7):
         for u in canonical_words(harm.basis, w):
