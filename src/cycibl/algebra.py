@@ -56,13 +56,14 @@ class CyclicStructure:
     _dual: list[Vector] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.mu = {k: {t: _clean(v) for t, v in table.items() if _clean(v)}
+        self.mu = {k: {t: c for t, v in table.items() if (c := _clean(v))}
                    for k, table in self.mu.items()}
         if self.pairing is not None:
             n = len(self.basis)
             if len(self.pairing) != n or any(len(r) != n for r in self.pairing):
                 raise ValueError("pairing matrix has wrong shape")
-            self.pairing = [[Fraction(x) for x in row] for row in self.pairing]
+            self.pairing = [[x if isinstance(x, Fraction) else Fraction(x)
+                             for x in row] for row in self.pairing]
 
     # -- pairing ------------------------------------------------------
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import fileio
 from .algebra import check_cyclic_dga

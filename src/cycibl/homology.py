@@ -9,12 +9,10 @@ lowering weight by at most one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import CyclicStructure, hochschild_b_cyclic
-from .dibl import MaurerCartanFamily, mu_from_mc, twisted_q110
+from .dibl import MaurerCartanFamily, mu_from_mc
 from .linalg import HomologyReport, graded_homology
-from .words import canonical_words, dual_word
+from .words import canonical_words
 
 
 def _word_index(s: CyclicStructure, weight_bound: int, reduced: bool):

@@ -39,26 +39,34 @@ from itertools import permutations, product as iproduct
 
 from .algebra import CyclicStructure
 from .linalg import Eliminator, SparseMatrix, det_sign, kernel_basis
-from .signs import koszul_sign
-from .words import CochainTensor, Word, canonicalize, canonical_key
+from .signs import ZERO, koszul_sign
+from .words import CochainTensor, Word, canonical_key
 
 
 class RibbonGraph:
     """Half-edge encoding: vertex cycles plus an involution on a subset."""
 
-    __slots__ = ("vertices", "pairing", "n", "legs", "edges", "_boundaries",
-                 "_lab_cache", "_middle_cache")
+    __slots__ = ("vertices", "pairing", "n", "legs", "edges", "_vert", "_pos",
+                 "_boundaries", "_canon", "_lab_cache", "_middle_cache")
 
     def __init__(self, vertices: list[tuple[int, ...]], edge_pairs: list[tuple[int, int]]):
         self.vertices = [tuple(v) for v in vertices]
-        used = [h for v in self.vertices for h in v]
-        self.n = len(used)
-        if sorted(used) != list(range(self.n)):
-            raise ValueError("half-edges must be 0..N-1, each at one vertex")
+        self.n = sum(len(v) for v in self.vertices)
+        # half-edge -> (vertex, position in its cycle)
+        self._vert = [-1] * self.n
+        self._pos = [0] * self.n
+        for vi, cyc in enumerate(self.vertices):
+            for p, h in enumerate(cyc):
+                if not 0 <= h < self.n or self._vert[h] != -1:
+                    raise ValueError("half-edges must be 0..N-1, each at one vertex")
+                self._vert[h] = vi
+                self._pos[h] = p
         self.pairing = {}
         for a, b in edge_pairs:
             if a == b:
                 raise ValueError("an edge needs two distinct half-edges")
+            if not (0 <= a < self.n and 0 <= b < self.n):
+                raise ValueError("edge half-edges must be 0..N-1")
             self.pairing[a] = b
             self.pairing[b] = a
         if len(self.pairing) != 2 * len(edge_pairs):
@@ -67,41 +75,37 @@ class RibbonGraph:
         self.edges.sort()
         self.legs = [h for h in range(self.n) if h not in self.pairing]
         self._boundaries = None
+        self._canon = None
         self._lab_cache = {}
         self._middle_cache = None
 
     # -- structure ------------------------------------------------------
 
     def vertex_of(self, h: int) -> int:
-        for i, v in enumerate(self.vertices):
-            if h in v:
-                return i
-        raise KeyError(h)
+        if not 0 <= h < self.n:
+            raise KeyError(h)
+        return self._vert[h]
 
     def successor(self, h: int) -> int:
-        v = self.vertices[self.vertex_of(h)]
-        return v[(v.index(h) + 1) % len(v)]
+        v = self.vertices[self._vert[h]]
+        return v[(self._pos[h] + 1) % len(v)]
 
     def boundaries(self) -> list[tuple[int, ...]]:
         """Boundary cycles as tuples of half-edges in walk order."""
         if self._boundaries is None:
-            nxt = {}
+            nxt = [self.successor(self.pairing.get(h, h)) for h in range(self.n)]
+            seen = [False] * self.n
+            out = []  # each cycle starts at its least half-edge: sorted
             for h in range(self.n):
-                partner = self.pairing.get(h, h)
-                nxt[h] = self.successor(partner)
-            seen = set()
-            out = []
-            for h in range(self.n):
-                if h in seen:
+                if seen[h]:
                     continue
                 cycle = []
                 cur = h
-                while cur not in seen:
-                    seen.add(cur)
+                while not seen[cur]:
+                    seen[cur] = True
                     cycle.append(cur)
                     cur = nxt[cur]
                 out.append(tuple(cycle))
-            out.sort()
             self._boundaries = out
         return self._boundaries
 
@@ -121,21 +125,7 @@ class RibbonGraph:
         return k, l, (2 - two_minus_2g) // 2
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = {i: set() for i in range(len(self.vertices))}
-        for a, b in self.edges:
-            va, vb = self.vertex_of(a), self.vertex_of(b)
-            adj[va].add(vb)
-            adj[vb].add(va)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return _one_component(len(self.vertices), self._vert, self.edges)
 
     def valencies(self) -> list[int]:
         return [len(v) for v in self.vertices]
@@ -144,66 +134,72 @@ class RibbonGraph:
     #
     # A connected ribbon graph is rigid once a starting half-edge is fixed:
     # a breadth-first traversal of the rotation system then labels it
-    # deterministically.  The canonical signature is the minimum of these
-    # encodings over all starts, and the automorphism order is the number
-    # of starts realizing the minimum.
+    # deterministically.  Row i of the encoding lists, for the i-th visited
+    # vertex read counterclockwise from its entry half-edge, each half-edge
+    # as a leg (-1, -1) or as (BFS number of the partner's vertex, offset of
+    # the partner from that vertex's entry).  Row i is final once vertex i
+    # has been scanned, so each start is compared with the least encoding
+    # so far while its traversal runs, and abandoned at its first greater
+    # row.  Encodings of different lengths (starts in different components)
+    # differ within the shorter one, because the longer one names vertex
+    # number len(shorter) in one of those rows.  One pass over all starts
+    # gives the canonical signature (the least encoding) and the
+    # automorphism order (the number of starts reaching it); the pair is
+    # computed once per graph and kept on it.
 
-    def _encoding_from(self, h0: int) -> tuple:
-        vert_of = {}
-        for vi, cyc in enumerate(self.vertices):
-            for h in cyc:
-                vert_of[h] = vi
-        vertex_id: dict[int, int] = {}
-        entry: dict[int, int] = {}
-        order: list[int] = []
-
-        def visit(v, h_entry):
-            vertex_id[v] = len(order)
-            entry[v] = h_entry
-            order.append(v)
-
-        visit(vert_of[h0], h0)
-        pos = 0
-        while pos < len(order):
-            v = order[pos]
-            pos += 1
-            cyc = self.vertices[v]
-            start = cyc.index(entry[v])
-            for t in range(len(cyc)):
-                h = cyc[(start + t) % len(cyc)]
-                partner = self.pairing.get(h)
-                if partner is not None and vert_of[partner] not in vertex_id:
-                    visit(vert_of[partner], partner)
-        rows = []
-        for v in order:
-            cyc = self.vertices[v]
-            start = cyc.index(entry[v])
-            row = []
-            for t in range(len(cyc)):
-                h = cyc[(start + t) % len(cyc)]
-                partner = self.pairing.get(h)
-                if partner is None:
-                    row.append((-1, -1))
-                else:
-                    pv = vert_of[partner]
-                    pcyc = self.vertices[pv]
-                    off = (pcyc.index(partner) - pcyc.index(entry[pv])) \
-                        % len(pcyc)
-                    row.append((vertex_id[pv], off))
-            rows.append(tuple(row))
-        return tuple(rows)
+    def _canonical(self) -> tuple[tuple, int]:
+        if self._canon is not None:
+            return self._canon
+        if self.n == 0:
+            self._canon = ((), 1)
+            return self._canon
+        verts, vert, pos, pairing = self.vertices, self._vert, self._pos, self.pairing
+        best, count = None, 0
+        for h0 in range(self.n):
+            v0 = vert[h0]
+            bfs_id = {v0: 0}
+            entry = {v0: pos[h0]}
+            order = [v0]
+            rows = []
+            # 0: equal to best so far, -1: already below it, 1: above it
+            state = -1 if best is None else 0
+            for v in order:  # grows while it is scanned
+                cyc = verts[v]
+                size = len(cyc)
+                start = entry[v]
+                row = []
+                for t in range(size):
+                    partner = pairing.get(cyc[(start + t) % size])
+                    if partner is None:
+                        row.append((-1, -1))
+                        continue
+                    pv = vert[partner]
+                    if pv not in bfs_id:
+                        bfs_id[pv] = len(order)
+                        entry[pv] = pos[partner]
+                        order.append(pv)
+                    row.append((bfs_id[pv],
+                                (pos[partner] - entry[pv]) % len(verts[pv])))
+                row = tuple(row)
+                if state == 0:
+                    if row > best[len(rows)]:
+                        state = 1
+                        break
+                    if row < best[len(rows)]:
+                        state = -1
+                rows.append(row)
+            if state == -1:
+                best, count = tuple(rows), 1
+            elif state == 0:
+                count += 1
+        self._canon = (best, count)
+        return self._canon
 
     def canonical_signature(self) -> tuple:
-        if self.n == 0:
-            return ()
-        return min(self._encoding_from(h) for h in range(self.n))
+        return self._canonical()[0]
 
     def automorphism_order(self) -> int:
-        if self.n == 0:
-            return 1
-        encodings = [self._encoding_from(h) for h in range(self.n)]
-        best = min(encodings)
-        return sum(1 for e in encodings if e == best)
+        return self._canonical()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +262,7 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
             start += v
         n = start
         halves = list(range(n))
+        owner = [i for i, v in enumerate(vals) for _ in range(v)]
 
         def matchings(avail, count):
             if count == 0:
@@ -282,29 +279,74 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
                 for m in matchings(rest, count - 1):
                     yield [(first, rest0[idx])] + m
 
+        # Two matchings of this layout give isomorphic graphs exactly when a
+        # layout symmetry carries one to the other.  So the images of each
+        # connected matching built are marked known, and only the first
+        # matching of each class in generation order, its representative,
+        # is built and encoded.
+        known = set()
         for match in matchings(halves, e):
-            used = {h for p in match for h in p}
-            if len(used) != 2 * e:
+            if _matching_key(match, n) in known:
+                continue
+            if not _one_component(k, owner, match):
                 continue
             graph = RibbonGraph(blocks, match)
-            if not graph.is_connected():
+            known.update(_block_images(blocks, match))
+            if graph.counts() != (k, l, g):
                 continue
-            kk, ll, gg = graph.counts()
-            if (kk, ll, gg) != (k, l, g):
-                continue
-            if len(graph.legs) != legs:
-                continue
-            sig = graph.canonical_signature()
-            if sig in seen_signatures:
-                continue
-            seen_signatures[sig] = (graph, graph.automorphism_order())
+            sig, aut = graph._canonical()
+            seen_signatures[sig] = (graph, aut)
 
     out = list(seen_signatures.values())
     if reduced:
         out = [(gr, aut) for gr, aut in out if not _is_degenerate(gr, k, l, g)]
-    out.sort(key=lambda pair_: pair_[0].canonical_signature())
+    out.sort(key=lambda pair_: pair_[0]._canonical()[0])
     _ENUM_CACHE[cache_key] = out
     return out
+
+
+def _one_component(k: int, owner, edges) -> bool:
+    """Whether k vertices joined by the edges (half-edge pairs, ``owner[h]``
+    the vertex of h) form one component."""
+    if k == 0:
+        return False
+    root = list(range(k))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    parts = k
+    for a, b in edges:
+        ra, rb = find(owner[a]), find(owner[b])
+        if ra != rb:
+            root[ra] = rb
+            parts -= 1
+    return parts == 1
+
+
+def _matching_key(pairs, n: int) -> int:
+    """The set of half-edge pairs as a bitmask over the n * n ordered pairs."""
+    return sum(1 << (a * n + b if a < b else b * n + a) for a, b in pairs)
+
+
+def _block_images(blocks: list[tuple[int, ...]], match):
+    """Keys of the matching under every layout symmetry: the relabelings of
+    the consecutive half-edge blocks that permute blocks of equal size and
+    rotate each block."""
+    k = len(blocks)
+    n = sum(len(b) for b in blocks)
+    where = {h: (i, p) for i, b in enumerate(blocks) for p, h in enumerate(b)}
+    sizes = [len(b) for b in blocks]
+    for perm in permutations(range(k)):
+        if any(sizes[perm[i]] != sizes[i] for i in range(k)):
+            continue
+        for rots in iproduct(*(range(size) for size in sizes)):
+            def image(h):
+                i, p = where[h]
+                return blocks[perm[i]][(p + rots[i]) % sizes[i]]
+            yield _matching_key(((image(a), image(b)) for a, b in match), n)
 
 
 def _is_degenerate(graph: RibbonGraph, k: int, l: int, g: int) -> bool:
@@ -533,6 +575,18 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
     ``eval_word``); ``words`` are plain letter tuples fed to the boundary
     components.  Sums over all vertex orders, boundary orders and boundary
     marks with a compatible edge labeling in each summand.
+
+    The sum is evaluated as a contraction, each piece computed once:
+    - the vertex-block spans, per vertex order;
+    - the compatible edge labeling and the slot routing ``sigma_L`` at
+      marks zero, per (vertex order, boundary order); a boundary mark m
+      only rotates that boundary's part of the routing by m;
+    - the boundary letters routed to the vertex slots, per mark choice.
+    The propagator entries are then assigned vertex block by vertex block
+    in order, each edge at the first block it reaches.  A block is
+    evaluated as soon as its edges carry letters, and a zero value prunes
+    every assignment of the later edges; only a nonzero product of all
+    block and propagator values pays for the Koszul sign of the routing.
     """
     k = len(graph.vertices)
     l = len(graph.boundaries())
@@ -541,49 +595,64 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
     deg = s.basis.degrees
     blegs = graph.boundary_legs()
     vals = graph.valencies()
-    total = Fraction(0)
-    prop_items = list(propagator.items())
     e = len(graph.edges)
+    items = [(pair_, pval) for pair_, pval in propagator.items() if pval]
+    word_letters = [x for w in words for x in w]
+    n_slots = 2 * e + len(word_letters)
+    total = Fraction(0)
 
     for vertex_order in permutations(range(k)):
+        vertex_marks = tuple(graph.vertices[v][0] for v in vertex_order)
+        spans = []
+        block_at = []
+        for pos, v in enumerate(vertex_order):
+            spans.append((len(block_at), len(block_at) + vals[v]))
+            block_at.extend([pos] * vals[v])
         for boundary_order in permutations(range(l)):
             if any(len(blegs[b]) != len(words[pos])
                    for pos, b in enumerate(boundary_order)):
                 continue
             edge_order = compatible_edge_labeling(graph, vertex_order,
                                                   boundary_order)
-            vertex_marks = tuple(graph.vertices[v][0] for v in vertex_order)
-            mark_ranges = [range(max(len(blegs[b]), 1))
-                           for b in boundary_order]
-            for marks in iproduct(*mark_ranges):
-                lab = Labeling(vertex_order, boundary_order, edge_order,
-                               vertex_marks, marks)
-                sigma = sigma_L(graph, lab)
-                # assignments of propagator entries to edges
-                for combo in iproduct(prop_items, repeat=e):
-                    letters: list[int] = []
-                    coeff = Fraction(1)
-                    for (pair_idx, pval) in combo:
-                        letters.extend(pair_idx)
-                        coeff *= pval
-                    for pos, b in enumerate(boundary_order):
-                        letters.extend(words[pos])
-                    if not coeff:
-                        continue
-                    degs = [deg[x] for x in letters]
-                    sign = koszul_sign(sigma, degs)
-                    routed = [0] * len(letters)
-                    for p, x in enumerate(letters):
-                        routed[sigma[p]] = x
-                    term = coeff * sign
-                    off = 0
-                    for pos, v in enumerate(lab.vertex_order):
-                        block = tuple(routed[off:off + vals[v]])
-                        off += vals[v]
-                        term *= psis[pos].eval_word(block)
-                        if not term:
-                            break
-                    total += term
+            sigma0 = sigma_L(graph, Labeling(vertex_order, boundary_order,
+                                             edge_order, vertex_marks, (0,) * l))
+            # each edge is assigned at the first vertex block it reaches
+            fresh = [[] for _ in range(k)]
+            for j in range(e):
+                t0, t1 = sigma0[2 * j], sigma0[2 * j + 1]
+                fresh[min(block_at[t0], block_at[t1])].append((t0, t1))
+            word_slots = []
+            off = 2 * e
+            for w in words:
+                word_slots.append(sigma0[off:off + len(w)])
+                off += len(w)
+            for marks in iproduct(*[range(max(len(w), 1)) for w in words]):
+                sigma = sigma0[:2 * e]
+                for m, slots in zip(marks, word_slots):
+                    sigma += slots[m:] + slots[:m]
+                routed = [0] * n_slots
+                for p, x in enumerate(word_letters, 2 * e):
+                    routed[sigma[p]] = x
+
+                def descend(pos, coeff):
+                    """Sum over the entries on the edges first reached at
+                    blocks pos, pos + 1, ..., times coeff."""
+                    if pos == k:
+                        degs = [deg[routed[t]] for t in sigma]
+                        return coeff * koszul_sign(sigma, degs)
+                    lo, hi = spans[pos]
+                    acc = 0
+                    for combo in iproduct(items, repeat=len(fresh[pos])):
+                        for (t0, t1), (pair_, _) in zip(fresh[pos], combo):
+                            routed[t0], routed[t1] = pair_
+                        value = psis[pos].eval_word(tuple(routed[lo:hi]))
+                        if value:
+                            for _, pval in combo:
+                                value *= pval
+                            acc += descend(pos + 1, coeff * value)
+                    return acc
+
+                total += descend(0, Fraction(1))
     return total
 
 
@@ -611,13 +680,11 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
     The graph route produces output values directly in the distributed
     normalization used by the stored tensors, so values are stored as is.
     """
-    from itertools import product as iprod
-
     shift = s.slot_shift if slot_shift is None else slot_shift
     out = CochainTensor(s.basis, l, shift)
     e = k + l + 2 * g - 2
     totals = set()
-    for combo in iprod(*[psi.weights() for psi in psis]):
+    for combo in iproduct(*[psi.weights() for psi in psis]):
         t = sum(combo) - 2 * e
         if l <= t <= weight_bound:
             totals.add(t)
@@ -641,17 +708,21 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
 # ---------------------------------------------------------------------------
 
 class _MuPlusCochain:
-    """The weight-three cochain P(m2(x, y), z) evaluated on letter triples."""
+    """The weight-three cochain P(m2(x, y), z), kept as its table of nonzero
+    values on letter triples."""
 
-    __slots__ = ("s",)
+    __slots__ = ("values",)
 
     def __init__(self, s: CyclicStructure):
-        self.s = s
+        self.values = {}
+        for xy in s.mu.get(2, {}):
+            for z in range(len(s.basis)):
+                value = s.mu_plus(2, xy + (z,))
+                if value:
+                    self.values[xy + (z,)] = value
 
     def eval_word(self, letters) -> Fraction:
-        if len(letters) != 3:
-            return Fraction(0)
-        return self.s.mu_plus(2, tuple(letters))
+        return self.values.get(tuple(letters), ZERO)
 
     def weights(self):
         return [3]
@@ -673,8 +744,6 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
     (-1)^(k (m-2)) / (l! |Aut|).
     """
     from .dibl import MaurerCartanFamily, distribution_sign
-    from .signs import GradedBasis
-    from .words import canonical_words
 
     if check_symmetry:
         degs = {s.basis.degrees[i] + s.basis.degrees[j] for (i, j) in kernel}

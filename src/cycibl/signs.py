@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .signs import GradedBasis, Scalar, koszul_sign, perm_inverse
+from .signs import GradedBasis, koszul_sign, perm_inverse
 
 Word = tuple[int, ...]
 

@@ -2,6 +2,10 @@
 
 Dead definitions: every module-level name of the package is used.
 
+Dead imports: every name a module of ``src/cycibl`` imports is used in the
+scope that imports it, the module for a top-level import and the function
+(with its nested functions) for a function-local one.
+
 A module-level function, class or constant of ``src/cycibl`` counts as used
 when some Python file under ``src/``, ``tests/``, ``scripts/`` or
 ``perfbench/`` refers to it apart from its own definition: as a loaded
@@ -58,6 +62,43 @@ def test_no_unreferenced_module_level_definitions():
         dead.extend(f"{path.stem}.{name}" for name in _definitions(tree)
                     if name not in refs)
     assert not dead, "unreferenced module-level definitions: " + ", ".join(dead)
+
+
+def _scope_imports(scope: ast.AST):
+    """Import statements of a module or function, outside nested functions."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    found = []
+    scopes = [tree] + [n for n in ast.walk(tree)
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        used = {n.id for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for node in _scope_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append((node.lineno, name))
+    return found
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        unused.extend(f"{path.stem}:{line} {name}"
+                      for line, name in _unused_imports(tree))
+    assert not unused, "imported but unused: " + ", ".join(unused)
 
 
 def _unbounded_memo(node: ast.AST) -> bool:

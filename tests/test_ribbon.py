@@ -1,14 +1,19 @@
+import math
 import random
 from fractions import Fraction
+from itertools import permutations, product as iproduct
 
 import pytest
 
 from cycibl.dibl import (canonical_mc, collection_sign, distribution_sign,
                          q120, q210, t_tensor)
+from cycibl.green import green_pipeline, schwartz_kernel
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
-from cycibl.ribbon import (Labeling, RibbonGraph, enumerate_graphs, f_klg,
-                           f_klg_tensor, graph_pairing, orientation_compatible,
-                           compatible_edge_labeling, pushforward_mc, sigma_L)
+from cycibl.ribbon import (Labeling, RibbonGraph, _MuPlusCochain,
+                           enumerate_graphs, f_klg, f_klg_tensor, graph_pairing,
+                           orientation_compatible, compatible_edge_labeling,
+                           pushforward_mc, sigma_L)
+from cycibl.signs import koszul_sign
 from cycibl.words import CochainTensor, canonical_words, dual_word
 
 
@@ -47,6 +52,13 @@ def test_loop_family_counts():
 def test_genus_one_graph():
     g = RibbonGraph([(0, 1, 2, 3)], [(0, 2), (1, 3)])
     assert g.counts() == (1, 1, 1)
+
+
+def test_edges_join_half_edges_of_the_graph():
+    # an out-of-range half-edge would index the half-edge map from the end
+    for pairs in ([(0, 7)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="0..N-1"):
+            RibbonGraph([(0, 1, 2)], pairs)
 
 
 def test_single_trivalent_vertex():
@@ -90,17 +102,23 @@ def test_enumerate_graphs_rejects_negative_counts():
 
 
 def test_enumerate_trivalent_tree():
-    found = enumerate_graphs(1, 1, 0, 3, trivalent=True)
-    assert len(found) == 1
-    graph, aut = found[0]
-    assert aut == 3
-    found2 = enumerate_graphs(2, 1, 0, 4, trivalent=True)
-    assert len(found2) == 1  # two trivalent vertices, one edge, 4 legs
-    found3 = enumerate_graphs(3, 1, 0, 5, trivalent=True)
-    assert len(found3) >= 1   # the trivalent path tree
-    found4 = enumerate_graphs(4, 1, 0, 6, trivalent=True)
-    # both the caterpillar and the star shapes occur
-    assert len(found4) >= 2
+    # |Aut| per class, in the order enumerate_graphs returns them
+    pinned = {(1, 1, 0, 3): [3], (2, 1, 0, 4): [2], (3, 1, 0, 5): [1],
+              (4, 1, 0, 6): [1, 2, 2, 3]}
+    for args, auts in pinned.items():
+        assert [a for _, a in enumerate_graphs(*args, trivalent=True)] == auts
+    for args, count in (((2, 1, 0, 3), 2), ((1, 2, 0, 3), 2),
+                        ((3, 1, 0, 4), 19), ((2, 1, 1, 2), 37)):
+        assert len(enumerate_graphs(*args)) == count, args
+
+
+def test_trivalent_trees_count_rooted_planar_trees():
+    # rooting a class at one of its legs gives legs/|Aut| rooted planar
+    # trivalent trees, and there are Catalan(legs - 2) of those
+    for legs in range(3, 7):
+        found = enumerate_graphs(legs - 2, 1, 0, legs, trivalent=True)
+        assert sum(Fraction(legs, a) for _, a in found) == math.comb(
+            2 * (legs - 2), legs - 2) // (legs - 1)
 
 
 def test_compatible_edge_orientation_two_vertex():
@@ -301,3 +319,282 @@ def test_pushforward_transfer_passes_higher_associativity():
         for u in canonical_words(harm.basis, w):
             psi = dual_word(harm.basis, u, slot_shift=harm.slot_shift)
             assert twisted_q110(harm, fam, twisted_q110(harm, fam, psi)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# oracles: the all-starts canonical form, a full candidate enumeration and
+# the per-labeling propagator loop
+# ---------------------------------------------------------------------------
+
+def oracle_encoding_from(graph, h0):
+    """BFS encoding from one start, every row built after the traversal."""
+    vert_of = {h: vi for vi, cyc in enumerate(graph.vertices) for h in cyc}
+    vertex_id, entry, order = {}, {}, []
+
+    def visit(v, h_entry):
+        vertex_id[v] = len(order)
+        entry[v] = h_entry
+        order.append(v)
+
+    visit(vert_of[h0], h0)
+    pos = 0
+    while pos < len(order):
+        v = order[pos]
+        pos += 1
+        cyc = graph.vertices[v]
+        start = cyc.index(entry[v])
+        for t in range(len(cyc)):
+            partner = graph.pairing.get(cyc[(start + t) % len(cyc)])
+            if partner is not None and vert_of[partner] not in vertex_id:
+                visit(vert_of[partner], partner)
+    rows = []
+    for v in order:
+        cyc = graph.vertices[v]
+        start = cyc.index(entry[v])
+        row = []
+        for t in range(len(cyc)):
+            partner = graph.pairing.get(cyc[(start + t) % len(cyc)])
+            if partner is None:
+                row.append((-1, -1))
+            else:
+                pcyc = graph.vertices[vert_of[partner]]
+                off = (pcyc.index(partner) - pcyc.index(entry[vert_of[partner]])) \
+                    % len(pcyc)
+                row.append((vertex_id[vert_of[partner]], off))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def oracle_canonical(graph):
+    """(least encoding over all starts, number of starts reaching it)."""
+    encodings = [oracle_encoding_from(graph, h) for h in range(graph.n)]
+    best = min(encodings)
+    return best, encodings.count(best)
+
+
+ENUMERATED = [((1, 1, 0, 3), True), ((2, 1, 0, 4), True), ((3, 1, 0, 5), True),
+              ((4, 1, 0, 6), True), ((2, 1, 0, 3), False), ((1, 2, 0, 3), False),
+              ((3, 1, 0, 4), False), ((2, 1, 1, 2), False)]
+
+
+def relabeled(graph, rng):
+    """The graph under a random relabeling of its half-edges, with the
+    vertex list shuffled and each cycle written from a random start."""
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    cycles = []
+    for cyc in graph.vertices:
+        r = rng.randrange(len(cyc))
+        cycles.append(tuple(perm[h] for h in cyc[r:] + cyc[:r]))
+    rng.shuffle(cycles)
+    return RibbonGraph(cycles, [(perm[a], perm[b]) for a, b in graph.edges])
+
+
+def test_canonical_pass_matches_all_starts_oracle():
+    rng = random.Random(17)
+    for args, trivalent in ENUMERATED:
+        for graph, aut in enumerate_graphs(*args, trivalent=trivalent,
+                                           reduced=False):
+            fresh = RibbonGraph(graph.vertices, graph.edges)
+            sig, count = oracle_canonical(fresh)
+            assert fresh.canonical_signature() == sig, args
+            assert fresh.automorphism_order() == count == aut, args
+            for _ in range(3):
+                other = relabeled(graph, rng)
+                assert other.canonical_signature() == sig, args
+                assert other.automorphism_order() == aut, args
+
+
+def test_canonical_pass_on_disconnected_graphs():
+    # starts in different components give encodings of different lengths
+    graphs = [RibbonGraph([(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 3)]),
+              RibbonGraph([(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)],
+                          [(0, 3), (6, 9), (7, 10)]),
+              RibbonGraph([(0, 1, 2, 3), (4, 5), (6, 7, 8, 9)], [(0, 2), (6, 8)])]
+    for graph in graphs:
+        assert not graph.is_connected()
+        sig, count = oracle_canonical(graph)
+        assert (graph.canonical_signature(), graph.automorphism_order()) == \
+            (sig, count)
+
+
+def oracle_enumerate(k, l, g, legs, trivalent):
+    """Every candidate matching built and encoded from every start; the
+    first candidate of each class represents it (unreduced)."""
+    e = k + l + 2 * g - 2
+    n = 2 * e + legs
+
+    def matchings(avail, count):
+        if count == 0:
+            yield []
+            return
+        if len(avail) < 2 * count:
+            return
+        first, rest0 = avail[0], avail[1:]
+        yield from matchings(rest0, count)
+        for idx in range(len(rest0)):
+            for m in matchings(rest0[:idx] + rest0[idx + 1:], count - 1):
+                yield [(first, rest0[idx])] + m
+
+    def partitions(total, parts, minimum=1):
+        if parts == 1:
+            if total >= minimum:
+                yield (total,)
+            return
+        for first in range(minimum, total - parts + 2):
+            for rest in partitions(total - first, parts - 1, first):
+                yield (first,) + rest
+
+    found = {}
+    for vals in ([(3,) * k] if trivalent else partitions(n, k)):
+        starts = [sum(vals[:i]) for i in range(k)]
+        blocks = [tuple(range(a, a + v)) for a, v in zip(starts, vals)]
+        for match in matchings(list(range(n)), e):
+            graph = RibbonGraph(blocks, match)
+            if not graph.is_connected() or graph.counts() != (k, l, g):
+                continue
+            sig, aut = oracle_canonical(graph)
+            found.setdefault(sig, (graph, aut))
+    return [found[sig] for sig in sorted(found)]
+
+
+def test_enumeration_matches_every_candidate_oracle():
+    # same classes, same representative graphs, same order
+    def shape(pairs):
+        return [(gr.vertices, gr.edges, aut) for gr, aut in pairs]
+
+    for args, trivalent in ENUMERATED:
+        got = enumerate_graphs(*args, trivalent=trivalent, reduced=False)
+        assert shape(got) == shape(oracle_enumerate(*args, trivalent)), args
+
+
+def oracle_graph_pairing(s, graph, propagator, psis, words):
+    """The graph pairing with every propagator assignment multiplied out,
+    signed and routed for every labeling before any vertex is evaluated."""
+    k, l = len(graph.vertices), len(graph.boundaries())
+    if len(psis) != k or len(words) != l:
+        return Fraction(0)
+    deg = s.basis.degrees
+    blegs = graph.boundary_legs()
+    vals = graph.valencies()
+    total = Fraction(0)
+    for vertex_order in permutations(range(k)):
+        for boundary_order in permutations(range(l)):
+            if any(len(blegs[b]) != len(words[pos])
+                   for pos, b in enumerate(boundary_order)):
+                continue
+            edge_order = compatible_edge_labeling(graph, vertex_order,
+                                                  boundary_order)
+            vertex_marks = tuple(graph.vertices[v][0] for v in vertex_order)
+            for marks in iproduct(*[range(max(len(blegs[b]), 1))
+                                    for b in boundary_order]):
+                sigma = sigma_L(graph, Labeling(vertex_order, boundary_order,
+                                                edge_order, vertex_marks, marks))
+                for combo in iproduct(propagator.items(),
+                                      repeat=len(graph.edges)):
+                    letters, coeff = [], Fraction(1)
+                    for pair_, pval in combo:
+                        letters.extend(pair_)
+                        coeff *= pval
+                    for w in words:
+                        letters.extend(w)
+                    term = coeff * koszul_sign(sigma, [deg[x] for x in letters])
+                    routed = [0] * len(letters)
+                    for p, x in enumerate(letters):
+                        routed[sigma[p]] = x
+                    off = 0
+                    for pos, v in enumerate(vertex_order):
+                        term *= psis[pos].eval_word(tuple(routed[off:off + vals[v]]))
+                        off += vals[v]
+                    total += term
+    return total
+
+
+def dense_propagators():
+    for bundle in (build_sn(3), build_cpn(2)):
+        yield bundle.structure, t_tensor(bundle.structure)
+    for seed in (1, 2):
+        s = random_cyclic_dga(6, seed=seed)
+        g, _, _ = green_pipeline(s)
+        yield s, schwartz_kernel(s, g).entries
+
+
+def routed_case(s, graph, propagator, rng):
+    """Dual-word psis and boundary words read off one propagator assignment,
+    so that at least that term can be nonzero."""
+    letter = {}
+    for a, b in graph.edges:
+        i, j = rng.choice(sorted(propagator))
+        letter[a], letter[b] = (i, j) if rng.random() < 0.5 else (j, i)
+    for h in graph.legs:
+        letter[h] = rng.randrange(len(s.basis))
+    order = list(range(len(graph.vertices)))
+    rng.shuffle(order)
+    psis = [dual_word(s.basis, tuple(letter[h] for h in graph.vertices[v]),
+                      slot_shift=s.slot_shift) for v in order]
+    words = [tuple(letter[h] for h in legs) for legs in graph.boundary_legs()]
+    return psis, words
+
+
+def test_graph_pairing_matches_per_labeling_oracle():
+    rng = random.Random(23)
+    for s, propagator in dense_propagators():
+        nonzero = 0
+        for (k, l, g) in ((2, 1, 0), (1, 2, 0), (3, 1, 0)):
+            for legs in range(2, 5):
+                for graph, _ in enumerate_graphs(k, l, g, legs):
+                    psis, words = routed_case(s, graph, propagator, rng)
+                    # a random dual word in one slot: blocks that vanish
+                    stray = rng.randrange(k)
+                    other = [rng.randrange(len(s.basis))
+                             for _ in graph.vertices[stray]]
+                    variants = [psis, psis[:stray] + [dual_word(
+                        s.basis, other, slot_shift=s.slot_shift)] + psis[stray + 1:]]
+                    for ps in variants:
+                        want = oracle_graph_pairing(s, graph, propagator, ps, words)
+                        assert graph_pairing(s, graph, propagator, ps, words) == want
+                        nonzero += bool(want)
+        assert nonzero >= 10, s.name
+
+
+def supported_word(graph, propagator, support, rng):
+    """A boundary word such that one propagator assignment puts a triple of
+    ``support`` on every vertex (None when the drawn edge letters allow
+    none)."""
+    letter = {}
+    for a, b in graph.edges:
+        letter[a], letter[b] = rng.choice(sorted(propagator))
+    for cyc in graph.vertices:
+        fits = [t for t in sorted(support)
+                if all(letter.get(h, x) == x for h, x in zip(cyc, t))]
+        if not fits:
+            return None
+        letter.update(zip(cyc, rng.choice(fits)))
+    (legs,) = graph.boundary_legs()
+    return tuple(letter[h] for h in legs)
+
+
+def test_mu_plus_pairing_matches_oracle_on_trivalent_trees():
+    # the dense propagators cancel over the labelings of a four-vertex tree
+    # (the pipeline kernels of the random algebras vanish on it outright);
+    # propagators without the twist symmetry leave nonzero sums
+    rng = random.Random(31)
+    cases = list(dense_propagators())
+    for bundle in (build_sn(3), build_cpn(2)):
+        s = bundle.structure
+        pairs = sorted(iproduct(range(len(s.basis)), repeat=2))
+        cases.append((s, {p: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                          for p in rng.sample(pairs, 3)}))
+    nonzero = 0
+    for s, propagator in cases:
+        m2p = _MuPlusCochain(s)
+        n = len(s.basis)
+        for t in iproduct(range(n), repeat=3):
+            assert m2p.eval_word(t) == s.mu_plus(2, t)
+        for graph, _ in enumerate_graphs(4, 1, 0, 6, trivalent=True):
+            word = supported_word(graph, propagator, m2p.values, rng) or \
+                tuple(rng.randrange(n) for _ in range(6))
+            want = oracle_graph_pairing(s, graph, propagator, [m2p] * 4, [word])
+            assert graph_pairing(s, graph, propagator, [m2p] * 4, [word]) == want
+            nonzero += bool(want)
+    assert nonzero >= 4, nonzero
