@@ -3,7 +3,9 @@
 This module is the package's one exact eliminator; every other module
 solves, inverts, ranks and takes determinant signs through it:
 
-* ``rref`` -- reduced row echelon form, with pivots chosen by row sparsity;
+* ``rref`` -- reduced row echelon form; the rows wait in buckets keyed by
+  lead column, the least key is the next pivot column, and its pivot row is
+  the bucket's sparsest row (the earliest on ties);
 * ``rank``, ``kernel_basis`` and ``image_basis`` -- read off one ``rref``;
 * ``solve`` -- coefficients of several right-hand sides in the span of a
   list of columns, from one ``rref`` of ``[A | B]``;
@@ -60,6 +62,8 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, nrows, columns):
+        # fresh copies even of Fractions: sharing the callers' long-lived
+        # values raises the peak memory of homology runs
         mat = cls(nrows, len(columns))
         for c, col in enumerate(columns):
             for r, v in col.items():
@@ -86,43 +90,55 @@ class SparseMatrix:
 
 
 def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [dict(r) for r in mat.rows if r]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The remaining rows are kept in buckets by lead column, so the next lead
+    is the least bucket key and only that bucket's rows are reduced.  The
+    pivot is the bucket's row with the fewest entries, the earliest in the
+    input on ties.
+    """
+    by_lead: dict[int, list[tuple[int, dict]]] = {}
+    for i, r in enumerate(mat.rows):
+        if r:
+            by_lead.setdefault(min(r), []).append((i, dict(r)))
     pivots: list[int] = []
     out: list[dict] = []
-    while rows:
-        lead = min(min(r) for r in rows)
-        cands = [r for r in rows if lead in r]
-        pivot = min(cands, key=len)
-        rows.remove(pivot)
+    while by_lead:
+        lead = min(by_lead)
+        bucket = by_lead.pop(lead)
+        entry = min(bucket, key=lambda e: (len(e[1]), e[0]))
+        bucket.remove(entry)
+        pivot = entry[1]
         inv = 1 / pivot[lead]
         pivot = {c: v * inv for c, v in pivot.items()}
+        tail = [(c, v) for c, v in pivot.items() if c != lead]
         for prev in out:
-            if lead in prev:
-                f = prev[lead]
-                for c, v in pivot.items():
-                    new = prev.get(c, Fraction(0)) - f * v
-                    if new:
-                        prev[c] = new
-                    else:
-                        prev.pop(c, None)
-        nxt = []
-        for r in rows:
-            if lead in r:
-                f = r[lead]
-                for c, v in pivot.items():
-                    new = r.get(c, Fraction(0)) - f * v
-                    if new:
-                        r[c] = new
-                    else:
-                        r.pop(c, None)
+            f = prev.pop(lead, None)
+            if f is not None:
+                _subtract(prev, f, tail)
+        for i, r in bucket:
+            _subtract(r, r.pop(lead), tail)
             if r:
-                nxt.append(r)
-        rows = nxt
+                by_lead.setdefault(min(r), []).append((i, r))
         out.append(pivot)
         pivots.append(lead)
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return [out[i] for i in order], [pivots[i] for i in order]
+
+
+def _subtract(row: dict, f: Fraction, items) -> None:
+    """``row[c] -= f * v`` in place for each ``(c, v)`` of ``items``,
+    dropping entries that cancel."""
+    for c, v in items:
+        old = row.get(c)
+        if old is None:
+            row[c] = -f * v
+        else:
+            new = old - f * v
+            if new:
+                row[c] = new
+            else:
+                del row[c]
 
 
 def rank(mat: SparseMatrix) -> int:
@@ -130,18 +146,20 @@ def rank(mat: SparseMatrix) -> int:
 
 
 def kernel_basis(mat: SparseMatrix) -> list[dict]:
-    """Vectors v (dicts over columns) with M v = 0, in reduced echelon form."""
+    """Vectors v (dicts over columns) with M v = 0, in reduced echelon form.
+
+    Every entry of a reduced row off its pivot sits in a free column, so one
+    pass over the rows fills in every kernel vector.
+    """
     rows, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(mat.ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = {f: Fraction(1)}
-        for row, p in zip(rows, pivots):
-            if f in row:
-                vec[p] = -row[f]
-        basis.append(vec)
-    return basis
+    basis = {c: {c: Fraction(1)} for c in range(mat.ncols)}
+    for p in pivots:
+        del basis[p]
+    for row, p in zip(rows, pivots):
+        for c, v in row.items():
+            if c != p:
+                basis[c][p] = -v
+    return list(basis.values())
 
 
 def image_basis(mat: SparseMatrix) -> list[dict]:
@@ -209,19 +227,15 @@ class Eliminator:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
+        vec = {c: v if type(v) is Fraction else Fraction(v)
+               for c, v in vec.items() if v}
+        rows = self.rows
         while vec:
             lead = min(vec)
-            if lead not in self.rows:
+            row = rows.get(lead)
+            if row is None:
                 return vec
-            row = self.rows[lead]
-            f = vec[lead]
-            for c, v in row.items():
-                new = vec.get(c, Fraction(0)) - f * v
-                if new:
-                    vec[c] = new
-                else:
-                    vec.pop(c, None)
+            _subtract(vec, vec[lead], row.items())
         return vec
 
     def add(self, vec: dict) -> bool:

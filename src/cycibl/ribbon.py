@@ -760,6 +760,16 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
     amb_index = {lab: i for i, lab in enumerate(s.basis.labels)}
     lift = [amb_index[lab] for lab in harmonic.basis.labels]
     m2p = _MuPlusCochain(s)
+    # Degree law: a nonzero term puts a triple of degree D on each of the
+    # k vertices and a kernel pair of degree kdeg on each of the e edges,
+    # so the legs' letters have degree k * D - e * kdeg.  It applies when
+    # the triples and the kernel are each of one degree.
+    deg = s.basis.degrees
+    vertex_degs = {sum(deg[x] for x in t) for t in m2p.values}
+    kernel_degs = {deg[i] + deg[j] for (i, j), v in kernel.items() if v}
+    law = None
+    if len(vertex_degs) == 1 and len(kernel_degs) == 1:
+        law = vertex_degs.pop(), kernel_degs.pop()
     entries = {}
     for l in range(1, l_bound + 1):
         for g in range(0, genus_bound + 1):
@@ -781,6 +791,9 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
                 if not graphs:
                     continue
                 sgn = Fraction(-1) ** (k * (s.manifold_dim - 2))
+                leg_degree = None
+                if law is not None:
+                    leg_degree = k * law[0] - (3 * k - total) // 2 * law[1]
                 seen = set()
                 for words in _tuples_of_total(harmonic, total, l):
                     keyed = canonical_key(words, harmonic.basis,
@@ -790,6 +803,9 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
                     seen.add(keyed[0])
                     ambient_words = [tuple(lift[x] for x in w)
                                      for w in keyed[0]]
+                    if leg_degree is not None and leg_degree != sum(
+                            deg[x] for w in ambient_words for x in w):
+                        continue
                     val = Fraction(0)
                     for graph, aut in graphs:
                         val += graph_pairing(s, graph, kernel, [m2p] * k,

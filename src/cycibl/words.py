@@ -75,20 +75,28 @@ def canonicalize(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
     in the cyclic quotient, or ``(None, 1)`` when the class is annihilated.
     """
     letters = tuple(letters)
-    k = len(letters)
     rank = basis.lex_rank
-    ranked = tuple([rank[i] for i in letters])
-    doubled = ranked + ranked
-    rots = [doubled[r:r + k] for r in range(k)]
-    best = min(rots)
-    start = rots.index(best)
     deg = basis.degrees
     total = sum([deg[i] for i in letters])
-    # a word made of c copies of a block: t^(k/c) fixes it with the sign of
-    # moving one block, -1 exactly when c is even and the block odd
-    copies = rots.count(best)
-    if not copies & 1 and (total // copies) & 1:
-        return None, 1
+    least = min(letters, key=rank.__getitem__)
+    if letters.count(least) == 1:
+        # a unique least letter starts the canonical rotation, and a word
+        # holding a letter once is not periodic
+        start = letters.index(least)
+    else:
+        k = len(letters)
+        ranked = tuple([rank[i] for i in letters])
+        doubled = ranked + ranked
+        rots = [doubled[r:r + k] for r in range(k)]
+        best = min(rots)
+        start = rots.index(best)
+        # a word made of c copies of a block: t^(k/c) fixes it with the sign
+        # of moving one block, -1 exactly when c is even and the block odd
+        copies = rots.count(best)
+        if not copies & 1 and (total // copies) & 1:
+            return None, 1
+    if not start:
+        return letters, 1
     head = sum([deg[i] for i in letters[:start]])
     return letters[start:] + letters[:start], rotation_sign(total, total - head)
 

@@ -7,14 +7,14 @@ import pytest
 
 from cycibl.dibl import (canonical_mc, collection_sign, distribution_sign,
                          q120, q210, t_tensor)
-from cycibl.green import green_pipeline, schwartz_kernel
+from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
 from cycibl.ribbon import (Labeling, RibbonGraph, _MuPlusCochain,
-                           enumerate_graphs, f_klg, f_klg_tensor, graph_pairing,
-                           orientation_compatible, compatible_edge_labeling,
-                           pushforward_mc, sigma_L)
+                           _tuples_of_total, enumerate_graphs, f_klg,
+                           f_klg_tensor, graph_pairing, orientation_compatible,
+                           compatible_edge_labeling, pushforward_mc, sigma_L)
 from cycibl.signs import koszul_sign
-from cycibl.words import CochainTensor, canonical_words, dual_word
+from cycibl.words import CochainTensor, canonical_key, canonical_words, dual_word
 
 
 def two_vertex_graph(k1, k2):
@@ -598,3 +598,80 @@ def test_mu_plus_pairing_matches_oracle_on_trivalent_trees():
             assert graph_pairing(s, graph, propagator, [m2p] * 4, [word]) == want
             nonzero += bool(want)
     assert nonzero >= 4, nonzero
+
+
+def oracle_pushforward_entries(s, harmonic, kernel, weight_bound,
+                               genus_bound=0, l_bound=2):
+    """``pushforward_mc``'s entries with every word tuple paired against
+    every class: the loop before the degree-law filter."""
+    amb_index = {lab: i for i, lab in enumerate(s.basis.labels)}
+    lift = [amb_index[lab] for lab in harmonic.basis.labels]
+    m2p = _MuPlusCochain(s)
+    entries = {}
+    for l in range(1, l_bound + 1):
+        for g in range(genus_bound + 1):
+            ten = CochainTensor(harmonic.basis, l, harmonic.slot_shift,
+                                weight_bound)
+            for total in range(l, weight_bound + 1):
+                k = total + 2 * l + 4 * g - 4
+                if k < 1 or (not kernel and k + l + 2 * g - 2 >= 1):
+                    continue
+                try:
+                    graphs = enumerate_graphs(k, l, g, total, trivalent=True)
+                except ValueError:
+                    ten.weight_bound = total - 1
+                    break
+                sgn = Fraction(-1) ** (k * (s.manifold_dim - 2))
+                seen = set()
+                for words in _tuples_of_total(harmonic, total, l):
+                    keyed = canonical_key(words, harmonic.basis,
+                                          harmonic.slot_shift)
+                    if keyed is None or keyed[0] in seen:
+                        continue
+                    seen.add(keyed[0])
+                    ambient = [tuple(lift[x] for x in w) for w in keyed[0]]
+                    val = sum((graph_pairing(s, graph, kernel, [m2p] * k,
+                                             ambient) / aut
+                               for graph, aut in graphs), Fraction(0))
+                    val = val * sgn / math.factorial(l)
+                    if val:
+                        ten.add(keyed[0], distribution_sign(harmonic, keyed[0])
+                                * val)
+            if not ten.is_zero() or (l, g) == (1, 0):
+                entries[(l, g)] = ten
+    return entries
+
+
+def _entries_text(entries):
+    return [(key, repr(ten), ten.weight_bound) for key, ten in sorted(entries.items())]
+
+
+def test_pushforward_degree_filter_matches_unfiltered_oracle():
+    cases = []
+    for seed in range(8):
+        s = random_cyclic_dga(6, seed=seed)
+        g, _, _ = green_pipeline(s)
+        cases.append((s, harmonic_substructure(s, [0, 1]),
+                      schwartz_kernel(s, g).entries, 6, 0, True))
+    for bundle in (build_sn(3), build_cpn(2)):
+        s = bundle.structure
+        for genus in (0, 1):
+            cases.append((s, s, {}, 5, genus, True))
+    # the pipeline kernels vanish on every tree with an edge; the dense
+    # T tensors (without the twist symmetry) do not
+    for bundle in (build_sn(3), build_cpn(2)):
+        s = bundle.structure
+        cases.append((s, s, t_tensor(s), 5, 0, False))
+    with_edges = 0
+    for s, harm, kernel, weight, genus, symmetric in cases:
+        got = pushforward_mc(s, harm, kernel, weight_bound=weight,
+                             genus_bound=genus,
+                             check_symmetry=symmetric).entries
+        want = oracle_pushforward_entries(s, harm, kernel, weight, genus)
+        assert _entries_text(got) == _entries_text(want), (s.name, genus)
+        assert [list(t.values.items()) for t in got.values()] == \
+            [list(t.values.items()) for t in want.values()]
+        # weight 4 and up in (1, 0) needs k >= 2 vertices, so an edge
+        with_edges += sum(sum(map(len, key)) >= 4 for key in
+                          want[(1, 0)].values)
+    assert with_edges >= 4, with_edges

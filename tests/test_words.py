@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -277,3 +278,38 @@ def test_rotation_sign_is_prefix_parity_rule():
                 assert rotation_sign(total, tail) == sign, (w, r)
                 if total % 2:
                     assert sign == 1
+
+
+def test_canonicalize_matches_single_steps_on_long_words():
+    # sampled words of weight 6 to 9 over the shuffled-label 10-letter basis:
+    # a unique least letter, a repeated one, and periodic words (annihilated
+    # when an odd block repeats an even number of times), each rotated
+    basis = random_cyclic_dga(10, seed=0).basis
+    rank = basis.lex_rank
+    n = len(basis)
+    rng = random.Random(9)
+    kinds = {"unique": 0, "repeated": 0, "annihilated": 0, "periodic": 0}
+    for weight in range(6, 10):
+        words = []
+        for _ in range(40):
+            least = rng.randrange(n)
+            above = [x for x in range(n) if rank[x] > rank[least]] or [least]
+            rest = [rng.choice(above) for _ in range(weight - 1)]
+            words.append([least] + rest)
+            rest[rng.randrange(weight - 1)] = least
+            words.append([least] + rest)
+        for period in (d for d in range(1, weight) if weight % d == 0):
+            for _ in range(10):
+                block = [rng.randrange(n) for _ in range(period)]
+                words.append(block * (weight // period))
+        for w in words:
+            r = rng.randrange(weight)
+            w = tuple(w[r:] + w[:r])
+            want = _oracle_canonicalize(w, basis)
+            assert canonicalize(w, basis) == want, w
+            least = min(rank[x] for x in w)
+            kinds["unique" if [rank[x] for x in w].count(least) == 1
+                  else "repeated"] += 1
+            if any(w == w[d:] + w[:d] for d in range(1, weight)):
+                kinds["periodic" if want[0] else "annihilated"] += 1
+    assert min(kinds.values()) >= 10, kinds
