@@ -8,27 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from . import fileio
 from .algebra import check_cyclic_dga
 from .fileio import InputError, dump_json, load_json
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    weight_bound: int = 6
-    genus_bound: int = 0
-    reduced: bool = False
-    fmt: str = "table"
-    seed: int = 0
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.weight_bound < 1:
-            raise InputError("--weight-bound must be at least 1")
 
 
 def _emit(text: str, output: str | None):
@@ -50,8 +33,6 @@ def cmd_homology(args) -> int:
     from .dibl import canonical_mc
     from .homology import cochain_homology
 
-    cfg = RunConfig("homology", [args.file], weight_bound=args.weight_bound,
-                    reduced=args.reduced, fmt=args.format, output=args.output)
     s = fileio.structure_from_dict(load_json(args.file))
     if args.twist == "none":
         fam = None
@@ -59,13 +40,13 @@ def cmd_homology(args) -> int:
         fam = canonical_mc(s)
     else:
         fam = fileio.family_from_dict(s, load_json(args.twist))
-    rep = cochain_homology(s, fam, cfg.weight_bound, reduced=cfg.reduced)
-    if cfg.fmt == "records":
+    rep = cochain_homology(s, fam, args.weight_bound, reduced=args.reduced)
+    if args.format == "records":
         doc = [{"degree": d, "weight": w, "dim": n, "stable": st}
                for d, w, n, st in rep.nonzero_rows()]
-        _emit(dump_json(doc), cfg.output)
+        _emit(dump_json(doc), args.output)
     else:
-        _emit(rep.table() + "\n", cfg.output)
+        _emit(rep.table() + "\n", args.output)
     return 0
 
 
@@ -114,10 +95,10 @@ def cmd_green(args) -> int:
     s = fileio.structure_from_dict(load_json(args.file))
     g, proj, stages = green_pipeline(s)
     rep = check_g_properties(s, g, proj)
+    kernel = schwartz_kernel(s, g)
     doc = {
         "operator": fileio.operator_to_dict(s, g),
-        "kernel": fileio.kernel_to_dict(s, schwartz_kernel(s, g).entries,
-                                        degree=schwartz_kernel(s, g).degree),
+        "kernel": fileio.kernel_to_dict(s, kernel.entries, degree=kernel.degree),
         "properties": {k: bool(v) for k, v in rep.results.items()},
         "note": rep.note,
     }
@@ -176,17 +157,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"input error: {self.prog}: {message}\n")
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _at_least(least: int):
+    """An argparse type: an integer no less than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+_nonnegative = _at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each registers only the options its
+    handler reads."""
     p = _Parser(
         prog="cycibl",
         description="exact computations with cyclic cochains: boundary, "
@@ -194,65 +184,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "homology, and the homotopy-operator pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, weight=True):
-        sp.add_argument("--format", choices=("table", "records"),
-                        default="table")
+    def command(name, fn, summary, fmt=False, weight=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
         sp.add_argument("--output", default=None)
+        if fmt:
+            sp.add_argument("--format", choices=("table", "records"),
+                            default="table")
         if weight:
-            sp.add_argument("--weight-bound", type=int, default=6,
+            sp.add_argument("--weight-bound", type=_at_least(1), default=6,
                             dest="weight_bound")
+        return sp
 
-    sp = sub.add_parser("algebra-check", help="validate an algebra file")
+    sp = command("algebra-check", cmd_algebra_check, "validate an algebra file")
     sp.add_argument("file")
-    common(sp, weight=False)
-    sp.set_defaults(fn=cmd_algebra_check)
 
-    sp = sub.add_parser("homology", help="graded homology of the cochain complex")
+    sp = command("homology", cmd_homology,
+                 "graded homology of the cochain complex", fmt=True, weight=True)
     sp.add_argument("file")
     sp.add_argument("--twist", default="none",
                     help="'none', 'mc', or a twist-family file")
     sp.add_argument("--reduced", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_homology)
 
-    sp = sub.add_parser("graphs", help="list ribbon graph classes")
+    sp = command("graphs", cmd_graphs, "list ribbon graph classes", fmt=True)
     sp.add_argument("k", type=_nonnegative)
     sp.add_argument("l", type=_nonnegative)
     sp.add_argument("g", type=_nonnegative)
     sp.add_argument("--legs", type=_nonnegative, default=3)
     sp.add_argument("--trivalent", action="store_true")
-    common(sp, weight=False)
-    sp.set_defaults(fn=cmd_graphs)
 
-    sp = sub.add_parser("pushforward", help="transferred twist element")
+    sp = command("pushforward", cmd_pushforward, "transferred twist element",
+                 weight=True)
     sp.add_argument("file")
     sp.add_argument("--kernel-file", default=None, dest="kernel_file")
-    sp.add_argument("--genus-bound", type=int, default=0, dest="genus_bound")
-    common(sp)
-    sp.set_defaults(fn=cmd_pushforward)
+    sp.add_argument("--genus-bound", type=_nonnegative, default=0,
+                    dest="genus_bound")
 
-    sp = sub.add_parser("green", help="homotopy-operator pipeline")
+    sp = command("green", cmd_green, "homotopy-operator pipeline")
     sp.add_argument("file")
-    common(sp, weight=False)
-    sp.set_defaults(fn=cmd_green)
 
-    sp = sub.add_parser("eval", help="apply an operation to cochain files")
+    sp = command("eval", cmd_eval, "apply an operation to cochain files")
     sp.add_argument("op", choices=("boundary", "product", "coproduct",
                                    "twisted-boundary", "twisted-coproduct"))
     sp.add_argument("--algebra", required=True)
     sp.add_argument("--psi", required=True)
     sp.add_argument("--psi2", default=None)
     sp.add_argument("--twist", default=None)
-    common(sp, weight=False)
-    sp.set_defaults(fn=cmd_eval)
 
-    sp = sub.add_parser("model", help="emit a built-in model as an algebra file")
+    sp = command("model", cmd_model, "emit a built-in model as an algebra file")
     sp.add_argument("which", choices=("sn", "cpn", "truncated-polynomial"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--degree", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp, weight=False)
-    sp.set_defaults(fn=cmd_model)
 
     return p
 

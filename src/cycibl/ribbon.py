@@ -40,14 +40,14 @@ from itertools import permutations, product as iproduct
 from .algebra import CyclicStructure
 from .linalg import Eliminator, SparseMatrix, det_sign, kernel_basis
 from .signs import ZERO, koszul_sign
-from .words import CochainTensor, Word, canonical_key
+from .words import CochainTensor, Word, canonical_tuples
 
 
 class RibbonGraph:
     """Half-edge encoding: vertex cycles plus an involution on a subset."""
 
     __slots__ = ("vertices", "pairing", "n", "legs", "edges", "_vert", "_pos",
-                 "_boundaries", "_canon", "_lab_cache", "_middle_cache")
+                 "_boundaries", "_canon", "_lab_cache", "_complex")
 
     def __init__(self, vertices: list[tuple[int, ...]], edge_pairs: list[tuple[int, int]]):
         self.vertices = [tuple(v) for v in vertices]
@@ -77,7 +77,7 @@ class RibbonGraph:
         self._boundaries = None
         self._canon = None
         self._lab_cache = {}
-        self._middle_cache = None
+        self._complex = None
 
     # -- structure ------------------------------------------------------
 
@@ -390,37 +390,26 @@ def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,
     compatibility condition is det(level 0) * det(level 1) * det(level 2)
     = (-1)^e over the labeled bases.
     """
-    k = len(graph.vertices)
-    e = len(graph.edges)
-    l = len(graph.boundaries())
+    d1, d2, middle = _surface_complex(graph)
+    k, e, l = len(graph.vertices), len(d1), len(d2)
+    # canonical edge -> (labeled position, -1 when the labeling reverses it)
+    canon = {pair_: c for c, pair_ in enumerate(graph.edges)}
+    at = [None] * e
+    for idx, (tail, head) in enumerate(edge_order):
+        at[canon[(min(tail, head), max(tail, head))]] = \
+            (idx, 1 if tail < head else -1)
+
+    def relabel(vec):
+        return {at[c][0]: at[c][1] * v for c, v in vec.items()}
+
     v_pos = {v: i for i, v in enumerate(vertex_order)}
-    e_pos = {tuple(sorted(pair_)): i for i, pair_ in enumerate(edge_order)}
-    b_pos = {b: i for i, b in enumerate(boundary_order)}
-
-    # boundary map C1 -> C0: oriented edge = head - tail
-    d1_cols = []
-    for (tail, head) in edge_order:
-        col = {}
-        vt, vh = graph.vertex_of(tail), graph.vertex_of(head)
-        col[v_pos[vh]] = col.get(v_pos[vh], Fraction(0)) + 1
-        col[v_pos[vt]] = col.get(v_pos[vt], Fraction(0)) - 1
-        d1_cols.append({r: v for r, v in col.items() if v})
-
-    # boundary map C2 -> C1: each boundary cycle traverses each internal
-    # half-edge once, in the direction away from its vertex
-    cycles = graph.boundaries()
-    d2_cols = [dict() for _ in range(l)]
-    for b_idx, cyc in enumerate(cycles):
-        col = {}
-        for h in cyc:
-            if h not in graph.pairing:
-                continue
-            pair_ = tuple(sorted((h, graph.pairing[h])))
-            idx = e_pos[pair_]
-            tail, head = edge_order[idx]
-            direction = 1 if h == tail else -1
-            col[idx] = col.get(idx, Fraction(0)) + direction
-        d2_cols[b_pos[b_idx]] = {r: v for r, v in col.items() if v}
+    d1_cols = [None] * e
+    for c, col in enumerate(d1):
+        idx, flip = at[c]
+        d1_cols[idx] = {v_pos[r]: flip * v for r, v in col.items()}
+    d2_cols = [None] * l
+    for b, col in enumerate(d2):
+        d2_cols[boundary_order.index(b)] = relabel(col)
 
     # level 0: [d1(lift of image basis) | point class] against C0; the
     # edges lifting the image basis are reused at level 1
@@ -447,21 +436,10 @@ def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,
         if 1 + len(lift2_cols_in_c2) == l else 0
 
     # level 1: [image of d2 | middle homology reference | kernel-lifts used
-    # at level 0] against C1.  The middle reference is computed once per
-    # graph in canonical edge coordinates, so it does not depend on the
-    # labeling; here it is expressed in the labeled coordinates.
-    img2 = lift2
-    middle = []
-    for vec in _middle_reference(graph):
-        col = {}
-        for idx_canon, v in vec.items():
-            a, b = graph.edges[idx_canon]
-            idx = e_pos[(a, b)]
-            flip = 1 if edge_order[idx] == (a, b) else -1
-            col[idx] = flip * v
-        middle.append(col)
-    level1 = det_sign(img2 + middle + lift1_cols_in_c1) \
-        if len(img2) + len(middle) + len(lift1_cols_in_c1) == e else 0
+    # at level 0] against C1, the reference in the labeled coordinates
+    middle = [relabel(vec) for vec in middle]
+    level1 = det_sign(lift2 + middle + lift1_cols_in_c1) \
+        if len(lift2) + len(middle) + len(lift1_cols_in_c1) == e else 0
 
     if e == 0:
         level1 = 1
@@ -471,47 +449,51 @@ def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,
     return level0 * level1 * level2 == ref
 
 
-def _middle_reference(graph: RibbonGraph) -> list[dict]:
-    """Reference basis of ker d1 modulo im d2 in canonical edge coordinates.
+def _surface_complex(graph: RibbonGraph):
+    """The cellular complex of the thickened surface, ``(d1, d2, middle)``,
+    in canonical edge coordinates: edge c is ``graph.edges[c]`` oriented
+    from its lesser half-edge (tail) to the greater (head).
 
-    Echelon and deterministic; it fixes the middle-homology orientation of
+    d1 sends an edge to head - tail (vertex rows); d2 sends a boundary
+    cycle, in ``graph.boundaries()`` order, to its internal half-edges,
+    each traversed away from its vertex (+1 on a tail, -1 on a head).
+    ``middle`` is the reference basis of ker d1 modulo im d2: echelon and
+    deterministic, it fixes the middle-homology orientation of
     positive-genus graphs once and for all (per isomorphism class only up
     to the class's own symmetries, which is the pinned part of the
-    convention for the genus-zero families).
+    convention for the genus-zero families).  Built once per graph and
+    kept on it.
     """
-    if graph._middle_cache is not None:
-        return graph._middle_cache
-    k = len(graph.vertices)
-    e = len(graph.edges)
-    if e == 0:
-        graph._middle_cache = []
-        return []
-    e_pos = {pair_: i for i, pair_ in enumerate(graph.edges)}
-    d1_cols = []
-    for (tail, head) in graph.edges:
+    if graph._complex is not None:
+        return graph._complex
+    canon = {pair_: c for c, pair_ in enumerate(graph.edges)}
+    d1 = []
+    for tail, head in graph.edges:
         col = {}
         vt, vh = graph.vertex_of(tail), graph.vertex_of(head)
         col[vh] = col.get(vh, Fraction(0)) + 1
         col[vt] = col.get(vt, Fraction(0)) - 1
-        d1_cols.append({r: v for r, v in col.items() if v})
-    ker1 = kernel_basis(SparseMatrix.from_columns(k, d1_cols))
-    elim = Eliminator()
+        d1.append({r: v for r, v in col.items() if v})
+    d2 = []
     for cyc in graph.boundaries():
         col = {}
         for h in cyc:
-            if h not in graph.pairing:
+            partner = graph.pairing.get(h)
+            if partner is None:
                 continue
-            pair_ = tuple(sorted((h, graph.pairing[h])))
-            idx = e_pos[pair_]
-            direction = 1 if h == pair_[0] else -1
-            col[idx] = col.get(idx, Fraction(0)) + direction
-        elim.add({r: v for r, v in col.items() if v})
+            idx = canon[(min(h, partner), max(h, partner))]
+            col[idx] = col.get(idx, Fraction(0)) + (1 if h < partner else -1)
+        d2.append({r: v for r, v in col.items() if v})
     middle = []
-    for vec in ker1:
-        if elim.add(dict(vec)):
-            middle.append(vec)
-    graph._middle_cache = middle
-    return middle
+    if d1:
+        elim = Eliminator()
+        for col in d2:
+            elim.add(col)
+        for vec in kernel_basis(SparseMatrix.from_columns(len(graph.vertices), d1)):
+            if elim.add(dict(vec)):
+                middle.append(vec)
+    graph._complex = (d1, d2, middle)
+    return graph._complex
 
 
 def compatible_edge_labeling(graph: RibbonGraph, vertex_order, boundary_order):
@@ -677,8 +659,10 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
                  slot_shift: int | None = None) -> CochainTensor:
     """Materialize the graph-sum map as an arity-l tensor up to a weight bound.
 
-    The graph route produces output values directly in the distributed
-    normalization used by the stored tensors, so values are stored as is.
+    Each canonical key stores the graph sum :func:`f_klg` as is, with no
+    ``distribution_sign``: this is the normalization of the one-edge
+    operations, so the (2, 1, 0) and (1, 2, 0) maps with the contraction
+    tensor as propagator equal ``q210`` and ``q120``.
     """
     shift = s.slot_shift if slot_shift is None else slot_shift
     out = CochainTensor(s.basis, l, shift)
@@ -688,18 +672,12 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
         t = sum(combo) - 2 * e
         if l <= t <= weight_bound:
             totals.add(t)
-    seen = set()
     for total in sorted(totals):
         graphs = enumerate_graphs(k, l, g, total)
-        for words in _tuples_of_total(s, total, l):
-            keyed = canonical_key(words, s.basis, shift)
-            if keyed is None or keyed[0] in seen:
-                continue
-            seen.add(keyed[0])
-            val = f_klg(s, propagator, psis, k, l, g, list(keyed[0]),
-                        graphs=graphs)
+        for key, _ in canonical_tuples(s.basis, shift, total, l):
+            val = f_klg(s, propagator, psis, k, l, g, list(key), graphs=graphs)
             if val:
-                out.add(keyed[0], val)
+                out.add(key, val)
     return out
 
 
@@ -739,23 +717,24 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
     the ambient basis, matched by label).  ``kernel`` is the homotopy
     operator's kernel tensor used as the propagator on internal edges; it
     must satisfy the twist symmetry.  The (l, g) entry evaluated on words
-    of total weight n_legs sums over trivalent reduced classes with
-    k = n_legs + 2 l + 4 g - 4 vertices and carries the prefactor
-    (-1)^(k (m-2)) / (l! |Aut|).
+    of total weight n_legs is (-1)^(k (m-2)) times the trivalent graph sum
+    :func:`f_klg` with k = n_legs + 2 l + 4 g - 4 copies of the m2+ cochain,
+    so it carries the prefactor (-1)^(k (m-2)) / (l! |Aut|).  Unlike
+    :func:`f_klg_tensor`, each key stores that value times its
+    ``distribution_sign``, the normalization of the stored twist entries.
     """
     from .dibl import MaurerCartanFamily, distribution_sign
 
-    if check_symmetry:
-        degs = {s.basis.degrees[i] + s.basis.degrees[j] for (i, j) in kernel}
-        if kernel:
-            if len(degs) != 1:
-                raise ValueError("kernel must be degree homogeneous")
-            kdeg = degs.pop()
-            for (i, j), v in kernel.items():
-                tw = -1 if (s.basis.degrees[i] * s.basis.degrees[j]) % 2 else 1
-                sgn = -1 if kdeg % 2 else 1
-                if kernel.get((j, i), Fraction(0)) != sgn * tw * v:
-                    raise ValueError("kernel fails the propagator symmetry")
+    deg = s.basis.degrees
+    kernel_degs = {deg[i] + deg[j] for (i, j), v in kernel.items() if v}
+    kdeg = min(kernel_degs, default=None)
+    if check_symmetry and kernel_degs:
+        from .green import KernelTensor
+
+        if len(kernel_degs) != 1:
+            raise ValueError("kernel must be degree homogeneous")
+        if not KernelTensor(s.basis, kdeg, kernel).is_symmetric_propagator():
+            raise ValueError("kernel fails the propagator symmetry")
 
     amb_index = {lab: i for i, lab in enumerate(s.basis.labels)}
     lift = [amb_index[lab] for lab in harmonic.basis.labels]
@@ -764,12 +743,10 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
     # k vertices and a kernel pair of degree kdeg on each of the e edges,
     # so the legs' letters have degree k * D - e * kdeg.  It applies when
     # the triples and the kernel are each of one degree.
-    deg = s.basis.degrees
     vertex_degs = {sum(deg[x] for x in t) for t in m2p.values}
-    kernel_degs = {deg[i] + deg[j] for (i, j), v in kernel.items() if v}
     law = None
     if len(vertex_degs) == 1 and len(kernel_degs) == 1:
-        law = vertex_degs.pop(), kernel_degs.pop()
+        law = vertex_degs.pop(), kdeg
     entries = {}
     for l in range(1, l_bound + 1):
         for g in range(0, genus_bound + 1):
@@ -794,40 +771,16 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
                 leg_degree = None
                 if law is not None:
                     leg_degree = k * law[0] - (3 * k - total) // 2 * law[1]
-                seen = set()
-                for words in _tuples_of_total(harmonic, total, l):
-                    keyed = canonical_key(words, harmonic.basis,
-                                          harmonic.slot_shift)
-                    if keyed is None or keyed[0] in seen:
-                        continue
-                    seen.add(keyed[0])
-                    ambient_words = [tuple(lift[x] for x in w)
-                                     for w in keyed[0]]
+                for key, _ in canonical_tuples(harmonic.basis,
+                                               harmonic.slot_shift, total, l):
+                    ambient_words = [tuple(lift[x] for x in w) for w in key]
                     if leg_degree is not None and leg_degree != sum(
                             deg[x] for w in ambient_words for x in w):
                         continue
-                    val = Fraction(0)
-                    for graph, aut in graphs:
-                        val += graph_pairing(s, graph, kernel, [m2p] * k,
-                                             ambient_words) / aut
-                    val = val * sgn / math.factorial(l)
+                    val = sgn * f_klg(s, kernel, [m2p] * k, k, l, g,
+                                      ambient_words, graphs)
                     if val:
-                        dist = distribution_sign(harmonic, keyed[0])
-                        ten.add(keyed[0], dist * val)
+                        ten.add(key, distribution_sign(harmonic, key) * val)
             if not ten.is_zero() or (l, g) == (1, 0):
                 entries[(l, g)] = ten
     return MaurerCartanFamily(harmonic, entries)
-
-
-def _tuples_of_total(s, total, slots):
-    from .words import canonical_words
-
-    if slots == 1:
-        if total >= 1:
-            for u in canonical_words(s.basis, total):
-                yield (u,)
-        return
-    for first in range(1, total - slots + 2):
-        for u in canonical_words(s.basis, first):
-            for rest in _tuples_of_total(s, total - first, slots - 1):
-                yield (u,) + rest

@@ -192,6 +192,36 @@ def canonical_key(words: tuple[Word, ...], basis: GradedBasis, slot_shift: int):
     return tuple(words[i] for i in order), sign
 
 
+def canonical_tuples(basis: GradedBasis, slot_shift: int, total: int, slots: int):
+    """Each canonical, slot-ordered tuple of ``slots`` canonical words of
+    the given total weight, once, as ``(key, sign)`` from :func:`canonical_key`.
+
+    The nondecreasing tuples over the canonical words, ordered by (weight,
+    letters), are walked lexicographically.  Each multiset of words is met
+    once, at its least arrangement, so keys come in the order in which a
+    walk over all ordered tuples first reaches them, with that tuple's sign.
+    """
+    weights = range(1, total - slots + 2) if slots > 1 else (total,)
+    by_weight = {w: list(canonical_words(basis, w)) for w in weights}
+
+    def walk(slots, total, least):
+        if slots == 1:
+            for u in by_weight.get(total, ()):
+                if (total, u) >= least:
+                    yield (u,)
+            return
+        for w in range(least[0], total // slots + 1):
+            for u in by_weight[w]:
+                if (w, u) >= least:
+                    for rest in walk(slots - 1, total - w, (w, u)):
+                        yield (u,) + rest
+
+    for words in walk(slots, total, (1, ())):
+        keyed = canonical_key(words, basis, slot_shift)
+        if keyed is not None:
+            yield keyed
+
+
 class CochainTensor:
     """A weight-truncated functional on ``arity``-tuples of cyclic words.
 

@@ -1,8 +1,10 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from cycibl.cli import main
+from cycibl.cli import build_parser, main
 from cycibl import fileio
 from cycibl.models import build_sn
 
@@ -190,3 +192,30 @@ def test_negative_graph_arguments_are_input_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     _one_line_input_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command,bound", [
+    ("pushforward", ["--weight-bound", "0"]),
+    ("pushforward", ["--genus-bound", "-2"]),
+    ("homology", ["--weight-bound", "0"]),
+    ("homology", ["--weight-bound", "-1"]),
+])
+def test_bad_bounds_are_input_errors(tmp_path, capsys, command, bound):
+    path = tmp_path / "s3.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path)] + bound)
+    assert exc.value.code == 2
+    _one_line_input_error(capsys.readouterr().err)
+
+
+def test_every_registered_option_is_read_by_its_handler():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sp in subparsers.choices.items():
+        source = inspect.getsource(sp.get_default("fn"))
+        unread += [(name, action.dest) for action in sp._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and f"args.{action.dest}" not in source]
+    assert not unread

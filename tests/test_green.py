@@ -57,20 +57,56 @@ def test_zero_operator_kernel():
     assert not schwartz_kernel(s, z).entries
 
 
+def _adjointness_cases(s):
+    """Named operators on s: the pipeline stages, m1, the identity, the
+    harmonic projection, the degree-0 composite G1 m1 and the degree -1
+    composite G1 B, with B the identity plus one diagonal unit on a column
+    that G1 does not kill."""
+    g, proj, stages = green_pipeline(s)
+    m1 = m1_operator(s)
+    one = identity_operator(s.basis)
+    cases = [(f"G{i}", op) for i, op in enumerate(stages)]
+    cases += [("m1", m1), ("id", one), ("proj", proj),
+              ("G1 m1", stages[1].compose(m1))]
+    live = [j for j, col in enumerate(stages[1].columns) if col]
+    if live:
+        bump = one.add(LinearOperator(s.basis, 0, [
+            {j: Fraction(1)} if j == live[0] else {} for j in range(len(s.basis))]))
+        cases.append(("G1 B", stages[1].compose(bump)))
+    return proj, cases
+
+
 def test_kernel_symmetry_iff_adjointness():
-    # self-adjointness in the (G3) sense == twist symmetry of the kernel
+    # self-adjointness in the (G3) sense == twist symmetry of the kernel,
+    # and for degree -1 operators == the (G3) entry of check_g_properties
+    models = [random_cyclic_dga(6, seed=seed) for seed in (0, 1, 2, 9)]
+    models += [random_cyclic_dga(8, seed=seed) for seed in range(3)]
+    models += [build_sn(3).structure, build_cpn(2).structure,
+               build_cpn(3).structure]
+    seen = set()
+    for s in models:
+        proj, cases = _adjointness_cases(s)
+        for name, op in cases:
+            selfadj = adjoint(s, op) == op
+            assert selfadj == schwartz_kernel(s, op).is_symmetric_propagator(), \
+                (s.name, name)
+            if op.degree == -1:
+                rep = check_g_properties(s, op, proj)
+                assert rep.results["G3"] == selfadj, (s.name, name)
+                assert ("G3" in rep.witnesses) == (not selfadj), (s.name, name)
+            if name in ("G1", "G2", "G3"):
+                assert selfadj, (s.name, name)  # symmetrized stages
+            seen.add((op.degree == -1, selfadj))
+    # both outcomes occur, among degree -1 operators and among the others
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_g3_witness_is_an_entry_where_g_and_its_adjoint_differ():
     s = random_cyclic_dga(6, seed=9)
-    split = harmonic_splitting(s)
-    g0 = green_build(s, split)
-    g1 = green_symmetrize(s, g0)
-    k1 = schwartz_kernel(s, g1)
-    assert k1.is_symmetric_propagator()
-    rep = check_g_properties(s, g1, harmonic_projection(split))
-    assert rep.results["G3"]
-    # a generically built operator fails both sides together
-    k0 = schwartz_kernel(s, g0)
-    rep0 = check_g_properties(s, g0, harmonic_projection(split))
-    assert rep0.results["G3"] == k0.is_symmetric_propagator()
+    proj, cases = _adjointness_cases(s)
+    op = dict(cases)["G1 B"]
+    (i, j), c = check_g_properties(s, op, proj).witnesses["G3"]
+    assert c == op.columns[j].get(i, 0) - adjoint(s, op).columns[j].get(i, 0) != 0
 
 
 def test_kernel_of_composition_matches_operator_route():

@@ -10,11 +10,12 @@ from cycibl.dibl import (canonical_mc, collection_sign, distribution_sign,
 from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
 from cycibl.ribbon import (Labeling, RibbonGraph, _MuPlusCochain,
-                           _tuples_of_total, enumerate_graphs, f_klg,
-                           f_klg_tensor, graph_pairing, orientation_compatible,
-                           compatible_edge_labeling, pushforward_mc, sigma_L)
-from cycibl.signs import koszul_sign
-from cycibl.words import CochainTensor, canonical_key, canonical_words, dual_word
+                           enumerate_graphs, f_klg, f_klg_tensor, graph_pairing,
+                           orientation_compatible, compatible_edge_labeling,
+                           pushforward_mc, sigma_L)
+from cycibl.signs import GradedBasis, koszul_sign
+from cycibl.words import (CochainTensor, canonical_key, canonical_tuples,
+                          canonical_words, dual_word)
 
 
 def two_vertex_graph(k1, k2):
@@ -600,6 +601,62 @@ def test_mu_plus_pairing_matches_oracle_on_trivalent_trees():
     assert nonzero >= 4, nonzero
 
 
+def oracle_tuples_of_total(basis, total, slots):
+    """Every ordered tuple of ``slots`` canonical words of the given total
+    weight, slot by slot in (weight, letters) order."""
+    if slots == 1:
+        if total >= 1:
+            for u in canonical_words(basis, total):
+                yield (u,)
+        return
+    for first in range(1, total - slots + 2):
+        for u in canonical_words(basis, first):
+            for rest in oracle_tuples_of_total(basis, total - first, slots - 1):
+                yield (u,) + rest
+
+
+def oracle_canonical_tuples(basis, slot_shift, total, slots):
+    """The enumerate-and-dedup walk: each canonical key with the sign of
+    the first ordered tuple that reaches it."""
+    seen = set()
+    for words in oracle_tuples_of_total(basis, total, slots):
+        keyed = canonical_key(words, basis, slot_shift)
+        if keyed is None or keyed[0] in seen:
+            continue
+        seen.add(keyed[0])
+        yield keyed
+
+
+def shuffled_basis(seed, size=6):
+    """A basis whose label order differs from its index order, with
+    degrees drawn from -1 to 3."""
+    rng = random.Random(seed)
+    labels = [chr(ord("a") + i) for i in range(size)]
+    while labels == sorted(labels):
+        rng.shuffle(labels)
+    return GradedBasis(tuple(labels),
+                       tuple(rng.randint(-1, 3) for _ in range(size)))
+
+
+def test_canonical_tuples_match_enumerate_and_dedup_walk():
+    cases = [(b.structure.basis, b.structure.slot_shift, 6)
+             for b in (build_sn(3), build_cpn(2))]
+    cases += [(shuffled_basis(seed), seed % 2, 5) for seed in range(4)]
+    annihilated = negative = 0
+    for basis, shift, top in cases:
+        for slots in (1, 2, 3):
+            for total in range(1, top + 1):
+                got = list(canonical_tuples(basis, shift, total, slots))
+                want = list(oracle_canonical_tuples(basis, shift, total, slots))
+                assert got == want, (basis.labels, shift, slots, total)
+                negative += sum(sign == -1 for _, sign in got)
+                annihilated += sum(canonical_key(words, basis, shift) is None
+                                   for words in oracle_tuples_of_total(
+                                       basis, total, slots))
+    # the signs and the self-annihilating tuples are exercised
+    assert negative and annihilated, (negative, annihilated)
+
+
 def oracle_pushforward_entries(s, harmonic, kernel, weight_bound,
                                genus_bound=0, l_bound=2):
     """``pushforward_mc``'s entries with every word tuple paired against
@@ -622,21 +679,15 @@ def oracle_pushforward_entries(s, harmonic, kernel, weight_bound,
                     ten.weight_bound = total - 1
                     break
                 sgn = Fraction(-1) ** (k * (s.manifold_dim - 2))
-                seen = set()
-                for words in _tuples_of_total(harmonic, total, l):
-                    keyed = canonical_key(words, harmonic.basis,
-                                          harmonic.slot_shift)
-                    if keyed is None or keyed[0] in seen:
-                        continue
-                    seen.add(keyed[0])
-                    ambient = [tuple(lift[x] for x in w) for w in keyed[0]]
+                for key, _ in oracle_canonical_tuples(
+                        harmonic.basis, harmonic.slot_shift, total, l):
+                    ambient = [tuple(lift[x] for x in w) for w in key]
                     val = sum((graph_pairing(s, graph, kernel, [m2p] * k,
                                              ambient) / aut
                                for graph, aut in graphs), Fraction(0))
                     val = val * sgn / math.factorial(l)
                     if val:
-                        ten.add(keyed[0], distribution_sign(harmonic, keyed[0])
-                                * val)
+                        ten.add(key, distribution_sign(harmonic, key) * val)
             if not ten.is_zero() or (l, g) == (1, 0):
                 entries[(l, g)] = ten
     return entries
