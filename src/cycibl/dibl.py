@@ -40,8 +40,8 @@ from fractions import Fraction
 from .algebra import CyclicStructure, dual_b
 from .signs import ZERO
 from .words import (CochainTensor, TruncationError, Word, canonical_key,
-                    canonical_words, canonicalize, dual_word, product_cochain,
-                    rotations, slot_degree)
+                    canonical_words, canonicalize, dual_word, rotations,
+                    slot_degree)
 
 
 def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
@@ -540,12 +540,13 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
     and the coproduct of every generator, and the product of every ordered
     pair of dual words, filled the first time it is used.  General cochains
     are expanded over dual words, which have value 1 on their canonical
-    word.  The arity-2 relations are accumulated as coefficients on
-    symmetric products of dual words (each stored value divided by the
-    nonzero normalization of its key), so a sum vanishes exactly when the
-    tensor it stands for does.  The tables change only the cost: the
-    relations, the instances checked and the witnesses reported are those
-    of evaluating every operation on every instance directly.
+    word.  The arity-2 and arity-3 relations are accumulated as
+    coefficients on symmetric products of dual words (each stored value
+    divided by the nonzero normalization of its key), so a sum vanishes
+    exactly when the tensor it stands for does.  The tables change only
+    the cost: the relations, the instances checked and the witnesses
+    reported are those of evaluating every operation on every instance
+    directly.
 
     Passing ``T`` overrides the contraction tensor (mutation testing).
     """
@@ -591,16 +592,16 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
         for w, x in vec.items():
             add(acc, product(w, v), c * x)
 
-    def add_pair(acc, x, y, c):
-        """acc += c * (symmetric product of the dual words x, y)."""
-        keyed = canonical_key((x, y), basis, shift)
+    def add_sym(acc, words, c):
+        """acc += c * (symmetric product of the dual words in the tuple)."""
+        keyed = canonical_key(words, basis, shift)
         if keyed is not None:
             key, sgn = keyed
             acc[key] = acc.get(key, ZERO) + sgn * c
 
     def add_pairs(acc, vec, y, c):
         for w, x in vec.items():
-            add_pair(acc, w, y, c * x)
+            add_sym(acc, (w, y), c * x)
 
     def partners(u1):
         """Generators u2, in order, with len(u1) + len(u2) <= max_weight."""
@@ -616,13 +617,13 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
         acc = {}
         for v, c in bdry[u].items():
             for c2, a, b in cop[v]:
-                add_pair(acc, a, b, c * c2)
+                add_sym(acc, (a, b), c * c2)
         inv = {}
         for c, x, y in cop[u]:
             add_pairs(acc, bdry[x], y, c)
             sgn = -1 if odd[x] else 1
             for y2, c2 in bdry[y].items():
-                add_pair(acc, x, y2, c * sgn * c2)
+                add_sym(acc, (x, y2), c * sgn * c2)
             add(inv, product(x, y), c)
         check("coproduct coderivation", acc, (u,))
         check("involutivity", inv, (u,))
@@ -660,11 +661,10 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
         acc = {}
         for c, x, y in cop[u]:
             for c2, a, b in cop[x]:
-                add(acc, product_cochain([dual[a], dual[b], dual[y]]).values, c * c2)
+                add_sym(acc, (a, b, y), c * c2)
             sgn = -1 if odd[x] else 1
             for c2, a, b in cop[y]:
-                add(acc, product_cochain([dual[x], dual[a], dual[b]]).values,
-                    c * c2 * sgn)
+                add_sym(acc, (x, a, b), c * c2 * sgn)
         check("co-Jacobi", acc, (u,))
 
     # Drinfeld compatibility: the genus-zero part of extending the product
@@ -676,7 +676,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
             acc = {}
             for w, c in product(u1, u2).items():
                 for c2, a, b in cop[w]:
-                    add_pair(acc, a, b, c * c2)
+                    add_sym(acc, (a, b), c * c2)
             for c, x, y in cop[u1]:
                 px, py = odd[x], odd[y]
                 s1 = -1 if py * p2 else 1

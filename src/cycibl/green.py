@@ -177,9 +177,6 @@ class KernelTensor:
                 return False
         return True
 
-    def sparse(self):
-        return dict(self.entries)
-
 
 def extended_pairing(s: CyclicStructure, w1: list[tuple[tuple[int, ...], Fraction]],
                      w2: list[tuple[tuple[int, ...], Fraction]]) -> Fraction:

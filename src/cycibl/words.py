@@ -272,9 +272,6 @@ class CochainTensor:
         else:
             self.values.pop(key, None)
 
-    def set(self, words, coeff) -> None:
-        self.add(words, Fraction(coeff) - self.eval_tuple(words))
-
     def eval_tuple(self, words) -> Fraction:
         """Evaluate on an ordered tuple of word tensors."""
         if len(words) != self.arity:
@@ -428,11 +425,6 @@ def product_cochain(psis: list[CochainTensor]) -> CochainTensor:
         if total:
             out.values[key] = total
     return out
-
-
-def pair(psi: CochainTensor, words) -> Fraction:
-    """Evaluate a cochain tensor against a product of cyclic words."""
-    return psi.eval_tuple(tuple(tuple(w) for w in words))
 
 
 def completion_needed(reduced_basis: GradedBasis) -> bool:

@@ -1,15 +1,19 @@
+import copy
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from cycibl.algebra import (check_ainfty, check_cyclic_dga, check_mu_plus_cyclic,
-                            classical_b_tensor, classical_rotation,
+from cycibl.algebra import (CyclicStructure, check_ainfty, check_cyclic_dga,
+                            check_mu_plus_cyclic, classical_b_tensor, classical_rotation,
                             conjugated_b_tensor, dual_b, hochschild_b_cyclic,
                             hochschild_b_dga_tensor, hochschild_b_tensor,
                             reduced_membership, unit_cochain)
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga, truncated_polynomial
+from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_words, canonicalize,
                           dual_word)
 
@@ -80,6 +84,123 @@ def test_broken_mu3_detected_at_arity_four():
     rep = check_ainfty(s, 4)
     assert not rep.passed
     assert any("arity 4" in f[0] for f in rep.failures)
+
+
+def test_higher_operation_detected():
+    # mu_3(e1, e1, e1) = e1 on CP^1 breaks the degree law, the cyclicity of
+    # mu_3+ and the A-infinity relations at arities 4 and 5
+    s = build_cpn(1).structure
+    s.mu[3] = {(1, 1, 1): {1: Fraction(1)}}
+    rep = check_cyclic_dga(s)
+    assert not rep.passed
+    names = {f[0] for f in rep.failures}
+    assert {"mu_3 degree", "mu_3+ cyclicity", "A-infinity relation arity 4",
+            "A-infinity relation arity 5"} <= names, names
+    assert rep.checked["A-infinity relation arity 5"] == 2 ** 5
+    assert rep.checked["mu_3+ cyclicity"] == 2 ** 4
+
+
+def test_check_report_counts_instances():
+    s = build_sn(3).structure
+    rep = check_cyclic_dga(s)
+    assert rep.summary() == "all relations hold"
+    assert rep.checked["A-infinity relation arity 3"] == 8
+    assert rep.checked["mu_2+ cyclicity"] == 8
+    assert rep.checked["pairing antisymmetry"] == 4
+    # no pairing, no operation, no unit: nothing to check
+    bare = CyclicStructure("bare", GradedBasis(("x",), (0,)), 3, None, {})
+    rep = check_cyclic_dga(bare)
+    assert rep.passed and not any(rep.checked.values())
+    assert rep.summary() == "no relation instance checked"
+    s.mu[2][(1, 1)] = {1: Fraction(1)}
+    text = check_cyclic_dga(s).summary()
+    assert "instances checked: " in text and "mu_2+ cyclicity 8" in text
+
+
+def _apply(s, k, vectors):
+    """mu_k on vectors, by multilinearity."""
+    out = Counter()
+    for combo in iproduct(*(v.items() for v in vectors)):
+        coeff = math.prod(c for _, c in combo)
+        for o, c in s.mu.get(k, {}).get(tuple(i for i, _ in combo), {}).items():
+            out[o] += coeff * c
+    return {o: c for o, c in out.items() if c}
+
+
+def _comb(*terms):
+    out = Counter()
+    for c, vec in terms:
+        for o, x in vec.items():
+            out[o] += c * x
+    return {o: x for o, x in out.items() if x}
+
+
+def oracle_relation_failures(s):
+    """Failing instances of m1^2 = 0, Leibniz, associativity, m1+ symmetry
+    and m2+ cyclicity, from the formulas of the algebra module docstring,
+    under the family names of check_ainfty and check_mu_plus_cyclic."""
+    n, deg = len(s.basis), s.basis.degrees
+    e = [{i: Fraction(1)} for i in range(n)]
+
+    def m1(v):
+        return _apply(s, 1, [v])
+
+    def m2(v, w):
+        return _apply(s, 2, [v, w])
+
+    def plus(k, letters):
+        return s.pair(_apply(s, k, [e[i] for i in letters[:-1]]), e[letters[-1]])
+
+    def sign(x):
+        return -1 if x % 2 else 1
+
+    fails = set()
+    for i in range(n):
+        if m1(m1(e[i])):
+            fails.add(("A-infinity relation arity 1", (i,)))
+    for i, j in iproduct(range(n), repeat=2):
+        if m1(m2(e[i], e[j])) != _comb((-1, m2(m1(e[i]), e[j])),
+                                       (-sign(deg[i]), m2(e[i], m1(e[j])))):
+            fails.add(("A-infinity relation arity 2", (i, j)))
+        if s.pairing is not None and plus(1, (i, j)) != \
+                sign(deg[i] * deg[j]) * plus(1, (j, i)):
+            fails.add(("mu_1+ cyclicity", (i, j)))
+    for i, j, k in iproduct(range(n), repeat=3):
+        if m2(m2(e[i], e[j]), e[k]) != _comb((sign(deg[i] + 1),
+                                               m2(e[i], m2(e[j], e[k])))):
+            fails.add(("A-infinity relation arity 3", (i, j, k)))
+        if s.pairing is not None and plus(2, (i, j, k)) != \
+                sign(deg[k] * (deg[i] + deg[j])) * plus(2, (k, i, j)):
+            fails.add(("mu_2+ cyclicity", (i, j, k)))
+    return fails
+
+
+def test_relation_checks_match_docstring_oracle():
+    # seeded single-entry sign flips, scalings and deletions of mu_1 and mu_2
+    structures = ([build_sn(n).structure for n in (1, 2, 3, 4)]
+                  + [build_cpn(n).structure for n in (1, 2, 3)]
+                  + [random_cyclic_dga(d, seed=seed)
+                     for d, seed in ((6, 0), (6, 1), (6, 2), (8, 0), (10, 0))])
+    mutants = [(s, k, t, o, kind) for s in structures for k in (1, 2)
+               for t, img in sorted(s.mu.get(k, {}).items()) for o in img
+               for kind in ("flip", "scale", "delete")]
+    rng = random.Random(5)
+    outcomes = Counter()
+    for s in structures + rng.sample(mutants, 120):
+        if not isinstance(s, CyclicStructure):
+            s, k, t, o, kind = s
+            s = copy.deepcopy(s)
+            img = s.mu[k][t]
+            if kind == "delete":
+                del img[o]
+            else:
+                img[o] *= -1 if kind == "flip" else rng.choice((2, Fraction(1, 3), -3))
+        rep = check_cyclic_dga(s)
+        got = {(name, w) for name, w, _, _ in rep.failures
+               if name.startswith("A-infinity") or name.endswith("+ cyclicity")}
+        assert got == oracle_relation_failures(s), s.name
+        outcomes[bool(got)] += 1
+    assert outcomes[True] > 100 and outcomes[False] >= len(structures), outcomes
 
 
 def test_bar_differential_squares_to_zero():

@@ -37,6 +37,18 @@ def test_algebra_check_fails_on_broken_pairing(tmp_path, capsys):
     assert "antisymmetry" in out or "relation" in out
 
 
+def test_algebra_check_fails_on_higher_operation(tmp_path, capsys):
+    path = tmp_path / "cp1.json"
+    run(capsys, "model", "cpn", "--n", "1", "--output", str(path))
+    doc = json.loads(path.read_text())
+    doc["mu"]["3"] = [{"inputs": ["e1", "e1", "e1"], "output": {"e1": "1"}}]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "algebra-check", str(path))
+    assert code == 1
+    assert "mu_3 degree" in out and "mu_3+ cyclicity" in out
+    assert "A-infinity relation arity 5 32" in out
+
+
 def test_empty_basis_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"name": "x", "manifold_dimension": 2,

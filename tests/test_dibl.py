@@ -15,8 +15,8 @@ from cycibl.dibl import (MaurerCartanFamily, canonical_mc, circ1, collection_sig
 from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
                            random_cyclic_dga)
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
-                          canonical_words, canonicalize, dual_word, pair,
-                          product_cochain, rotations, slot_degree)
+                          canonical_words, canonicalize, dual_word, product_cochain,
+                          rotations, slot_degree)
 
 
 def wdual(s, letters, bound=None):

@@ -10,12 +10,16 @@ A module-level function, class or constant of ``src/cycibl`` counts as used
 when some Python file under ``src/``, ``tests/``, ``scripts/`` or
 ``perfbench/`` refers to it apart from its own definition: as a loaded
 name, an attribute, an imported name, or a string naming it (the benchmark
-tracer wraps functions by name, e.g. ``"Eliminator.reduce"``).
+tracer wraps functions by name, e.g. ``"Eliminator.reduce"``).  A method
+of a package class counts as used when some searched file refers to it as
+an attribute or names it in a string; dunders and overrides of a method of
+a base class (``_Parser.error``) are exempt.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,36 +36,64 @@ def _definitions(tree: ast.Module) -> list[str]:
             names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not _is_dunder(n)]
 
 
-def _references(tree: ast.AST) -> set[str]:
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _references(tree: ast.AST, names: bool = True) -> set[str]:
+    """Attributes and strings naming identifiers; with ``names`` also
+    loaded and imported names."""
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             refs.add(node.attr)
-        elif isinstance(node, ast.alias):
-            refs.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(p.isidentifier() for p in parts):
                 refs.update(parts)
+        elif names and isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif names and isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+    return refs
+
+
+def _searched_references(names: bool = True) -> set[str]:
+    refs: set[str] = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            refs |= _references(ast.parse(path.read_text(), str(path)), names)
     return refs
 
 
 def test_no_unreferenced_module_level_definitions():
-    refs: set[str] = set()
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            refs |= _references(ast.parse(path.read_text(), str(path)))
+    refs = _searched_references()
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         dead.extend(f"{path.stem}.{name}" for name in _definitions(tree)
                     if name not in refs)
     assert not dead, "unreferenced module-level definitions: " + ", ".join(dead)
+
+
+def test_no_unreferenced_methods():
+    refs = _searched_references(names=False)
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"cycibl.{path.stem}")
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _is_dunder(item.name) and item.name not in refs
+                        and not any(hasattr(b, item.name) for b in bases)):
+                    dead.append(f"{path.stem}.{node.name}.{item.name}")
+    assert not dead, "unreferenced methods: " + ", ".join(dead)
 
 
 def _scope_imports(scope: ast.AST):

@@ -10,7 +10,7 @@ from cycibl.models import build_cpn, build_sn, random_cyclic_dga
 from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
                           canonical_words, canonicalize, completion_needed,
-                          dual_word, pair, product_cochain, rotate,
+                          dual_word, product_cochain, rotate,
                           rotation_sign, rotations, section_iota)
 
 S2 = GradedBasis(("1", "w"), (-1, 1))   # volume letter of odd shifted degree
@@ -125,9 +125,9 @@ def test_product_cochain_symmetrization():
     psi1 = dual_word(S3, (0,), slot_shift=0)
     psi2 = dual_word(S3, (1, 1), slot_shift=0)
     prod = product_cochain([psi1, psi2])
-    assert pair(prod, [(0,), (1, 1)]) == Fraction(1, 2)
-    assert pair(prod, [(1, 1), (0,)]) != 0
-    assert pair(prod, [(0,), (1, 1, 1)]) == 0
+    assert prod.eval_tuple(((0,), (1, 1))) == Fraction(1, 2)
+    assert prod.eval_tuple(((1, 1), (0,))) != 0
+    assert prod.eval_tuple(((0,), (1, 1, 1))) == 0
     # distinct words: the product of their duals, evaluated in factor
     # order, is 1/k! (one matching survives, with sign +1)
     for basis in (S3, CP2):
@@ -136,8 +136,20 @@ def test_product_cochain_symmetrization():
             for k in (2, 3):
                 for combo in itertools.permutations(words, k):
                     duals = [dual_word(basis, u, slot_shift=shift) for u in combo]
-                    assert pair(product_cochain(duals), combo) == \
+                    assert product_cochain(duals).eval_tuple(combo) == \
                         Fraction(1, math.factorial(k)), (basis, shift, combo)
+    # three duals, repeated words included: sign * |Stab| / 3! on the
+    # canonical key of the triple, |Stab| the product of the factorials of
+    # the multiplicities (the co-Jacobi relation accumulates on these keys)
+    for basis in (S2, S3, CP2):
+        words = [u for w in (1, 2) for u in canonical_words(basis, w)]
+        for shift in (0, 1):
+            for combo in itertools.product(words, repeat=3):
+                duals = [dual_word(basis, u, slot_shift=shift) for u in combo]
+                keyed = canonical_key(combo, basis, shift)
+                stab = math.prod(math.factorial(combo.count(u)) for u in set(combo))
+                want = {} if keyed is None else {keyed[0]: keyed[1] * Fraction(stab, 6)}
+                assert product_cochain(duals).values == want, (basis, shift, combo)
 
 
 def test_cochain_flip_symmetry():
