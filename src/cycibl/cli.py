@@ -25,6 +25,8 @@ def _emit(text: str, output: str | None):
 def cmd_algebra_check(args) -> int:
     s = fileio.structure_from_dict(load_json(args.file))
     rep = check_cyclic_dga(s)
+    if not any(rep.checked.values()):
+        raise InputError("no relation instance checked")
     _emit(rep.summary() + "\n", args.output)
     return 0 if rep.passed else 1
 

@@ -231,68 +231,6 @@ def schwartz_kernel(s: CyclicStructure, L: LinearOperator) -> KernelTensor:
     return KernelTensor(s.basis, pdeg + L.degree, entries)
 
 
-def operator_from_kernel(s: CyclicStructure, K: KernelTensor) -> LinearOperator:
-    """Inverse of :func:`schwartz_kernel`: recover L from P(L w1, w2) = P(K, w1 w2)."""
-    # P(K, e_r ⊗ e_c) determines P(L e_r, e_c) for all r, c; expand L e_r in
-    # the basis through the dual basis.
-    n = len(s.basis)
-    deg = s.basis.degrees
-    ldeg = K.degree - pairing_degree(s)
-    dual = s.dual_basis()
-    cols: list[Vector] = [dict() for _ in range(n)]
-    for r in range(n):
-        # P(L e_r, e_c) = sum_{ij} K^{ij} (-1)^(|e_j| |e_r|) P(e_i,e_r) P(e_j,e_c)
-        img: Vector = {}
-        for c in range(n):
-            val = Fraction(0)
-            for (i, j), v in K.entries.items():
-                pir = s.pairing[i][r]
-                if not pir:
-                    continue
-                pjc = s.pairing[j][c]
-                if not pjc:
-                    continue
-                sgn = -1 if (deg[j] % 2) and (deg[r] % 2) else 1
-                val += sgn * v * pir * pjc
-            if val:
-                img[c] = val
-        # expand through the left duals, P(e^c, e_c') = _dual_sign(c) delta
-        cols[r] = _expand({c: _dual_sign(s, c) * val for c, val in img.items()},
-                          dual, 0)
-    return LinearOperator(s.basis, ldeg, cols)
-
-
-def kernel_of_composition(s: CyclicStructure, K1: KernelTensor,
-                          K2: KernelTensor) -> KernelTensor:
-    """Kernel of L1 ∘ L2 by contracting K2 ⊗ K1 along the middle pairing:
-
-        K^{il} = sum_{jk} (-1)^e A^{ij} P(e_j, e_k) B^{kl},
-        e = 1 + (m + |L1|) |L2| + m + m |e_i|,
-
-    where A is the kernel of L2 and B that of L1.
-    """
-    m = s.manifold_dim
-    deg = s.basis.degrees
-    degL2 = K2.degree - pairing_degree(s)
-    degL1 = K1.degree - pairing_degree(s)
-    A, B = K2.entries, K1.entries
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), a in A.items():
-        for (k, l), b in B.items():
-            p = s.pairing[j][k]
-            if not p:
-                continue
-            e = (1 + (m + degL1) * degL2 + m + m * deg[i]) % 2
-            term = a * p * b
-            key = (i, l)
-            new = out.get(key, Fraction(0)) + (-term if e else term)
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return KernelTensor(s.basis, K1.degree + K2.degree - pairing_degree(s), out)
-
-
 # ---------------------------------------------------------------------------
 # harmonic splitting and the pipeline
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ lowering weight by at most one.
 
 from __future__ import annotations
 
-from .algebra import CyclicStructure, hochschild_b_cyclic
+from .algebra import CyclicStructure, hochschild_b_cyclic, integral_multiple
 from .dibl import MaurerCartanFamily, mu_from_mc
 from .linalg import HomologyReport, graded_homology
 from .words import canonical_words
@@ -43,14 +43,17 @@ def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
                             top_weight: int, reduced: bool = False,
                             index=None):
     """The dual (twisted) boundary as a transpose of the primal bar
-    differential: word u maps to the dict of words v with the coefficient
-    of u in b(v).
+    differential, scaled to integers: word u maps to the dict of words v
+    with the coefficient of u in D·b(v), an int.
 
-    The twisted boundary is the dual bar differential of the family induced
-    by the one-output entry, so one cheap primal sweep over all words of
-    weight up to ``top_weight`` assembles every column at once.  A caller
-    that already holds the word index of ``top_weight`` passes it as
-    ``index``.
+    D is the least positive integer making the structure constants of the
+    (twisted) family integral (:func:`~cycibl.algebra.integral_multiple`);
+    it is 1 for the sphere and projective models.  D·b has the kernels,
+    images and filtered dimensions of b.  The twisted boundary is the dual
+    bar differential of the family induced by the one-output entry, so one
+    cheap primal sweep over all words of weight up to ``top_weight``
+    assembles every column at once.  A caller that already holds the word
+    index of ``top_weight`` passes it as ``index``.
     """
     if pmc is None:
         amb = s
@@ -61,6 +64,7 @@ def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
                 "twist entry is truncated below the homology range")
         top_arity = max(e10.weights(), default=2) - 1
         amb = mu_from_mc(s, e10, max(2, top_arity))
+    _, amb = integral_multiple(amb)
     if index is None:
         index = _word_index(s, top_weight, reduced)
     table: dict = {}
@@ -105,8 +109,11 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     """Homology of the primal cyclic bar complex, weights <= bound.
 
     The bar differential raises the degree grading by one and lowers weight
-    by at most one; the truncation is a subcomplex.
+    by at most one; the truncation is a subcomplex.  It is taken with
+    integral structure constants (:func:`~cycibl.algebra.integral_multiple`),
+    which scales it without changing its homology or representatives.
     """
+    _, integral = integral_multiple(s)
     by_degree = _by_degree(s, _word_index(s, weight_bound, reduced),
                            weight_bound)
     if degrees is None:
@@ -118,7 +125,7 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     def diff_fn(key):
         w, u = key
         out = {}
-        for v, c in hochschild_b_cyclic(s, u).items():
+        for v, c in hochschild_b_cyclic(integral, u).items():
             if reduced and s.unit is not None and s.unit in v:
                 continue
             out[(len(v), v)] = c

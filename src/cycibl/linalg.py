@@ -16,10 +16,17 @@ solves, inverts, ranks and takes determinant signs through it:
 * ``graded_homology`` -- weight-graded homology of a weight-filtered
   complex.
 
-Entries are ``Fraction``s, so elimination is exact by construction.  The
-homology engine works per degree on a weight-filtered complex whose
+Entries are ints or ``Fraction``s, never floats, so elimination is exact
+by construction; int input stays int under pivots of lead ±1, and only
+other leads bring in ``Fraction(1, lead)``.  ``rref``, ``kernel_basis``,
+``image_basis`` and ``solve`` return ``Fraction``s all the same.  The
+homology callers scale a bar differential b, linear in the structure
+constants, to the integral D·b: it has the kernels, images and
+reduced-echelon kernel vectors of b, and (D·b)² = D²·b².
+
+The homology engine works per degree on a weight-filtered complex whose
 differential shifts weight by 0 or +1 (dual side) or by 0 or -1 (primal
-side), and eliminates each degree once: one ``kernel_basis`` of the
+side), and eliminates each degree once: one kernel basis of the
 differential and one ``Eliminator`` over the incoming image give the
 dimensions of every filtration level, from the rank identity
 
@@ -38,7 +45,7 @@ from .signs import koszul_sign
 
 
 class SparseMatrix:
-    """Rows stored as dicts ``col -> Fraction``."""
+    """Rows stored as dicts ``col -> int or Fraction``."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -62,13 +69,11 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, nrows, columns):
-        # fresh copies even of Fractions: sharing the callers' long-lived
-        # values raises the peak memory of homology runs
         mat = cls(nrows, len(columns))
         for c, col in enumerate(columns):
             for r, v in col.items():
                 if v:
-                    mat.rows[r][c] = Fraction(v)
+                    mat.rows[r][c] = v
         return mat
 
     def transpose(self) -> "SparseMatrix":
@@ -97,33 +102,61 @@ def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     pivot is the bucket's row with the fewest entries, the earliest in the
     input on ties.
     """
+    rows, pivots = _echelon(mat)
+    return [_fractions(row) for row in rows], pivots
+
+
+def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
+    """:func:`rref` with int entries left as ints.  A new pivot is
+    subtracted only from the earlier pivot rows that ``holders`` lists under
+    its lead column: those that took an entry there (it may have cancelled).
+    """
     by_lead: dict[int, list[tuple[int, dict]]] = {}
     for i, r in enumerate(mat.rows):
         if r:
             by_lead.setdefault(min(r), []).append((i, dict(r)))
     pivots: list[int] = []
     out: list[dict] = []
+    holders: dict[int, list[dict]] = {}
     while by_lead:
         lead = min(by_lead)
         bucket = by_lead.pop(lead)
         entry = min(bucket, key=lambda e: (len(e[1]), e[0]))
         bucket.remove(entry)
-        pivot = entry[1]
-        inv = 1 / pivot[lead]
-        pivot = {c: v * inv for c, v in pivot.items()}
+        pivot = _unit_lead(entry[1], lead)
         tail = [(c, v) for c, v in pivot.items() if c != lead]
-        for prev in out:
+        for prev in holders.pop(lead, ()):
             f = prev.pop(lead, None)
             if f is not None:
                 _subtract(prev, f, tail)
+                for c, _ in tail:
+                    holders.setdefault(c, []).append(prev)
         for i, r in bucket:
             _subtract(r, r.pop(lead), tail)
             if r:
                 by_lead.setdefault(min(r), []).append((i, r))
+        for c, _ in tail:
+            holders.setdefault(c, []).append(pivot)
         out.append(pivot)
         pivots.append(lead)
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
     return [out[i] for i in order], [pivots[i] for i in order]
+
+
+def _unit_lead(row: dict, lead: int) -> dict:
+    """``row`` scaled to lead coefficient 1: kept for a lead of 1, negated
+    for -1 (ints stay ints), else multiplied by ``Fraction(1, lead)``."""
+    p = row[lead]
+    if p == 1:
+        return row
+    if p == -1:
+        return {c: -v for c, v in row.items()}
+    inv = Fraction(1, p)
+    return {c: v * inv for c, v in row.items()}
+
+
+def _fractions(vec: dict) -> dict:
+    return {c: Fraction(v) for c, v in vec.items()}
 
 
 def _subtract(row: dict, f: Fraction, items) -> None:
@@ -142,17 +175,20 @@ def _subtract(row: dict, f: Fraction, items) -> None:
 
 
 def rank(mat: SparseMatrix) -> int:
-    return len(rref(mat)[1])
+    return len(_echelon(mat)[1])
 
 
 def kernel_basis(mat: SparseMatrix) -> list[dict]:
-    """Vectors v (dicts over columns) with M v = 0, in reduced echelon form.
+    """Vectors v (dicts over columns) with M v = 0, in reduced echelon form."""
+    return [_fractions(vec) for vec in _kernel(mat)]
 
-    Every entry of a reduced row off its pivot sits in a free column, so one
-    pass over the rows fills in every kernel vector.
-    """
-    rows, pivots = rref(mat)
-    basis = {c: {c: Fraction(1)} for c in range(mat.ncols)}
+
+def _kernel(mat: SparseMatrix) -> list[dict]:
+    """:func:`kernel_basis` with int entries left as ints.  Every entry of a
+    reduced row off its pivot sits in a free column, so one pass over the
+    rows fills in every kernel vector."""
+    rows, pivots = _echelon(mat)
+    basis = {c: {c: 1} for c in range(mat.ncols)}
     for p in pivots:
         del basis[p]
     for row, p in zip(rows, pivots):
@@ -227,8 +263,7 @@ class Eliminator:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        vec = {c: v if type(v) is Fraction else Fraction(v)
-               for c, v in vec.items() if v}
+        vec = {c: v for c, v in vec.items() if v}
         rows = self.rows
         while vec:
             lead = min(vec)
@@ -244,8 +279,7 @@ class Eliminator:
         if not red:
             return False
         lead = min(red)
-        inv = 1 / red[lead]
-        self.rows[lead] = {c: v * inv for c, v in red.items()}
+        self.rows[lead] = _unit_lead(red, lead)
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -298,13 +332,14 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
 
     ``basis_fn(degree)`` lists basis keys ``(weight, payload)`` of that
     degree with weight between 1 and the bound.  ``diff_fn(key)`` gives the
-    differential of a basis vector as a dict ``key -> coeff``; it must be
-    the untruncated differential, so on the dual side it may reach weight
-    ``weight_bound + 1`` (such targets are kept as phantom coordinates and
-    closedness is decided against them).  ``degree_step`` is the degree
-    shift of the differential; ``weight_step`` (+1 dual side, -1 primal
-    side) is the direction in which it may move weight besides preserving
-    it.  Weights up to ``weight_bound - 1`` are certified stable.
+    differential of a basis vector as a dict ``key -> coeff`` (ints or
+    ``Fraction``s); it must be the untruncated differential, so on the dual
+    side it may reach weight ``weight_bound + 1`` (such targets are kept as
+    phantom coordinates and closedness is decided against them).
+    ``degree_step`` is the degree shift of the differential; ``weight_step``
+    (+1 dual side, -1 primal side) is the direction in which it may move
+    weight besides preserving it.  Weights up to ``weight_bound - 1`` are
+    certified stable; ``reps`` are ``Fraction``-valued.
     """
     if weight_step not in (1, -1):
         raise ValueError("weight_step must be +1 or -1")
@@ -313,7 +348,7 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
 
     def diff(key):
         if key not in diff_cache:
-            img = {k: Fraction(v) for k, v in diff_fn(key).items() if v}
+            img = {k: v for k, v in diff_fn(key).items() if v}
             for tgt in img:
                 lo, hi = sorted((key[0], key[0] + weight_step))
                 if not (lo <= tgt[0] <= hi):
@@ -332,7 +367,7 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
                 acc: dict = {}
                 for mid, c in diff(key).items():
                     for out, c2 in diff(mid).items():
-                        new = acc.get(out, Fraction(0)) + c * c2
+                        new = acc.get(out, 0) + c * c2
                         if new:
                             acc[out] = new
                         else:
@@ -347,7 +382,7 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
         coord_t: dict = {}
         cols = [{coord_t.setdefault(t, len(coord_t)): c
                  for t, c in diff(key).items()} for key in src]
-        kernel = kernel_basis(SparseMatrix.from_columns(len(coord_t), cols))
+        kernel = _kernel(SparseMatrix.from_columns(len(coord_t), cols))
 
         # Image: coordinates count down from the deepest key (len(src) - 1)
         # to the outermost one (0) and on to the phantom targets beyond the
@@ -383,7 +418,7 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
         for vec in kernel:
             if elim.add({top - i: c for i, c in vec.items()}):
                 reps[src[max(vec)][0]].append(
-                    {src[i]: c for i, c in vec.items()})
+                    {src[i]: Fraction(c) for i, c in vec.items()})
 
         for w in weights:
             report.dims[(d, w)] = dims[w]

@@ -100,6 +100,56 @@ def test_higher_operation_detected():
     assert rep.checked["mu_3+ cyclicity"] == 2 ** 4
 
 
+def oracle_ainfty(s, max_arity):
+    """check_ainfty's (failures, checked) from a walk over all n^k basis
+    tuples of each arity, every composition looked up in the tables."""
+    fails, checked = [], {}
+    deg, arities, n = s.basis.degrees, s.arities(), len(s.basis)
+    for k in range(1, max_arity + 1):
+        pairs = [(k + 1 - k2, k2) for k2 in arities if k + 1 - k2 in arities]
+        if not pairs:
+            continue
+        name = f"A-infinity relation arity {k}"
+        checked[name] = n ** k
+        for letters in iproduct(range(n), repeat=k):
+            acc = Counter()
+            for k1, k2 in pairs:
+                for p in range(k1):
+                    inner = s.mu_apply(k2, letters[p:p + k2])
+                    sgn = -1 if sum(deg[i] for i in letters[:p]) % 2 else 1
+                    for mid, c in inner.items():
+                        outer = letters[:p] + (mid,) + letters[p + k2:]
+                        for o, c2 in s.mu_apply(k1, outer).items():
+                            acc[o] += sgn * c * c2
+            acc = tuple(sorted((o, c) for o, c in acc.items() if c))
+            if acc:
+                fails.append((name, letters, acc, ()))
+    return fails, checked
+
+
+def test_ainfty_check_matches_tuple_walk():
+    # random 6-letter algebras with added mu_3 / mu_4 entries, and an
+    # unmodified one; the mu_4 case walks 6^7 tuples in the oracle
+    third = Fraction(1, 3)
+    cases = []
+    for seed, extra in ((0, {(1, 2, 0): {5: third}}),
+                        (1, {(3, 1, 0): {0: third}, (3, 4, 2): {0: -2 * third}}),
+                        (2, {(0, 4, 2, 2): {1: third}}), (3, {})):
+        s = random_cyclic_dga(6, seed=seed)
+        for t, img in extra.items():
+            s.mu.setdefault(len(t), {})[t] = img
+        cases.append((s, 2 * max(s.arities()) - 1))
+    cases.append((build_cpn(2).structure, 5))
+    failing = 0
+    for s, top in cases:
+        rep = check_ainfty(s, top)
+        want_fails, want_checked = oracle_ainfty(s, top)
+        assert rep.failures == want_fails, s.name
+        assert rep.checked == want_checked, s.name
+        failing += bool(want_fails)
+    assert failing == 3
+
+
 def test_check_report_counts_instances():
     s = build_sn(3).structure
     rep = check_cyclic_dga(s)

@@ -49,6 +49,17 @@ def test_algebra_check_fails_on_higher_operation(tmp_path, capsys):
     assert "A-infinity relation arity 5 32" in out
 
 
+def test_vacuous_algebra_check_is_input_error(tmp_path, capsys):
+    # no pairing, no operation, no unit: no relation instance to check
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"name": "bare", "manifold_dimension": 3,
+                                "basis": [{"label": "x", "shifted_degree": 0}],
+                                "mu": {}}))
+    code, out, err = run(capsys, "algebra-check", str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: no relation instance checked\n"
+
+
 def test_empty_basis_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"name": "x", "manifold_dimension": 2,

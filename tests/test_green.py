@@ -2,15 +2,77 @@ from fractions import Fraction
 
 import pytest
 
-from cycibl.green import (GreenReport, KernelTensor, LinearOperator, adjoint,
-                          check_g_properties, gdg_rewriting_holds, green_build,
-                          green_gdg, green_pipeline, green_project,
-                          green_symmetrize, harmonic_projection,
-                          harmonic_splitting, identity_operator,
-                          kernel_of_composition, m1_operator,
-                          operator_from_kernel, pairing_degree,
+from cycibl.green import (GreenReport, KernelTensor, LinearOperator, _dual_sign,
+                          _expand, adjoint, check_g_properties,
+                          gdg_rewriting_holds, green_build, green_gdg,
+                          green_pipeline, green_project, green_symmetrize,
+                          harmonic_projection, harmonic_splitting,
+                          identity_operator, m1_operator, pairing_degree,
                           schwartz_kernel, extended_pairing)
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
+
+
+# -- test-side routes: an operator from its kernel, the kernel of a composite
+
+def operator_from_kernel(s, K):
+    """Inverse of :func:`schwartz_kernel`: recover L from P(L w1, w2) = P(K, w1 w2)."""
+    # P(K, e_r ⊗ e_c) determines P(L e_r, e_c) for all r, c; expand L e_r in
+    # the basis through the dual basis.
+    n = len(s.basis)
+    deg = s.basis.degrees
+    ldeg = K.degree - pairing_degree(s)
+    dual = s.dual_basis()
+    cols = [dict() for _ in range(n)]
+    for r in range(n):
+        # P(L e_r, e_c) = sum_{ij} K^{ij} (-1)^(|e_j| |e_r|) P(e_i,e_r) P(e_j,e_c)
+        img = {}
+        for c in range(n):
+            val = Fraction(0)
+            for (i, j), v in K.entries.items():
+                pir = s.pairing[i][r]
+                if not pir:
+                    continue
+                pjc = s.pairing[j][c]
+                if not pjc:
+                    continue
+                sgn = -1 if (deg[j] % 2) and (deg[r] % 2) else 1
+                val += sgn * v * pir * pjc
+            if val:
+                img[c] = val
+        # expand through the left duals, P(e^c, e_c') = _dual_sign(c) delta
+        cols[r] = _expand({c: _dual_sign(s, c) * val for c, val in img.items()},
+                          dual, 0)
+    return LinearOperator(s.basis, ldeg, cols)
+
+
+def kernel_of_composition(s, K1, K2):
+    """Kernel of L1 ∘ L2 by contracting K2 ⊗ K1 along the middle pairing:
+
+        K^{il} = sum_{jk} (-1)^e A^{ij} P(e_j, e_k) B^{kl},
+        e = 1 + (m + |L1|) |L2| + m + m |e_i|,
+
+    where A is the kernel of L2 and B that of L1.
+    """
+    m = s.manifold_dim
+    deg = s.basis.degrees
+    degL2 = K2.degree - pairing_degree(s)
+    degL1 = K1.degree - pairing_degree(s)
+    A, B = K2.entries, K1.entries
+    out = {}
+    for (i, j), a in A.items():
+        for (k, l), b in B.items():
+            p = s.pairing[j][k]
+            if not p:
+                continue
+            e = (1 + (m + degL1) * degL2 + m + m * deg[i]) % 2
+            term = a * p * b
+            key = (i, l)
+            new = out.get(key, Fraction(0)) + (-term if e else term)
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+    return KernelTensor(s.basis, K1.degree + K2.degree - pairing_degree(s), out)
 
 
 def test_extended_pairing_base_cases():

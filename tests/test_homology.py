@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cycibl.algebra import CyclicStructure
-from cycibl.dibl import canonical_mc, twisted_q110
+from cycibl.algebra import CyclicStructure, hochschild_b_cyclic, integral_multiple
+from cycibl.dibl import canonical_mc, mu_from_mc, twisted_q110
 from cycibl.homology import chain_homology, cochain_homology, degree_window
 from cycibl.linalg import (Eliminator, SparseMatrix, SquareZeroError,
                            det_sign, graded_homology, image_basis,
@@ -234,6 +234,35 @@ def test_elimination_matches_rescanning_oracles():
     assert {shape for shape, _ in seen} == set(SHAPES) | {"singular"}
     assert ("singular", True) in seen and ("singular", False) in seen
     assert any(deficient for shape, deficient in seen if shape != "singular")
+
+
+def test_elimination_never_yields_floats():
+    # int matrices with some Fraction entries: leads of ±1, ±2 and ±3/2 all
+    # occur, and no route divides one int by another
+    rng = random.Random(3)
+    leads = set()
+    for trial in range(40):
+        nrows, ncols = rng.randint(3, 7), rng.randint(3, 7)
+        rows = [{c: rng.choice((1, -1, 2, -2, 3, Fraction(3, 2), Fraction(-3, 2)))
+                 for c in range(ncols) if rng.random() < 0.5} for _ in range(nrows)]
+        mat = SparseMatrix(nrows, ncols, rows)
+        cols = [dict(col) for col in mat.transpose().rows]
+        echelon, _ = rref(mat)
+        public = echelon + kernel_basis(mat) + image_basis(mat)
+        public += [sol for sol in solve(cols, [rows[0], {0: 1}]) if sol is not None]
+        assert all(type(v) is Fraction for vec in public for v in vec.values())
+        if nrows == ncols:
+            assert type(det_sign(cols)) is int
+        elim = Eliminator()
+        for vec in rows + cols:
+            red = elim.reduce(vec)
+            if red:
+                leads.add(red[min(red)])
+            assert all(type(v) in (int, Fraction) for v in red.values())
+            elim.add(vec)
+        assert all(type(v) in (int, Fraction)
+                   for row in elim.rows.values() for v in row.values())
+    assert {2, -2, Fraction(3, 2), Fraction(-3, 2)} <= leads
 
 
 def _dense_det(cols, n):
@@ -484,6 +513,61 @@ def test_reports_deterministic():
     r2 = cochain_homology(s, mc, weight_bound=6, reduced=True)
     assert r1.dims == r2.dims
     assert r1.reps == r2.reps
+
+
+def _fraction_table_homology(s, pmc, weight_bound, chain):
+    """The homology route of ``cochain_homology`` / ``chain_homology`` on the
+    unscaled ``Fraction`` structure constants: no integral multiple."""
+    amb = s
+    if pmc is not None:
+        e10 = pmc.entry(1, 0)
+        amb = mu_from_mc(s, e10, max(2, max(e10.weights(), default=2) - 1))
+    top = weight_bound if chain else weight_bound + 2
+    words = [(w, u) for w in range(1, top + 1) for u in canonical_words(s.basis, w)]
+    by_degree = {}
+    for w, u in words:
+        if w <= weight_bound:
+            by_degree.setdefault(s.basis.word_degree(u), []).append((w, u))
+    table = {}
+    for _, v in words:
+        for u, c in hochschild_b_cyclic(amb, v).items():
+            assert type(c) is Fraction
+            if chain:
+                table.setdefault(v, {})[(len(u), u)] = c
+            else:
+                table.setdefault(u, {})[(len(v), v)] = c
+    return graded_homology(lambda d: list(by_degree.get(d, [])),
+                           lambda key: table.get(key[1], {}),
+                           sorted(by_degree), weight_bound,
+                           weight_step=-1 if chain else 1,
+                           degree_step=1 if chain else -1)
+
+
+def test_integral_tables_match_fraction_tables():
+    # S^3 and CP^2 have integral structure constants; the random 10-letter
+    # algebra has entries ±3/2, so its tables are scaled by D = 2
+    r10 = random_cyclic_dga(10, seed=0)
+    assert integral_multiple(build_sn(3).structure)[0] == 1
+    D, scaled = integral_multiple(r10)
+    assert D == 2 and scaled.mu == {
+        k: {t: {o: 2 * c for o, c in img.items()} for t, img in table.items()}
+        for k, table in r10.mu.items()}
+    assert all(type(c) is int for table in scaled.mu.values()
+               for img in table.values() for c in img.values())
+    cases = [(build_sn(3).structure, True, 6), (build_cpn(2).structure, True, 5),
+             (r10, False, 3)]
+    for s, twist, bound in cases:
+        pmc = canonical_mc(s) if twist else None
+        reports = {"cochain": cochain_homology(s, pmc, bound),
+                   "chain": chain_homology(s, bound)}
+        for side, rep in reports.items():
+            want = _fraction_table_homology(s, pmc, bound, side == "chain")
+            assert rep.dims == want.dims and rep.stable == want.stable, (s.name, side)
+            # repr pins values, key order and the Fraction type of every entry
+            assert repr(rep.reps) == repr(want.reps), (s.name, side)
+            assert all(type(c) is Fraction for vecs in rep.reps.values()
+                       for vec in vecs for c in vec.values())
+            assert any(rep.reps.values())
 
 
 @pytest.mark.xfail(strict=True, reason=(
