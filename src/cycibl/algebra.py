@@ -57,6 +57,7 @@ class CyclicStructure:
     unit: int | None = None
     augmentation: Vector | None = None
     _dual: list[Vector] | None = field(default=None, repr=False)
+    _t_tensor: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mu = {k: {t: c for t, v in table.items() if (c := _clean(v))}
@@ -348,12 +349,14 @@ def _add_into(acc: Tensor, w: Word, c: Fraction) -> None:
             del acc[w]
 
 
-def hochschild_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
+def hochschild_b_tensor(s: CyclicStructure, letters: Word,
+                        arities: list[int] | None = None) -> Tensor:
     """The full bar differential b = b' + R on a plain tensor word.
 
     b'^k sums t^i ∘ (mu_j ⊗ id) ∘ t^{-i} over j = 1..k, i = 0..k-j; the
     remainder R^k sums (mu_j ⊗ id) ∘ t^i over j and i = 1..j-1.  Rotation
-    signs come from the prefix degree sums of the word.
+    signs come from the prefix degree sums of the word.  ``arities`` is
+    ``s.arities()``, passed in by callers that sweep many words.
     """
     letters = tuple(letters)
     k = len(letters)
@@ -363,9 +366,9 @@ def hochschild_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
         prefix.append(prefix[-1] + deg[x])
     total = prefix[k]
     acc: Tensor = {}
-    for j in s.arities():
+    for j in s.arities() if arities is None else arities:
         if j > k:
-            continue
+            break
         table = s.mu[j]
         # b' part: t^{-i} = t^{k-i} brings letters[i:] to the front, mu_j
         # acts on letters[i:i+j], and t^i moves letters[:i] back in front
@@ -391,39 +394,29 @@ def hochschild_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
     return acc
 
 
-def hochschild_b_dga_tensor(s: CyclicStructure, letters: Word) -> Tensor:
-    """Closed-form bar differential of a dg algebra on a cyclic generating word.
-
-    Independent route used as an oracle against :func:`hochschild_b_tensor`
-    restricted to the cyclic quotient.
-    """
-    letters = tuple(letters)
-    k = len(letters)
-    deg = s.basis.degrees
-    acc: Tensor = {}
-    for i in range(k):
-        sgn = -1 if sum(deg[x] for x in letters[:i]) % 2 else 1
-        for mid, c in s.mu_apply(1, (letters[i],)).items():
-            _add_into(acc, letters[:i] + (mid,) + letters[i + 1:], sgn * c)
-    for i in range(k - 1):
-        sgn = -1 if sum(deg[x] for x in letters[:i]) % 2 else 1
-        for mid, c in s.mu_apply(2, (letters[i], letters[i + 1])).items():
-            _add_into(acc, letters[:i] + (mid,) + letters[i + 2:], sgn * c)
-    if k >= 2:
-        sgn = -1 if (deg[letters[-1]] % 2) and sum(deg[x] for x in letters[:-1]) % 2 else 1
-        for mid, c in s.mu_apply(2, (letters[-1], letters[0])).items():
-            _add_into(acc, (mid,) + letters[1:-1], sgn * c)
-    return acc
-
-
-def hochschild_b_cyclic(s: CyclicStructure, letters: Word) -> Tensor:
+def hochschild_b_cyclic(s: CyclicStructure, letters: Word,
+                        arities: list[int] | None = None) -> Tensor:
     """The bar differential on the cyclic quotient, on canonical representatives."""
     acc: Tensor = {}
-    for w, c in hochschild_b_tensor(s, letters).items():
+    for w, c in hochschild_b_tensor(s, letters, arities).items():
         canon, sign = canonicalize(w, s.basis)
         if canon is not None:
             _add_into(acc, canon, c if sign > 0 else -c)
     return acc
+
+
+def transposed_b(s: CyclicStructure, words, skip: int | None = None
+                 ) -> dict[Word, Tensor]:
+    """One sweep of the cyclic bar differential over canonical ``words``,
+    transposed: u -> {v: the coefficient of u in b(v)}, v in the order of
+    ``words``, leaving out every u that holds the letter ``skip``."""
+    arities = s.arities()
+    table: dict[Word, Tensor] = {}
+    for v in words:
+        for u, c in hochschild_b_cyclic(s, v, arities).items():
+            if skip is None or skip not in u:
+                table.setdefault(u, {})[v] = c
+    return table
 
 
 def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
@@ -442,12 +435,13 @@ def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
     """
     if psi.arity != 1:
         raise ValueError("dual_b takes arity-1 cochains")
+    arities = s.arities()
     bound = psi.weight_bound
     if bound is not None:
-        bound += min(s.arities(), default=1) - 1
+        bound += min(arities, default=1) - 1
     out = CochainTensor(psi.basis, 1, psi.slot_shift, bound)
     hits: dict[int, list[Word]] = {}  # letter -> input tuples whose image holds it
-    for k in s.arities():
+    for k in arities:
         for t, img in s.mu[k].items():
             for letter in img:
                 hits.setdefault(letter, []).append(t)
@@ -460,7 +454,7 @@ def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
                     candidates.add(u)
     for u in sorted(candidates, key=lambda u: (len(u), u)):
         val = Fraction(0)
-        for v, c in hochschild_b_cyclic(s, u).items():
+        for v, c in hochschild_b_cyclic(s, u, arities).items():
             val += c * psi.values.get((v,), Fraction(0))
         if val:
             out.values[(u,)] = val

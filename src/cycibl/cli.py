@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 property failure, 2 input error.  Structured
-output is byte-stable across runs for identical inputs.
+Exit codes: 0 success, 1 property failure, 2 input error (one line on
+stderr), 3 internal error: any exception other than the input errors
+raised where files and arguments are validated (its traceback on stderr).
+Structured output is byte-stable across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,28 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
+def _structure(path: str, paired: bool = True):
+    """The algebra of a file, with a nondegenerate pairing if ``paired``."""
+    s = fileio.structure_from_dict(load_json(path))
+    if paired:
+        try:
+            s.dual_basis()
+        except ValueError as exc:  # no pairing, or a degenerate one
+            raise InputError(str(exc)) from None
+    return s
+
+
+def _canonical_mc(s):
+    """The canonical twist of a file's algebra, which must have a product."""
+    from .dibl import canonical_mc
+
+    if 2 not in s.mu:
+        raise InputError(f"{s.name}: no product to build the canonical twist from")
+    return canonical_mc(s)
+
+
 def cmd_algebra_check(args) -> int:
-    s = fileio.structure_from_dict(load_json(args.file))
+    s = _structure(args.file, paired=False)
     rep = check_cyclic_dga(s)
     if not any(rep.checked.values()):
         raise InputError("no relation instance checked")
@@ -32,16 +54,19 @@ def cmd_algebra_check(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    from .dibl import canonical_mc
     from .homology import cochain_homology
 
-    s = fileio.structure_from_dict(load_json(args.file))
+    s = _structure(args.file, paired=args.twist != "none")
     if args.twist == "none":
         fam = None
     elif args.twist == "mc":
-        fam = canonical_mc(s)
+        fam = _canonical_mc(s)
     else:
         fam = fileio.family_from_dict(s, load_json(args.twist))
+        bound, need = fam.entry(1, 0).weight_bound, args.weight_bound + 2
+        if bound is not None and bound < need:
+            raise InputError(f"{args.twist}: the (1,0) entry is truncated at "
+                             f"weight {bound}; homology needs weight {need}")
     rep = cochain_homology(s, fam, args.weight_bound, reduced=args.reduced)
     if args.format == "records":
         doc = [{"degree": d, "weight": w, "dim": n, "stable": st}
@@ -81,7 +106,7 @@ def cmd_graphs(args) -> int:
 def cmd_pushforward(args) -> int:
     from .ribbon import pushforward_mc
 
-    s = fileio.structure_from_dict(load_json(args.file))
+    s = _structure(args.file)
     kernel = {}
     if args.kernel_file:
         kernel = fileio.kernel_from_dict(s, load_json(args.kernel_file))
@@ -94,7 +119,7 @@ def cmd_pushforward(args) -> int:
 def cmd_green(args) -> int:
     from .green import check_g_properties, green_pipeline, schwartz_kernel
 
-    s = fileio.structure_from_dict(load_json(args.file))
+    s = _structure(args.file)
     g, proj, stages = green_pipeline(s)
     rep = check_g_properties(s, g, proj)
     kernel = schwartz_kernel(s, g)
@@ -108,31 +133,36 @@ def cmd_green(args) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_eval(args) -> int:
-    from .dibl import (canonical_mc, q110, q120, q210, twisted_q110,
-                       twisted_q120)
+def _cochain(s, path: str):
+    """A cochain file for ``eval``, whose operations take arity 1."""
+    psi = fileio.cochain_from_dict(s, load_json(path))
+    if psi.arity != 1:
+        raise InputError(f"{path}: not an arity-1 cochain")
+    return psi
 
-    s = fileio.structure_from_dict(load_json(args.algebra))
-    psi = fileio.cochain_from_dict(s, load_json(args.psi))
+
+def cmd_eval(args) -> int:
+    from .dibl import q110, q120, q210, twisted_q110, twisted_q120
+
+    s = _structure(args.algebra, paired=args.op != "boundary" or bool(args.twist))
+    psi = _cochain(s, args.psi)
     fam = None
     if args.twist:
-        fam = (canonical_mc(s) if args.twist == "mc"
+        fam = (_canonical_mc(s) if args.twist == "mc"
                else fileio.family_from_dict(s, load_json(args.twist)))
     if args.op == "boundary":
         out = q110(s, psi)
     elif args.op == "product":
         if not args.psi2:
             raise InputError("product needs --psi2")
-        psi2 = fileio.cochain_from_dict(s, load_json(args.psi2))
+        psi2 = _cochain(s, args.psi2)
         out = q210(s, psi, psi2)
     elif args.op == "coproduct":
         out = q120(s, psi)
     elif args.op == "twisted-boundary":
-        out = twisted_q110(s, fam or canonical_mc(s), psi)
-    elif args.op == "twisted-coproduct":
-        out = twisted_q120(s, fam or canonical_mc(s), psi)
+        out = twisted_q110(s, fam or _canonical_mc(s), psi)
     else:
-        raise InputError(f"unknown operation '{args.op}'")
+        out = twisted_q120(s, fam or _canonical_mc(s), psi)
     _emit(dump_json(fileio.cochain_to_dict(s, out)), args.output)
     return 0
 
@@ -144,10 +174,10 @@ def cmd_model(args) -> int:
         s = build_sn(args.n).structure
     elif args.which == "cpn":
         s = build_cpn(args.n).structure
-    elif args.which == "truncated-polynomial":
-        s = truncated_polynomial(args.n, args.degree)
+    elif args.degree <= 0 or args.degree % 2:
+        raise InputError(f"--degree must be even and positive, got {args.degree}")
     else:
-        raise InputError(f"unknown model '{args.which}'")
+        s = truncated_polynomial(args.n, args.degree)
     _emit(dump_json(fileio.structure_to_dict(s)), args.output)
     return 0
 
@@ -235,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("model", cmd_model, "emit a built-in model as an algebra file")
     sp.add_argument("which", choices=("sn", "cpn", "truncated-polynomial"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(1), required=True)
     sp.add_argument("--degree", type=int, default=2)
 
     return p
@@ -249,9 +279,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        import traceback
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

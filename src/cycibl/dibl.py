@@ -34,27 +34,29 @@ these operations become symmetric is ``m - 3``, carried as the tensors'
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import CyclicStructure, dual_b
+from .algebra import CyclicStructure, dual_b, integral_multiple, transposed_b
 from .signs import ZERO
 from .words import (CochainTensor, TruncationError, Word, canonical_key,
-                    canonical_words, canonicalize, dual_word, rotations,
-                    slot_degree)
+                    canonical_words, canonicalize, rotations, slot_degree)
 
 
 def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
-    """Sparse contraction tensor T^{ij} = (-1)^|e_i| P(e^i, e^j)."""
-    dual = s.dual_basis()
-    out = {}
-    for i in range(len(s.basis)):
-        sgn = -1 if s.basis.degrees[i] % 2 else 1
-        for j in range(len(s.basis)):
-            v = sgn * s.pair(dual[i], dual[j])
-            if v:
-                out[(i, j)] = v
-    return out
+    """Sparse contraction tensor T^{ij} = (-1)^|e_i| P(e^i, e^j), computed
+    once per structure; every call returns a fresh dict."""
+    if s._t_tensor is None:
+        dual = s.dual_basis()
+        T = {}
+        for i in range(len(s.basis)):
+            sgn = -1 if s.basis.degrees[i] % 2 else 1
+            for j in range(len(s.basis)):
+                if v := sgn * s.pair(dual[i], dual[j]):
+                    T[(i, j)] = v
+        s._t_tensor = T
+    return dict(s._t_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ def dual_word_product(s: CyclicStructure, T, u: Word, v: Word) -> dict[Word, Fra
             if odd1 and deg[rv[0]] % 2:
                 sign = -sign
             val = _tensor_multiplicity(word) * sign * su * sv * t
-            out[canon] = out.get(canon, ZERO) + val
+            out[canon] = out.get(canon, 0) + val
     return {w: c for w, c in out.items() if c}
 
 
@@ -160,51 +162,61 @@ def distribution_sign(s: CyclicStructure, words: tuple[Word, ...]) -> int:
     return -1 if total % 2 else 1
 
 
-def q120(s: CyclicStructure, psi: CochainTensor, T=None) -> CochainTensor:
-    """The coproduct of an arity-1 cochain, as an arity-2 tensor.
+def dual_word_coproduct(s: CyclicStructure, T, u: Word
+                        ) -> dict[tuple[Word, Word], Fraction]:
+    """Twice the coproduct of the dual word of a canonical word, as pair ->
+    value, by direct contraction; the formula's 1/2 is left to the caller,
+    so an integral T gives ints.
 
-    Each stored word is cut twice, by direct contraction: every distinct
-    rotation x and position p with T^{x_0 x_p} != 0 is one term of the
-    coproduct formula on the pair of classes of x_1..x_{p-1} and
-    x_{p+1}..x_k, counted once for each pair of rotations of the halves
-    equal to them as tensors.  Terms are collected on pairs already in
-    canonical slot order, which is where the tensor stores its values.
-
-    Values are stored in the distributed-suspension normalization, under
-    which slot swaps cost the shifted Koszul sign; the displayed collected
-    formula is corrected by the sign distributing the two suspensions.
+    Every distinct rotation x of u and position p with T^{x_0 x_p} != 0 is
+    one term of the coproduct formula on the pair of classes of x_1..x_{p-1}
+    and x_{p+1}..x_k, counted once for each pair of rotations of the halves
+    equal to them as tensors.  Terms are collected on pairs in canonical
+    slot order, where a tensor stores its values; a pair whose terms cancel
+    keeps its place with value 0.  Values are in the distributed-suspension
+    normalization (the collected formula times the sign distributing the
+    two suspensions), under which slot swaps cost the shifted Koszul sign.
     """
+    basis, shift = s.basis, s.slot_shift
+    deg = basis.degrees
+    k = len(u)
+    acc: dict[tuple[Word, Word], Fraction] = {}
+    for x, sx in dict(rotations(u, basis)).items():
+        for p in range(2, k - 1):
+            t = T.get((x[0], x[p]))
+            if not t:
+                continue
+            w1, w2 = x[1:p], x[p + 1:]
+            a, sa = canonicalize(w1, basis)
+            b, sb = canonicalize(w2, basis)
+            if a is None or b is None:
+                continue
+            keyed = canonical_key((a, b), basis, shift)
+            if keyed is None or keyed[0] != (a, b):
+                continue
+            sign = sx * sa * sb
+            if deg[x[p]] % 2 and basis.word_degree(w1) % 2:
+                sign = -sign
+            mult = _tensor_multiplicity(w1) * _tensor_multiplicity(w2)
+            acc[(a, b)] = acc.get((a, b), 0) + mult * sign * t
+    return {key: distribution_sign(s, key) * c for key, c in acc.items()}
+
+
+def q120(s: CyclicStructure, psi: CochainTensor, T=None) -> CochainTensor:
+    """The coproduct of an arity-1 cochain, as an arity-2 tensor: half the
+    sum of :func:`dual_word_coproduct` over its stored words."""
     if psi.arity != 1:
         raise ValueError("q120 takes arity-1 cochains")
     T = t_tensor(s) if T is None else T
-    basis, shift = s.basis, psi.slot_shift
-    deg = basis.degrees
     bound = None if psi.weight_bound is None else psi.weight_bound - 2
-    out = CochainTensor(basis, 2, shift, bound)
+    out = CochainTensor(s.basis, 2, psi.slot_shift, bound)
     acc: dict[tuple[Word, Word], Fraction] = {}
     for (u,), c in psi.items():
-        k = len(u)
-        if bound is not None and k - 2 > bound:
+        if bound is not None and len(u) - 2 > bound:
             continue
-        for x, sx in dict(rotations(u, basis)).items():
-            for p in range(2, k - 1):
-                t = T.get((x[0], x[p]))
-                if not t:
-                    continue
-                w1, w2 = x[1:p], x[p + 1:]
-                a, sa = canonicalize(w1, basis)
-                b, sb = canonicalize(w2, basis)
-                if a is None or b is None:
-                    continue
-                keyed = canonical_key((a, b), basis, shift)
-                if keyed is None or keyed[0] != (a, b):
-                    continue
-                sign = sx * sa * sb
-                if deg[x[p]] % 2 and basis.word_degree(w1) % 2:
-                    sign = -sign
-                mult = _tensor_multiplicity(w1) * _tensor_multiplicity(w2)
-                acc[(a, b)] = acc.get((a, b), ZERO) + Fraction(mult, 2) * sign * t * c
-    out.values = {key: distribution_sign(s, key) * c for key, c in acc.items() if c}
+        for key, v in dual_word_coproduct(s, T, u).items():
+            acc[key] = acc.get(key, 0) + c * v
+    out.values = {key: Fraction(c, 2) for key, c in acc.items() if c}
     return out
 
 
@@ -461,22 +473,6 @@ def mu_from_mc(s: CyclicStructure, pmc10: CochainTensor,
     return replace(s, name=f"{s.name}+twist", mu=mu)
 
 
-def mc_reconstruction_check(s: CyclicStructure, pmc10: CochainTensor,
-                            twisted: CyclicStructure, max_weight: int) -> bool:
-    """The one-output entry equals (-1)^(m-2) * sum of the family's paired
-    operations, on all words up to the given weight."""
-    sgn = Fraction(-1) ** (s.manifold_dim - 2)
-    for w in range(1, max_weight + 1):
-        for u in canonical_words(s.basis, w):
-            total = Fraction(0)
-            for k in twisted.arities():
-                if k >= 2 and k + 1 == w:
-                    total += twisted.mu_plus(k, u)
-            if pmc10.eval_word(u) != sgn * total:
-                return False
-    return True
-
-
 def twisted_boundary_vs_bar_dual(s: CyclicStructure, pmc: MaurerCartanFamily,
                                  psi: CochainTensor
                                  ) -> tuple[CochainTensor, CochainTensor]:
@@ -492,14 +488,6 @@ def twisted_boundary_vs_bar_dual(s: CyclicStructure, pmc: MaurerCartanFamily,
 # ---------------------------------------------------------------------------
 # relation suite
 # ---------------------------------------------------------------------------
-
-def decompose_arity2(phi: CochainTensor) -> list[tuple[Fraction, Word, Word]]:
-    """Write an arity-2 tensor as a combination of products of dual words:
-    (coefficient, first word, second word) per stored value.  The product
-    of the duals of a and b has value 1/2 on (a, b) for distinct words and
-    1 for a repeated one."""
-    return [(v if a == b else 2 * v, a, b) for (a, b), v in phi.values.items()]
-
 
 @dataclass
 class RelationReport:
@@ -536,22 +524,55 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
     instances of each relation.
 
     Each relation is checked as a sparse contraction of three tables that
-    belong to this call alone and are dropped when it returns: the boundary
-    and the coproduct of every generator, and the product of every ordered
-    pair of dual words, filled the first time it is used.  General cochains
-    are expanded over dual words, which have value 1 on their canonical
-    word.  The arity-2 and arity-3 relations are accumulated as
-    coefficients on symmetric products of dual words (each stored value
-    divided by the nonzero normalization of its key), so a sum vanishes
-    exactly when the tensor it stands for does.  The tables change only
-    the cost: the relations, the instances checked and the witnesses
-    reported are those of evaluating every operation on every instance
-    directly.
+    belong to this call alone: the boundary of every generator, from one
+    transposed sweep of mu_1 over them (none when mu_1 = 0), the coproduct
+    of every generator (:func:`dual_word_coproduct`) and the product of
+    every ordered pair of dual words (:func:`dual_word_product`), filled
+    when first used.  The arity-2 and arity-3 relations are accumulated as
+    coefficients on symmetric products of dual words, so a sum vanishes
+    exactly when the tensor it stands for does.
+
+    The tables hold Python ints.  Each relation is homogeneous of fixed
+    degree (a, b, c) in mu_1, the product and the coproduct, the last two
+    linear in T: boundary squared (2, 0, 0), product derivation (1, 1, 0),
+    coproduct coderivation (1, 0, 1), Jacobi (0, 2, 0), co-Jacobi
+    (0, 0, 2), involutivity and Drinfeld compatibility (0, 1, 1).  So the
+    tables are built on D_T T, D_T the least common denominator of T, on
+    the least integral multiple of mu_1
+    (:func:`~cycibl.algebra.integral_multiple`), and with the coproduct
+    doubled: the sum of each instance is multiplied by a nonzero constant,
+    and the instances that fail, in order, are those of the rational
+    operations.
 
     Passing ``T`` overrides the contraction tensor (mutation testing).
     """
     T = t_tensor(s) if T is None else T
+    scale = math.lcm(*(t.denominator for t in T.values()))
+    T = {key: t.numerator * (scale // t.denominator) for key, t in T.items()}
+    basis = s.basis
+    by_weight = {w: list(canonical_words(basis, w)) for w in range(1, max_weight + 1)}
+    gens = [u for w in range(1, max_weight + 1) for u in by_weight[w]]
+    bdry = {}
+    if s.mu.get(1):
+        _, mu1 = integral_multiple(CyclicStructure(
+            s.name, basis, s.manifold_dim, None, {1: s.mu[1]}))
+        bdry = transposed_b(mu1, gens)
+    cop = {u: [(c if a == b else 2 * c, a, b)
+               for (a, b), c in dual_word_coproduct(s, T, u).items() if c]
+           for u in gens}
+    return _relation_report(s, T, by_weight, {u: bdry.get(u, {}) for u in gens}, cop)
+
+
+def _relation_report(s: CyclicStructure, T, by_weight: dict[int, list[Word]],
+                     bdry, cop) -> RelationReport:
+    """The relations of :func:`ibl_relations_check` on the generators
+    ``by_weight`` (weight -> words), from their boundaries ``bdry[u]``
+    (word -> coefficient) and coproducts ``cop[u]`` ((coefficient, a, b) on
+    symmetric products of dual words), with products contracted over T."""
     basis, shift = s.basis, s.slot_shift
+    max_weight = max(by_weight, default=0)
+    gens = [u for w in range(1, max_weight + 1) for u in by_weight[w]]
+    odd = {u: slot_degree(u, basis, shift) % 2 for u in gens}
     fails: list[tuple[str, tuple]] = []
     checked = dict.fromkeys(
         ("boundary squared", "coproduct coderivation", "involutivity",
@@ -563,29 +584,22 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
         if any(acc.values()):
             fails.append((name, witness))
 
-    by_weight = {w: list(canonical_words(basis, w)) for w in range(1, max_weight + 1)}
-    gens = [u for w in range(1, max_weight + 1) for u in by_weight[w]]
-    dual = {u: dual_word(basis, u, shift) for u in gens}
-    odd = {u: slot_degree(u, basis, shift) % 2 for u in gens}
-    # distributed-suspension form of the product: the collected formula
-    # times the sign of the first argument's suspension crossing
-    crossing = {u: collection_sign(s, dual[u]) for u in gens}
-    bdry = {u: {w: c for (w,), c in q110(s, dual[u]).items()} for u in gens}
-    cop = {u: decompose_arity2(q120(s, dual[u], T=T)) for u in gens}
     products: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
 
     def product(u, v):
+        """The product of two dual words, times the sign of the first
+        suspension crossing u: its distributed-suspension form."""
         got = products.get((u, v))
         if got is None:
             got = dual_word_product(s, T, u, v)
-            if crossing[u] < 0:
+            if (s.manifold_dim - 3) * basis.word_degree(u) % 2:
                 got = {w: -c for w, c in got.items()}
             products[(u, v)] = got
         return got
 
     def add(acc, vec, c):
         for w, x in vec.items():
-            acc[w] = acc.get(w, ZERO) + c * x
+            acc[w] = acc.get(w, 0) + c * x
 
     def add_product(acc, vec, v, c):
         """acc += c * product(vec, v) for a cochain vec over dual words."""
@@ -597,7 +611,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
         keyed = canonical_key(words, basis, shift)
         if keyed is not None:
             key, sgn = keyed
-            acc[key] = acc.get(key, ZERO) + sgn * c
+            acc[key] = acc.get(key, 0) + sgn * c
 
     def add_pairs(acc, vec, y, c):
         for w, x in vec.items():

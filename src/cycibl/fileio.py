@@ -29,6 +29,13 @@ def _scalar(x, where) -> Fraction:
         raise InputError(f"{where}: bad scalar {x!r} ({exc})")
 
 
+def _int(x, where) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: not an integer: {x!r}") from None
+
+
 def _need(obj, key, where):
     if key not in obj:
         raise InputError(f"{where}: missing field '{key}'")
@@ -127,7 +134,7 @@ def structure_from_dict(doc: dict) -> CyclicStructure:
     return CyclicStructure(
         name=str(doc.get("name", "algebra")),
         basis=basis,
-        manifold_dim=int(_need(doc, "manifold_dimension", where)),
+        manifold_dim=_int(_need(doc, "manifold_dimension", where), where),
         pairing=pairing,
         mu=mu,
         unit=unit,
@@ -146,6 +153,9 @@ def kernel_to_dict(s: CyclicStructure, entries: dict, degree: int | None = None)
 
 
 def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
+    """A propagator file: one degree, and the twist symmetry."""
+    from .green import KernelTensor
+
     index = {lab: i for i, lab in enumerate(s.basis.labels)}
     out = {}
     for row_no, row in enumerate(doc.get("entries", [])):
@@ -155,7 +165,12 @@ def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
             out[(i, j)] = _scalar(row["value"], f"kernel entry {row_no}")
         except KeyError as exc:
             raise InputError(f"kernel entry {row_no}: unknown label {exc}")
-    return {k: v for k, v in out.items() if v}
+    out = {k: v for k, v in out.items() if v}
+    degs = {s.basis.degrees[i] + s.basis.degrees[j] for i, j in out}
+    if len(degs) > 1 or (degs and not KernelTensor(
+            s.basis, degs.pop(), out).is_symmetric_propagator()):
+        raise InputError("kernel file: not a degree-homogeneous symmetric propagator")
+    return out
 
 
 def cochain_to_dict(s: CyclicStructure, ten: CochainTensor) -> dict:
@@ -175,7 +190,7 @@ def cochain_from_dict(s: CyclicStructure, doc: dict,
                       slot_shift: int | None = None) -> CochainTensor:
     index = {lab: i for i, lab in enumerate(s.basis.labels)}
     shift = s.slot_shift if slot_shift is None else slot_shift
-    ten = CochainTensor(s.basis, int(doc.get("arity", 1)), shift,
+    ten = CochainTensor(s.basis, _int(doc.get("arity", 1), "cochain arity"), shift,
                         doc.get("weight_bound"))
     for row_no, row in enumerate(doc.get("values", [])):
         try:
@@ -199,10 +214,14 @@ def family_from_dict(s: CyclicStructure, doc: dict):
     from .dibl import MaurerCartanFamily
 
     entries = {}
-    for row in doc.get("entries", []):
-        l, g = int(row["l"]), int(row["g"])
-        entries[(l, g)] = cochain_from_dict(s, row["cochain"])
-    return MaurerCartanFamily(s, entries)
+    for row_no, row in enumerate(doc.get("entries", [])):
+        where = f"twist entry {row_no}"
+        l, g = (_int(_need(row, x, where), where) for x in "lg")
+        entries[(l, g)] = cochain_from_dict(s, _need(row, "cochain", where))
+    try:
+        return MaurerCartanFamily(s, entries)
+    except ValueError as exc:
+        raise InputError(f"twist file: {exc}") from None
 
 
 def operator_to_dict(s: CyclicStructure, op) -> dict:

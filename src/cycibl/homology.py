@@ -9,7 +9,8 @@ lowering weight by at most one.
 
 from __future__ import annotations
 
-from .algebra import CyclicStructure, hochschild_b_cyclic, integral_multiple
+from .algebra import (CyclicStructure, hochschild_b_cyclic, integral_multiple,
+                      transposed_b)
 from .dibl import MaurerCartanFamily, mu_from_mc
 from .linalg import HomologyReport, graded_homology
 from .words import canonical_words
@@ -67,13 +68,7 @@ def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
     _, amb = integral_multiple(amb)
     if index is None:
         index = _word_index(s, top_weight, reduced)
-    table: dict = {}
-    for _, v in index:
-        for u, c in hochschild_b_cyclic(amb, v).items():
-            if reduced and s.unit is not None and s.unit in u:
-                continue
-            table.setdefault(u, {})[v] = c
-    return table
+    return transposed_b(amb, (v for _, v in index), s.unit if reduced else None)
 
 
 def cochain_homology(s: CyclicStructure, pmc: MaurerCartanFamily | None,
@@ -114,6 +109,7 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     which scales it without changing its homology or representatives.
     """
     _, integral = integral_multiple(s)
+    arities = integral.arities()
     by_degree = _by_degree(s, _word_index(s, weight_bound, reduced),
                            weight_bound)
     if degrees is None:
@@ -125,7 +121,7 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     def diff_fn(key):
         w, u = key
         out = {}
-        for v, c in hochschild_b_cyclic(integral, u).items():
+        for v, c in hochschild_b_cyclic(integral, u, arities).items():
             if reduced and s.unit is not None and s.unit in v:
                 continue
             out[(len(v), v)] = c

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from cycibl import cli, fileio
 from cycibl.cli import build_parser, main
-from cycibl import fileio
 from cycibl.models import build_sn
 
 
@@ -201,6 +201,80 @@ def test_zero_denominator_in_cochain_and_kernel_is_input_error(tmp_path, capsys)
                        str(kernel), "--weight-bound", "3")
     assert code == 2
     _one_line_input_error(err)
+
+
+def test_degenerate_pairing_is_input_error(tmp_path, capsys):
+    # algebra-check reports it as a failed axiom; a command that contracts
+    # with the pairing cannot run on it
+    doc = fileio.structure_to_dict(build_sn(3).structure)
+    doc["pairing"] = [["0", "0"], ["0", "0"]]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "algebra-check", str(path))
+    assert code == 1 and "pairing nondegenerate" in out
+    for argv in (["green", str(path)], ["homology", str(path), "--twist", "mc"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        _one_line_input_error(err)
+        assert "degenerate pairing" in err
+
+
+def test_truncated_twist_file_is_input_error(tmp_path, capsys):
+    s3 = tmp_path / "s3.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    twist = tmp_path / "twist.json"
+    run(capsys, "pushforward", str(s3), "--weight-bound", "4",
+        "--output", str(twist))
+    code, _, err = run(capsys, "homology", str(s3), "--twist", str(twist),
+                       "--weight-bound", "3")
+    assert code == 2
+    _one_line_input_error(err)
+    assert "truncated at weight 4" in err
+    code, _, _ = run(capsys, "homology", str(s3), "--twist", str(twist),
+                     "--weight-bound", "2")
+    assert code == 0
+
+
+def test_inputs_an_operation_cannot_take_are_input_errors(tmp_path, capsys):
+    # a product-free algebra has no canonical twist, a kernel file must be
+    # a symmetric propagator, eval takes arity-1 cochains
+    s3 = tmp_path / "s3.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    doc = json.loads(s3.read_text())
+    doc["mu"] = {}
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"entries": [{"i": "1", "j": "w", "value": "1"}]}))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"arity": 2, "values": [
+        {"tuple": [["w"], ["w"]], "coefficient": "1"}]}))
+    for argv, why in (
+            (["homology", str(bare), "--twist", "mc"], "no product"),
+            (["pushforward", str(s3), "--kernel-file", str(kernel)], "propagator"),
+            (["eval", "boundary", "--algebra", str(s3), "--psi", str(psi)],
+             "arity-1"),
+            (["model", "truncated-polynomial", "--n", "2", "--degree", "3"],
+             "even")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        _one_line_input_error(err)
+        assert why in err
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "sn", "--n", "0"])
+    assert exc.value.code == 2
+    _one_line_input_error(capsys.readouterr().err)
+
+
+def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_graphs", broken)
+    code, out, err = run(capsys, "graphs", "2", "1", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ValueError('invariant broken')\n")
+    assert "Traceback" in err and "input error" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,17 +1,19 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from cycibl import dibl
 from cycibl.algebra import check_ainfty, dual_b, hochschild_b_cyclic, unit_cochain
-from cycibl.dibl import (MaurerCartanFamily, canonical_mc, circ1, collection_sign,
-                         decompose_arity2, distribution_sign, ibl_relations_check,
-                         iota_vol, iota_vol_pairing, mc_reconstruction_check,
-                         mu_from_mc, q110, q120, q210, t_tensor,
-                         twisted_boundary_vs_bar_dual, twisted_q110, twisted_q120,
-                         twisted_q1lg_on_unit)
+from cycibl.dibl import (MaurerCartanFamily, _relation_report, canonical_mc, circ1,
+                         collection_sign, distribution_sign,
+                         ibl_relations_check, iota_vol, iota_vol_pairing,
+                         mu_from_mc, q110, q120, q210,
+                         t_tensor, twisted_boundary_vs_bar_dual, twisted_q110,
+                         twisted_q120, twisted_q1lg_on_unit)
 from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
                            random_cyclic_dga)
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
@@ -125,6 +127,21 @@ def oracle_mu_from_mc(s, entry, max_arity):
             if img:
                 mu.setdefault(k, {})[letters] = img
     return mu
+
+
+def mc_reconstruction_check(s, pmc10, twisted, max_weight):
+    """The one-output entry equals (-1)^(m-2) * sum of the family's paired
+    operations, on all words up to the given weight."""
+    sgn = Fraction(-1) ** (s.manifold_dim - 2)
+    for w in range(1, max_weight + 1):
+        for u in canonical_words(s.basis, w):
+            total = Fraction(0)
+            for k in twisted.arities():
+                if k >= 2 and k + 1 == w:
+                    total += twisted.mu_plus(k, u)
+            if pmc10.eval_word(u) != sgn * total:
+                return False
+    return True
 
 
 def oracle_dual_b(s, psi):
@@ -679,6 +696,14 @@ def test_twisted_q1lg_on_unit_reproduces_relation():
     assert lhs.equal_values(out)
 
 
+def decompose_arity2(phi):
+    """Write an arity-2 tensor as a combination of products of dual words:
+    (coefficient, first word, second word) per stored value.  The product
+    of the duals of a and b has value 1/2 on (a, b) for distinct words and
+    1 for a repeated one."""
+    return [(v if a == b else 2 * v, a, b) for (a, b), v in phi.values.items()]
+
+
 def test_decompose_arity2_reconstructs_coproduct():
     # the coefficients rebuild the tensor from symmetric products of duals
     for bundle in (build_sn(3), build_cpn(2)):
@@ -704,6 +729,141 @@ def test_ibl_relations_pass_and_mutation_fails():
     assert not rep.passed
     counts = Counter(name for name, _ in rep.failures)
     assert counts == {"Jacobi": 12, "involutivity": 4}
+
+
+def test_t_tensor_is_computed_once_and_returned_fresh():
+    # callers mutate the returned T (mutation tests): the memo must not see it
+    s = random_cyclic_dga(6, seed=1)
+    first = t_tensor(s)
+    want = dict(first)
+    first[(0, 1)] = -first[(0, 1)]
+    del first[(1, 0)]
+    first[(2, 2)] = Fraction(7)
+    assert t_tensor(s) == want
+    assert t_tensor(s) is not t_tensor(s)
+    assert t_tensor(mu_from_mc(s, canonical_mc(s).entry(1, 0), 2)) == want
+
+
+# ---------------------------------------------------------------------------
+# the relation suite against rational per-generator tables, and the
+# mutants that each relation can catch
+# ---------------------------------------------------------------------------
+
+def oracle_relation_report(s, max_weight, T=None):
+    """The relation suite on rational tables built one generator at a time:
+    q110 and the decomposed q120 of every dual word, and T itself."""
+    T = t_tensor(s) if T is None else T
+    by_weight = {w: list(canonical_words(s.basis, w)) for w in range(1, max_weight + 1)}
+    dual = {u: wdual(s, u) for words in by_weight.values() for u in words}
+    bdry = {u: {w: c for (w,), c in q110(s, psi).items()} for u, psi in dual.items()}
+    cop = {u: decompose_arity2(q120(s, psi, T=T)) for u, psi in dual.items()}
+    return _relation_report(s, T, by_weight, bdry, cop)
+
+
+def _t_mutants(s, weight, change):
+    """(s, weight, T) with one entry of T changed; a new value 0 deletes it."""
+    for key in sorted(t_tensor(s)):
+        T = t_tensor(s)
+        T[key] = change(T[key])
+        yield s, weight, {k: t for k, t in T.items() if t}
+
+
+def _mu1_mutant(s, letter, out, change):
+    """s with the coefficient of e_out in mu_1(e_letter) changed."""
+    mu1 = {key: dict(img) for key, img in s.mu.get(1, {}).items()}
+    img = mu1.setdefault((letter,), {})
+    img[out] = change(img.get(out, Fraction(0)))
+    return replace(s, mu={**s.mu, 1: mu1})
+
+
+RELATIONS = ("boundary squared", "coproduct coderivation", "involutivity",
+             "product derivation", "Jacobi", "co-Jacobi", "Drinfeld compatibility")
+
+
+@pytest.fixture(scope="module")
+def relation_cases():
+    """Mutant family -> (structure, weight, T) cases, with the unmutated
+    models as the family "none".  The 6-letter algebra r0 has mu_1 with
+    e_2 -> e_3 and e_4 -> e_5; the added e_5 -> e_2 makes mu_1 square to
+    e_4 -> e_2."""
+    s3, cp2 = build_sn(3).structure, build_cpn(2).structure
+    r0 = random_cyclic_dga(6, seed=0)
+    plain = [(build_sn(2).structure, 5), (s3, 5), (cp2, 4), (build_cpn(3).structure, 4)]
+    plain += [(random_cyclic_dga(6, seed=seed), 4) for seed in range(4)]
+
+    def t_family(change, s3_weight=5):
+        return [*_t_mutants(s3, s3_weight, change), *_t_mutants(cp2, 4, change),
+                *_t_mutants(r0, 4, change)]
+
+    return {
+        "none": [(s, w, None) for s, w in plain],
+        "T flipped": t_family(lambda t: -t, s3_weight=6),
+        "T doubled": t_family(lambda t: 2 * t),
+        "T deleted": t_family(lambda t: 0),
+        "T scaled by 1/3": t_family(lambda t: t / 3),
+        "mu_1 scaled": [(_mu1_mutant(r0, 2, 3, lambda c: 2 * c), 4, None),
+                        (_mu1_mutant(r0, 4, 5, lambda c: c / 2), 4, None)],
+        "mu_1 added": [(_mu1_mutant(r0, 5, 2, lambda c: Fraction(1)), 3, None)],
+    }
+
+
+@pytest.fixture(scope="module")
+def relation_reports(relation_cases):
+    """Mutant family -> the library's reports on its cases, and every value
+    of the tables those reports were computed from."""
+    seen = []
+
+    def spy(s, T, by_weight, bdry, cop):
+        seen.extend(T.values())
+        seen.extend(c for vec in bdry.values() for c in vec.values())
+        seen.extend(c for terms in cop.values() for c, _, _ in terms)
+        return _relation_report(s, T, by_weight, bdry, cop)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dibl, "_relation_report", spy)
+        reports = {family: [ibl_relations_check(s, w, T=T) for s, w, T in cases]
+                   for family, cases in relation_cases.items()}
+    return reports, seen
+
+
+def test_integer_relation_suite_matches_rational_tables(relation_cases,
+                                                        relation_reports):
+    # every report (pass, failures in order, counts) equals the one on the
+    # rational per-generator tables, and the library's tables are all ints
+    reports, seen = relation_reports
+    for family, cases in relation_cases.items():
+        for (s, w, T), got in zip(cases, reports[family]):
+            want = oracle_relation_report(s, w, T)
+            assert got == want, (family, s.name, w, T)
+    assert seen and {type(c) for c in seen} == {int}
+    assert any(not r.passed for r in reports["T scaled by 1/3"])
+
+
+@pytest.fixture(scope="module")
+def kill_matrix(relation_reports):
+    """The mutation-adequacy matrix: mutant family -> the relations that
+    some mutant of the family fails."""
+    reports, _ = relation_reports
+    return {family: {name for rep in reps for name, _ in rep.failures}
+            for family, reps in reports.items()}
+
+
+def test_mutant_families_kill_the_relations_they_reach(kill_matrix):
+    assert kill_matrix["none"] == set()
+    assert kill_matrix["mu_1 added"] >= {"boundary squared"}
+    assert kill_matrix["T flipped"] >= {"Drinfeld compatibility"}
+    for family in ("T flipped", "T doubled", "T deleted", "T scaled by 1/3"):
+        assert kill_matrix[family] >= {"Jacobi", "involutivity", "product derivation",
+                                       "coproduct coderivation"}, family
+
+
+@pytest.mark.parametrize("relation", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: no mutant kills co-Jacobi"))
+    if name == "co-Jacobi" else name for name in RELATIONS])
+def test_every_relation_is_killed_by_a_mutant(kill_matrix, relation):
+    assert any(relation in killed for family, killed in kill_matrix.items()
+               if family != "none"), kill_matrix
 
 
 def test_relation_report_counts_instances():
