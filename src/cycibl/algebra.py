@@ -571,8 +571,7 @@ def reduced_membership(s: CyclicStructure, psi: CochainTensor,
     return True
 
 
-def unit_cochain(s: CyclicStructure, q: int,
-                 weight_bound: int | None = None) -> CochainTensor:
+def unit_cochain(s: CyclicStructure, q: int) -> CochainTensor:
     """Pullback along the augmentation of the dual of the q-th unit power.
 
     The class of ``unit^q`` is annihilated for even q (the rotation sign on
@@ -584,7 +583,7 @@ def unit_cochain(s: CyclicStructure, q: int,
         aug = {s.unit: Fraction(1)}
     else:
         aug = s.augmentation
-    out = CochainTensor(s.basis, 1, s.slot_shift, weight_bound)
+    out = CochainTensor(s.basis, 1, s.slot_shift)
     for u in canonical_words(s.basis, q):
         coeff = math.prod((aug.get(i, Fraction(0)) for i in u), start=Fraction(1))
         if coeff:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import fileio
 from .algebra import check_cyclic_dga
@@ -53,8 +54,27 @@ def cmd_algebra_check(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _first_failing_relation(s, twist_file):
+    """Raise an input error naming the first relation that fails on the
+    loaded algebra, or on the family that a loaded twist file ``(path,
+    family)`` induces: a cyclic A-infinity structure (degrees, relations,
+    cyclicity), as its bar differential needs, that may drop the unit."""
+    checks = [(s.name, s)]
+    if twist_file is not None:
+        from .dibl import mu_from_mc
+
+        path, fam = twist_file
+        e10 = fam.entry(1, 0)
+        induced = mu_from_mc(s, e10, max(2, max(e10.weights(), default=2) - 1))
+        checks.append((path, replace(induced, unit=None, augmentation=None)))
+    for where, structure in checks:
+        for name, witness, _, _ in check_cyclic_dga(structure).failures[:1]:
+            raise InputError(f"{where}: fails {name} at {witness}")
+
+
 def cmd_homology(args) -> int:
     from .homology import cochain_homology
+    from .linalg import SquareZeroError
 
     s = _structure(args.file, paired=args.twist != "none")
     if args.twist == "none":
@@ -67,7 +87,14 @@ def cmd_homology(args) -> int:
         if bound is not None and bound < need:
             raise InputError(f"{args.twist}: the (1,0) entry is truncated at "
                              f"weight {bound}; homology needs weight {need}")
-    rep = cochain_homology(s, fam, args.weight_bound, reduced=args.reduced)
+    try:
+        rep = cochain_homology(s, fam, args.weight_bound, reduced=args.reduced)
+    except (SquareZeroError, ValueError):
+        # a differential that fails d*d = 0 or leaves its weight window or
+        # degree: bad input if what was loaded fails a relation, else a bug
+        _first_failing_relation(
+            s, None if args.twist in ("none", "mc") else (args.twist, fam))
+        raise
     if args.format == "records":
         doc = [{"degree": d, "weight": w, "dim": n, "stable": st}
                for d, w, n, st in rep.nonzero_rows()]

@@ -32,14 +32,38 @@ def _scalar(x, where) -> Fraction:
 def _int(x, where) -> int:
     try:
         return int(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{where}: not an integer: {x!r}") from None
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(x, kind, where):
+    """``x`` if it is a JSON value of the given kind (``dict``, ``list`` or
+    ``str``); a value of any other JSON type is an input error."""
+    if not isinstance(x, kind):
+        got = "null" if x is None else _JSON_TYPES.get(type(x), "a number")
+        raise InputError(f"{where}: expected {_JSON_TYPES[kind]}, got {got}")
+    return x
 
 
 def _need(obj, key, where):
     if key not in obj:
         raise InputError(f"{where}: missing field '{key}'")
     return obj[key]
+
+
+def _optional(doc, key, kind, where):
+    """An optional field of the given kind; absent or ``null`` is None."""
+    x = doc.get(key)
+    return None if x is None else _typed(x, kind, f"{where}: {key}")
+
+
+def _label(index, lab, where) -> int:
+    if _typed(lab, str, where) not in index:
+        raise InputError(f"{where}: unknown label {lab!r}")
+    return index[lab]
 
 
 def structure_to_dict(s: CyclicStructure) -> dict:
@@ -75,61 +99,57 @@ def structure_to_dict(s: CyclicStructure) -> dict:
 
 def structure_from_dict(doc: dict) -> CyclicStructure:
     where = "algebra file"
-    basis_doc = _need(doc, "basis", where)
+    _typed(doc, dict, where)
+    basis_doc = _typed(_need(doc, "basis", where), list, f"{where}: basis")
     if not basis_doc:
         raise InputError(f"{where}: empty basis")
+    labels, degrees = [], []
+    for i, b in enumerate(basis_doc):
+        at = f"{where}: basis[{i}]"
+        _typed(b, dict, at)
+        labels.append(_typed(_need(b, "label", at), str, f"{at}.label"))
+        degrees.append(_int(_need(b, "shifted_degree", at), f"{at}.shifted_degree"))
     try:
-        labels = tuple(str(_need(b, "label", f"basis[{i}]")) for i, b in enumerate(basis_doc))
-        degrees = tuple(int(_need(b, "shifted_degree", f"basis[{i}]"))
-                        for i, b in enumerate(basis_doc))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: bad basis entry ({exc})")
-    try:
-        basis = GradedBasis(labels, degrees)
+        basis = GradedBasis(tuple(labels), tuple(degrees))
     except ValueError as exc:
         raise InputError(f"{where}: {exc}")
     index = {lab: i for i, lab in enumerate(labels)}
 
     pairing = None
-    if doc.get("pairing") is not None:
-        rows = doc["pairing"]
-        if len(rows) != len(labels) or any(len(r) != len(labels) for r in rows):
+    rows = _optional(doc, "pairing", list, where)
+    if rows is not None:
+        if len(rows) != len(labels) or any(
+                not isinstance(r, list) or len(r) != len(labels) for r in rows):
             raise InputError(f"{where}: pairing must be {len(labels)}x{len(labels)}")
         pairing = [[_scalar(x, f"{where}: pairing[{i}][{j}]")
                     for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
     mu = {}
-    for key, table in (doc.get("mu") or {}).items():
+    for key, table in (_optional(doc, "mu", dict, where) or {}).items():
         try:
             k = int(key)
         except ValueError:
             raise InputError(f"{where}: bad arity '{key}'")
         tbl = {}
-        for row_no, row in enumerate(table):
-            ins = _need(row, "inputs", f"mu[{key}][{row_no}]")
-            outs = _need(row, "output", f"mu[{key}][{row_no}]")
+        for row_no, row in enumerate(_typed(table, list, f"{where}: mu[{key}]")):
+            at = f"{where}: mu[{key}][{row_no}]"
+            _typed(row, dict, at)
+            ins = _typed(_need(row, "inputs", at), list, f"{at}.inputs")
+            outs = _typed(_need(row, "output", at), dict, f"{at}.output")
             if len(ins) != k:
-                raise InputError(f"{where}: mu[{key}][{row_no}] arity mismatch")
-            for lab in list(ins) + list(outs):
-                if lab not in index:
-                    raise InputError(f"{where}: unknown label '{lab}'")
-            tbl[tuple(index[i] for i in ins)] = {
-                index[o]: _scalar(c, f"{where}: mu[{key}][{row_no}]")
+                raise InputError(f"{at} arity mismatch")
+            tbl[tuple(_label(index, i, f"{at}.inputs") for i in ins)] = {
+                _label(index, o, f"{at}.output"): _scalar(c, at)
                 for o, c in outs.items()}
         mu[k] = tbl
 
-    unit = None
-    if doc.get("unit") is not None:
-        if doc["unit"] not in index:
-            raise InputError(f"{where}: unknown unit label '{doc['unit']}'")
-        unit = index[doc["unit"]]
-    augmentation = None
-    if doc.get("augmentation") is not None:
-        try:
-            augmentation = {index[lab]: _scalar(c, f"{where}: augmentation")
-                            for lab, c in doc["augmentation"].items()}
-        except KeyError as exc:
-            raise InputError(f"{where}: unknown label in augmentation ({exc})")
+    unit = doc.get("unit")
+    unit = None if unit is None else _label(index, unit, f"{where}: unit")
+    augmentation = _optional(doc, "augmentation", dict, where)
+    if augmentation is not None:
+        augmentation = {_label(index, lab, f"{where}: augmentation"):
+                        _scalar(c, f"{where}: augmentation")
+                        for lab, c in augmentation.items()}
 
     return CyclicStructure(
         name=str(doc.get("name", "algebra")),
@@ -158,13 +178,13 @@ def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
 
     index = {lab: i for i, lab in enumerate(s.basis.labels)}
     out = {}
-    for row_no, row in enumerate(doc.get("entries", [])):
-        try:
-            i = index[row["i"]]
-            j = index[row["j"]]
-            out[(i, j)] = _scalar(row["value"], f"kernel entry {row_no}")
-        except KeyError as exc:
-            raise InputError(f"kernel entry {row_no}: unknown label {exc}")
+    _typed(doc, dict, "kernel file")
+    for row_no, row in enumerate(_typed(doc.get("entries", []), list,
+                                        "kernel file: entries")):
+        where = f"kernel entry {row_no}"
+        _typed(row, dict, where)
+        i, j = (_label(index, _need(row, x, where), f"{where}.{x}") for x in "ij")
+        out[(i, j)] = _scalar(_need(row, "value", where), where)
     out = {k: v for k, v in out.items() if v}
     degs = {s.basis.degrees[i] + s.basis.degrees[j] for i, j in out}
     if len(degs) > 1 or (degs and not KernelTensor(
@@ -186,18 +206,27 @@ def cochain_to_dict(s: CyclicStructure, ten: CochainTensor) -> dict:
     return out
 
 
-def cochain_from_dict(s: CyclicStructure, doc: dict,
-                      slot_shift: int | None = None) -> CochainTensor:
+def cochain_from_dict(s: CyclicStructure, doc: dict) -> CochainTensor:
     index = {lab: i for i, lab in enumerate(s.basis.labels)}
-    shift = s.slot_shift if slot_shift is None else slot_shift
-    ten = CochainTensor(s.basis, _int(doc.get("arity", 1), "cochain arity"), shift,
-                        doc.get("weight_bound"))
-    for row_no, row in enumerate(doc.get("values", [])):
-        try:
-            words = tuple(tuple(index[lab] for lab in w) for w in row["tuple"])
-        except KeyError as exc:
-            raise InputError(f"cochain record {row_no}: unknown label {exc}")
-        ten.add(words, _scalar(row["coefficient"], f"cochain record {row_no}"))
+    _typed(doc, dict, "cochain")
+    arity = _int(doc.get("arity", 1), "cochain arity")
+    if arity < 1:
+        raise InputError(f"cochain arity: must be positive, got {arity}")
+    bound = doc.get("weight_bound")
+    ten = CochainTensor(s.basis, arity, s.slot_shift,
+                        None if bound is None else _int(bound, "cochain weight_bound"))
+    for row_no, row in enumerate(_typed(doc.get("values", []), list,
+                                        "cochain values")):
+        where = f"cochain record {row_no}"
+        _typed(row, dict, where)
+        words = _typed(_need(row, "tuple", where), list, f"{where}.tuple")
+        if len(words) != arity:
+            raise InputError(f"{where}: {len(words)} words for arity {arity}")
+        if not all(_typed(w, list, f"{where}.tuple") for w in words):
+            raise InputError(f"{where}: empty word")
+        words = tuple(tuple(_label(index, lab, f"{where}.tuple") for lab in w)
+                      for w in words)
+        ten.add(words, _scalar(_need(row, "coefficient", where), where))
     return ten
 
 
@@ -214,8 +243,11 @@ def family_from_dict(s: CyclicStructure, doc: dict):
     from .dibl import MaurerCartanFamily
 
     entries = {}
-    for row_no, row in enumerate(doc.get("entries", [])):
+    _typed(doc, dict, "twist file")
+    for row_no, row in enumerate(_typed(doc.get("entries", []), list,
+                                        "twist file: entries")):
         where = f"twist entry {row_no}"
+        _typed(row, dict, where)
         l, g = (_int(_need(row, x, where), where) for x in "lg")
         entries[(l, g)] = cochain_from_dict(s, _need(row, "cochain", where))
     try:

@@ -33,13 +33,6 @@ def _by_degree(s: CyclicStructure, index, weight_bound: int):
     return by_degree
 
 
-def degree_window(s: CyclicStructure, weight_bound: int,
-                  reduced: bool = False) -> list[int]:
-    """Degrees of the canonical words of weight up to the bound."""
-    return sorted(_by_degree(s, _word_index(s, weight_bound, reduced),
-                             weight_bound))
-
-
 def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
                             top_weight: int, reduced: bool = False,
                             index=None):
@@ -72,8 +65,7 @@ def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
 
 
 def cochain_homology(s: CyclicStructure, pmc: MaurerCartanFamily | None,
-                     weight_bound: int, reduced: bool = False,
-                     degrees=None) -> HomologyReport:
+                     weight_bound: int, reduced: bool = False) -> HomologyReport:
     """Homology of the (twisted) cyclic cochain complex, weights <= bound.
 
     Generators are duals of canonical words; the differential is the
@@ -84,8 +76,6 @@ def cochain_homology(s: CyclicStructure, pmc: MaurerCartanFamily | None,
     """
     index = _word_index(s, weight_bound + 2, reduced)
     by_degree = _by_degree(s, index, weight_bound)
-    if degrees is None:
-        degrees = sorted(by_degree)
     table = dual_differential_table(s, pmc, weight_bound + 2, reduced, index)
 
     def basis_fn(d):
@@ -95,12 +85,12 @@ def cochain_homology(s: CyclicStructure, pmc: MaurerCartanFamily | None,
         w, u = key
         return {(len(v), v): c for v, c in table.get(u, {}).items()}
 
-    return graded_homology(basis_fn, diff_fn, degrees, weight_bound,
+    return graded_homology(basis_fn, diff_fn, sorted(by_degree), weight_bound,
                            weight_step=1, degree_step=-1)
 
 
 def chain_homology(s: CyclicStructure, weight_bound: int,
-                   reduced: bool = False, degrees=None) -> HomologyReport:
+                   reduced: bool = False) -> HomologyReport:
     """Homology of the primal cyclic bar complex, weights <= bound.
 
     The bar differential raises the degree grading by one and lowers weight
@@ -112,8 +102,6 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     arities = integral.arities()
     by_degree = _by_degree(s, _word_index(s, weight_bound, reduced),
                            weight_bound)
-    if degrees is None:
-        degrees = sorted(by_degree)
 
     def basis_fn(d):
         return list(by_degree.get(d, []))
@@ -127,5 +115,5 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
             out[(len(v), v)] = c
         return out
 
-    return graded_homology(basis_fn, diff_fn, degrees, weight_bound,
+    return graded_homology(basis_fn, diff_fn, sorted(by_degree), weight_bound,
                            weight_step=-1, degree_step=1)

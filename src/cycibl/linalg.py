@@ -326,8 +326,7 @@ class SquareZeroError(Exception):
 
 
 def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
-                    weight_step: int = 1, degree_step: int = -1,
-                    check_square: bool = True) -> HomologyReport:
+                    weight_step: int = 1, degree_step: int = -1) -> HomologyReport:
     """Homology of a weight-filtered complex, truncated at ``weight_bound``.
 
     ``basis_fn(degree)`` lists basis keys ``(weight, payload)`` of that
@@ -357,24 +356,29 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
             diff_cache[key] = img
         return diff_cache[key]
 
+    # d*d = 0 is checked on every degree before any is eliminated: an
+    # image that leaves the kernel would otherwise surface as a count
+    # mismatch in the degree below
+    bases = {d: basis_fn(d) for d in degrees}
+    for d in degrees:
+        for key in bases[d]:
+            acc: dict = {}
+            for mid, c in diff(key).items():
+                for out, c2 in diff(mid).items():
+                    new = acc.get(out, 0) + c * c2
+                    if new:
+                        acc[out] = new
+                    else:
+                        acc.pop(out, None)
+            if acc:
+                raise SquareZeroError(
+                    f"d*d != 0 at degree {d}, key {key}: {acc}")
+
     for d in degrees:
         # Deepest filtration level first, so that every F_w is a prefix.
-        src = sorted(basis_fn(d), key=lambda key: (-weight_step * key[0], key))
-        prev = sorted(basis_fn(d - degree_step))
-
-        if check_square:
-            for key in src:
-                acc: dict = {}
-                for mid, c in diff(key).items():
-                    for out, c2 in diff(mid).items():
-                        new = acc.get(out, 0) + c * c2
-                        if new:
-                            acc[out] = new
-                        else:
-                            acc.pop(out, None)
-                if acc:
-                    raise SquareZeroError(
-                        f"d*d != 0 at degree {d}, key {key}: {acc}")
+        src = sorted(bases[d], key=lambda key: (-weight_step * key[0], key))
+        prev = sorted(bases[d - degree_step] if d - degree_step in bases
+                      else basis_fn(d - degree_step))
 
         # Kernel: the vector of a free column is supported at or before that
         # column (which is its maximum), so the vectors of the free columns

@@ -30,7 +30,7 @@ class ModelBundle:
     notes: str = ""
 
 
-def build_sn(n: int, check: bool = True) -> ModelBundle:
+def build_sn(n: int) -> ModelBundle:
     """The sphere model: basis {1, w}, |1| = -1, |w| = n - 1 (shifted)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -52,10 +52,9 @@ def build_sn(n: int, check: bool = True) -> ModelBundle:
         unit=0,
         augmentation={0: one},
     )
-    if check:
-        rep = check_cyclic_dga(s)
-        if not rep.passed:
-            raise AssertionError(f"S{n} model is inconsistent: {rep.summary()}")
+    rep = check_cyclic_dga(s)
+    if not rep.passed:
+        raise AssertionError(f"S{n} model is inconsistent: {rep.summary()}")
     if n == 1:
         hom = "classes: duals of all w-powers (long cochains) and odd unit powers"
     elif n % 2 == 0:
@@ -69,7 +68,7 @@ def build_sn(n: int, check: bool = True) -> ModelBundle:
     return ModelBundle(s, expected_homology=[hom], expected_relations=expected)
 
 
-def build_cpn(n: int, check: bool = True) -> ModelBundle:
+def build_cpn(n: int) -> ModelBundle:
     """The projective model: basis e_0..e_n, |e_i| = 2i - 1, manifold dimension 2n.
 
     Volume normalization is absorbed into the basis so that
@@ -95,10 +94,9 @@ def build_cpn(n: int, check: bool = True) -> ModelBundle:
         unit=0,
         augmentation={0: one},
     )
-    if check:
-        rep = check_cyclic_dga(s)
-        if not rep.passed:
-            raise AssertionError(f"CP{n} model is inconsistent: {rep.summary()}")
+    rep = check_cyclic_dga(s)
+    if not rep.passed:
+        raise AssertionError(f"CP{n} model is inconsistent: {rep.summary()}")
     expected = [(w, 2 * i + (w - 1) * n - 1)
                 for w in (1, 3, 5, 7) for i in range(1, n + 1)]
     return ModelBundle(
@@ -201,21 +199,20 @@ def build_s1_pmc(config: S1TwistConfig, weight_bound: int):
 # randomized cyclic dg algebras
 # ---------------------------------------------------------------------------
 
-def random_cyclic_dga(dim: int, degree_range: tuple[int, int] = (0, 3),
-                      seed: int = 0, check: bool = True) -> CyclicStructure:
+def random_cyclic_dga(dim: int, seed: int = 0,
+                      check: bool = True) -> CyclicStructure:
     """A seeded random cyclic dg algebra passing all axiom checks.
 
     Construction: a sphere-like harmonic core {1, w} plus acyclic blocks
     (a -> b, p -> q) paired across the middle degree, with products fixed by
     the unit, Leibniz and the cyclic symmetry of the triple product.  Random
-    choices: the ambient dimension, the block degrees, and the pairing
-    normalizations of each block.
+    choices: the manifold dimension (2 to 4), the block degrees (alpha
+    from 0 to 2), and the pairing normalizations of each block.
     """
     if dim > 10:
         raise ValueError("random structures are kept small (dim <= 10)")
     rng = random.Random(seed)
-    lo, hi = degree_range
-    m = 2 + rng.randrange(max(1, hi - lo))  # manifold dimension >= 2
+    m = 2 + rng.randrange(3)  # manifold dimension 2, 3 or 4
     blocks = max(0, (dim - 2) // 4)
 
     labels = ["1", "w"]
@@ -230,7 +227,7 @@ def random_cyclic_dga(dim: int, degree_range: tuple[int, int] = (0, 3),
         return Fraction(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 3))
 
     for _ in range(blocks):
-        alpha = rng.randint(lo, max(lo, hi - 1))
+        alpha = rng.randint(0, 2)
         base = len(labels)
         ia, ib, ip, iq = base, base + 1, base + 2, base + 3
         labels += [f"a{base}", f"b{base}", f"p{base}", f"q{base}"]

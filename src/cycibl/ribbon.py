@@ -22,12 +22,16 @@ point class any vertex, and middle homology gets a fixed echelon basis;
 the comparison is a determinant condition per chain level, with the global
 convention pinned by the one-edge families: the orientation convention is
 compatible exactly when the product of the level determinants equals
-(-1)^(number of edges).
+(-1)^(number of edges).  Each determinant is alternating in its level's
+basis, so compatibility is a parity: the graph's frame (the product over
+the canonical labeling, computed once) times the signs of the vertex,
+boundary and edge permutations times (-1)^(reversed edges) must be +1.
 
 The graph pairing routes one propagator copy per edge (first slot on the
 edge's tail half, second on its head half) and the boundary words to the
 vertex slots, sums over all vertex/boundary orders and boundary marks, and
-evaluates the cochains on the vertex blocks.
+evaluates the cochains on the vertex blocks.  The pushforward twist element
+puts the canonical twist entry, (-1)^(m-2) m2+, on every trivalent vertex.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import permutations, product as iproduct
 
 from .algebra import CyclicStructure
 from .linalg import Eliminator, SparseMatrix, det_sign, kernel_basis
-from .signs import ZERO, koszul_sign
+from .signs import koszul_sign
 from .words import CochainTensor, Word, canonical_tuples
 
 
@@ -47,7 +51,7 @@ class RibbonGraph:
     """Half-edge encoding: vertex cycles plus an involution on a subset."""
 
     __slots__ = ("vertices", "pairing", "n", "legs", "edges", "_vert", "_pos",
-                 "_boundaries", "_canon", "_lab_cache", "_complex")
+                 "_boundaries", "_canon", "_complex", "_frame")
 
     def __init__(self, vertices: list[tuple[int, ...]], edge_pairs: list[tuple[int, int]]):
         self.vertices = [tuple(v) for v in vertices]
@@ -76,8 +80,8 @@ class RibbonGraph:
         self.legs = [h for h in range(self.n) if h not in self.pairing]
         self._boundaries = None
         self._canon = None
-        self._lab_cache = {}
         self._complex = None
+        self._frame = None
 
     # -- structure ------------------------------------------------------
 
@@ -381,72 +385,56 @@ class Labeling:
 
 def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,
                            edge_order) -> bool:
-    """Whether the labeling orients the surface complex compatibly.
+    """Whether the labeling orients the surface complex compatibly:
+    det(level 0) * det(level 1) * det(level 2) = (-1)^e over its bases.
 
-    The chain complex runs C2 (boundary 2-cells) -> C1 (edges) -> C0
-    (vertices).  Reference orientations: the fundamental class is the sum
-    of all 2-cells, the point class the first vertex, and middle homology
-    the echelon kernel basis in the labeled edge coordinates.  The
-    compatibility condition is det(level 0) * det(level 1) * det(level 2)
-    = (-1)^e over the labeled bases.
+    That is a parity against the graph's frame (:func:`_orientation_frame`,
+    the value for the canonical labeling).  Each level's determinant is
+    alternating in that level's basis, so reordering the vertices, the
+    boundaries or the edges multiplies it by the sign of the permutation,
+    and reversing an edge negates one basis vector of C1.  The references
+    do not move: every vertex is homologous to the point class, the
+    fundamental class sums all 2-cells in any order, and the middle
+    reference is a fixed set of vectors of C1.
     """
+    position = {pair_: c for c, pair_ in enumerate(graph.edges)}
+    canon_of = [position[(min(t, h), max(t, h))] for t, h in edge_order]
+    reversed_edges = sum(t > h for t, h in edge_order)
+    sign = (_orientation_frame(graph) * _perm_sign(vertex_order)
+            * _perm_sign(boundary_order) * _perm_sign(canon_of))
+    return sign * (-1) ** reversed_edges == 1
+
+
+def _perm_sign(perm) -> int:
+    return koszul_sign(tuple(perm), [1] * len(perm))
+
+
+def _orientation_frame(graph: RibbonGraph) -> int:
+    """(-1)^e * det(level 0) * det(level 1) * det(level 2) for the
+    canonical labeling (vertices and boundaries in index order, the edges
+    of ``graph.edges`` from tail to head), computed once and kept on the
+    graph.  Level 0 is [d1(lifts of an image basis) | point class] against
+    C0, level 2 [fundamental class | lifts of the image of d2] against C2,
+    level 1 [image of d2 | middle reference | level-0 lifts] against C1.
+    """
+    if graph._frame is not None:
+        return graph._frame
     d1, d2, middle = _surface_complex(graph)
     k, e, l = len(graph.vertices), len(d1), len(d2)
-    # canonical edge -> (labeled position, -1 when the labeling reverses it)
-    canon = {pair_: c for c, pair_ in enumerate(graph.edges)}
-    at = [None] * e
-    for idx, (tail, head) in enumerate(edge_order):
-        at[canon[(min(tail, head), max(tail, head))]] = \
-            (idx, 1 if tail < head else -1)
-
-    def relabel(vec):
-        return {at[c][0]: at[c][1] * v for c, v in vec.items()}
-
-    v_pos = {v: i for i, v in enumerate(vertex_order)}
-    d1_cols = [None] * e
-    for c, col in enumerate(d1):
-        idx, flip = at[c]
-        d1_cols[idx] = {v_pos[r]: flip * v for r, v in col.items()}
-    d2_cols = [None] * l
-    for b, col in enumerate(d2):
-        d2_cols[boundary_order.index(b)] = relabel(col)
-
-    # level 0: [d1(lift of image basis) | point class] against C0; the
-    # edges lifting the image basis are reused at level 1
     elim = Eliminator()
-    lift_cols = []
-    lift1_cols_in_c1 = []
-    for c, col in enumerate(d1_cols):
-        if col and elim.add(col):
-            lift_cols.append(col)
-            lift1_cols_in_c1.append({c: Fraction(1)})
-    level0 = det_sign(lift_cols + [{0: Fraction(1)}]) \
-        if len(lift_cols) + 1 == k else 0
-
-    # level 2: [fundamental class | lifts of the image of d2] against C2
-    elim2 = Eliminator()
-    lift2 = []
-    lift2_cols_in_c2 = []
-    for c, col in enumerate(d2_cols):
-        if col and elim2.add(col):
-            lift2.append(col)
-            lift2_cols_in_c2.append({c: Fraction(1)})
-    fund = {c: Fraction(1) for c in range(l)}
-    level2 = det_sign([fund] + lift2_cols_in_c2) \
-        if 1 + len(lift2_cols_in_c2) == l else 0
-
-    # level 1: [image of d2 | middle homology reference | kernel-lifts used
-    # at level 0] against C1, the reference in the labeled coordinates
-    middle = [relabel(vec) for vec in middle]
-    level1 = det_sign(lift2 + middle + lift1_cols_in_c1) \
-        if len(lift2) + len(middle) + len(lift1_cols_in_c1) == e else 0
-
-    if e == 0:
-        level1 = 1
+    lifts1 = [c for c, col in enumerate(d1) if col and elim.add(col)]
+    level0 = det_sign([d1[c] for c in lifts1] + [{0: 1}]) \
+        if len(lifts1) + 1 == k else 0
+    elim = Eliminator()
+    lifts2 = [b for b, col in enumerate(d2) if col and elim.add(col)]
+    level2 = det_sign([dict.fromkeys(range(l), 1)] + [{b: 1} for b in lifts2]) \
+        if 1 + len(lifts2) == l else 0
+    columns = [d2[b] for b in lifts2] + middle + [{c: 1} for c in lifts1]
+    level1 = det_sign(columns) if len(columns) == e else 0
     if 0 in (level0, level1, level2):
-        raise ValueError("labeling produced a singular orientation frame")
-    ref = -1 if e % 2 else 1
-    return level0 * level1 * level2 == ref
+        raise ValueError("graph has a singular orientation frame")
+    graph._frame = (-1) ** e * level0 * level1 * level2
+    return graph._frame
 
 
 def _surface_complex(graph: RibbonGraph):
@@ -469,11 +457,8 @@ def _surface_complex(graph: RibbonGraph):
     canon = {pair_: c for c, pair_ in enumerate(graph.edges)}
     d1 = []
     for tail, head in graph.edges:
-        col = {}
         vt, vh = graph.vertex_of(tail), graph.vertex_of(head)
-        col[vh] = col.get(vh, Fraction(0)) + 1
-        col[vt] = col.get(vt, Fraction(0)) - 1
-        d1.append({r: v for r, v in col.items() if v})
+        d1.append({} if vt == vh else {vh: 1, vt: -1})
     d2 = []
     for cyc in graph.boundaries():
         col = {}
@@ -482,7 +467,7 @@ def _surface_complex(graph: RibbonGraph):
             if partner is None:
                 continue
             idx = canon[(min(h, partner), max(h, partner))]
-            col[idx] = col.get(idx, Fraction(0)) + (1 if h < partner else -1)
+            col[idx] = col.get(idx, 0) + (1 if h < partner else -1)
         d2.append({r: v for r, v in col.items() if v})
     middle = []
     if d1:
@@ -497,25 +482,15 @@ def _surface_complex(graph: RibbonGraph):
 
 
 def compatible_edge_labeling(graph: RibbonGraph, vertex_order, boundary_order):
-    """Some compatible (ordered, oriented) edge labeling for the given L1."""
-    cache_key = (tuple(vertex_order), tuple(boundary_order))
-    cached = graph._lab_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    base = [tuple(pair_) for pair_ in graph.edges]
-    if not base:
-        if orientation_compatible(graph, vertex_order, boundary_order, ()):
-            graph._lab_cache[cache_key] = ()
-            return ()
-        raise ValueError("edgeless graph with incompatible labeling")
-    for flip_first in (False, True):
-        cand = list(base)
-        if flip_first:
-            cand[0] = (cand[0][1], cand[0][0])
-        if orientation_compatible(graph, vertex_order, boundary_order, tuple(cand)):
-            graph._lab_cache[cache_key] = tuple(cand)
-            return tuple(cand)
-    raise ValueError("no compatible edge orientation found")
+    """A compatible (ordered, oriented) edge labeling for the given L1: the
+    canonical edges, the first one reversed exactly when the frame times
+    the signs of the vertex and boundary orders is -1."""
+    edges = list(graph.edges)
+    if _orientation_frame(graph) * _perm_sign(vertex_order) * \
+            _perm_sign(boundary_order) == -1:
+        # an edgeless (one-vertex, one-boundary) graph has frame +1
+        edges[0] = edges[0][::-1]
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +630,7 @@ def f_klg(s: CyclicStructure, propagator: dict, psis: list,
 
 
 def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
-                 k: int, l: int, g: int, weight_bound: int,
-                 slot_shift: int | None = None) -> CochainTensor:
+                 k: int, l: int, g: int, weight_bound: int) -> CochainTensor:
     """Materialize the graph-sum map as an arity-l tensor up to a weight bound.
 
     Each canonical key stores the graph sum :func:`f_klg` as is, with no
@@ -664,8 +638,7 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
     operations, so the (2, 1, 0) and (1, 2, 0) maps with the contraction
     tensor as propagator equal ``q210`` and ``q120``.
     """
-    shift = s.slot_shift if slot_shift is None else slot_shift
-    out = CochainTensor(s.basis, l, shift)
+    out = CochainTensor(s.basis, l, s.slot_shift)
     e = k + l + 2 * g - 2
     totals = set()
     for combo in iproduct(*[psi.weights() for psi in psis]):
@@ -674,7 +647,7 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
             totals.add(t)
     for total in sorted(totals):
         graphs = enumerate_graphs(k, l, g, total)
-        for key, _ in canonical_tuples(s.basis, shift, total, l):
+        for key, _ in canonical_tuples(s.basis, s.slot_shift, total, l):
             val = f_klg(s, propagator, psis, k, l, g, list(key), graphs=graphs)
             if val:
                 out.add(key, val)
@@ -684,27 +657,6 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
 # ---------------------------------------------------------------------------
 # pushforward twist element
 # ---------------------------------------------------------------------------
-
-class _MuPlusCochain:
-    """The weight-three cochain P(m2(x, y), z), kept as its table of nonzero
-    values on letter triples."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, s: CyclicStructure):
-        self.values = {}
-        for xy in s.mu.get(2, {}):
-            for z in range(len(s.basis)):
-                value = s.mu_plus(2, xy + (z,))
-                if value:
-                    self.values[xy + (z,)] = value
-
-    def eval_word(self, letters) -> Fraction:
-        return self.values.get(tuple(letters), ZERO)
-
-    def weights(self):
-        return [3]
-
 
 def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
                    kernel: dict[tuple[int, int], Fraction],
@@ -717,13 +669,15 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
     the ambient basis, matched by label).  ``kernel`` is the homotopy
     operator's kernel tensor used as the propagator on internal edges; it
     must satisfy the twist symmetry.  The (l, g) entry evaluated on words
-    of total weight n_legs is (-1)^(k (m-2)) times the trivalent graph sum
-    :func:`f_klg` with k = n_legs + 2 l + 4 g - 4 copies of the m2+ cochain,
-    so it carries the prefactor (-1)^(k (m-2)) / (l! |Aut|).  Unlike
-    :func:`f_klg_tensor`, each key stores that value times its
-    ``distribution_sign``, the normalization of the stored twist entries.
+    of total weight n_legs is the trivalent graph sum :func:`f_klg` with
+    the canonical twist entry ``canonical_mc(s).entry(1, 0)``, the values
+    (-1)^(m-2) m2+, at each of its k = n_legs + 2 l + 4 g - 4 vertices,
+    so it carries the prefactor (-1)^(k (m-2)) / (l! |Aut|).  A structure
+    without a product gives the zero family.  Unlike :func:`f_klg_tensor`,
+    each key stores that value times its ``distribution_sign``, the
+    normalization of the stored twist entries.
     """
-    from .dibl import MaurerCartanFamily, distribution_sign
+    from .dibl import MaurerCartanFamily, canonical_mc, distribution_sign
 
     deg = s.basis.degrees
     kernel_degs = {deg[i] + deg[j] for (i, j), v in kernel.items() if v}
@@ -738,15 +692,13 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
 
     amb_index = {lab: i for i, lab in enumerate(s.basis.labels)}
     lift = [amb_index[lab] for lab in harmonic.basis.labels]
-    m2p = _MuPlusCochain(s)
-    # Degree law: a nonzero term puts a triple of degree D on each of the
+    vertex = (canonical_mc(s).entry(1, 0) if 2 in s.mu
+              else CochainTensor(s.basis, 1, s.slot_shift))
+    # Degree law: a nonzero term puts a word of degree vdeg on each of the
     # k vertices and a kernel pair of degree kdeg on each of the e edges,
-    # so the legs' letters have degree k * D - e * kdeg.  It applies when
-    # the triples and the kernel are each of one degree.
-    vertex_degs = {sum(deg[x] for x in t) for t in m2p.values}
-    law = None
-    if len(vertex_degs) == 1 and len(kernel_degs) == 1:
-        law = vertex_degs.pop(), kdeg
+    # so the legs' letters have degree k * vdeg - e * kdeg.  It applies when
+    # the vertex words and the kernel are each of one degree.
+    vdeg = vertex.degree() if len(kernel_degs) == 1 else None
     entries = {}
     for l in range(1, l_bound + 1):
         for g in range(0, genus_bound + 1):
@@ -765,20 +717,18 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
                     # enumeration budget: truncate this entry honestly
                     ten.weight_bound = total - 1
                     break
-                if not graphs:
+                if not graphs or vertex.is_zero():
                     continue
-                sgn = Fraction(-1) ** (k * (s.manifold_dim - 2))
-                leg_degree = None
-                if law is not None:
-                    leg_degree = k * law[0] - (3 * k - total) // 2 * law[1]
+                leg_degree = None if vdeg is None else \
+                    k * vdeg - (3 * k - total) // 2 * kdeg
                 for key, _ in canonical_tuples(harmonic.basis,
                                                harmonic.slot_shift, total, l):
                     ambient_words = [tuple(lift[x] for x in w) for w in key]
                     if leg_degree is not None and leg_degree != sum(
                             deg[x] for w in ambient_words for x in w):
                         continue
-                    val = sgn * f_klg(s, kernel, [m2p] * k, k, l, g,
-                                      ambient_words, graphs)
+                    val = f_klg(s, kernel, [vertex] * k, k, l, g,
+                                ambient_words, graphs)
                     if val:
                         ten.add(key, distribution_sign(harmonic, key) * val)
             if not ten.is_zero() or (l, g) == (1, 0):

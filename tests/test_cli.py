@@ -1,12 +1,13 @@
 import argparse
 import inspect
 import json
+from collections import Counter
 
 import pytest
 
 from cycibl import cli, fileio
 from cycibl.cli import build_parser, main
-from cycibl.models import build_sn
+from cycibl.models import build_cpn, build_sn
 
 
 def run(capsys, *argv):
@@ -316,3 +317,118 @@ def test_every_registered_option_is_read_by_its_handler():
                    if not isinstance(action, argparse._HelpAction)
                    and f"args.{action.dest}" not in source]
     assert not unread
+
+
+def _field_paths(node, prefix=()):
+    """The path of every value inside a JSON document, containers included."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield prefix + (key,)
+            yield from _field_paths(value, prefix + (key,))
+
+
+# one replacement of each JSON type, empty and not: a number, a string, a
+# list, an object, null
+REPLACEMENTS = (7, -1.5, "x", "1", [], ["1"], {}, {"1": "1"}, None)
+
+
+def _mutations(doc):
+    for path in _field_paths(doc):
+        for value in REPLACEMENTS:
+            mutated = json.loads(json.dumps(doc))
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            yield path, value, mutated
+
+
+def test_mutated_model_files_exit_0_1_or_2(tmp_path, capsys):
+    # every field of the S3 and CP2 files replaced by a value of each JSON
+    # type: a property failure or an input error, never an internal error
+    path = tmp_path / "mutated.json"
+    codes = Counter()
+    for s in (build_sn(3).structure, build_cpn(2).structure):
+        for where, value, doc in _mutations(fileio.structure_to_dict(s)):
+            path.write_text(json.dumps(doc))
+            for argv in (["algebra-check", str(path)],
+                         ["homology", str(path), "--twist", "mc",
+                          "--weight-bound", "3"]):
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2), (s.name, where, value, argv[0], err)
+                if code == 2:
+                    _one_line_input_error(err)
+                codes[code] += 1
+    assert min(codes[0], codes[1], codes[2]) > 50, codes
+
+
+def test_mutated_twist_files_exit_0_or_2(tmp_path, capsys):
+    algebra, twist, path = (tmp_path / name for name in ("a.json", "t.json",
+                                                         "mutated.json"))
+    codes = Counter()
+    for s in (build_sn(3).structure, build_cpn(2).structure):
+        fileio.dump_json(fileio.structure_to_dict(s), str(algebra))
+        run(capsys, "pushforward", str(algebra), "--weight-bound", "5",
+            "--output", str(twist))
+        for where, value, doc in _mutations(json.loads(twist.read_text())):
+            path.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "homology", str(algebra), "--twist",
+                               str(path), "--weight-bound", "3")
+            assert code in (0, 2), (s.name, where, value, err)
+            if code == 2:
+                _one_line_input_error(err)
+            codes[code] += 1
+    assert codes[0] > 20 and codes[2] > 200, codes
+
+
+def test_homology_of_an_algebra_failing_its_axioms_is_input_error(tmp_path,
+                                                                  capsys):
+    # CP2 with mu_2(e0, e0) = 2 e0: the twisted differential fails d*d = 0
+    # at weight bound 6, and at 3 its image leaves the kernel one degree
+    # down; both are the loaded algebra's fault
+    doc = fileio.structure_to_dict(build_cpn(2).structure)
+    row = next(r for r in doc["mu"]["2"] if r["inputs"] == ["e0", "e0"])
+    row["output"] = {"e0": "2"}
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(doc))
+    for bound in ("6", "3"):
+        code, out, err = run(capsys, "homology", str(path), "--twist", "mc",
+                             "--weight-bound", bound)
+        assert code == 2 and out == "", bound
+        _one_line_input_error(err)
+        assert err == ("input error: CP2: fails A-infinity relation arity 3 "
+                       "at (0, 0, 1)\n")
+    # a twist file whose (1, 0) entry induces a family of the wrong degree
+    s3, twist = tmp_path / "s3.json", tmp_path / "twist.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    run(capsys, "pushforward", str(s3), "--weight-bound", "5",
+        "--output", str(twist))
+    doc = json.loads(twist.read_text())
+    record = doc["entries"][0]["cochain"]["values"][0]
+    assert record["tuple"] == [["1", "1", "w"]]
+    record["tuple"] = [["1", "1", "1"]]
+    twist.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "homology", str(s3), "--twist", str(twist),
+                       "--weight-bound", "3")
+    assert code == 2
+    _one_line_input_error(err)
+    assert err == f"input error: {twist}: fails mu_2 degree at (0, 0)\n"
+
+
+def test_square_zero_error_on_a_valid_algebra_stays_internal(tmp_path, capsys,
+                                                            monkeypatch):
+    from cycibl import homology
+    from cycibl.linalg import SquareZeroError
+
+    def broken(*args, **kwargs):
+        raise SquareZeroError("d*d != 0 at degree 1")
+
+    monkeypatch.setattr(homology, "cochain_homology", broken)
+    path = tmp_path / "s3.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(path))
+    code, out, err = run(capsys, "homology", str(path), "--twist", "mc")
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "internal error: SquareZeroError('d*d != 0 at degree 1')\n")
+    assert "Traceback" in err and "input error" not in err

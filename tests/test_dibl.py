@@ -338,15 +338,31 @@ def test_mc_filtration_and_values():
 
 def test_mc_sphere_support():
     # nonzero exactly on words with a unit letter whose other letters
-    # multiply into a volume pairing
+    # multiply into a volume pairing; on every letter triple, not only the
+    # canonical words, the entry is (-1)^(m-2) m2+, the pushforward vertex
     for n in (2, 3):
         s = build_sn(n).structure
         mc = canonical_mc(s).entry(1, 0)
         sgn = Fraction(-1) ** (n - 2)
-        for u in canonical_words(s.basis, 3):
+        for u in iproduct(range(len(s.basis)), repeat=3):
             assert mc.eval_word(u) == sgn * s.mu_plus(2, u)
         assert mc.eval_word((0, 0, 1)) != 0
         assert mc.eval_word((1, 1, 1)) == 0
+
+
+def test_mc_entry_is_signed_mu_plus_on_every_triple():
+    # the same on the structures whose pushforwards the tests and the
+    # benchmark run, where m2+ is cyclic (check_cyclic_dga passes)
+    structures = [build_cpn(n).structure for n in (1, 2, 3)]
+    structures += [random_cyclic_dga(6, seed=seed) for seed in range(4)]
+    for s in structures:
+        mc = canonical_mc(s).entry(1, 0)
+        sgn = Fraction(-1) ** (s.manifold_dim - 2)
+        nonzero = 0
+        for u in iproduct(range(len(s.basis)), repeat=3):
+            assert mc.eval_word(u) == sgn * s.mu_plus(2, u), (s.name, u)
+            nonzero += bool(s.mu_plus(2, u))
+        assert nonzero, s.name
 
 
 def test_unit_product_relation_odd_sphere():

@@ -6,7 +6,7 @@ import pytest
 
 from cycibl.algebra import CyclicStructure, hochschild_b_cyclic, integral_multiple
 from cycibl.dibl import canonical_mc, mu_from_mc, twisted_q110
-from cycibl.homology import chain_homology, cochain_homology, degree_window
+from cycibl.homology import chain_homology, cochain_homology
 from cycibl.linalg import (Eliminator, SparseMatrix, SquareZeroError,
                            det_sign, graded_homology, image_basis,
                            kernel_basis, rank, rref, solve)
@@ -487,14 +487,17 @@ def test_truncated_polynomial_primal_cyclic_homology():
 
 
 def test_uct_dimensions_match():
-    # primal and dual computations agree dimensionwise per bidegree
-    s = build_sn(3).structure
-    primal = chain_homology(s, weight_bound=6)
-    dual = cochain_homology(s, None, weight_bound=6)
-    for (d, w), n in primal.stable_classes().items():
-        assert dual.dim(d, w) == n, (d, w)
-    for (d, w), n in dual.stable_classes().items():
-        assert primal.dim(d, w) == n, (d, w)
+    # primal and dual computations agree dimensionwise per bidegree, on the
+    # full and on the reduced (unit-free) complexes
+    for s, reduced in itertools.product(
+            (build_sn(3).structure, build_sn(2).structure,
+             build_cpn(2).structure), (False, True)):
+        primal = chain_homology(s, weight_bound=6, reduced=reduced)
+        dual = cochain_homology(s, None, weight_bound=6, reduced=reduced)
+        for (d, w), n in primal.stable_classes().items():
+            assert dual.dim(d, w) == n, (s.name, d, w)
+        for (d, w), n in dual.stable_classes().items():
+            assert primal.dim(d, w) == n, (s.name, d, w)
 
 
 def test_projective_line_matches_even_sphere_dimensions():

@@ -14,6 +14,10 @@ tracer wraps functions by name, e.g. ``"Eliminator.reduce"``).  A method
 of a package class counts as used when some searched file refers to it as
 an attribute or names it in a string; dunders and overrides of a method of
 a base class (``_Parser.error``) are exempt.
+
+Options without a caller: every defaulted parameter of a function or
+method of ``src/cycibl`` is passed, by keyword or by position, by some
+call in the searched files to a callee of that name.
 """
 
 from __future__ import annotations
@@ -157,3 +161,73 @@ def test_no_unbounded_memo():
             if _unbounded_memo(node):
                 found.append(f"{path.stem}:{node.lineno}")
     assert not found, "unbounded memo: " + ", ".join(found)
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """``(callee name, parameter, positional index or None, skip)`` for each
+    defaulted parameter of a function or method: a method's calls pass its
+    arguments after ``self`` (``skip`` 1), a class is called by its name
+    for ``__init__``, and a keyword-only parameter has no index."""
+    found = []
+
+    def visit(node, owner=None):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                visit(item, item)
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = owner.name if owner and item.name == "__init__" else item.name
+                args = item.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if owner is not None and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in item.decorator_list) else 0
+                for idx, arg in enumerate(positional[len(positional)
+                                                     - len(args.defaults):],
+                                          len(positional) - len(args.defaults)):
+                    found.append((name, arg.arg, idx, skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((name, arg.arg, None, skip))
+                visit(item)
+            else:
+                visit(item, owner)
+
+    visit(tree)
+    return found
+
+
+def _calls():
+    """Callee name -> list of (positional count or None for ``*args``,
+    keyword names or None for ``**kwargs``) over every searched file."""
+    calls: dict[str, list] = {}
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (None if starred else len(node.args),
+                     None if None in keywords else keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A defaulted parameter that no call passes, by keyword or by
+    position, is an option without a caller: its default is the only
+    value it ever takes."""
+    calls = _calls()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, param, idx, skip in _defaulted_parameters(tree):
+            passed = any(
+                keywords is None or param in keywords or npos is None
+                or (idx is not None and npos > idx - skip)
+                for npos, keywords in calls.get(name, ()))
+            if not passed:
+                unused.append(f"{path.stem}.{name}({param})")
+    assert not unused, "defaulted parameters no call passes: " + ", ".join(unused)

@@ -8,12 +8,13 @@ import pytest
 from cycibl.dibl import (canonical_mc, collection_sign, distribution_sign,
                          q120, q210, t_tensor)
 from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
+from cycibl.linalg import Eliminator, det_sign
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
-from cycibl.ribbon import (Labeling, RibbonGraph, _MuPlusCochain,
+from cycibl.ribbon import (Labeling, RibbonGraph, _surface_complex,
                            enumerate_graphs, f_klg, f_klg_tensor, graph_pairing,
                            orientation_compatible, compatible_edge_labeling,
                            pushforward_mc, sigma_L)
-from cycibl.signs import GradedBasis, koszul_sign
+from cycibl.signs import ZERO, GradedBasis, koszul_sign
 from cycibl.words import (CochainTensor, canonical_key, canonical_tuples,
                           canonical_words, dual_word)
 
@@ -300,6 +301,21 @@ def test_pushforward_zero_kernel_gives_canonical_mc():
         assert fam.entry(1, 1).is_zero()
 
 
+def test_pushforward_without_product_gives_zero_family():
+    # no product means no vertex cochain: only the (1, 0) entry, and zero
+    from dataclasses import replace
+
+    for bundle in (build_sn(3), build_cpn(2)):
+        s = bundle.structure
+        bare = replace(s, mu={1: {}})
+        for kernel, symmetric in (({}, True), (t_tensor(s), False)):
+            fam = pushforward_mc(bare, bare, kernel, weight_bound=4,
+                                 genus_bound=0, check_symmetry=symmetric)
+            assert list(fam.entries) == [(1, 0)], s.name
+            assert fam.entry(1, 0).is_zero()
+            assert fam.entry(1, 0).weight_bound == 4
+
+
 def test_pushforward_transfer_passes_higher_associativity():
     # the four-vertex tree classes carry relative signs; a wrong sign breaks
     # the arity-six relations of the induced family (mu_1 vanishes on the
@@ -323,8 +339,9 @@ def test_pushforward_transfer_passes_higher_associativity():
 
 
 # ---------------------------------------------------------------------------
-# oracles: the all-starts canonical form, a full candidate enumeration and
-# the per-labeling propagator loop
+# oracles: the all-starts canonical form, a full candidate enumeration, the
+# per-labeling orientation frame, the per-labeling propagator loop and the
+# m2+ vertex table
 # ---------------------------------------------------------------------------
 
 def oracle_encoding_from(graph, h0):
@@ -469,6 +486,106 @@ def test_enumeration_matches_every_candidate_oracle():
         assert shape(got) == shape(oracle_enumerate(*args, trivalent)), args
 
 
+def oracle_orientation_compatible(graph, vertex_order, boundary_order,
+                                  edge_order):
+    """The three level determinants rebuilt in the labeled bases: the
+    surface complex re-indexed and re-signed for the labeling, lifts chosen
+    in labeled order, det(level 0) det(level 1) det(level 2) = (-1)^e."""
+    d1, d2, middle = _surface_complex(graph)
+    k, e, l = len(graph.vertices), len(d1), len(d2)
+    # canonical edge -> (labeled position, -1 when the labeling reverses it)
+    canon = {pair_: c for c, pair_ in enumerate(graph.edges)}
+    at = [None] * e
+    for idx, (tail, head) in enumerate(edge_order):
+        at[canon[(min(tail, head), max(tail, head))]] = \
+            (idx, 1 if tail < head else -1)
+
+    def relabel(vec):
+        return {at[c][0]: at[c][1] * v for c, v in vec.items()}
+
+    v_pos = {v: i for i, v in enumerate(vertex_order)}
+    d1_cols = [None] * e
+    for c, col in enumerate(d1):
+        idx, flip = at[c]
+        d1_cols[idx] = {v_pos[r]: flip * v for r, v in col.items()}
+    d2_cols = [None] * l
+    for b, col in enumerate(d2):
+        d2_cols[boundary_order.index(b)] = relabel(col)
+
+    # level 0: [d1(lift of image basis) | point class] against C0
+    elim = Eliminator()
+    lift_cols, lift1_cols_in_c1 = [], []
+    for c, col in enumerate(d1_cols):
+        if col and elim.add(col):
+            lift_cols.append(col)
+            lift1_cols_in_c1.append({c: Fraction(1)})
+    level0 = det_sign(lift_cols + [{0: Fraction(1)}]) \
+        if len(lift_cols) + 1 == k else 0
+    # level 2: [fundamental class | lifts of the image of d2] against C2
+    elim2 = Eliminator()
+    lift2, lift2_cols_in_c2 = [], []
+    for c, col in enumerate(d2_cols):
+        if col and elim2.add(col):
+            lift2.append(col)
+            lift2_cols_in_c2.append({c: Fraction(1)})
+    fund = {c: Fraction(1) for c in range(l)}
+    level2 = det_sign([fund] + lift2_cols_in_c2) \
+        if 1 + len(lift2_cols_in_c2) == l else 0
+    # level 1: [image of d2 | middle reference | level-0 lifts] against C1
+    middle = [relabel(vec) for vec in middle]
+    level1 = det_sign(lift2 + middle + lift1_cols_in_c1) \
+        if len(lift2) + len(middle) + len(lift1_cols_in_c1) == e else 0
+    if e == 0:
+        level1 = 1
+    assert 0 not in (level0, level1, level2)
+    return level0 * level1 * level2 == (-1 if e % 2 else 1)
+
+
+def oracle_compatible_edge_labeling(graph, vertex_order, boundary_order):
+    """The canonical edges, or else the first one reversed: the first of
+    the two candidates the oracle frame accepts."""
+    base = list(graph.edges)
+    candidates = [base] + ([[base[0][::-1]] + base[1:]] if base else [])
+    for cand in candidates:
+        if oracle_orientation_compatible(graph, vertex_order, boundary_order,
+                                         tuple(cand)):
+            return tuple(cand)
+    raise AssertionError("no compatible edge orientation")
+
+
+ORIENTED = [(k, l, g, legs) for k in (1, 2, 3) for l in (1, 2) for g in (0, 1)
+            for legs in range(5) if 2 * (k + l + 2 * g - 2) + legs <= 8]
+
+
+def test_orientation_parity_matches_per_labeling_frame():
+    # every vertex and boundary order of every graph in the budget, reduced
+    # and unreduced, with seeded edge orders and reversals
+    rng = random.Random(41)
+    graphs = orders = accepted = 0
+    for args in ORIENTED:
+        for reduced in (True, False):
+            for graph, _ in enumerate_graphs(*args, reduced=reduced):
+                graphs += 1
+                k, l = len(graph.vertices), len(graph.boundaries())
+                for vo in permutations(range(k)):
+                    for bo in permutations(range(l)):
+                        orders += 1
+                        assert compatible_edge_labeling(graph, vo, bo) == \
+                            oracle_compatible_edge_labeling(graph, vo, bo), \
+                            (args, graph.vertices, graph.edges, vo, bo)
+                        for _ in range(3):
+                            eo = rng.sample(graph.edges, len(graph.edges))
+                            eo = tuple(p[::-1] if rng.random() < 0.5 else p
+                                       for p in eo)
+                            want = oracle_orientation_compatible(graph, vo, bo, eo)
+                            assert orientation_compatible(graph, vo, bo, eo) == \
+                                want, (args, graph.vertices, graph.edges, vo, bo, eo)
+                            accepted += want
+    # both outcomes, over multi-edge graphs of positive genus too
+    assert graphs >= 500 and orders >= 2000, (graphs, orders)
+    assert 0.3 < accepted / (3 * orders) < 0.7, accepted
+
+
 def oracle_graph_pairing(s, graph, propagator, psis, words):
     """The graph pairing with every propagator assignment multiplied out,
     signed and routed for every labeling before any vertex is evaluated."""
@@ -558,6 +675,27 @@ def test_graph_pairing_matches_per_labeling_oracle():
         assert nonzero >= 10, s.name
 
 
+class OracleMuPlusCochain:
+    """The weight-three cochain P(m2(x, y), z), kept as its table of nonzero
+    values on letter triples."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, s):
+        self.values = {}
+        for xy in s.mu.get(2, {}):
+            for z in range(len(s.basis)):
+                value = s.mu_plus(2, xy + (z,))
+                if value:
+                    self.values[xy + (z,)] = value
+
+    def eval_word(self, letters) -> Fraction:
+        return self.values.get(tuple(letters), ZERO)
+
+    def weights(self):
+        return [3]
+
+
 def supported_word(graph, propagator, support, rng):
     """A boundary word such that one propagator assignment puts a triple of
     ``support`` on every vertex (None when the drawn edge letters allow
@@ -588,10 +726,8 @@ def test_mu_plus_pairing_matches_oracle_on_trivalent_trees():
                           for p in rng.sample(pairs, 3)}))
     nonzero = 0
     for s, propagator in cases:
-        m2p = _MuPlusCochain(s)
+        m2p = OracleMuPlusCochain(s)
         n = len(s.basis)
-        for t in iproduct(range(n), repeat=3):
-            assert m2p.eval_word(t) == s.mu_plus(2, t)
         for graph, _ in enumerate_graphs(4, 1, 0, 6, trivalent=True):
             word = supported_word(graph, propagator, m2p.values, rng) or \
                 tuple(rng.randrange(n) for _ in range(6))
@@ -660,10 +796,11 @@ def test_canonical_tuples_match_enumerate_and_dedup_walk():
 def oracle_pushforward_entries(s, harmonic, kernel, weight_bound,
                                genus_bound=0, l_bound=2):
     """``pushforward_mc``'s entries with every word tuple paired against
-    every class: the loop before the degree-law filter."""
+    every class (the loop before the degree-law filter), with the m2+
+    table at each vertex and the sign (-1)^(k (m-2)) per graph sum."""
     amb_index = {lab: i for i, lab in enumerate(s.basis.labels)}
     lift = [amb_index[lab] for lab in harmonic.basis.labels]
-    m2p = _MuPlusCochain(s)
+    m2p = OracleMuPlusCochain(s)
     entries = {}
     for l in range(1, l_bound + 1):
         for g in range(genus_bound + 1):
