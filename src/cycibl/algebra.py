@@ -124,12 +124,6 @@ class CyclicStructure:
     def arities(self) -> list[int]:
         return sorted(k for k, t in self.mu.items() if t)
 
-    def volume_vector(self) -> Vector:
-        """The unique vector with P(unit, vol) = 1 and vol ⟂ the augmentation kernel."""
-        if self.unit is None:
-            raise ValueError(f"{self.name}: no unit")
-        return self.dual_basis()[self.unit]
-
 
 def integral_multiple(s: CyclicStructure) -> tuple[int, CyclicStructure]:
     """The least D >= 1 with D * mu integral, and a structure (no pairing)

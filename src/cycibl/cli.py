@@ -74,9 +74,9 @@ def _first_failing_relation(s, twist_file):
 
 def cmd_homology(args) -> int:
     from .homology import cochain_homology
-    from .linalg import SquareZeroError
 
     s = _structure(args.file, paired=args.twist != "none")
+    twist_file = None
     if args.twist == "none":
         fam = None
     elif args.twist == "mc":
@@ -87,14 +87,9 @@ def cmd_homology(args) -> int:
         if bound is not None and bound < need:
             raise InputError(f"{args.twist}: the (1,0) entry is truncated at "
                              f"weight {bound}; homology needs weight {need}")
-    try:
-        rep = cochain_homology(s, fam, args.weight_bound, reduced=args.reduced)
-    except (SquareZeroError, ValueError):
-        # a differential that fails d*d = 0 or leaves its weight window or
-        # degree: bad input if what was loaded fails a relation, else a bug
-        _first_failing_relation(
-            s, None if args.twist in ("none", "mc") else (args.twist, fam))
-        raise
+        twist_file = (args.twist, fam)
+    _first_failing_relation(s, twist_file)
+    rep = cochain_homology(s, fam, args.weight_bound, reduced=args.reduced)
     if args.format == "records":
         doc = [{"degree": d, "weight": w, "dim": n, "stable": st}
                for d, w, n, st in rep.nonzero_rows()]
@@ -174,9 +169,11 @@ def cmd_eval(args) -> int:
     s = _structure(args.algebra, paired=args.op != "boundary" or bool(args.twist))
     psi = _cochain(s, args.psi)
     fam = None
-    if args.twist:
-        fam = (_canonical_mc(s) if args.twist == "mc"
-               else fileio.family_from_dict(s, load_json(args.twist)))
+    if args.twist == "mc":
+        fam = _canonical_mc(s)
+    elif args.twist:
+        fam = fileio.family_from_dict(s, load_json(args.twist))
+        _first_failing_relation(s, (args.twist, fam))
     if args.op == "boundary":
         out = q110(s, psi)
     elif args.op == "product":

@@ -26,6 +26,8 @@ by word.  :func:`dual_word_product` contracts a pair of dual words; the
 product and the partial composition (once per slot of the entry) sum it
 over pairs of stored words, and the coproduct cuts one stored word twice.
 Each output word is counted once per rotation equal to it as a tensor.
+The unit relations are the partial composition with the dual of the unit
+letter, which inserts the volume letter into the entry's stored words.
 
 All cochains are stored unshifted; the degree shift per slot under which
 these operations become symmetric is ``m - 3``, carried as the tensors'
@@ -41,7 +43,8 @@ from fractions import Fraction
 from .algebra import CyclicStructure, dual_b, integral_multiple, transposed_b
 from .signs import ZERO
 from .words import (CochainTensor, TruncationError, Word, canonical_key,
-                    canonical_words, canonicalize, rotations, slot_degree)
+                    canonical_words, canonicalize, dual_word, rotations,
+                    slot_degree)
 
 
 def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
@@ -357,79 +360,29 @@ def twisted_q120(s: CyclicStructure, pmc: MaurerCartanFamily,
 
 
 # ---------------------------------------------------------------------------
-# unit relations and volume insertion
+# unit relations
 # ---------------------------------------------------------------------------
-
-def iota_vol(s: CyclicStructure, letters: Word) -> list[tuple[Word, Fraction]]:
-    """Signed insertion of the volume letter at every position of a word."""
-    vol = s.volume_vector()
-    deg = s.basis.degrees
-    out = []
-    for i in range(len(letters)):
-        pre = sum(deg[x] for x in letters[:i])
-        for v, c in vol.items():
-            sg = -1 if (deg[v] % 2) and (pre % 2) else 1
-            out.append((tuple(letters[:i]) + (v,) + tuple(letters[i:]), sg * c))
-    return out
-
-
-def iota_vol_tuple(s: CyclicStructure, words: tuple[Word, ...], slot_shift: int):
-    """Volume insertion across tensor slots of a shifted tuple.
-
-    Yields (tuple, coefficient) pairs; slot j enters with the sign
-    (-1)^(|vol| (|W_1| + ... + |W_{j-1}| + |s|)) in shifted slot degrees.
-    """
-    vol = s.volume_vector()
-    vol_degs = {s.basis.degrees[i] % 2 for i in vol}
-    if len(vol_degs) != 1:
-        raise ValueError("volume vector must be homogeneous")
-    vdeg = vol_degs.pop()
-    s_par = slot_shift % 2
-    for j in range(len(words)):
-        pre = sum(slot_degree(w, s.basis, slot_shift) for w in words[:j])
-        outer = -1 if vdeg and ((pre + s_par) % 2) else 1
-        for ins, c in iota_vol(s, words[j]):
-            yield words[:j] + (ins,) + words[j + 1:], outer * c
-
-
-def iota_vol_pairing(s: CyclicStructure, psi: CochainTensor,
-                     words: tuple[Word, ...]) -> Fraction:
-    """Evaluate psi ∘ (volume insertion) on a tuple of words."""
-    total = Fraction(0)
-    for tup, c in iota_vol_tuple(s, words, psi.slot_shift):
-        total += c * psi.eval_tuple(tup)
-    return total
-
 
 def twisted_q1lg_on_unit(s: CyclicStructure, pmc: MaurerCartanFamily,
                          l: int, g: int) -> CochainTensor:
-    """The (1,l,g) twisted operation on the dual of the unit letter:
-    minus (the (l,g) entry composed with volume insertion)."""
+    """The (1,l,g) twisted operation on the dual of the unit letter: the
+    partial composition :func:`circ1` of the (l,g) entry with it.
+
+    This is minus (the entry composed with volume insertion), the IBL unit
+    axiom.  The unit dual stores only the unit letter, so each term of
+    ``circ1`` contracts it against T^{unit,b} = -vol_b (the unit letter is
+    odd) and places e_b at one rotation position of slot j: volume
+    insertion.  With an empty left half, the block sign of ``circ1`` is
+    (-1)^(|e_b| (|s| + |W_1..W_{j-1}|)), the outer sign of the insertion
+    into slot j.  A value at weight w needs the entry at weight w + 1, so
+    the bound is the entry's bound - 1.
+    """
+    if s.unit is None:
+        raise ValueError(f"{s.name}: no unit")
     if not pmc.is_strictly_reduced():
         raise ValueError("twist element is not strictly reduced")
-    entry = pmc.entry(l, g)
-    out = CochainTensor(s.basis, l, entry.slot_shift, entry.weight_bound)
-    vol_letters = set(s.volume_vector())
-    seen = set()
-    for key in list(entry.values):
-        for j, w in enumerate(key):
-            if len(w) < 2:
-                continue
-            for pos, letter in enumerate(w):
-                if letter not in vol_letters:
-                    continue
-                canon, _ = canonicalize(w[:pos] + w[pos + 1:], s.basis)
-                if canon is None:
-                    continue
-                cand = key[:j] + (canon,) + key[j + 1:]
-                keyed = canonical_key(cand, s.basis, entry.slot_shift)
-                if keyed is None or keyed[0] in seen:
-                    continue
-                seen.add(keyed[0])
-                val = -iota_vol_pairing(s, entry, keyed[0])
-                if val:
-                    out.add(keyed[0], val)
-    return out
+    return circ1(s, pmc.entry(l, g),
+                 dual_word(s.basis, (s.unit,), slot_shift=s.slot_shift))
 
 
 # ---------------------------------------------------------------------------

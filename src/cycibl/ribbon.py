@@ -636,17 +636,21 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
     Each canonical key stores the graph sum :func:`f_klg` as is, with no
     ``distribution_sign``: this is the normalization of the one-edge
     operations, so the (2, 1, 0) and (1, 2, 0) maps with the contraction
-    tensor as propagator equal ``q210`` and ``q120``.
+    tensor as propagator equal ``q210`` and ``q120``.  When every cochain
+    is untruncated and supported on weight 3 only, a vertex of another
+    valency evaluates to 0, so only the trivalent classes are paired.
     """
     out = CochainTensor(s.basis, l, s.slot_shift)
     e = k + l + 2 * g - 2
+    trivalent = all(psi.weights() == [3] and psi.weight_bound is None
+                    for psi in psis)
     totals = set()
     for combo in iproduct(*[psi.weights() for psi in psis]):
         t = sum(combo) - 2 * e
         if l <= t <= weight_bound:
             totals.add(t)
     for total in sorted(totals):
-        graphs = enumerate_graphs(k, l, g, total)
+        graphs = enumerate_graphs(k, l, g, total, trivalent=trivalent)
         for key, _ in canonical_tuples(s.basis, s.slot_shift, total, l):
             val = f_klg(s, propagator, psis, k, l, g, list(key), graphs=graphs)
             if val:

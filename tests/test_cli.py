@@ -416,6 +416,38 @@ def test_homology_of_an_algebra_failing_its_axioms_is_input_error(tmp_path,
     assert err == f"input error: {twist}: fails mu_2 degree at (0, 0)\n"
 
 
+def test_loaded_inputs_are_checked_before_computing(tmp_path, capsys):
+    # CP2 with mu_2(e1, e1) = 2 e2 fails only cyclicity: its twisted
+    # complex at weight bound 3 has d*d = 0, so only the check catches it
+    doc = fileio.structure_to_dict(build_cpn(2).structure)
+    row = next(r for r in doc["mu"]["2"] if r["inputs"] == ["e1", "e1"])
+    row["output"] = {"e2": "2"}
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "algebra-check", str(path))[0] == 1
+    code, out, err = run(capsys, "homology", str(path), "--twist", "mc",
+                         "--weight-bound", "3")
+    assert code == 2 and out == ""
+    assert err == "input error: CP2: fails mu_2+ cyclicity at (1, 0, 1)\n"
+    # a twist file whose (1, 0) entry is inhomogeneous induces a mu_2 of
+    # the wrong degree; eval names it before any twisted operation runs
+    s3, twist, psi = (tmp_path / name for name in ("s3.json", "t.json",
+                                                   "psi.json"))
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    run(capsys, "pushforward", str(s3), "--weight-bound", "5",
+        "--output", str(twist))
+    doc = json.loads(twist.read_text())
+    doc["entries"][0]["cochain"]["values"].append(
+        {"coefficient": "1", "tuple": [["1", "w", "w"]]})
+    twist.write_text(json.dumps(doc))
+    psi.write_text(json.dumps({"algebra": "S3", "arity": 1, "values": [
+        {"coefficient": "1", "tuple": [["w", "w", "w"]]}]}))
+    code, out, err = run(capsys, "eval", "twisted-boundary", "--algebra",
+                         str(s3), "--psi", str(psi), "--twist", str(twist))
+    assert code == 2 and out == ""
+    assert err == f"input error: {twist}: fails mu_2 degree at (0, 1)\n"
+
+
 def test_square_zero_error_on_a_valid_algebra_stays_internal(tmp_path, capsys,
                                                             monkeypatch):
     from cycibl import homology

@@ -10,15 +10,14 @@ from cycibl import dibl
 from cycibl.algebra import check_ainfty, dual_b, hochschild_b_cyclic, unit_cochain
 from cycibl.dibl import (MaurerCartanFamily, _relation_report, canonical_mc, circ1,
                          collection_sign, distribution_sign,
-                         ibl_relations_check, iota_vol, iota_vol_pairing,
-                         mu_from_mc, q110, q120, q210,
+                         ibl_relations_check, mu_from_mc, q110, q120, q210,
                          t_tensor, twisted_boundary_vs_bar_dual, twisted_q110,
                          twisted_q120, twisted_q1lg_on_unit)
 from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
                            random_cyclic_dga)
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
-                          canonical_words, canonicalize, dual_word, product_cochain,
-                          rotations, slot_degree)
+                          canonical_tuples, canonical_words, canonicalize,
+                          dual_word, product_cochain, rotations, slot_degree)
 
 
 def wdual(s, letters, bound=None):
@@ -107,6 +106,39 @@ def oracle_circ1(s, T, entry, psi, words):
                     eps = (deg[b] * (before + d1) + d1 * before) % 2
                     total += -sign * t * val if eps else sign * t * val
         before += slot_degree(word, s.basis, shift)
+    return total
+
+
+def volume_vector(s):
+    """The unique vector with P(unit, vol) = 1 and vol ⟂ the augmentation
+    kernel: the dual of the unit letter."""
+    return s.dual_basis()[s.unit]
+
+
+def iota_vol(s, letters):
+    """Signed insertion of the volume letter at every position of a word."""
+    vol = volume_vector(s)
+    deg = s.basis.degrees
+    out = []
+    for i in range(len(letters)):
+        pre = sum(deg[x] for x in letters[:i])
+        for v, c in vol.items():
+            sg = -1 if (deg[v] % 2) and (pre % 2) else 1
+            out.append((tuple(letters[:i]) + (v,) + tuple(letters[i:]), sg * c))
+    return out
+
+
+def iota_vol_pairing(s, psi, words):
+    """psi ∘ (volume insertion) on a tuple of words: slot j enters with the
+    sign (-1)^(|vol| (|W_1| + ... + |W_{j-1}| + |s|)) in shifted slot
+    degrees."""
+    (vdeg,) = {s.basis.degrees[i] % 2 for i in volume_vector(s)}
+    total = Fraction(0)
+    for j in range(len(words)):
+        pre = sum(slot_degree(w, s.basis, psi.slot_shift) for w in words[:j])
+        outer = -1 if vdeg and (pre + psi.slot_shift) % 2 else 1
+        for ins, c in iota_vol(s, words[j]):
+            total += outer * c * psi.eval_tuple(words[:j] + (ins,) + words[j + 1:])
     return total
 
 
@@ -702,14 +734,48 @@ def test_twisted_q120_untwisted_when_entry_missing():
     assert twisted_q120(s, mc, psi).equal_values(q120(s, psi))
 
 
-def test_twisted_q1lg_on_unit_reproduces_relation():
-    # route through the volume-insertion formula for l = 1
+def _reduced_entry(s, rng, arity, bound, terms):
+    """A seeded arity-l entry on canonical tuples of total weight up to 4
+    (5 for arity 3) that avoid the unit letter, as a strictly reduced
+    family needs."""
+    keys = [key for total in range(arity + 1, 5 + (arity == 3))
+            for key, _ in canonical_tuples(s.basis, s.slot_shift, total, arity)
+            if not any(s.unit in w for w in key)]
+    entry = CochainTensor(s.basis, arity, s.slot_shift, bound)
+    for key in rng.sample(keys, min(terms, len(keys))):
+        entry.add(key, Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)))
+    return entry
+
+
+def test_twisted_q1lg_on_unit_matches_volume_insertion():
+    # -(entry ∘ iota_vol) on every tuple the output can reach, for random
+    # strictly reduced (1,1), (2,0) and (3,0) entries, m = 1, 3, 4, 6 and
+    # the random models with m = 3, 2, 4
+    structures = [build_sn(1).structure, build_sn(3).structure,
+                  build_cpn(2).structure, build_cpn(3).structure]
+    structures += [random_cyclic_dga(6, seed=seed) for seed in (0, 1, 5)]
+    assert sorted({s.manifold_dim for s in structures}) == [1, 2, 3, 4, 6]
+    for s in structures:
+        rng = random.Random(s.name)
+        nonzero = 0
+        for l, g in ((1, 1), (2, 0), (3, 0)):
+            for bound in (None, 5):
+                entry = _reduced_entry(s, rng, l, bound, 6)
+                pmc = MaurerCartanFamily(s, {(l, g): entry})
+                out = twisted_q1lg_on_unit(s, pmc, l, g)
+                assert out.weight_bound == (None if bound is None else bound - 1)
+                top = max(entry.weights()) - 1
+                for total in range(l, top + 1):
+                    for key, _ in canonical_tuples(s.basis, s.slot_shift,
+                                                   total, l):
+                        want = -iota_vol_pairing(s, entry, key)
+                        assert out.eval_tuple(key) == want, (s.name, l, key)
+                assert set(out.weights()) <= set(range(l, top + 1))
+                nonzero += len(out.values)
+        assert nonzero, s.name
     s = build_sn(3).structure
-    mc = canonical_mc(s)
-    out = twisted_q1lg_on_unit(s, mc, 1, 0)
-    # q110^mc(unit*) = q210(mc10, unit*); compare against -mc ∘ iota_vol
-    lhs = q210(s, mc.entry(1, 0), unit_cochain(s, 1))
-    assert lhs.equal_values(out)
+    with pytest.raises(ValueError, match="no unit"):
+        twisted_q1lg_on_unit(replace(s, unit=None), canonical_mc(s), 1, 0)
 
 
 def decompose_arity2(phi):

@@ -301,6 +301,32 @@ def test_pushforward_zero_kernel_gives_canonical_mc():
         assert fam.entry(1, 1).is_zero()
 
 
+def test_pushforward_is_the_signed_graph_sum_of_the_canonical_entry():
+    # the (1, 0) and (2, 0) entries are distribution_sign times the sum over
+    # k of f_klg_tensor with the canonical (1, 0) entry at every vertex (no
+    # budget stop below k = 5); on weight-3 vertices f_klg_tensor pairs the
+    # trivalent classes only, and every valency gives the same values
+    W = 4
+    nonzero = 0
+    for bundle in (build_sn(3), build_cpn(2)):
+        s = bundle.structure
+        T = t_tensor(s)
+        vertex = canonical_mc(s).entry(1, 0)
+        fam = pushforward_mc(s, s, T, W, l_bound=2, check_symmetry=False)
+        for l in (1, 2):
+            want = {}
+            for k in range(1, W + 2 * l - 3):
+                part = f_klg_tensor(s, T, [vertex] * k, k, l, 0, W)
+                for key, v in part.items():
+                    want[key] = want.get(key, 0) + distribution_sign(s, key) * v
+                    if l == 1:
+                        assert v == f_klg(s, T, [vertex] * k, k, l, 0, list(key))
+            want = {key: v for key, v in want.items() if v}
+            assert fam.entry(l, 0).values == want, (s.name, l)
+            nonzero += len(want)
+    assert nonzero >= 5, nonzero
+
+
 def test_pushforward_without_product_gives_zero_family():
     # no product means no vertex cochain: only the (1, 0) entry, and zero
     from dataclasses import replace
