@@ -54,41 +54,41 @@ def cmd_algebra_check(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _first_failing_relation(s, twist_file):
-    """Raise an input error naming the first relation that fails on the
-    loaded algebra, or on the family that a loaded twist file ``(path,
-    family)`` induces: a cyclic A-infinity structure (degrees, relations,
-    cyclicity), as its bar differential needs, that may drop the unit."""
+def _checked_input(path: str, twist, paired: bool, need=None):
+    """The algebra of a file and the family of ``twist`` (None, 'mc' or a
+    family file whose (1, 0) entry reaches weight ``need`` if given), checked
+    before any computation: an input error names the first relation that
+    fails on the algebra, or on the family a twist file induces: a cyclic
+    A-infinity structure (degrees, relations, cyclicity), as its bar
+    differential needs, that may drop the unit."""
+    s = _structure(path, paired)
+    fam = None
     checks = [(s.name, s)]
-    if twist_file is not None:
+    if twist == "mc":
+        fam = _canonical_mc(s)
+    elif twist:
         from .dibl import mu_from_mc
 
-        path, fam = twist_file
+        fam = fileio.family_from_dict(s, load_json(twist))
         e10 = fam.entry(1, 0)
+        if None not in (need, e10.weight_bound) and e10.weight_bound < need:
+            raise InputError(f"{twist}: the (1,0) entry is truncated at "
+                             f"weight {e10.weight_bound}; homology needs "
+                             f"weight {need}")
         induced = mu_from_mc(s, e10, max(2, max(e10.weights(), default=2) - 1))
-        checks.append((path, replace(induced, unit=None, augmentation=None)))
+        checks.append((twist, replace(induced, unit=None, augmentation=None)))
     for where, structure in checks:
         for name, witness, _, _ in check_cyclic_dga(structure).failures[:1]:
             raise InputError(f"{where}: fails {name} at {witness}")
+    return s, fam
 
 
 def cmd_homology(args) -> int:
     from .homology import cochain_homology
 
-    s = _structure(args.file, paired=args.twist != "none")
-    twist_file = None
-    if args.twist == "none":
-        fam = None
-    elif args.twist == "mc":
-        fam = _canonical_mc(s)
-    else:
-        fam = fileio.family_from_dict(s, load_json(args.twist))
-        bound, need = fam.entry(1, 0).weight_bound, args.weight_bound + 2
-        if bound is not None and bound < need:
-            raise InputError(f"{args.twist}: the (1,0) entry is truncated at "
-                             f"weight {bound}; homology needs weight {need}")
-        twist_file = (args.twist, fam)
-    _first_failing_relation(s, twist_file)
+    twist = None if args.twist == "none" else args.twist
+    s, fam = _checked_input(args.file, twist, paired=twist is not None,
+                            need=args.weight_bound + 2)
     rep = cochain_homology(s, fam, args.weight_bound, reduced=args.reduced)
     if args.format == "records":
         doc = [{"degree": d, "weight": w, "dim": n, "stable": st}
@@ -100,10 +100,13 @@ def cmd_homology(args) -> int:
 
 
 def cmd_graphs(args) -> int:
-    from .ribbon import enumerate_graphs
+    from .ribbon import EnumerationBudgetExceeded, enumerate_graphs
 
-    found = enumerate_graphs(args.k, args.l, args.g, args.legs,
-                             trivalent=args.trivalent)
+    try:
+        found = enumerate_graphs(args.k, args.l, args.g, args.legs,
+                                 trivalent=args.trivalent)
+    except EnumerationBudgetExceeded as exc:
+        raise InputError(str(exc)) from None
     if args.format == "records":
         doc = []
         for graph, aut in found:
@@ -166,14 +169,9 @@ def _cochain(s, path: str):
 def cmd_eval(args) -> int:
     from .dibl import q110, q120, q210, twisted_q110, twisted_q120
 
-    s = _structure(args.algebra, paired=args.op != "boundary" or bool(args.twist))
+    s, fam = _checked_input(args.algebra, args.twist,
+                            paired=args.op != "boundary" or bool(args.twist))
     psi = _cochain(s, args.psi)
-    fam = None
-    if args.twist == "mc":
-        fam = _canonical_mc(s)
-    elif args.twist:
-        fam = fileio.family_from_dict(s, load_json(args.twist))
-        _first_failing_relation(s, (args.twist, fam))
     if args.op == "boundary":
         out = q110(s, psi)
     elif args.op == "product":

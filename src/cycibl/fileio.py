@@ -174,7 +174,7 @@ def kernel_to_dict(s: CyclicStructure, entries: dict, degree: int | None = None)
 
 def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
     """A propagator file: one degree, and the twist symmetry."""
-    from .green import KernelTensor
+    from .green import check_propagator
 
     index = {lab: i for i, lab in enumerate(s.basis.labels)}
     out = {}
@@ -186,10 +186,10 @@ def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
         i, j = (_label(index, _need(row, x, where), f"{where}.{x}") for x in "ij")
         out[(i, j)] = _scalar(_need(row, "value", where), where)
     out = {k: v for k, v in out.items() if v}
-    degs = {s.basis.degrees[i] + s.basis.degrees[j] for i, j in out}
-    if len(degs) > 1 or (degs and not KernelTensor(
-            s.basis, degs.pop(), out).is_symmetric_propagator()):
-        raise InputError("kernel file: not a degree-homogeneous symmetric propagator")
+    try:
+        check_propagator(s.basis, out)
+    except ValueError as exc:
+        raise InputError(f"kernel file: {exc}") from None
     return out
 
 

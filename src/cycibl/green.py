@@ -178,6 +178,16 @@ class KernelTensor:
         return True
 
 
+def check_propagator(basis, entries: dict[tuple[int, int], Fraction]) -> None:
+    """Raise ``ValueError`` unless the nonzero entries form a
+    degree-homogeneous twist-symmetric propagator (the zero kernel is one)."""
+    degs = {basis.degrees[i] + basis.degrees[j] for (i, j), v in entries.items() if v}
+    if len(degs) > 1:
+        raise ValueError("propagator kernel is not degree homogeneous")
+    if degs and not KernelTensor(basis, degs.pop(), entries).is_symmetric_propagator():
+        raise ValueError("propagator kernel fails the twist symmetry")
+
+
 def extended_pairing(s: CyclicStructure, w1: list[tuple[tuple[int, ...], Fraction]],
                      w2: list[tuple[tuple[int, ...], Fraction]]) -> Fraction:
     """The Koszul-extended pairing on k-fold tensor powers.

@@ -213,6 +213,10 @@ class RibbonGraph:
 _ENUM_CACHE: dict = {}
 
 
+class EnumerationBudgetExceeded(ValueError):
+    """A graph type with more than 4 internal vertices or 24 half-edges."""
+
+
 def enumerate_graphs(k: int, l: int, g: int, legs: int,
                      trivalent: bool = False, reduced: bool = True):
     """Isomorphism classes of connected ribbon graphs of the given type.
@@ -237,7 +241,9 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
         return []
     total_half = 2 * e + legs
     if total_half > 24 or k > 4:
-        raise ValueError("enumeration budget exceeded")
+        raise EnumerationBudgetExceeded(
+            f"enumeration budget exceeded: {k} vertices and {total_half} "
+            f"half-edges (at most 4 and 24)")
     if trivalent and 3 * k != total_half:
         return []
 
@@ -629,9 +635,11 @@ def f_klg(s: CyclicStructure, propagator: dict, psis: list,
     return total / math.factorial(l)
 
 
-def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
-                 k: int, l: int, g: int, weight_bound: int) -> CochainTensor:
-    """Materialize the graph-sum map as an arity-l tensor up to a weight bound.
+def f_klg_tensor(s: CyclicStructure, legs: CyclicStructure, propagator: dict,
+                 psis: list, k: int, l: int, g: int,
+                 weight_bound: int) -> CochainTensor:
+    """The graph-sum map as an arity-l tensor up to a weight bound, on the
+    words of ``legs``: letters of ``s`` matched by label (pass ``s`` for all).
 
     Each canonical key stores the graph sum :func:`f_klg` as is, with no
     ``distribution_sign``: this is the normalization of the one-edge
@@ -639,20 +647,37 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
     tensor as propagator equal ``q210`` and ``q120``.  When every cochain
     is untruncated and supported on weight 3 only, a vertex of another
     valency evaluates to 0, so only the trivalent classes are paired.
+    Degree law: a nonzero term puts a word of degree deg(psi_i) on vertex
+    i and a propagator pair on each of the e = k + l + 2g - 2 edges, so
+    when all are homogeneous only the leg tuples of degree
+    sum deg(psi_i) - e deg(propagator) are paired; with a zero propagator
+    and e >= 1 no graph is enumerated.
     """
-    out = CochainTensor(s.basis, l, s.slot_shift)
+    out = CochainTensor(legs.basis, l, legs.slot_shift)
     e = k + l + 2 * g - 2
+    deg = s.basis.degrees
+    prop_degs = {deg[i] + deg[j] for (i, j), v in propagator.items() if v}
+    if e >= 1 and not prop_degs:
+        return out
+    psi_degs = [psi.degree() for psi in psis]
+    leg_degree = None
+    if None not in psi_degs and len(prop_degs) <= 1:
+        leg_degree = sum(psi_degs) - e * min(prop_degs, default=0)
+    lift = [s.basis.labels.index(lab) for lab in legs.basis.labels]
     trivalent = all(psi.weights() == [3] and psi.weight_bound is None
                     for psi in psis)
-    totals = set()
-    for combo in iproduct(*[psi.weights() for psi in psis]):
-        t = sum(combo) - 2 * e
-        if l <= t <= weight_bound:
-            totals.add(t)
-    for total in sorted(totals):
+    totals = {sum(combo) - 2 * e
+              for combo in iproduct(*[psi.weights() for psi in psis])}
+    for total in sorted(t for t in totals if l <= t <= weight_bound):
         graphs = enumerate_graphs(k, l, g, total, trivalent=trivalent)
-        for key, _ in canonical_tuples(s.basis, s.slot_shift, total, l):
-            val = f_klg(s, propagator, psis, k, l, g, list(key), graphs=graphs)
+        if not graphs:
+            continue
+        for key, _ in canonical_tuples(legs.basis, legs.slot_shift, total, l):
+            words = [tuple(lift[x] for x in w) for w in key]
+            if leg_degree is not None and leg_degree != sum(
+                    deg[x] for w in words for x in w):
+                continue
+            val = f_klg(s, propagator, psis, k, l, g, words, graphs=graphs)
             if val:
                 out.add(key, val)
     return out
@@ -664,77 +689,43 @@ def f_klg_tensor(s: CyclicStructure, propagator: dict, psis: list,
 
 def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
                    kernel: dict[tuple[int, int], Fraction],
-                   weight_bound: int, genus_bound: int = 0,
-                   l_bound: int = 2, check_symmetry: bool = True):
+                   weight_bound: int, genus_bound: int = 0, l_bound: int = 2):
     """The transferred twist element over the harmonic structure.
 
     ``s`` is the ambient structure carrying the product; ``harmonic`` the
     structure on the fixed-point letters (its letters must be a subset of
     the ambient basis, matched by label).  ``kernel`` is the homotopy
-    operator's kernel tensor used as the propagator on internal edges; it
-    must satisfy the twist symmetry.  The (l, g) entry evaluated on words
-    of total weight n_legs is the trivalent graph sum :func:`f_klg` with
-    the canonical twist entry ``canonical_mc(s).entry(1, 0)``, the values
-    (-1)^(m-2) m2+, at each of its k = n_legs + 2 l + 4 g - 4 vertices,
-    so it carries the prefactor (-1)^(k (m-2)) / (l! |Aut|).  A structure
-    without a product gives the zero family.  Unlike :func:`f_klg_tensor`,
-    each key stores that value times its ``distribution_sign``, the
-    normalization of the stored twist entries.
+    operator's kernel tensor, the propagator on internal edges (checked by
+    :func:`green.check_propagator`).  The (l, g) entry on words of total
+    weight n_legs is :func:`f_klg_tensor` with the canonical twist entry
+    ``canonical_mc(s).entry(1, 0)``, the values (-1)^(m-2) m2+, at each of
+    its k = n_legs + 2 l + 4 g - 4 vertices, so it carries the prefactor
+    (-1)^(k (m-2)) / (l! |Aut|); each key stores that value times its
+    ``distribution_sign``.  An entry beyond the enumeration budget is
+    truncated below it.  A structure without a product gives the zero family.
     """
     from .dibl import MaurerCartanFamily, canonical_mc, distribution_sign
+    from .green import check_propagator
 
-    deg = s.basis.degrees
-    kernel_degs = {deg[i] + deg[j] for (i, j), v in kernel.items() if v}
-    kdeg = min(kernel_degs, default=None)
-    if check_symmetry and kernel_degs:
-        from .green import KernelTensor
-
-        if len(kernel_degs) != 1:
-            raise ValueError("kernel must be degree homogeneous")
-        if not KernelTensor(s.basis, kdeg, kernel).is_symmetric_propagator():
-            raise ValueError("kernel fails the propagator symmetry")
-
-    amb_index = {lab: i for i, lab in enumerate(s.basis.labels)}
-    lift = [amb_index[lab] for lab in harmonic.basis.labels]
+    check_propagator(s.basis, kernel)
     vertex = (canonical_mc(s).entry(1, 0) if 2 in s.mu
               else CochainTensor(s.basis, 1, s.slot_shift))
-    # Degree law: a nonzero term puts a word of degree vdeg on each of the
-    # k vertices and a kernel pair of degree kdeg on each of the e edges,
-    # so the legs' letters have degree k * vdeg - e * kdeg.  It applies when
-    # the vertex words and the kernel are each of one degree.
-    vdeg = vertex.degree() if len(kernel_degs) == 1 else None
     entries = {}
     for l in range(1, l_bound + 1):
         for g in range(0, genus_bound + 1):
             ten = CochainTensor(harmonic.basis, l, harmonic.slot_shift,
                                 weight_bound)
-            for total in range(l, weight_bound + 1):
+            # k = total + 2 l + 4 g - 4 vertices, at least one
+            for total in range(max(l, 5 - 2 * l - 4 * g), weight_bound + 1):
                 k = total + 2 * l + 4 * g - 4
-                if k < 1:
-                    continue
-                if not kernel and k + l + 2 * g - 2 >= 1:
-                    # every internal edge carries a zero propagator factor
-                    continue
                 try:
-                    graphs = enumerate_graphs(k, l, g, total, trivalent=True)
-                except ValueError:
-                    # enumeration budget: truncate this entry honestly
+                    part = f_klg_tensor(s, harmonic, kernel, [vertex] * k,
+                                        k, l, g, total)
+                except EnumerationBudgetExceeded:
                     ten.weight_bound = total - 1
                     break
-                if not graphs or vertex.is_zero():
-                    continue
-                leg_degree = None if vdeg is None else \
-                    k * vdeg - (3 * k - total) // 2 * kdeg
-                for key, _ in canonical_tuples(harmonic.basis,
-                                               harmonic.slot_shift, total, l):
-                    ambient_words = [tuple(lift[x] for x in w) for w in key]
-                    if leg_degree is not None and leg_degree != sum(
-                            deg[x] for w in ambient_words for x in w):
-                        continue
-                    val = f_klg(s, kernel, [vertex] * k, k, l, g,
-                                ambient_words, graphs)
-                    if val:
-                        ten.add(key, distribution_sign(harmonic, key) * val)
+                for key, val in part.items():
+                    ten.add(key, distribution_sign(harmonic, key) * val)
             if not ten.is_zero() or (l, g) == (1, 0):
                 entries[(l, g)] = ten
     return MaurerCartanFamily(harmonic, entries)

@@ -26,7 +26,8 @@ from cycibl.linalg import Eliminator
 from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
                            random_cyclic_dga, truncated_polynomial)
 from cycibl.ribbon import enumerate_graphs, f_klg, f_klg_tensor, pushforward_mc
-from cycibl.words import CochainTensor, canonical_words, dual_word
+from cycibl.words import (CochainTensor, canonical_tuples, canonical_words,
+                          dual_word)
 
 
 class Budget:
@@ -182,7 +183,11 @@ def test_criterion_07_graph_pairing_laws():
         s = build_cpn(2).structure
         rng = random.Random(7)
         words = [u for w in range(1, 4) for u in canonical_words(s.basis, w)]
-        for pdeg in (s.manifold_dim - 3, s.manifold_dim - 4):
+        off_law = nonzero = 0
+        # CP2 has no pair of degree m - 3; m - 2 puts the propagator's
+        # degree into the law
+        for pdeg in (s.manifold_dim - 3, s.manifold_dim - 4,
+                     s.manifold_dim - 2):
             P = _random_propagator(s, pdeg, rng)
             if not P:
                 continue
@@ -190,16 +195,32 @@ def test_criterion_07_graph_pairing_laws():
                 e = k + l + 2 * g - 2
                 for _ in range(6):
                     psis = [wdual(s, rng.choice(words)) for _ in range(k)]
-                    out = f_klg_tensor(s, P, psis, k, l, g, 8)
                     wsum = sum(p.weights()[0] for p in psis)
                     dsum = sum(p.degree() for p in psis)
+                    # degree law on f_klg itself, over every canonical tuple
+                    # of the reachable total: a value off the law is 0;
+                    # f_klg_tensor, which pairs only the tuples on the
+                    # law, must give the same tensor as this walk
+                    walk = {}
+                    total = wsum - 2 * e
+                    for key, _ in (canonical_tuples(s.basis, s.slot_shift,
+                                                    total, l)
+                                   if l <= total <= 8 else ()):
+                        val = f_klg(s, P, psis, k, l, g, list(key))
+                        if sum(s.basis.word_degree(w) for w in key) != \
+                                dsum - e * pdeg:
+                            assert val == 0, (k, l, g, key)
+                            off_law += 1
+                        elif val:
+                            walk[key] = val
+                    out = f_klg_tensor(s, s, P, psis, k, l, g, 8)
+                    assert list(out.items()) == list(walk.items())
+                    nonzero += len(walk)
+                    # weight/filtration law
                     for key in out.values:
-                        # degree law and weight/filtration law
-                        assert sum(s.basis.word_degree(w) for w in key) == \
-                            dsum - e * pdeg
-                        assert sum(len(w) for w in key) == wsum - 2 * e
+                        assert sum(len(w) for w in key) == total
                     if out.weights():
-                        assert out.filtration_degree() >= wsum - 2 * e
+                        assert out.filtration_degree() >= total
                 # symmetry law for the two-input map
                 if (k, l, g) == (2, 1, 0):
                     for _ in range(6):
@@ -212,6 +233,7 @@ def test_criterion_07_graph_pairing_laws():
                             a = f_klg(s, P, [p1, p2], 2, 1, 0, [out_w])
                             b = f_klg(s, P, [p2, p1], 2, 1, 0, [out_w])
                             assert a == sg * kos * b
+        assert off_law and nonzero, (off_law, nonzero)
         _labeling_independence(s, rng)
 
 

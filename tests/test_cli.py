@@ -292,6 +292,17 @@ def test_negative_graph_arguments_are_input_errors(capsys, argv):
     _one_line_input_error(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["graphs", "5", "1", "0"],
+    ["graphs", "2", "1", "0", "--legs", "30"],
+])
+def test_graphs_beyond_the_enumeration_budget_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    _one_line_input_error(err)
+    assert "enumeration budget exceeded" in err
+
+
 @pytest.mark.parametrize("command,bound", [
     ("pushforward", ["--weight-bound", "0"]),
     ("pushforward", ["--genus-bound", "-2"]),
@@ -429,6 +440,16 @@ def test_loaded_inputs_are_checked_before_computing(tmp_path, capsys):
                          "--weight-bound", "3")
     assert code == 2 and out == ""
     assert err == "input error: CP2: fails mu_2+ cyclicity at (1, 0, 1)\n"
+    # eval loads the algebra on the same path, with or without a twist
+    cp2_psi = tmp_path / "cp2_psi.json"
+    cp2_psi.write_text(json.dumps({"arity": 1, "values": [
+        {"coefficient": "1", "tuple": [["e1", "e1", "e1"]]}]}))
+    for argv in (["product", "--psi2", str(cp2_psi)],
+                 ["twisted-boundary", "--twist", "mc"]):
+        code, out, err = run(capsys, "eval", *argv, "--algebra", str(path),
+                             "--psi", str(cp2_psi))
+        assert code == 2 and out == "", argv
+        assert err == "input error: CP2: fails mu_2+ cyclicity at (1, 0, 1)\n"
     # a twist file whose (1, 0) entry is inhomogeneous induces a mu_2 of
     # the wrong degree; eval names it before any twisted operation runs
     s3, twist, psi = (tmp_path / name for name in ("s3.json", "t.json",
