@@ -114,8 +114,8 @@ def dual_word_product(s: CyclicStructure, T, u: Word, v: Word) -> dict[Word, Fra
     return {w: c for w, c in out.items() if c}
 
 
-def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor,
-         T=None) -> CochainTensor:
+def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor
+         ) -> CochainTensor:
     """The product on an ordered pair of arity-1 cochains: both factors are
     expanded bilinearly over their stored dual words
     (:func:`dual_word_product`).
@@ -126,7 +126,7 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor,
     """
     if psi1.arity != 1 or psi2.arity != 1:
         raise ValueError("q210 takes arity-1 cochains")
-    T = t_tensor(s) if T is None else T
+    T = t_tensor(s)
     bound = _contraction_bound(psi1, psi2)
     out = CochainTensor(s.basis, 1, psi1.slot_shift, bound)
     acc: dict[Word, Fraction] = {}
@@ -286,8 +286,8 @@ class MaurerCartanFamily:
         return True
 
 
-def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor,
-          T=None) -> CochainTensor:
+def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
+          ) -> CochainTensor:
     """Partial composition of the product with an arity-l twist entry.
 
     Evaluated on an l-tuple of words, the j-th word is rotated and split as
@@ -314,7 +314,7 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor,
     """
     if psi.arity != 1:
         raise ValueError("circ1 twists arity-1 cochains")
-    T = t_tensor(s) if T is None else T
+    T = t_tensor(s)
     basis, shift = s.basis, psi.slot_shift
     bound = _contraction_bound(pmc_lg, psi)
     out = CochainTensor(basis, pmc_lg.arity, shift, bound)
@@ -448,16 +448,23 @@ class RelationReport:
     failures: list[tuple[str, tuple]]
     # relation name -> number of instances (generator tuples) checked
     checked: dict[str, int]
+    # relation name -> number of those instances that received a term; an
+    # instance without one holds whatever the operations are
+    with_terms: dict[str, int]
 
     def summary(self) -> str:
         counts = ", ".join(f"{name} {n}" for name, n in self.checked.items())
         if not any(self.checked.values()):
             return "no relation instance checked"
         if self.passed:
-            return f"all relations hold on the instances checked ({counts})"
-        lines = [f"{len(self.failures)} failing relation(s), instances checked: {counts}"]
-        for name, witness in self.failures[:10]:
-            lines.append(f"  {name} at {witness}")
+            lines = [f"all relations hold on the instances checked ({counts})"]
+        else:
+            lines = [f"{len(self.failures)} failing relation(s), instances checked: {counts}"]
+            for name, witness in self.failures[:10]:
+                lines.append(f"  {name} at {witness}")
+        vacuous = [name for name, n in self.with_terms.items() if not n]
+        if vacuous:
+            lines.append("no instance received a term: " + ", ".join(vacuous))
         return "\n".join(lines)
 
 
@@ -474,7 +481,8 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
     signs run over shifted slot degrees, under which all three operations
     are odd and symmetric.  A failure names the relation and the tuple of
     generators (canonical words) it fails on; ``checked`` counts the
-    instances of each relation.
+    instances of each relation, and ``with_terms`` those of them that
+    received at least one term, so a relation nothing was checked for shows.
 
     Each relation is checked as a sparse contraction of three tables that
     belong to this call alone: the boundary of every generator, from one
@@ -530,12 +538,16 @@ def _relation_report(s: CyclicStructure, T, by_weight: dict[int, list[Word]],
     checked = dict.fromkeys(
         ("boundary squared", "coproduct coderivation", "involutivity",
          "product derivation", "Jacobi", "co-Jacobi", "Drinfeld compatibility"), 0)
+    with_terms = dict(checked)
 
     def check(name, acc, witness):
-        """Count one instance of a relation; a nonzero acc fails it."""
+        """Count one instance of a relation, and in ``with_terms`` when acc
+        received a term; a nonzero acc fails it."""
         checked[name] += 1
-        if any(acc.values()):
-            fails.append((name, witness))
+        if acc:
+            with_terms[name] += 1
+            if any(acc.values()):
+                fails.append((name, witness))
 
     products: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
 
@@ -658,4 +670,4 @@ def _relation_report(s: CyclicStructure, T, by_weight: dict[int, list[Word]],
                 add_pairs(acc, product(u1, y), x, c * s2 * sgn1)
             check("Drinfeld compatibility", acc, (u1, u2))
 
-    return RelationReport(not fails, fails, checked)
+    return RelationReport(not fails, fails, checked, with_terms)

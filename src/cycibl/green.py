@@ -188,38 +188,6 @@ def check_propagator(basis, entries: dict[tuple[int, int], Fraction]) -> None:
         raise ValueError("propagator kernel fails the twist symmetry")
 
 
-def extended_pairing(s: CyclicStructure, w1: list[tuple[tuple[int, ...], Fraction]],
-                     w2: list[tuple[tuple[int, ...], Fraction]]) -> Fraction:
-    """The Koszul-extended pairing on k-fold tensor powers.
-
-    Inputs are sparse tensors given as (letter tuple, coefficient) lists;
-    the sign interleaves the two factor strings:
-
-        P(x1..xk, y1..yk) = eps * P(x1,y1) ... P(xk,yk),
-        eps = prod over i of (-1)^(|y_i| (|x_{i+1}| + ... + |x_k|)).
-    """
-    deg = s.basis.degrees
-    total = Fraction(0)
-    for xs, cx in w1:
-        for ys, cy in w2:
-            if len(xs) != len(ys):
-                continue
-            k = len(xs)
-            term = cx * cy
-            for i in range(k):
-                term *= s.pairing[xs[i]][ys[i]]
-                if not term:
-                    break
-            if not term:
-                continue
-            e = 0
-            for i in range(k):
-                tail = sum(deg[x] for x in xs[i + 1:])
-                e += deg[ys[i]] * tail
-            total += -term if e % 2 else term
-    return total
-
-
 def pairing_degree(s: CyclicStructure) -> int:
     return s.manifold_dim - 2
 

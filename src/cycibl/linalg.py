@@ -6,7 +6,7 @@ solves, inverts, ranks and takes determinant signs through it:
 * ``rref`` -- reduced row echelon form; the rows wait in buckets keyed by
   lead column, the least key is the next pivot column, and its pivot row is
   the bucket's sparsest row (the earliest on ties);
-* ``rank``, ``kernel_basis`` and ``image_basis`` -- read off one ``rref``;
+* ``rank`` and ``kernel_basis`` -- read off one ``rref``;
 * ``solve`` -- coefficients of several right-hand sides in the span of a
   list of columns, from one ``rref`` of ``[A | B]``;
 * ``det_sign`` -- the sign of a square determinant, from one incremental
@@ -18,8 +18,8 @@ solves, inverts, ranks and takes determinant signs through it:
 
 Entries are ints or ``Fraction``s, never floats, so elimination is exact
 by construction; int input stays int under pivots of lead ±1, and only
-other leads bring in ``Fraction(1, lead)``.  ``rref``, ``kernel_basis``,
-``image_basis`` and ``solve`` return ``Fraction``s all the same.  The
+other leads bring in ``Fraction(1, lead)``.  ``rref``, ``kernel_basis``
+and ``solve`` return ``Fraction``s all the same.  The
 homology callers scale a bar differential b, linear in the structure
 constants, to the integral D·b: it has the kernels, images and
 reduced-echelon kernel vectors of b, and (D·b)² = D²·b².
@@ -59,15 +59,6 @@ class SparseMatrix:
                     raise ValueError(f"column {c} out of range in row {r}")
 
     @classmethod
-    def from_entries(cls, nrows, ncols, entries):
-        mat = cls(nrows, ncols)
-        for (r, c), v in entries.items():
-            v = Fraction(v)
-            if v:
-                mat.rows[r][c] = v
-        return mat
-
-    @classmethod
     def from_columns(cls, nrows, columns):
         mat = cls(nrows, len(columns))
         for c, col in enumerate(columns):
@@ -75,23 +66,6 @@ class SparseMatrix:
                 if v:
                     mat.rows[r][c] = v
         return mat
-
-    def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.ncols, self.nrows)
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                out.rows[c][r] = v
-        return out
-
-    def matvec(self, vec: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for r, row in enumerate(self.rows):
-            s = Fraction(0)
-            for c, v in row.items():
-                s += v * vec.get(c, Fraction(0))
-            if s:
-                out[r] = s
-        return out
 
 
 def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
@@ -198,12 +172,6 @@ def _kernel(mat: SparseMatrix) -> list[dict]:
     return list(basis.values())
 
 
-def image_basis(mat: SparseMatrix) -> list[dict]:
-    """Echelon basis of the column space (vectors over row indices)."""
-    rows, _ = rref(mat.transpose())
-    return rows
-
-
 def solve(columns: list[dict], rhs_list: list[dict]) -> list[dict | None]:
     """Coefficients ``x`` with ``sum_c x[c] * columns[c] == rhs``, per right-hand side.
 
@@ -258,10 +226,6 @@ class Eliminator:
     def __init__(self):
         self.rows: dict[int, dict] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def reduce(self, vec: dict) -> dict:
         vec = {c: v for c, v in vec.items() if v}
         rows = self.rows
@@ -281,9 +245,6 @@ class Eliminator:
         lead = min(red)
         self.rows[lead] = _unit_lead(red, lead)
         return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
 
 
 @dataclass

@@ -158,13 +158,6 @@ class S1TwistConfig:
             return Fraction(0)
         return Fraction(self.moments.get(k, Fraction(0)))
 
-    @classmethod
-    def random(cls, rng: random.Random, top: int = 12) -> "S1TwistConfig":
-        moments = {}
-        for k in range(2, top + 1, 2):
-            moments[k] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        return cls(moments)
-
 
 def build_s1_pmc(config: S1TwistConfig, weight_bound: int):
     """The circle's twist family: the canonical weight-three entry plus the

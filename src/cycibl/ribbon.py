@@ -128,9 +128,6 @@ class RibbonGraph:
             raise ValueError("inconsistent Euler count")
         return k, l, (2 - two_minus_2g) // 2
 
-    def is_connected(self) -> bool:
-        return _one_component(len(self.vertices), self._vert, self.edges)
-
     def valencies(self) -> list[int]:
         return [len(v) for v in self.vertices]
 
@@ -550,6 +547,12 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
     evaluated as soon as its edges carry letters, and a zero value prunes
     every assignment of the later edges; only a nonzero product of all
     block and propagator values pays for the Koszul sign of the routing.
+
+    Vertex orders: with one homogeneous cochain psi at every vertex and a
+    homogeneous twist-symmetric propagator of degree |P|, the term of the
+    vertex order pi is sign(pi)^(deg psi + |P|) times that of the identity
+    order.  So the k! orders sum to k! times the identity term when
+    deg psi + |P| is even, and to 0 when it is odd and k >= 2.
     """
     k = len(graph.vertices)
     l = len(graph.boundaries())

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations as _itertools_permutations
 
 ZERO = Fraction(0)
 
@@ -37,30 +36,11 @@ def format_scalar(x: Fraction) -> str:
     return str(x)
 
 
-def identity_perm(k: int) -> tuple[int, ...]:
-    return tuple(range(k))
-
-
-def cyclic_perm(k: int) -> tuple[int, ...]:
-    """The rotation sending position i to i+1 and the last position to 0."""
-    return tuple((i + 1) % k for i in range(k))
-
-
 def perm_inverse(sigma: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(sigma)
     for i, s in enumerate(sigma):
         inv[s] = i
     return tuple(inv)
-
-
-def perm_compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
-    """Composite ``sigma after tau``: first apply tau, then sigma."""
-    return tuple(sigma[tau[i]] for i in range(len(tau)))
-
-
-def all_perms(k: int):
-    """All permutations of k positions, as image tuples."""
-    return _itertools_permutations(range(k))
 
 
 def koszul_sign(sigma: tuple[int, ...], degrees) -> int:
@@ -82,16 +62,6 @@ def koszul_sign(sigma: tuple[int, ...], degrees) -> int:
             if si > sigma[j] and degrees[j] % 2 != 0:
                 count += 1
     return -1 if count % 2 else 1
-
-
-def permute_tensor(factors: list, sigma: tuple[int, ...], degrees) -> tuple[list, int]:
-    """Reorder factors along sigma, returning the new list and the Koszul sign."""
-    if len(factors) != len(sigma):
-        raise ValueError("permutation size does not match number of factors")
-    out = [None] * len(factors)
-    for i, f in enumerate(factors):
-        out[sigma[i]] = f
-    return out, koszul_sign(sigma, degrees)
 
 
 @dataclass(frozen=True)
@@ -128,8 +98,3 @@ class GradedBasis:
 
     def word_degree(self, letters) -> int:
         return sum(self.degrees[i] for i in letters)
-
-
-def shift_basis(basis: GradedBasis, amount: int) -> GradedBasis:
-    """Shift every degree down by ``amount``; labels are preserved."""
-    return GradedBasis(basis.labels, tuple(d - amount for d in basis.degrees))

@@ -44,17 +44,6 @@ def rotation_sign(total: int, tail: int) -> int:
     return -1 if tail & 1 and not total & 1 else 1
 
 
-def rotate(letters: Word, basis: GradedBasis) -> tuple[Word, int]:
-    """Apply the rotation once: last letter to the front, with Koszul sign."""
-    if not letters:
-        raise ValueError("words are nonempty")
-    if len(letters) == 1:
-        return letters, 1
-    last = basis.degrees[letters[-1]]
-    return (letters[-1],) + letters[:-1], rotation_sign(
-        basis.word_degree(letters), last)
-
-
 def rotations(letters: Word, basis: GradedBasis) -> list[tuple[Word, int]]:
     """All k rotations ``t^r(w) = w[k-r:] + w[:k-r]`` of a word with their
     signs, r = 0..k-1."""
@@ -101,22 +90,6 @@ def canonicalize(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
     return letters[start:] + letters[:start], rotation_sign(total, total - head)
 
 
-def section_iota(letters: Word, basis: GradedBasis) -> list[tuple[Word, Fraction]]:
-    """The averaged cyclic-symmetric tensor (1/k) * sum of signed rotations.
-
-    Defined for non-annihilated classes only; projecting the result back to
-    the cyclic quotient returns the class itself.
-    """
-    canon, _ = canonicalize(letters, basis)
-    if canon is None:
-        raise ValueError("annihilated cyclic word has no section")
-    k = Fraction(1, len(letters))
-    terms: dict[Word, Fraction] = {}
-    for w, s in rotations(tuple(letters), basis):
-        terms[w] = terms.get(w, Fraction(0)) + k * s
-    return [(w, c) for w, c in terms.items() if c]
-
-
 def _necklaces(m: int, n: int):
     """Fredricksen-Kessler-Maiorana generation of the necklaces (rotation
     minimal words) of length n over ``range(m)``, in lexicographic order.
@@ -138,9 +111,9 @@ def _necklaces(m: int, n: int):
             yield a, i + 1
 
 
-def canonical_words(basis: GradedBasis, weight: int, degree: int | None = None):
-    """All non-annihilated canonical cyclic words of a given weight (and
-    degree), in ascending order of letter indices.
+def canonical_words(basis: GradedBasis, weight: int):
+    """All non-annihilated canonical cyclic words of a given weight, in
+    ascending order of letter indices.
 
     Necklaces are generated over the label ranks, so they are exactly the
     canonical rotations; a periodic one is annihilated when moving one
@@ -157,8 +130,7 @@ def canonical_words(basis: GradedBasis, weight: int, degree: int | None = None):
         copies = weight // period
         if not copies & 1 and block & 1:
             continue
-        if degree is None or block * copies == degree:
-            out.append(word)
+        out.append(word)
     if letter_of != list(range(len(basis))):
         out.sort()
     yield from out
@@ -242,11 +214,6 @@ class CochainTensor:
         self.slot_shift = slot_shift
         self.weight_bound = weight_bound
         self.values: dict[tuple[Word, ...], Fraction] = {}
-
-    def copy(self) -> "CochainTensor":
-        out = CochainTensor(self.basis, self.arity, self.slot_shift, self.weight_bound)
-        out.values = dict(self.values)
-        return out
 
     def add(self, words, coeff) -> None:
         """Accumulate ``coeff`` on a tuple of word tensors (any rotations, any order)."""
@@ -425,13 +392,4 @@ def product_cochain(psis: list[CochainTensor]) -> CochainTensor:
         if total:
             out.values[key] = total
     return out
-
-
-def completion_needed(reduced_basis: GradedBasis) -> bool:
-    """Whether infinite-weight cochains can exist over a reduced basis.
-
-    They cannot when every degree is strictly positive (a word of weight k
-    then has degree >= k, so fixed-degree components have bounded weight).
-    """
-    return any(d <= 0 for d in reduced_basis.degrees)
 

@@ -1,0 +1,128 @@
+"""Helpers shared by several test modules (pytest does not collect this file).
+
+* The classical (unshifted) Hochschild complex and the degree shift that
+  conjugates it to the bar differential: a second route to b, the oracle
+  of acceptance criterion 12.
+* ``rotate``: one signed rotation, the oracle of ``words.rotations``.
+* ``sparse_from_entries``: a ``SparseMatrix`` from ``(row, col) -> value``.
+* ``random_s1_config``: seeded moments for the circle's two-output twist
+  entry.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from cycibl.algebra import CyclicStructure, Tensor, _add_into, hochschild_b_tensor
+from cycibl.linalg import SparseMatrix
+from cycibl.models import S1TwistConfig
+from cycibl.signs import GradedBasis
+from cycibl.words import Word, rotation_sign
+
+
+def rotate(letters: Word, basis: GradedBasis) -> tuple[Word, int]:
+    """Apply the rotation once: last letter to the front, with Koszul sign."""
+    if not letters:
+        raise ValueError("words are nonempty")
+    if len(letters) == 1:
+        return letters, 1
+    last = basis.degrees[letters[-1]]
+    return (letters[-1],) + letters[:-1], rotation_sign(
+        basis.word_degree(letters), last)
+
+
+def sparse_from_entries(nrows, ncols, entries) -> SparseMatrix:
+    mat = SparseMatrix(nrows, ncols)
+    for (r, c), v in entries.items():
+        v = Fraction(v)
+        if v:
+            mat.rows[r][c] = v
+    return mat
+
+
+def random_s1_config(rng: random.Random, top: int = 12) -> S1TwistConfig:
+    moments = {}
+    for k in range(2, top + 1, 2):
+        moments[k] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return S1TwistConfig(moments)
+
+
+# ---------------------------------------------------------------------------
+# comparison with the classical (unshifted) complex
+# ---------------------------------------------------------------------------
+
+def suspension_sign(s: CyclicStructure, letters: Word) -> int:
+    """Koszul sign distributing one degree -1 symbol per letter of a word.
+
+    Uses the unshifted letter degrees ``|v| + 1``.
+    """
+    deg = s.basis.degrees
+    total = 0
+    running = 0
+    for x in letters[:-1]:
+        running += deg[x] + 1
+        total += running
+    return -1 if total % 2 else 1
+
+
+def classical_shift_U(s: CyclicStructure, letters: Word) -> tuple[Word, int]:
+    """The degree shift sending an unshifted word to its shifted image."""
+    return tuple(letters), suspension_sign(s, letters)
+
+
+def classical_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
+    """The classical Hochschild differential on the unshifted word complex.
+
+    Built from the unshifted operations ``mu~_1``, ``mu~_2`` (obtained from
+    the shifted ones by suspension signs); the mu_1 half enters with the
+    global sign (-1)^(k+1).
+    """
+    if s.arities() not in ([], [1], [2], [1, 2]):
+        raise ValueError("classical comparison is for dg algebras only")
+    letters = tuple(letters)
+    k = len(letters)
+    udeg = [d + 1 for d in s.basis.degrees]
+    acc: Tensor = {}
+
+    def mu1_t(i):
+        return s.mu_apply(1, (i,))
+
+    def mu2_t(i, j):
+        sgn = -1 if udeg[i] % 2 else 1
+        return {o: sgn * c for o, c in s.mu_apply(2, (i, j)).items()}
+
+    for i in range(k - 1):
+        sgn = -1 if i % 2 else 1
+        for mid, c in mu2_t(letters[i], letters[i + 1]).items():
+            _add_into(acc, letters[:i] + (mid,) + letters[i + 2:], sgn * c)
+    if k >= 2:
+        e = (k - 1) + udeg[letters[-1]] * sum(udeg[x] for x in letters[:-1])
+        sgn = -1 if e % 2 else 1
+        for mid, c in mu2_t(letters[-1], letters[0]).items():
+            _add_into(acc, (mid,) + letters[1:-1], sgn * c)
+    for i in range(k):
+        sgn_i = -1 if sum(udeg[x] for x in letters[:i]) % 2 else 1
+        sgn_k = -1 if (k + 1) % 2 else 1
+        for mid, c in mu1_t(letters[i]).items():
+            _add_into(acc, letters[:i] + (mid,) + letters[i + 1:], sgn_i * sgn_k * c)
+    return acc
+
+
+def classical_rotation(s: CyclicStructure, letters: Word) -> tuple[Word, int]:
+    """Signed rotation on the classical complex: (-1)^(k-1) times the Koszul rotation."""
+    letters = tuple(letters)
+    k = len(letters)
+    udeg = [d + 1 for d in s.basis.degrees]
+    e = (k - 1) + udeg[letters[-1]] * sum(udeg[x] for x in letters[:-1])
+    return (letters[-1],) + letters[:-1], (-1 if e % 2 else 1)
+
+
+def conjugated_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
+    """U^{-1} ∘ b ∘ U on an unshifted word; must equal classical_b_tensor."""
+    _, sgn_in = classical_shift_U(s, letters)
+    acc: Tensor = {}
+    for w, c in hochschild_b_tensor(s, letters).items():
+        _, sgn_out = classical_shift_U(s, w)
+        _add_into(acc, w, sgn_in * sgn_out * c)
+    return acc

@@ -8,13 +8,14 @@ from itertools import product as iproduct
 import pytest
 
 from cycibl.algebra import (CyclicStructure, check_ainfty, check_cyclic_dga,
-                            check_mu_plus_cyclic, classical_b_tensor, classical_rotation,
-                            conjugated_b_tensor, dual_b, hochschild_b_cyclic,
+                            check_mu_plus_cyclic, dual_b, hochschild_b_cyclic,
                             hochschild_b_tensor, reduced_membership, unit_cochain)
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga, truncated_polynomial
 from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_words, canonicalize,
                           dual_word)
+from helpers import (classical_b_tensor, classical_rotation, classical_shift_U,
+                     conjugated_b_tensor, rotate)
 
 
 def test_sphere_models_pass_axioms():
@@ -428,8 +429,6 @@ def test_classical_comparison_on_words():
 
 def test_classical_rotation_conjugation():
     # U^{-1} t U = (-1)^(k-1) (classical Koszul rotation)
-    from cycibl.algebra import classical_shift_U
-    from cycibl.words import rotate
     s = build_sn(3).structure
     for letters in [(0, 1), (1, 1, 0), (0, 0, 1, 1)]:
         _, sgn_in = classical_shift_U(s, letters)

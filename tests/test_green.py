@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from cycibl.algebra import CyclicStructure
 from cycibl.green import (GreenReport, KernelTensor, LinearOperator, _dual_sign,
                           _expand, adjoint, check_g_properties,
                           gdg_rewriting_holds, green_build, green_gdg,
                           green_pipeline, green_project, green_symmetrize,
                           harmonic_projection, harmonic_splitting,
                           identity_operator, m1_operator, pairing_degree,
-                          schwartz_kernel, extended_pairing)
+                          schwartz_kernel)
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
+from helpers import sparse_from_entries
 
 
 # -- test-side routes: an operator from its kernel, the kernel of a composite
@@ -75,13 +77,45 @@ def kernel_of_composition(s, K1, K2):
     return KernelTensor(s.basis, K1.degree + K2.degree - pairing_degree(s), out)
 
 
+def extended_pairing(s: CyclicStructure, w1: list[tuple[tuple[int, ...], Fraction]],
+                     w2: list[tuple[tuple[int, ...], Fraction]]) -> Fraction:
+    """The Koszul-extended pairing on k-fold tensor powers.
+
+    Inputs are sparse tensors given as (letter tuple, coefficient) lists;
+    the sign interleaves the two factor strings:
+
+        P(x1..xk, y1..yk) = eps * P(x1,y1) ... P(xk,yk),
+        eps = prod over i of (-1)^(|y_i| (|x_{i+1}| + ... + |x_k|)).
+    """
+    deg = s.basis.degrees
+    total = Fraction(0)
+    for xs, cx in w1:
+        for ys, cy in w2:
+            if len(xs) != len(ys):
+                continue
+            k = len(xs)
+            term = cx * cy
+            for i in range(k):
+                term *= s.pairing[xs[i]][ys[i]]
+                if not term:
+                    break
+            if not term:
+                continue
+            e = 0
+            for i in range(k):
+                tail = sum(deg[x] for x in xs[i + 1:])
+                e += deg[ys[i]] * tail
+            total += -term if e % 2 else term
+    return total
+
+
 def test_extended_pairing_base_cases():
     s = build_sn(3).structure
     one = Fraction(1)
     # k = 1 reduces to the base pairing
     assert extended_pairing(s, [((0,), one)], [((1,), one)]) == s.pairing[0][1]
     # k = 2: Gram matrix of the squared basis has full rank 4
-    from cycibl.linalg import SparseMatrix, rank
+    from cycibl.linalg import rank
     pairs = [(i, j) for i in range(2) for j in range(2)]
     entries = {}
     for r, (a, b) in enumerate(pairs):
@@ -89,7 +123,7 @@ def test_extended_pairing_base_cases():
             v = extended_pairing(s, [((a, b), one)], [((x, y), one)])
             if v:
                 entries[(r, c)] = v
-    assert rank(SparseMatrix.from_entries(4, 4, entries)) == 4
+    assert rank(sparse_from_entries(4, 4, entries)) == 4
 
 
 def test_identity_kernel_is_contraction_tensor_up_to_sign():

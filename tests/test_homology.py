@@ -8,19 +8,45 @@ from cycibl.algebra import CyclicStructure, hochschild_b_cyclic, integral_multip
 from cycibl.dibl import canonical_mc, mu_from_mc, twisted_q110
 from cycibl.homology import chain_homology, cochain_homology
 from cycibl.linalg import (Eliminator, SparseMatrix, SquareZeroError,
-                           det_sign, graded_homology, image_basis,
-                           kernel_basis, rank, rref, solve)
+                           det_sign, graded_homology, kernel_basis, rank, rref,
+                           solve)
 from cycibl.models import (build_cpn, build_sn, random_cyclic_dga,
                            truncated_polynomial)
 from cycibl.signs import GradedBasis
 from cycibl.words import canonical_words
+from helpers import sparse_from_entries
+
+
+def matvec(mat: SparseMatrix, vec: dict) -> dict:
+    out: dict[int, Fraction] = {}
+    for r, row in enumerate(mat.rows):
+        s = Fraction(0)
+        for c, v in row.items():
+            s += v * vec.get(c, Fraction(0))
+        if s:
+            out[r] = s
+    return out
+
+
+def transpose(mat: SparseMatrix) -> SparseMatrix:
+    out = SparseMatrix(mat.ncols, mat.nrows)
+    for r, row in enumerate(mat.rows):
+        for c, v in row.items():
+            out.rows[c][r] = v
+    return out
+
+
+def image_basis(mat: SparseMatrix) -> list[dict]:
+    """Echelon basis of the column space (vectors over row indices)."""
+    rows, _ = rref(transpose(mat))
+    return rows
 
 
 def test_linalg_basics():
     zero = SparseMatrix(3, 4)
     assert rank(zero) == 0
     assert len(kernel_basis(zero)) == 4
-    eye = SparseMatrix.from_entries(3, 3, {(i, i): 1 for i in range(3)})
+    eye = sparse_from_entries(3, 3, {(i, i): 1 for i in range(3)})
     assert rank(eye) == 3
     assert kernel_basis(eye) == []
 
@@ -33,11 +59,11 @@ def test_linalg_rank_nullity_random():
             for c in range(6):
                 if rng.random() < 0.4:
                     entries[(r, c)] = Fraction(rng.randint(-3, 3))
-        mat = SparseMatrix.from_entries(6, 6, entries)
+        mat = sparse_from_entries(6, 6, entries)
         kb = kernel_basis(mat)
         assert rank(mat) + len(kb) == 6
         for vec in kb:
-            assert not mat.matvec(vec)
+            assert not matvec(mat, vec)
         img = image_basis(mat)
         assert len(img) == rank(mat)
     # solve and det_sign on square and rectangular matrices, singular ones
@@ -51,15 +77,15 @@ def test_linalg_rank_nullity_random():
                         for r in range(nrows)}
         cols = [{r: v for r, v in col.items() if v} for col in cols]
         mat = SparseMatrix.from_columns(nrows, cols)
-        inside = mat.matvec({c: Fraction(rng.randint(-2, 2)) for c in range(ncols)})
+        inside = matvec(mat, {c: Fraction(rng.randint(-2, 2)) for c in range(ncols)})
         other = {r: Fraction(rng.randint(-3, 3)) for r in range(nrows)}
         other = {r: v for r, v in other.items() if v}
         sol_in, sol_other = solve(cols, [inside, other])
-        assert mat.matvec(sol_in) == inside
+        assert matvec(mat, sol_in) == inside
         outside = rank(SparseMatrix.from_columns(nrows, cols + [other])) > rank(mat)
         assert (sol_other is None) == outside
         if not outside:
-            assert mat.matvec(sol_other) == other
+            assert matvec(mat, sol_other) == other
         seen.add(("outside", outside))
         if nrows == ncols:
             det = _leibniz_det(cols, nrows)
@@ -212,8 +238,8 @@ def test_elimination_matches_rescanning_oracles():
         assert _ordered(kernel_basis(mat)) == _ordered(oracle_kernel(mat))
         seen.add((shape, len(want_pivots) < min(mat.nrows, mat.ncols)))
 
-        cols = [dict(col) for col in mat.transpose().rows]
-        inside = mat.matvec({c: Fraction(rng.randint(-2, 2))
+        cols = [dict(col) for col in transpose(mat).rows]
+        inside = matvec(mat, {c: Fraction(rng.randint(-2, 2))
                              for c in range(mat.ncols)})
         other = {r: Fraction(rng.randint(1, 3)) for r in range(mat.nrows)
                  if rng.random() < 0.5}
@@ -228,7 +254,7 @@ def test_elimination_matches_rescanning_oracles():
             assert list(elim.reduce(vec).items()) == \
                 list(oracle.reduce(vec).items())
             assert elim.add(vec) == oracle.add(vec)
-            assert elim.rank == len(oracle.rows)
+            assert len(elim.rows) == len(oracle.rows)
         assert elim.rows == oracle.rows
     # every shape appears; rank deficiency and singular squares occur
     assert {shape for shape, _ in seen} == set(SHAPES) | {"singular"}
@@ -246,7 +272,7 @@ def test_elimination_never_yields_floats():
         rows = [{c: rng.choice((1, -1, 2, -2, 3, Fraction(3, 2), Fraction(-3, 2)))
                  for c in range(ncols) if rng.random() < 0.5} for _ in range(nrows)]
         mat = SparseMatrix(nrows, ncols, rows)
-        cols = [dict(col) for col in mat.transpose().rows]
+        cols = [dict(col) for col in transpose(mat).rows]
         echelon, _ = rref(mat)
         public = echelon + kernel_basis(mat) + image_basis(mat)
         public += [sol for sol in solve(cols, [rows[0], {0: 1}]) if sol is not None]
@@ -377,13 +403,14 @@ def test_zero_differential_homology_is_chains():
     basis = GradedBasis(("a", "b"), (1, 2))
 
     def basis_fn(d):
-        return [(w, u) for w in range(1, 4)
-                for u in canonical_words(basis, w, d)]
+        return [(w, u) for w in range(1, 4) for u in canonical_words(basis, w)
+                if basis.word_degree(u) == d]
 
     rep = graded_homology(basis_fn, lambda key: {}, [2, 3, 4], 3)
     for d in (2, 3, 4):
         for w in range(1, 4):
-            expected = len(list(canonical_words(basis, w, d)))
+            expected = sum(1 for u in canonical_words(basis, w)
+                           if basis.word_degree(u) == d)
             assert rep.dim(d, w) == expected or expected == 0
 
 
@@ -391,7 +418,8 @@ def test_square_zero_guard():
     basis = GradedBasis(("a", "b"), (1, 2))
 
     def basis_fn(d):
-        return [(1, u) for u in canonical_words(basis, 1, d)]
+        return [(1, u) for u in canonical_words(basis, 1)
+                if basis.word_degree(u) == d]
 
     def bad_diff(key):
         w, u = key

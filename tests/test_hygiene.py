@@ -1,34 +1,68 @@
 """Hygiene guards over the package source.
 
-Dead definitions: every module-level name of the package is used.
+The library holds only what its programs reach: the package itself, the
+scripts and the benchmark.  The three reference guards below search the
+Python files under ``src/``, ``scripts/`` and ``perfbench/`` and nothing
+else; a reference from a test does not count, so a route that only tests
+use is reported until it moves into the tests.  The one exception is
+``ALLOWED``, a short list of paper objects that the README names and of
+options that tests use as seams, each with its reason; an entry that no
+longer exists, that the searched files now reach, or (for a definition)
+that the README does not name in backticks fails its own test.
 
-Dead imports: every name a module of ``src/cycibl`` imports is used in the
-scope that imports it, the module for a top-level import and the function
-(with its nested functions) for a function-local one.
+Dead definitions: a module-level function, class or constant of
+``src/cycibl`` counts as used when some searched file refers to it apart
+from its own definition: as a loaded name, an attribute, an imported name,
+or a string naming it (the benchmark tracer wraps functions by name, e.g.
+``"Eliminator.reduce"``).
 
-A module-level function, class or constant of ``src/cycibl`` counts as used
-when some Python file under ``src/``, ``tests/``, ``scripts/`` or
-``perfbench/`` refers to it apart from its own definition: as a loaded
-name, an attribute, an imported name, or a string naming it (the benchmark
-tracer wraps functions by name, e.g. ``"Eliminator.reduce"``).  A method
-of a package class counts as used when some searched file refers to it as
-an attribute or names it in a string; dunders and overrides of a method of
-a base class (``_Parser.error``) are exempt.
+Dead methods: a method of a package class counts as used when some
+searched file refers to it as an attribute or names it in a string;
+dunders and overrides of a method of a base class (``_Parser.error``) are
+exempt.
 
 Options without a caller: every defaulted parameter of a function or
 method of ``src/cycibl`` is passed, by keyword or by position, by some
 call in the searched files to a callee of that name.
+
+Dead imports: every name a module of ``src/cycibl`` imports is used in the
+scope that imports it, the module for a top-level import and the function
+(with its nested functions) for a function-local one.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cycibl"
-SEARCHED = ("src", "tests", "scripts", "perfbench")
+SEARCHED = ("src", "scripts", "perfbench")
+
+ALLOWED = {
+    "algebra.reduced_membership":
+        "paper object: membership in the reduced subcomplex",
+    "dibl.twisted_q1lg_on_unit":
+        "paper object: the twisted unit relations",
+    "ribbon.orientation_compatible":
+        "paper object: orientation compatibility of a ribbon-graph labeling",
+    "models.build_s1_pmc":
+        "paper object: the circle's two-output twist family",
+    "dibl.q120(T)":
+        "test seam: the rational-table relation oracle injects mutant T, as "
+        "the benchmark does through ibl_relations_check(T)",
+    "ribbon.enumerate_graphs(reduced)":
+        "test seam: the every-candidate oracle compares the unreduced classes",
+    "words.dual_word(weight_bound)":
+        "test seam: truncated dual words exercise the truncation bookkeeping",
+    "homology.chain_homology(reduced)":
+        "test seam: the universal-coefficient test compares reduced chain "
+        "and cochain dimensions",
+    "algebra.reduced_membership(max_weight)":
+        "test seam: membership checked up to a chosen weight",
+}
 
 
 def _definitions(tree: ast.Module) -> list[str]:
@@ -73,19 +107,19 @@ def _searched_references(names: bool = True) -> set[str]:
     return refs
 
 
-def test_no_unreferenced_module_level_definitions():
+def _unreferenced_definitions() -> list[str]:
     refs = _searched_references()
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         dead.extend(f"{path.stem}.{name}" for name in _definitions(tree)
                     if name not in refs)
-    assert not dead, "unreferenced module-level definitions: " + ", ".join(dead)
+    return dead
 
 
-def test_no_unreferenced_methods():
-    refs = _searched_references(names=False)
-    dead = []
+def _methods():
+    """``module.Class.method`` for each method that no base class defines,
+    dunders left out."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"cycibl.{path.stem}")
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -94,9 +128,23 @@ def test_no_unreferenced_methods():
             bases = getattr(module, node.name).__mro__[1:]
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not _is_dunder(item.name) and item.name not in refs
+                        and not _is_dunder(item.name)
                         and not any(hasattr(b, item.name) for b in bases)):
-                    dead.append(f"{path.stem}.{node.name}.{item.name}")
+                    yield f"{path.stem}.{node.name}.{item.name}"
+
+
+def _unreferenced_methods() -> list[str]:
+    refs = _searched_references(names=False)
+    return [m for m in _methods() if m.rsplit(".", 1)[1] not in refs]
+
+
+def test_no_unreferenced_module_level_definitions():
+    dead = [n for n in _unreferenced_definitions() if n not in ALLOWED]
+    assert not dead, "unreferenced module-level definitions: " + ", ".join(dead)
+
+
+def test_no_unreferenced_methods():
+    dead = [n for n in _unreferenced_methods() if n not in ALLOWED]
     assert not dead, "unreferenced methods: " + ", ".join(dead)
 
 
@@ -215,10 +263,7 @@ def _calls():
     return calls
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
-    """A defaulted parameter that no call passes, by keyword or by
-    position, is an option without a caller: its default is the only
-    value it ever takes."""
+def _unpassed_parameters() -> list[str]:
     calls = _calls()
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -230,4 +275,36 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 for npos, keywords in calls.get(name, ()))
             if not passed:
                 unused.append(f"{path.stem}.{name}({param})")
+    return unused
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A defaulted parameter that no call passes, by keyword or by
+    position, is an option without a caller: its default is the only
+    value it ever takes."""
+    unused = [n for n in _unpassed_parameters() if n not in ALLOWED]
     assert not unused, "defaulted parameters no call passes: " + ", ".join(unused)
+
+
+def test_allowlist_is_honest():
+    """Every ``ALLOWED`` entry exists, is still unreached from the searched
+    files, and, for a definition, is named in backticks in the README."""
+    existing = set(_methods())
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        existing.update(f"{path.stem}.{name}" for name in _definitions(tree))
+        existing.update(f"{path.stem}.{name}({param})"
+                        for name, param, _, _ in _defaulted_parameters(tree))
+    flagged = set(_unreferenced_definitions() + _unreferenced_methods()
+                  + _unpassed_parameters())
+    named = {span.split(".")[-1] for span in
+             re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())}
+    wrong = []
+    for entry in ALLOWED:
+        if entry not in existing:
+            wrong.append(f"{entry} no longer exists")
+        elif entry not in flagged:
+            wrong.append(f"{entry} is reached from {', '.join(SEARCHED)}")
+        elif "(" not in entry and entry.rsplit(".", 1)[1] not in named:
+            wrong.append(f"{entry} is not named in backticks in README.md")
+    assert not wrong, "stale allowlist entries: " + "; ".join(wrong)

@@ -9,6 +9,7 @@ from cycibl.dibl import (canonical_mc, q110, q120, q210, twisted_q110,
 from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
                            random_cyclic_dga, truncated_polynomial)
 from cycibl.words import canonical_words, dual_word, CochainTensor
+from helpers import random_s1_config
 
 
 def wdual(s, letters, bound=None):
@@ -63,7 +64,7 @@ def test_s1_zero_config_gives_untwisted_coproduct():
 
 def test_s1_pmc20_symmetric_and_reduced():
     rng = random.Random(5)
-    cfg = S1TwistConfig.random(rng, top=10)
+    cfg = random_s1_config(rng, top=10)
     fam = build_s1_pmc(cfg, weight_bound=9)
     s = fam.structure
     assert fam.is_strictly_reduced()
@@ -99,7 +100,7 @@ def test_s1_twisted_coproduct_on_homology_representatives():
     # every admissible moment configuration
     for seed in (0, 1, 2):
         rng = random.Random(seed)
-        cfg = S1TwistConfig.random(rng, top=12)
+        cfg = random_s1_config(rng, top=12)
         fam = build_s1_pmc(cfg, weight_bound=9)
         s = fam.structure
         for k in range(1, 7):

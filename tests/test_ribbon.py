@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
@@ -10,7 +11,7 @@ from cycibl.dibl import (canonical_mc, collection_sign, distribution_sign,
 from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
 from cycibl.linalg import Eliminator, det_sign
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
-from cycibl.ribbon import (Labeling, RibbonGraph, _surface_complex,
+from cycibl.ribbon import (Labeling, RibbonGraph, _one_component, _surface_complex,
                            enumerate_graphs, f_klg, f_klg_tensor, graph_pairing,
                            orientation_compatible, compatible_edge_labeling,
                            pushforward_mc, sigma_L)
@@ -474,6 +475,10 @@ def test_canonical_pass_matches_all_starts_oracle():
                 assert other.automorphism_order() == aut, args
 
 
+def is_connected(graph: RibbonGraph) -> bool:
+    return _one_component(len(graph.vertices), graph._vert, graph.edges)
+
+
 def test_canonical_pass_on_disconnected_graphs():
     # starts in different components give encodings of different lengths
     graphs = [RibbonGraph([(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 3)]),
@@ -481,7 +486,7 @@ def test_canonical_pass_on_disconnected_graphs():
                           [(0, 3), (6, 9), (7, 10)]),
               RibbonGraph([(0, 1, 2, 3), (4, 5), (6, 7, 8, 9)], [(0, 2), (6, 8)])]
     for graph in graphs:
-        assert not graph.is_connected()
+        assert not is_connected(graph)
         sig, count = oracle_canonical(graph)
         assert (graph.canonical_signature(), graph.automorphism_order()) == \
             (sig, count)
@@ -520,7 +525,7 @@ def oracle_enumerate(k, l, g, legs, trivalent):
         blocks = [tuple(range(a, a + v)) for a, v in zip(starts, vals)]
         for match in matchings(list(range(n)), e):
             graph = RibbonGraph(blocks, match)
-            if not graph.is_connected() or graph.counts() != (k, l, g):
+            if not is_connected(graph) or graph.counts() != (k, l, g):
                 continue
             sig, aut = oracle_canonical(graph)
             found.setdefault(sig, (graph, aut))
@@ -637,9 +642,10 @@ def test_orientation_parity_matches_per_labeling_frame():
     assert 0.3 < accepted / (3 * orders) < 0.7, accepted
 
 
-def oracle_graph_pairing(s, graph, propagator, psis, words):
+def oracle_graph_pairing(s, graph, propagator, psis, words, vertex_orders=None):
     """The graph pairing with every propagator assignment multiplied out,
-    signed and routed for every labeling before any vertex is evaluated."""
+    signed and routed for every labeling before any vertex is evaluated;
+    with ``vertex_orders``, only the terms of those vertex orders."""
     k, l = len(graph.vertices), len(graph.boundaries())
     if len(psis) != k or len(words) != l:
         return Fraction(0)
@@ -647,7 +653,9 @@ def oracle_graph_pairing(s, graph, propagator, psis, words):
     blegs = graph.boundary_legs()
     vals = graph.valencies()
     total = Fraction(0)
-    for vertex_order in permutations(range(k)):
+    if vertex_orders is None:
+        vertex_orders = permutations(range(k))
+    for vertex_order in vertex_orders:
         for boundary_order in permutations(range(l)):
             if any(len(blegs[b]) != len(words[pos])
                    for pos, b in enumerate(boundary_order)):
@@ -677,6 +685,53 @@ def oracle_graph_pairing(s, graph, propagator, psis, words):
                         off += vals[v]
                     total += term
     return total
+
+
+def test_vertex_orders_differ_by_the_sign_of_the_order():
+    # one homogeneous cochain psi at every vertex and a homogeneous
+    # twist-symmetric P: vertex order pi contributes sign(pi)^(deg psi + |P|)
+    # times the identity order, so graph_pairing is k! times the identity
+    # order for even deg psi + |P| and 0 for odd, k >= 2; at most two
+    # nonzero cases per (k, l, parity), on boundary words obeying the
+    # degree law
+    rng = random.Random(41)
+    seen = Counter()
+    for s in (build_sn(3).structure, build_cpn(2).structure,
+              random_cyclic_dga(6, seed=0), random_cyclic_dga(6, seed=5)):
+        deg, n = s.basis.degrees, len(s.basis)
+        words = [u for w in range(1, 5) for u in canonical_words(s.basis, w)]
+        for pdeg in sorted({deg[i] + deg[j] for i in range(n) for j in range(n)}):
+            P = random_symmetric_propagator(s, pdeg, rng)
+            for d in sorted({s.basis.word_degree(u) for u in words}):
+                parity = (d + pdeg) % 2
+                psi = CochainTensor(s.basis, 1, s.slot_shift)
+                for u in words:
+                    if s.basis.word_degree(u) == d:
+                        psi.add((u,), rng.randint(1, 4))
+                for k, l in ((2, 1), (3, 1), (4, 1), (2, 2)):
+                    e = k + l - 2
+                    for legs in (1, 2, 3):
+                        for graph, _ in enumerate_graphs(k, l, 0, legs)[:2]:
+                            ws = [tuple(rng.randrange(n) for _ in b)
+                                  for b in graph.boundary_legs()]
+                            if (not P or seen[(k, l, parity)] >= 2 or
+                                    sum(deg[x] for w in ws for x in w)
+                                    != k * d - e * pdeg):
+                                continue
+                            psis = [psi] * k
+                            base = oracle_graph_pairing(s, graph, P, psis, ws,
+                                                        [tuple(range(k))])
+                            if not base:
+                                continue
+                            for pi in permutations(range(k)):
+                                assert oracle_graph_pairing(
+                                    s, graph, P, psis, ws, [pi]) == \
+                                    koszul_sign(pi, [parity] * k) * base
+                            assert graph_pairing(s, graph, P, psis, ws) == \
+                                (0 if parity else math.factorial(k) * base)
+                            seen[(k, l, parity)] += 1
+    assert set(seen) == {(k, l, parity) for k, l in ((2, 1), (3, 1), (4, 1), (2, 2))
+                         for parity in (0, 1)}, seen
 
 
 def dense_propagators():

