@@ -389,13 +389,18 @@ def hochschild_b_tensor(s: CyclicStructure, letters: Word,
 
 
 def hochschild_b_cyclic(s: CyclicStructure, letters: Word,
-                        arities: list[int] | None = None) -> Tensor:
-    """The bar differential on the cyclic quotient, on canonical representatives."""
+                        arities: list[int] | None = None,
+                        canon: dict | None = None) -> Tensor:
+    """The bar differential on the cyclic quotient, on canonical
+    representatives.  A sweep passes one ``canon`` dict, word ->
+    :func:`canonicalize` result, so that each word is canonicalized once."""
+    canon = {} if canon is None else canon
     acc: Tensor = {}
     for w, c in hochschild_b_tensor(s, letters, arities).items():
-        canon, sign = canonicalize(w, s.basis)
-        if canon is not None:
-            _add_into(acc, canon, c if sign > 0 else -c)
+        if (hit := canon.get(w)) is None:
+            hit = canon[w] = canonicalize(w, s.basis)
+        if hit[0] is not None:
+            _add_into(acc, hit[0], c if hit[1] > 0 else -c)
     return acc
 
 
@@ -405,9 +410,10 @@ def transposed_b(s: CyclicStructure, words, skip: int | None = None
     transposed: u -> {v: the coefficient of u in b(v)}, v in the order of
     ``words``, leaving out every u that holds the letter ``skip``."""
     arities = s.arities()
+    canon: dict = {}
     table: dict[Word, Tensor] = {}
     for v in words:
-        for u, c in hochschild_b_cyclic(s, v, arities).items():
+        for u, c in hochschild_b_cyclic(s, v, arities, canon).items():
             if skip is None or skip not in u:
                 table.setdefault(u, {})[v] = c
     return table
@@ -446,9 +452,10 @@ def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
                 u = canonicalize(v[:p] + t + v[p + 1:], s.basis)[0]
                 if u is not None and (bound is None or len(u) <= bound):
                     candidates.add(u)
+    canon: dict = {}
     for u in sorted(candidates, key=lambda u: (len(u), u)):
         val = Fraction(0)
-        for v, c in hochschild_b_cyclic(s, u, arities).items():
+        for v, c in hochschild_b_cyclic(s, u, arities, canon).items():
             val += c * psi.values.get((v,), Fraction(0))
         if val:
             out.values[(u,)] = val

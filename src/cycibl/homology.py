@@ -102,6 +102,7 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     arities = integral.arities()
     by_degree = _by_degree(s, _word_index(s, weight_bound, reduced),
                            weight_bound)
+    canon: dict = {}
 
     def basis_fn(d):
         return list(by_degree.get(d, []))
@@ -109,7 +110,7 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     def diff_fn(key):
         w, u = key
         out = {}
-        for v, c in hochschild_b_cyclic(integral, u, arities).items():
+        for v, c in hochschild_b_cyclic(integral, u, arities, canon).items():
             if reduced and s.unit is not None and s.unit in v:
                 continue
             out[(len(v), v)] = c

@@ -17,12 +17,14 @@ solves, inverts, ranks and takes determinant signs through it:
   complex.
 
 Entries are ints or ``Fraction``s, never floats, so elimination is exact
-by construction; int input stays int under pivots of lead ±1, and only
-other leads bring in ``Fraction(1, lead)``.  ``rref``, ``kernel_basis``
-and ``solve`` return ``Fraction``s all the same.  The
-homology callers scale a bar differential b, linear in the structure
-constants, to the integral D·b: it has the kernels, images and
-reduced-echelon kernel vectors of b, and (D·b)² = D²·b².
+by construction.  Int input is eliminated fraction-free (Bareiss 1968):
+pivot rows stay primitive with a positive lead p, a row holding f at the
+lead becomes ``p·row - f·pivot`` over its content, and rows become
+``Fraction``s of lead 1 only where they leave the module; input holding a
+``Fraction`` takes pivots of lead 1.  The homology callers scale a bar
+differential b, linear in the structure constants, to the integral D·b:
+it has the kernels, images and reduced-echelon kernel vectors of b, and
+(D·b)² = D²·b².
 
 The homology engine works per degree on a weight-filtered complex whose
 differential shifts weight by 0 or +1 (dual side) or by 0 or -1 (primal
@@ -38,6 +40,7 @@ weight filtration and "next" is the following filtration level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,14 +80,16 @@ def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     input on ties.
     """
     rows, pivots = _echelon(mat)
-    return [_fractions(row) for row in rows], pivots
+    return [_over(row, row[p]) for row, p in zip(rows, pivots)], pivots
 
 
 def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
-    """:func:`rref` with int entries left as ints.  A new pivot is
-    subtracted only from the earlier pivot rows that ``holders`` lists under
-    its lead column: those that took an entry there (it may have cancelled).
+    """:func:`rref` up to a positive factor per row, int rows for int
+    input.  A new pivot is eliminated only from the earlier pivot rows that
+    ``holders`` lists under its lead column: those that took an entry there
+    (it may have cancelled).
     """
+    ints = all(type(v) is int for r in mat.rows for v in r.values())
     by_lead: dict[int, list[tuple[int, dict]]] = {}
     for i, r in enumerate(mat.rows):
         if r:
@@ -97,16 +102,17 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
         bucket = by_lead.pop(lead)
         entry = min(bucket, key=lambda e: (len(e[1]), e[0]))
         bucket.remove(entry)
-        pivot = _unit_lead(entry[1], lead)
+        pivot = _normalized(entry[1], lead, ints)
+        p = pivot[lead] if ints else 1  # a rational pivot has lead 1
         tail = [(c, v) for c, v in pivot.items() if c != lead]
         for prev in holders.pop(lead, ()):
             f = prev.pop(lead, None)
             if f is not None:
-                _subtract(prev, f, tail)
+                _eliminate(prev, p, f, tail)
                 for c, _ in tail:
                     holders.setdefault(c, []).append(prev)
         for i, r in bucket:
-            _subtract(r, r.pop(lead), tail)
+            _eliminate(r, p, r.pop(lead), tail)
             if r:
                 by_lead.setdefault(min(r), []).append((i, r))
         for c, _ in tail:
@@ -117,25 +123,26 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     return [out[i] for i in order], [pivots[i] for i in order]
 
 
-def _unit_lead(row: dict, lead: int) -> dict:
-    """``row`` scaled to lead coefficient 1: kept for a lead of 1, negated
-    for -1 (ints stay ints), else multiplied by ``Fraction(1, lead)``."""
+def _normalized(row: dict, lead: int, ints: bool) -> dict:
+    """``row`` as a pivot: over its content with a positive lead if
+    ``ints``, else at lead 1; ``row`` itself where it is so already."""
     p = row[lead]
+    if ints:
+        g = math.gcd(*row.values())
+        p = -g if p < 0 else g
     if p == 1:
         return row
-    if p == -1:
-        return {c: -v for c, v in row.items()}
-    inv = Fraction(1, p)
-    return {c: v * inv for c, v in row.items()}
+    return {c: v // p for c, v in row.items()} if ints else _over(row, p)
 
 
-def _fractions(vec: dict) -> dict:
-    return {c: Fraction(v) for c, v in vec.items()}
-
-
-def _subtract(row: dict, f: Fraction, items) -> None:
-    """``row[c] -= f * v`` in place for each ``(c, v)`` of ``items``,
-    dropping entries that cancel."""
+def _eliminate(row: dict, p, f, items) -> None:
+    """``row <- p·row - f·items`` in place (p > 0) for the ``(c, v)`` of
+    ``items``, dropping entries that cancel; then over its content when p
+    is not 1 and the row is int."""
+    scale = p != 1
+    if scale:
+        for c in row:
+            row[c] *= p
     for c, v in items:
         old = row.get(c)
         if old is None:
@@ -146,6 +153,15 @@ def _subtract(row: dict, f: Fraction, items) -> None:
                 row[c] = new
             else:
                 del row[c]
+    if scale and all(type(v) is int for v in row.values()):
+        g = math.gcd(*row.values())
+        for c in row:
+            row[c] //= g
+
+
+def _over(vec: dict, d) -> dict:
+    """``vec / d`` as ``Fraction``s, key order kept."""
+    return {c: Fraction(v, d) for c, v in vec.items()}
 
 
 def rank(mat: SparseMatrix) -> int:
@@ -154,21 +170,32 @@ def rank(mat: SparseMatrix) -> int:
 
 def kernel_basis(mat: SparseMatrix) -> list[dict]:
     """Vectors v (dicts over columns) with M v = 0, in reduced echelon form."""
-    return [_fractions(vec) for vec in _kernel(mat)]
+    return [_over(vec, vec[max(vec)]) for vec in _kernel(mat)]
 
 
 def _kernel(mat: SparseMatrix) -> list[dict]:
-    """:func:`kernel_basis` with int entries left as ints.  Every entry of a
-    reduced row off its pivot sits in a free column, so one pass over the
-    rows fills in every kernel vector."""
+    """:func:`kernel_basis` up to a positive factor per vector, int vectors
+    for int input.  Every entry of a reduced row off its pivot sits in a
+    free column, so one pass over the rows fills in every kernel vector,
+    scaled up where an entry would not be an int."""
     rows, pivots = _echelon(mat)
     basis = {c: {c: 1} for c in range(mat.ncols)}
     for p in pivots:
         del basis[p]
     for row, p in zip(rows, pivots):
+        lead = row[p]
+        unit = lead == 1
         for c, v in row.items():
             if c != p:
-                basis[c][p] = -v
+                vec = basis[c]
+                v = -v * vec[c]
+                if not unit:
+                    m = lead // math.gcd(lead, v)
+                    if m != 1:
+                        for k in vec:
+                            vec[k] *= m
+                    v = v * m // lead
+                vec[p] = v
     return list(basis.values())
 
 
@@ -200,10 +227,10 @@ def solve(columns: list[dict], rhs_list: list[dict]) -> list[dict | None]:
 def det_sign(columns: list[dict]) -> int:
     """Sign of the determinant of the square matrix with these columns; 0 if singular.
 
-    Reducing each column against the earlier ones keeps the determinant;
-    the reduced columns are triangular once sorted by their leads, so the
-    sign is that of the lead permutation times the signs of the lead
-    coefficients before normalization.
+    Reducing each column against the earlier ones keeps the determinant up
+    to a positive factor; the reduced columns are triangular once sorted by
+    their leads, so the sign is that of the lead permutation times the
+    signs of the lead coefficients before normalization.
     """
     elim = Eliminator()
     leads = []
@@ -221,7 +248,11 @@ def det_sign(columns: list[dict]) -> int:
 
 
 class Eliminator:
-    """Incremental elimination for span membership and basis extension."""
+    """Incremental elimination for span membership and basis extension.
+
+    ``rows`` are primitive int rows with a positive lead (lead 1 where a
+    row holds a ``Fraction``); ``reduce`` returns a positive multiple of
+    the rational reduction, with its leads and signs."""
 
     def __init__(self):
         self.rows: dict[int, dict] = {}
@@ -234,7 +265,7 @@ class Eliminator:
             row = rows.get(lead)
             if row is None:
                 return vec
-            _subtract(vec, vec[lead], row.items())
+            _eliminate(vec, row[lead], vec[lead], row.items())
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -243,7 +274,8 @@ class Eliminator:
         if not red:
             return False
         lead = min(red)
-        self.rows[lead] = _unit_lead(red, lead)
+        self.rows[lead] = _normalized(
+            red, lead, all(type(v) is int for v in red.values()))
         return True
 
 
@@ -382,8 +414,9 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
         reps: dict[int, list[dict]] = {w: [] for w in weights}
         for vec in kernel:
             if elim.add({top - i: c for i, c in vec.items()}):
-                reps[src[max(vec)][0]].append(
-                    {src[i]: Fraction(c) for i, c in vec.items()})
+                free = max(vec)
+                reps[src[free][0]].append(
+                    {src[i]: Fraction(c, vec[free]) for i, c in vec.items()})
 
         for w in weights:
             report.dims[(d, w)] = dims[w]

@@ -519,12 +519,17 @@ def test_criterion_13_odd_sphere_splitting_and_unit_table():
 def test_criterion_14_relation_suite_and_mutation():
     with Budget(14, "relation suite with mutation witness", 120):
         s3 = build_sn(3).structure
-        assert ibl_relations_check(s3, 5).passed
         cp2 = build_cpn(2).structure
-        assert ibl_relations_check(cp2, 5).passed
-        for seed in range(20):
-            s = random_cyclic_dga(6, seed=100 + seed)
-            assert ibl_relations_check(s, 5).passed, seed
+        cases = [(s3, 5), (cp2, 5), (cp2, 7)] + [
+            (random_cyclic_dga(6, seed=100 + seed), 5) for seed in range(20)]
+        reached = set()
+        for s, weight in cases:
+            rep = ibl_relations_check(s, weight)
+            assert rep.passed, (s.name, weight)
+            reached |= {name for name, n in rep.with_terms.items() if n}
+        # CP2 at weight 7 is the first case where co-Jacobi and Drinfeld
+        # receive terms; without it they would pass with nothing checked
+        assert reached == set(rep.checked), set(rep.checked) - reached
         T = t_tensor(s3)
         T[(0, 1)] = -T[(0, 1)]
         rep = ibl_relations_check(s3, 5, T=T)

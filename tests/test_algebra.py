@@ -351,6 +351,40 @@ def _stepped_b_tensor(s, letters):
     return acc
 
 
+def test_shared_canonical_memo_changes_nothing():
+    # one memo over a whole sweep gives the per-word values, items and
+    # order, and reaches no module-level state
+    from cycibl import algebra
+    from cycibl.dibl import canonical_mc, mu_from_mc
+    s3, r6 = build_sn(3).structure, random_cyclic_dga(6, seed=3)
+    cases = [(s3, 7), (build_cpn(2).structure, 5), (build_cpn(3).structure, 4),
+             (r6, 4), (random_cyclic_dga(10, seed=1), 3)]
+    # twisted families: the canonical entry plus seeded words of weight 6
+    # (S3, giving mu_5) and 4 (r6, giving mu_3)
+    rng = random.Random(5)
+    for s, w in ((s3, 6), (r6, 4)):
+        entry = canonical_mc(s).entry(1, 0).scaled(1)
+        words = [u for u in canonical_words(s.basis, w)
+                 if s.basis.word_degree(u) == entry.degree()]
+        for u in rng.sample(words, 3):
+            entry.add((u,), Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 3)))
+        twisted = mu_from_mc(s, entry, w - 1)
+        assert twisted.arities()[-1] == w - 1
+        cases.append((twisted, 5))
+    module_dicts = {n: len(v) for n, v in vars(algebra).items() if isinstance(v, dict)}
+    for s, top in cases:
+        arities, memo, calls = s.arities(), {}, 0
+        for w in range(1, top + 1):
+            for v in canonical_words(s.basis, w):
+                shared = hochschild_b_cyclic(s, v, arities, memo)
+                assert list(shared.items()) == \
+                    list(hochschild_b_cyclic(s, v).items()), (s.name, v)
+                calls += len(hochschild_b_tensor(s, v))
+        assert 0 < len(memo) < calls, s.name  # the sweep hit its memo
+    assert module_dicts == {n: len(v) for n, v in vars(algebra).items()
+                            if isinstance(v, dict)}
+
+
 def test_bar_differential_matches_single_step_rotations():
     # random tables up to arity 4, degrees not respected, so every rotation
     # sign of b' and of the remainder R is exercised on its own

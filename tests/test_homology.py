@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycibl.algebra import CyclicStructure, hochschild_b_cyclic, integral_multiple
 from cycibl.dibl import canonical_mc, mu_from_mc, twisted_q110
+from cycibl import linalg
 from cycibl.homology import chain_homology, cochain_homology
 from cycibl.linalg import (Eliminator, SparseMatrix, SquareZeroError,
                            det_sign, graded_homology, kernel_basis, rank, rref,
@@ -135,8 +138,8 @@ def oracle_rref(mat):
     return [out[i] for i in order], [pivots[i] for i in order]
 
 
-def oracle_kernel(mat):
-    rows, pivots = oracle_rref(mat)
+def oracle_kernel(mat, echelon=oracle_rref):
+    rows, pivots = echelon(mat)
     basis = []
     for f in range(mat.ncols):
         if f not in pivots:
@@ -148,11 +151,11 @@ def oracle_kernel(mat):
     return basis
 
 
-def oracle_solve(columns, rhs_list):
+def oracle_solve(columns, rhs_list, echelon=oracle_rref):
     n = len(columns)
     cols = list(columns) + list(rhs_list)
     nrows = 1 + max((r for col in cols for r in col), default=-1)
-    rows, pivots = oracle_rref(SparseMatrix.from_columns(nrows, cols))
+    rows, pivots = echelon(SparseMatrix.from_columns(nrows, cols))
     out = []
     for j in range(n, len(cols)):
         sol = {p: row[j] for row, p in zip(rows, pivots) if j in row}
@@ -289,6 +292,132 @@ def test_elimination_never_yields_floats():
         assert all(type(v) in (int, Fraction)
                    for row in elim.rows.values() for v in row.values())
     assert {2, -2, Fraction(3, 2), Fraction(-3, 2)} <= leads
+
+
+# -- the fraction-free eliminator against a dense rational oracle ----------
+
+def dense_rref(mat):
+    """Gauss-Jordan over ``Fraction``s on the dense matrix: pivot rows
+    scaled to lead 1 and cleared from every other row; returns (rows as
+    dicts in column order, pivot columns)."""
+    a = [[Fraction(row.get(c, 0)) for c in range(mat.ncols)] for row in mat.rows]
+    pivots, top = [], 0
+    for c in range(mat.ncols):
+        r = next((r for r in range(top, len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        a[top], a[r] = a[r], a[top]
+        a[top] = [x / a[top][c] for x in a[top]]
+        for i in range(len(a)):
+            if i != top and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+        top += 1
+    rows = [{c: x for c, x in enumerate(row) if x} for row in a[:top]]
+    return rows, pivots
+
+
+@st.composite
+def int_matrices(draw, with_fractions=False):
+    """Sparse matrices of entries -9..9, keys inserted in a drawn order; a
+    drawn row may be a combination of two earlier ones (rank deficiency)
+    and, ``with_fractions``, some entries are ``Fraction``s."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = []
+    for r in range(nrows):
+        order = draw(st.permutations(range(ncols)))
+        if r >= 2 and draw(st.booleans()):
+            x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            vals = {c: x * rows[0].get(c, 0) + y * rows[1].get(c, 0) for c in order}
+        else:
+            vals = {c: draw(entry) for c in order}
+        rows.append({c: v for c, v in vals.items() if v})
+    if with_fractions:
+        for row in rows:
+            for c in row:
+                if draw(st.integers(0, 3)) == 0:
+                    row[c] = Fraction(row[c], draw(st.integers(2, 4)))
+    return SparseMatrix(nrows, ncols, rows)
+
+
+def _as_fractions(mat):
+    return SparseMatrix(mat.nrows, mat.ncols,
+                        [{c: Fraction(v) for c, v in row.items()} for row in mat.rows])
+
+
+def _positive_multiple(got, want):
+    if not want:
+        return not got
+    ratio = Fraction(got.get(min(want), 0)) / want[min(want)]
+    return ratio > 0 and list(got) == list(want) and all(
+        got[c] == ratio * v for c, v in want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(int_matrices(), int_matrices(with_fractions=True)),
+       st.data())
+def test_fraction_free_elimination_matches_dense_oracle(mat, data):
+    ints = all(type(v) is int for row in mat.rows for v in row.values())
+    want_rows, want_pivots = dense_rref(mat)
+    got_rows, got_pivots = rref(mat)
+    assert got_pivots == want_pivots and got_rows == want_rows
+    # key order is that of the rational route (the rescanning oracle)
+    assert _ordered(got_rows) == _ordered(oracle_rref(_as_fractions(mat))[0])
+    assert all(type(v) is Fraction for row in got_rows for v in row.values())
+    assert _ordered(kernel_basis(mat)) == _ordered(oracle_kernel(mat, dense_rref))
+    assert rank(mat) == len(want_pivots)
+
+    cols = [dict(col) for col in transpose(mat).rows]
+    inside = matvec(mat, {c: Fraction(data.draw(st.integers(-2, 2)))
+                          for c in range(mat.ncols)})
+    other = {r: data.draw(st.integers(-5, 5)) for r in range(mat.nrows)}
+    rhs = [inside, {r: v for r, v in other.items() if v}]
+    got = solve(cols, rhs)
+    assert [None if sol is None else list(sol.items()) for sol in got] == \
+        [None if sol is None else list(sol.items())
+         for sol in oracle_solve(cols, rhs, dense_rref)]
+    if mat.nrows == mat.ncols:
+        det = _dense_det(_as_fractions(transpose(mat)).rows, mat.nrows)
+        assert det_sign(cols) == (det > 0) - (det < 0)
+
+    elim, oracle = Eliminator(), OracleEliminator()
+    for vec in mat.rows + cols:
+        assert _positive_multiple(elim.reduce(vec), oracle.reduce(vec))
+        assert elim.add(vec) == oracle.add(vec)
+    assert elim.rows.keys() == oracle.rows.keys()
+    for lead, row in elim.rows.items():
+        assert _positive_multiple(row, oracle.rows[lead])
+        if ints:
+            assert all(type(v) is int for v in row.values())
+            assert row[lead] > 0 and math.gcd(*row.values()) == 1
+
+
+def test_int_elimination_makes_no_fraction(monkeypatch):
+    # leads 3 and 2 would bring in Fraction(1, 3) on a rational route; the
+    # fraction-free one keeps ints until rows leave the module
+    mat = SparseMatrix(3, 4, [{0: 3, 1: 1, 3: 2}, {0: 6, 1: 5, 2: 1},
+                              {1: 2, 2: 4, 3: 7}])
+    want_rows, want_pivots = dense_rref(mat)
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built inside the elimination")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    rows, pivots = linalg._echelon(mat)
+    kernel = linalg._kernel(mat)
+    elim = Eliminator()
+    assert all(elim.add(row) for row in mat.rows)
+    assert det_sign([{0: 3, 1: 6}, {0: 1, 1: 5}]) == 1
+    assert rank(mat) == 3
+    assert elim.rows[0][0] == 3 and all(row[p] > 1 for row, p in zip(rows, pivots))
+    assert all(type(v) is int for vec in rows + kernel + list(elim.rows.values())
+               for v in vec.values())
+    monkeypatch.undo()
+    assert pivots == want_pivots
+    assert rref(mat) == (want_rows, want_pivots)
+    assert kernel_basis(mat) == oracle_kernel(mat, dense_rref)
 
 
 def _dense_det(cols, n):
