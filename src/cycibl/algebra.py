@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import SparseMatrix, rank, solve
+from .linalg import SparseMatrix, add_into, add_scaled, rank, solve
 from .signs import GradedBasis, koszul_sign
 from .words import (CochainTensor, TruncationError, Word, canonical_words,
                     canonicalize, rotation_sign, rotations)
@@ -290,9 +290,8 @@ def check_ainfty(s: CyclicStructure, max_arity: int) -> CheckReport:
                     for mid, c in inner.items():
                         for t1, img in slots.get((k1, p, mid), ()):
                             sc = -c if sum(deg[i] for i in t1[:p]) % 2 else c
-                            acc = accs.setdefault(t1[:p] + t2 + t1[p + 1:], {})
-                            for o, c2 in img.items():
-                                _add_into(acc, o, sc * c2)
+                            add_scaled(accs.setdefault(t1[:p] + t2 + t1[p + 1:], {}),
+                                       img, sc)
         fails.extend((name, letters, _freeze(acc), ())
                      for letters, acc in sorted(accs.items()) if acc)
     return CheckReport(not fails, fails, checked)
@@ -330,19 +329,6 @@ def check_mu_plus_cyclic(s: CyclicStructure, k: int) -> CheckReport:
 Tensor = dict[Word, Fraction]
 
 
-def _add_into(acc: Tensor, w: Word, c: Fraction) -> None:
-    old = acc.get(w)
-    if old is None:
-        if c:
-            acc[w] = c
-    else:
-        new = old + c
-        if new:
-            acc[w] = new
-        else:
-            del acc[w]
-
-
 def hochschild_b_tensor(s: CyclicStructure, letters: Word,
                         arities: list[int] | None = None) -> Tensor:
     """The full bar differential b = b' + R on a plain tensor word.
@@ -374,8 +360,8 @@ def hochschild_b_tensor(s: CyclicStructure, letters: Word,
             rest = total - prefix[i + j] + prefix[i]
             for mid, c in img.items():
                 sign = sgn0 * rotation_sign(rest + deg[mid], prefix[i])
-                _add_into(acc, letters[:i] + (mid,) + letters[i + j:],
-                          c if sign > 0 else -c)
+                add_into(acc, letters[:i] + (mid,) + letters[i + j:],
+                         c if sign > 0 else -c)
         # R part: t^i brings the last i letters to the front
         for i in range(1, j):
             base = letters[k - i:] + letters[:k - i]
@@ -384,7 +370,7 @@ def hochschild_b_tensor(s: CyclicStructure, letters: Word,
                 continue
             negate = rotation_sign(total, total - prefix[k - i]) < 0
             for mid, c in img.items():
-                _add_into(acc, (mid,) + base[j:], -c if negate else c)
+                add_into(acc, (mid,) + base[j:], -c if negate else c)
     return acc
 
 
@@ -400,7 +386,7 @@ def hochschild_b_cyclic(s: CyclicStructure, letters: Word,
         if (hit := canon.get(w)) is None:
             hit = canon[w] = canonicalize(w, s.basis)
         if hit[0] is not None:
-            _add_into(acc, hit[0], c if hit[1] > 0 else -c)
+            add_into(acc, hit[0], c if hit[1] > 0 else -c)
     return acc
 
 

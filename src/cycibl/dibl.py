@@ -36,11 +36,11 @@ these operations become symmetric is ``m - 3``, carried as the tensors'
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import CyclicStructure, dual_b, integral_multiple, transposed_b
+from .linalg import integral
 from .signs import ZERO
 from .words import (CochainTensor, TruncationError, Word, canonical_key,
                     canonical_words, canonicalize, dual_word, rotations,
@@ -507,9 +507,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
 
     Passing ``T`` overrides the contraction tensor (mutation testing).
     """
-    T = t_tensor(s) if T is None else T
-    scale = math.lcm(*(t.denominator for t in T.values()))
-    T = {key: t.numerator * (scale // t.denominator) for key, t in T.items()}
+    T = integral(t_tensor(s) if T is None else T)
     basis = s.basis
     by_weight = {w: list(canonical_words(basis, w)) for w in range(1, max_weight + 1)}
     gens = [u for w in range(1, max_weight + 1) for u in by_weight[w]]

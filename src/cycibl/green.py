@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CyclicStructure
-from .linalg import SparseMatrix, kernel_basis, solve
+from .linalg import SparseMatrix, add_scaled, kernel_basis, solve
 
 Vector = dict[int, Fraction]
 
@@ -55,14 +55,7 @@ class LinearOperator:
     def apply(self, vec: Vector) -> Vector:
         out: Vector = {}
         for j, c in vec.items():
-            if not c:
-                continue
-            for i, a in self.columns[j].items():
-                new = out.get(i, Fraction(0)) + a * c
-                if new:
-                    out[i] = new
-                else:
-                    out.pop(i, None)
+            add_scaled(out, self.columns[j], c)
         return out
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
@@ -73,17 +66,9 @@ class LinearOperator:
     def add(self, other: "LinearOperator", scale=1) -> "LinearOperator":
         if other.degree != self.degree:
             raise ValueError("cannot add operators of different degrees")
-        scale = Fraction(scale)
-        cols = []
-        for j in range(len(self.basis)):
-            col = dict(self.columns[j])
-            for i, c in other.columns[j].items():
-                new = col.get(i, Fraction(0)) + scale * c
-                if new:
-                    col[i] = new
-                else:
-                    col.pop(i, None)
-            cols.append(col)
+        cols = [dict(col) for col in self.columns]
+        for col, other_col in zip(cols, other.columns):
+            add_scaled(col, other_col, scale)
         return LinearOperator(self.basis, self.degree, cols)
 
     def scaled(self, scale) -> "LinearOperator":
@@ -232,9 +217,6 @@ class HarmonicSplitting:
     complement: list[Vector]
     coordinates: list[Vector]
 
-    def dims(self):
-        return (len(self.harmonic), len(self.image), len(self.complement))
-
 
 def _degree_indices(s: CyclicStructure):
     by_deg: dict[int, list[int]] = {}
@@ -259,12 +241,7 @@ def _orth_complement_inside(universe: list[Vector], subspace: list[Vector]) -> l
     for combo in kernel_basis(mat):
         vec: Vector = {}
         for c, a in combo.items():
-            for i, u in universe[c].items():
-                new = vec.get(i, Fraction(0)) + a * u
-                if new:
-                    vec[i] = new
-                else:
-                    vec.pop(i, None)
+            add_scaled(vec, universe[c], a)
         out.append(vec)
     return out
 
@@ -324,15 +301,8 @@ def _expand(coord: Vector, vectors: list[Vector], offset: int) -> Vector:
     """sum over r of coord[offset + r] * vectors[r]."""
     out: Vector = {}
     for r, vec in enumerate(vectors):
-        a = coord.get(offset + r)
-        if not a:
-            continue
-        for i, v in vec.items():
-            new = out.get(i, Fraction(0)) + a * v
-            if new:
-                out[i] = new
-            else:
-                out.pop(i, None)
+        if a := coord.get(offset + r):
+            add_scaled(out, vec, a)
     return out
 
 

@@ -1,8 +1,11 @@
 """Exact sparse linear algebra over the rationals and filtered graded homology.
 
-This module is the package's one exact eliminator; every other module
-solves, inverts, ranks and takes determinant signs through it:
+This module is the package's one home of exact sparse arithmetic; every
+other module accumulates, solves, inverts, ranks and takes determinant
+signs through it:
 
+* ``add_into`` and ``add_scaled`` -- ``acc += c·v`` on dict vectors,
+  dropping the entries that cancel;
 * ``rref`` -- reduced row echelon form; the rows wait in buckets keyed by
   lead column, the least key is the next pivot column, and its pivot row is
   the bucket's sparsest row (the earliest on ties);
@@ -17,14 +20,16 @@ solves, inverts, ranks and takes determinant signs through it:
   complex.
 
 Entries are ints or ``Fraction``s, never floats, so elimination is exact
-by construction.  Int input is eliminated fraction-free (Bareiss 1968):
-pivot rows stay primitive with a positive lead p, a row holding f at the
-lead becomes ``p·row - f·pivot`` over its content, and rows become
-``Fraction``s of lead 1 only where they leave the module; input holding a
-``Fraction`` takes pivots of lead 1.  The homology callers scale a bar
-differential b, linear in the structure constants, to the integral D·b:
-it has the kernels, images and reduced-echelon kernel vectors of b, and
-(D·b)² = D²·b².
+by construction.  There is one elimination route, on ints only
+(Bareiss 1968).  A matrix row or an ``Eliminator`` vector that holds a
+``Fraction`` enters scaled by the least common denominator of its entries
+(``integral``); a positive row scale keeps the leads, the signs and the
+reduced echelon form.  Pivot rows stay primitive with a positive lead p,
+a row holding f at the lead becomes ``p·row - f·pivot`` over its content,
+and rows become ``Fraction``s of lead 1 only where they leave the module.
+The homology callers scale a bar differential b, linear in the structure
+constants, to the integral D·b: it has the kernels, images and
+reduced-echelon kernel vectors of b, and (D·b)² = D²·b².
 
 The homology engine works per degree on a weight-filtered complex whose
 differential shifts weight by 0 or +1 (dual side) or by 0 or -1 (primal
@@ -84,16 +89,18 @@ def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
 
 
 def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
-    """:func:`rref` up to a positive factor per row, int rows for int
-    input.  A new pivot is eliminated only from the earlier pivot rows that
-    ``holders`` lists under its lead column: those that took an entry there
-    (it may have cancelled).
+    """:func:`rref` up to a positive factor per row, in primitive int rows.
+    A matrix that holds a ``Fraction`` has each row scaled to ints first
+    (:func:`integral`).  A new pivot is eliminated only from the earlier
+    pivot rows that ``holders`` lists under its lead column: those that
+    took an entry there (it may have cancelled).
     """
     ints = all(type(v) is int for r in mat.rows for v in r.values())
     by_lead: dict[int, list[tuple[int, dict]]] = {}
     for i, r in enumerate(mat.rows):
         if r:
-            by_lead.setdefault(min(r), []).append((i, dict(r)))
+            by_lead.setdefault(min(r), []).append(
+                (i, dict(r) if ints else integral(r)))
     pivots: list[int] = []
     out: list[dict] = []
     holders: dict[int, list[dict]] = {}
@@ -102,8 +109,8 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
         bucket = by_lead.pop(lead)
         entry = min(bucket, key=lambda e: (len(e[1]), e[0]))
         bucket.remove(entry)
-        pivot = _normalized(entry[1], lead, ints)
-        p = pivot[lead] if ints else 1  # a rational pivot has lead 1
+        pivot = _normalized(entry[1], lead)
+        p = pivot[lead]
         tail = [(c, v) for c, v in pivot.items() if c != lead]
         for prev in holders.pop(lead, ()):
             f = prev.pop(lead, None)
@@ -123,22 +130,25 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     return [out[i] for i in order], [pivots[i] for i in order]
 
 
-def _normalized(row: dict, lead: int, ints: bool) -> dict:
-    """``row`` as a pivot: over its content with a positive lead if
-    ``ints``, else at lead 1; ``row`` itself where it is so already."""
-    p = row[lead]
-    if ints:
-        g = math.gcd(*row.values())
-        p = -g if p < 0 else g
-    if p == 1:
-        return row
-    return {c: v // p for c, v in row.items()} if ints else _over(row, p)
+def integral(vec: dict) -> dict:
+    """``vec`` times the least common denominator of its entries, as ints."""
+    d = math.lcm(*(v.denominator for v in vec.values()))
+    return {c: v.numerator * (d // v.denominator) for c, v in vec.items()}
 
 
-def _eliminate(row: dict, p, f, items) -> None:
+def _normalized(row: dict, lead: int) -> dict:
+    """The int ``row`` as a pivot: over its content with a positive lead;
+    ``row`` itself where it is so already."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row: dict, p: int, f: int, items) -> None:
     """``row <- p·row - f·items`` in place (p > 0) for the ``(c, v)`` of
     ``items``, dropping entries that cancel; then over its content when p
-    is not 1 and the row is int."""
+    is not 1.  All entries are ints."""
     scale = p != 1
     if scale:
         for c in row:
@@ -153,15 +163,42 @@ def _eliminate(row: dict, p, f, items) -> None:
                 row[c] = new
             else:
                 del row[c]
-    if scale and all(type(v) is int for v in row.values()):
+    if scale:
         g = math.gcd(*row.values())
         for c in row:
             row[c] //= g
 
 
-def _over(vec: dict, d) -> dict:
-    """``vec / d`` as ``Fraction``s, key order kept."""
+def _over(vec: dict, d: int) -> dict:
+    """``vec / d`` as ``Fraction``s of ints, key order kept."""
     return {c: Fraction(v, d) for c, v in vec.items()}
+
+
+def add_into(acc: dict, key, c) -> None:
+    """``acc[key] += c``, dropping the entry if it cancels."""
+    old = acc.get(key)
+    if old is None:
+        if c:
+            acc[key] = c
+    elif new := old + c:
+        acc[key] = new
+    else:
+        del acc[key]
+
+
+def add_scaled(acc: dict, vec: dict, c=1) -> None:
+    """``acc += c·vec`` in place, dropping the entries that cancel
+    (:func:`add_into` inlined: a call per entry costs more than an int add)."""
+    for key, v in vec.items():
+        v = c * v
+        old = acc.get(key)
+        if old is None:
+            if v:
+                acc[key] = v
+        elif new := old + v:
+            acc[key] = new
+        else:
+            del acc[key]
 
 
 def rank(mat: SparseMatrix) -> int:
@@ -174,28 +211,25 @@ def kernel_basis(mat: SparseMatrix) -> list[dict]:
 
 
 def _kernel(mat: SparseMatrix) -> list[dict]:
-    """:func:`kernel_basis` up to a positive factor per vector, int vectors
-    for int input.  Every entry of a reduced row off its pivot sits in a
-    free column, so one pass over the rows fills in every kernel vector,
-    scaled up where an entry would not be an int."""
+    """:func:`kernel_basis` up to a positive factor per vector, as int
+    vectors.  Every entry of a reduced row off its pivot sits in a free
+    column, so one pass over the rows fills in every kernel vector, scaled
+    up where an entry would not be an int."""
     rows, pivots = _echelon(mat)
     basis = {c: {c: 1} for c in range(mat.ncols)}
     for p in pivots:
         del basis[p]
     for row, p in zip(rows, pivots):
         lead = row[p]
-        unit = lead == 1
         for c, v in row.items():
             if c != p:
                 vec = basis[c]
                 v = -v * vec[c]
-                if not unit:
-                    m = lead // math.gcd(lead, v)
-                    if m != 1:
-                        for k in vec:
-                            vec[k] *= m
-                    v = v * m // lead
-                vec[p] = v
+                m = lead // math.gcd(lead, v)
+                if m != 1:
+                    for k in vec:
+                        vec[k] *= m
+                vec[p] = v * m // lead
     return list(basis.values())
 
 
@@ -250,15 +284,18 @@ def det_sign(columns: list[dict]) -> int:
 class Eliminator:
     """Incremental elimination for span membership and basis extension.
 
-    ``rows`` are primitive int rows with a positive lead (lead 1 where a
-    row holds a ``Fraction``); ``reduce`` returns a positive multiple of
-    the rational reduction, with its leads and signs."""
+    ``rows`` are primitive int rows with a positive lead.  ``reduce`` takes
+    a vector that holds a ``Fraction`` to ints first (:func:`integral`) and
+    returns a positive int multiple of the rational reduction, with its
+    leads and signs."""
 
     def __init__(self):
         self.rows: dict[int, dict] = {}
 
     def reduce(self, vec: dict) -> dict:
         vec = {c: v for c, v in vec.items() if v}
+        if type(sum(vec.values())) is not int:  # a Fraction entry makes a Fraction sum
+            vec = integral(vec)
         rows = self.rows
         while vec:
             lead = min(vec)
@@ -274,8 +311,7 @@ class Eliminator:
         if not red:
             return False
         lead = min(red)
-        self.rows[lead] = _normalized(
-            red, lead, all(type(v) is int for v in red.values()))
+        self.rows[lead] = _normalized(red, lead)
         return True
 
 
@@ -357,12 +393,7 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
         for key in bases[d]:
             acc: dict = {}
             for mid, c in diff(key).items():
-                for out, c2 in diff(mid).items():
-                    new = acc.get(out, 0) + c * c2
-                    if new:
-                        acc[out] = new
-                    else:
-                        acc.pop(out, None)
+                add_scaled(acc, diff(mid), c)
             if acc:
                 raise SquareZeroError(
                     f"d*d != 0 at degree {d}, key {key}: {acc}")

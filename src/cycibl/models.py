@@ -4,8 +4,7 @@ The sphere model S^n has basis {1, w} in shifted degrees (-1, n-1), pairing
 [[0,1],[(-1)^n,0]] and products 1*1 = 1, 1*w = w, w*1 = (-1)^n w, w*w = 0.
 The projective model CP^n (complex dimension n, manifold dimension 2n) has
 basis e_0..e_n in shifted degrees 2i-1, the antidiagonal pairing and
-products e_i * e_j = e_{i+j} (zero above the top class).  Expected homology
-data is attached to each bundle for the test harness.
+products e_i * e_j = e_{i+j} (zero above the top class).
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ from .words import CochainTensor
 
 @dataclass
 class ModelBundle:
-    """A structure together with its expected homology and relation data."""
+    """A built-in model: its structure, checked on construction."""
 
     structure: CyclicStructure
-    expected_homology: list = field(default_factory=list)
-    expected_relations: dict = field(default_factory=dict)
-    notes: str = ""
 
 
 def build_sn(n: int) -> ModelBundle:
@@ -55,17 +51,7 @@ def build_sn(n: int) -> ModelBundle:
     rep = check_cyclic_dga(s)
     if not rep.passed:
         raise AssertionError(f"S{n} model is inconsistent: {rep.summary()}")
-    if n == 1:
-        hom = "classes: duals of all w-powers (long cochains) and odd unit powers"
-    elif n % 2 == 0:
-        hom = "classes: duals of odd w-powers and odd unit powers"
-    else:
-        hom = "classes: duals of all w-powers and odd unit powers"
-    expected = {
-        "product_on_unit_and_wk": ("zero" if n % 2 == 0 else "-(k-1) * dual(w^(k-1))"),
-        "coproduct_on_wk": "zero",
-    }
-    return ModelBundle(s, expected_homology=[hom], expected_relations=expected)
+    return ModelBundle(s)
 
 
 def build_cpn(n: int) -> ModelBundle:
@@ -97,14 +83,7 @@ def build_cpn(n: int) -> ModelBundle:
     rep = check_cyclic_dga(s)
     if not rep.passed:
         raise AssertionError(f"CP{n} model is inconsistent: {rep.summary()}")
-    expected = [(w, 2 * i + (w - 1) * n - 1)
-                for w in (1, 3, 5, 7) for i in range(1, n + 1)]
-    return ModelBundle(
-        s,
-        expected_homology=expected,
-        expected_relations={"all_operations_on_homology": "zero"},
-        notes="reduced classes of odd weight w have degree 2i + (w-1)n - 1",
-    )
+    return ModelBundle(s)
 
 
 def truncated_polynomial(n: int, d: int = 2) -> CyclicStructure:

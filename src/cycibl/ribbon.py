@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .algebra import CyclicStructure
-from .linalg import Eliminator, SparseMatrix, det_sign, kernel_basis
+from .linalg import Eliminator, SparseMatrix, add_into, det_sign, kernel_basis
 from .signs import koszul_sign
 from .words import CochainTensor, Word, canonical_tuples
 
@@ -470,8 +470,8 @@ def _surface_complex(graph: RibbonGraph):
             if partner is None:
                 continue
             idx = canon[(min(h, partner), max(h, partner))]
-            col[idx] = col.get(idx, 0) + (1 if h < partner else -1)
-        d2.append({r: v for r, v in col.items() if v})
+            add_into(col, idx, 1 if h < partner else -1)
+        d2.append(col)
     middle = []
     if d1:
         elim = Eliminator()
@@ -548,10 +548,15 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
     every assignment of the later edges; only a nonzero product of all
     block and propagator values pays for the Koszul sign of the routing.
 
-    Vertex orders: with one homogeneous cochain psi at every vertex and a
-    homogeneous twist-symmetric propagator of degree |P|, the term of the
-    vertex order pi is sign(pi)^(deg psi + |P|) times that of the identity
-    order.  So the k! orders sum to k! times the identity term when
+    Vertex orders: the order pi puts ``psis[i]`` on vertex pi(i).  For
+    homogeneous cochains and a homogeneous twist-symmetric propagator of
+    degree |P|, its term is sign(pi)^|P| times the Koszul sign of pi in the
+    cochain degrees times the identity-order term with the cochains so
+    placed: relabeling the vertices composes the routing with a block
+    permutation, a block is nonzero only at its cochain's degree, and the
+    compatible edge labeling flips edge 0 exactly when pi is odd, which
+    twist symmetry turns into (-1)^|P|.  With one cochain psi at every
+    vertex the k! orders thus sum to k! times the identity term when
     deg psi + |P| is even, and to 0 when it is odd and k >= 2.
     """
     k = len(graph.vertices)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .linalg import add_into, add_scaled
 from .signs import GradedBasis, koszul_sign, perm_inverse
 
 Word = tuple[int, ...]
@@ -232,12 +233,7 @@ class CochainTensor:
         keyed = canonical_key(tuple(canons), self.basis, self.slot_shift)
         if keyed is None:
             return
-        key, s = keyed
-        new = self.values.get(key, Fraction(0)) + s * coeff
-        if new:
-            self.values[key] = new
-        else:
-            self.values.pop(key, None)
+        add_into(self.values, keyed[0], keyed[1] * coeff)
 
     def eval_tuple(self, words) -> Fraction:
         """Evaluate on an ordered tuple of word tensors."""
@@ -295,12 +291,7 @@ class CochainTensor:
         bound = _min_bound(self.weight_bound, other.weight_bound)
         out = CochainTensor(self.basis, self.arity, self.slot_shift, bound)
         out.values = dict(self.values)
-        for k, v in other.values.items():
-            new = out.values.get(k, Fraction(0)) + v
-            if new:
-                out.values[k] = new
-            else:
-                out.values.pop(k, None)
+        add_scaled(out.values, other.values)
         return out
 
     def __sub__(self, other: "CochainTensor") -> "CochainTensor":

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cycibl.algebra import CyclicStructure, Tensor, _add_into, hochschild_b_tensor
-from cycibl.linalg import SparseMatrix
+from cycibl.algebra import CyclicStructure, Tensor, hochschild_b_tensor
+from cycibl.linalg import SparseMatrix, add_into
 from cycibl.models import S1TwistConfig
 from cycibl.signs import GradedBasis
 from cycibl.words import Word, rotation_sign
@@ -95,17 +95,17 @@ def classical_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
     for i in range(k - 1):
         sgn = -1 if i % 2 else 1
         for mid, c in mu2_t(letters[i], letters[i + 1]).items():
-            _add_into(acc, letters[:i] + (mid,) + letters[i + 2:], sgn * c)
+            add_into(acc, letters[:i] + (mid,) + letters[i + 2:], sgn * c)
     if k >= 2:
         e = (k - 1) + udeg[letters[-1]] * sum(udeg[x] for x in letters[:-1])
         sgn = -1 if e % 2 else 1
         for mid, c in mu2_t(letters[-1], letters[0]).items():
-            _add_into(acc, (mid,) + letters[1:-1], sgn * c)
+            add_into(acc, (mid,) + letters[1:-1], sgn * c)
     for i in range(k):
         sgn_i = -1 if sum(udeg[x] for x in letters[:i]) % 2 else 1
         sgn_k = -1 if (k + 1) % 2 else 1
         for mid, c in mu1_t(letters[i]).items():
-            _add_into(acc, letters[:i] + (mid,) + letters[i + 1:], sgn_i * sgn_k * c)
+            add_into(acc, letters[:i] + (mid,) + letters[i + 1:], sgn_i * sgn_k * c)
     return acc
 
 
@@ -124,5 +124,5 @@ def conjugated_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
     acc: Tensor = {}
     for w, c in hochschild_b_tensor(s, letters).items():
         _, sgn_out = classical_shift_U(s, w)
-        _add_into(acc, w, sgn_in * sgn_out * c)
+        add_into(acc, w, sgn_in * sgn_out * c)
     return acc

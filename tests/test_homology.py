@@ -228,6 +228,15 @@ def _ordered(vecs):
     return [list(v.items()) for v in vecs]
 
 
+def _primitive(vec):
+    """The primitive int multiple of a nonzero ``vec`` with a positive
+    lead, key order kept."""
+    d = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    ints = {c: int(v * d) for c, v in vec.items()}
+    g = math.gcd(*ints.values())
+    return {c: v // (g if ints[min(ints)] > 0 else -g) for c, v in ints.items()}
+
+
 def test_elimination_matches_rescanning_oracles():
     rng = random.Random(8)
     seen = set()
@@ -252,13 +261,17 @@ def test_elimination_matches_rescanning_oracles():
             assert det_sign(cols) == (det > 0) - (det < 0), (trial, shape)
             seen.add(("singular", det == 0))
 
+        # the rows are the oracle's in primitive int form, and each
+        # reduction a positive multiple of the oracle's, same keys in order
         elim, oracle = Eliminator(), OracleEliminator()
         for vec in mat.rows + cols:
-            assert list(elim.reduce(vec).items()) == \
-                list(oracle.reduce(vec).items())
+            assert _positive_multiple(elim.reduce(vec), oracle.reduce(vec))
             assert elim.add(vec) == oracle.add(vec)
             assert len(elim.rows) == len(oracle.rows)
-        assert elim.rows == oracle.rows
+        assert [(lead, list(row.items())) for lead, row in elim.rows.items()] == \
+            [(lead, list(_primitive(row).items()))
+             for lead, row in oracle.rows.items()]
+        assert all(type(v) is int for row in elim.rows.values() for v in row.values())
     # every shape appears; rank deficiency and singular squares occur
     assert {shape for shape, _ in seen} == set(SHAPES) | {"singular"}
     assert ("singular", True) in seen and ("singular", False) in seen
@@ -266,8 +279,9 @@ def test_elimination_matches_rescanning_oracles():
 
 
 def test_elimination_never_yields_floats():
-    # int matrices with some Fraction entries: leads of ±1, ±2 and ±3/2 all
-    # occur, and no route divides one int by another
+    # int matrices with some Fraction entries: every reduction and every
+    # row held is int-valued, leads other than ±1 occur, and the public
+    # outputs are Fractions, so no route divides one int by another
     rng = random.Random(3)
     leads = set()
     for trial in range(40):
@@ -287,11 +301,11 @@ def test_elimination_never_yields_floats():
             red = elim.reduce(vec)
             if red:
                 leads.add(red[min(red)])
-            assert all(type(v) in (int, Fraction) for v in red.values())
+            assert all(type(v) is int for v in red.values())
             elim.add(vec)
-        assert all(type(v) in (int, Fraction)
+        assert all(type(v) is int
                    for row in elim.rows.values() for v in row.values())
-    assert {2, -2, Fraction(3, 2), Fraction(-3, 2)} <= leads
+    assert {2, -2, 3, -3} <= leads
 
 
 # -- the fraction-free eliminator against a dense rational oracle ----------
@@ -359,7 +373,6 @@ def _positive_multiple(got, want):
 @given(st.one_of(int_matrices(), int_matrices(with_fractions=True)),
        st.data())
 def test_fraction_free_elimination_matches_dense_oracle(mat, data):
-    ints = all(type(v) is int for row in mat.rows for v in row.values())
     want_rows, want_pivots = dense_rref(mat)
     got_rows, got_pivots = rref(mat)
     assert got_pivots == want_pivots and got_rows == want_rows
@@ -389,35 +402,42 @@ def test_fraction_free_elimination_matches_dense_oracle(mat, data):
     assert elim.rows.keys() == oracle.rows.keys()
     for lead, row in elim.rows.items():
         assert _positive_multiple(row, oracle.rows[lead])
-        if ints:
-            assert all(type(v) is int for v in row.values())
-            assert row[lead] > 0 and math.gcd(*row.values()) == 1
+        assert all(type(v) is int for v in row.values())
+        assert row[lead] > 0 and math.gcd(*row.values()) == 1
 
 
 def test_int_elimination_makes_no_fraction(monkeypatch):
-    # leads 3 and 2 would bring in Fraction(1, 3) on a rational route; the
-    # fraction-free one keeps ints until rows leave the module
-    mat = SparseMatrix(3, 4, [{0: 3, 1: 1, 3: 2}, {0: 6, 1: 5, 2: 1},
-                              {1: 2, 2: 4, 3: 7}])
-    want_rows, want_pivots = dense_rref(mat)
+    # leads 3 and 2 would bring in Fraction(1, 3) on a rational route, and
+    # entries of ±3/2 enter scaled to ints; the elimination keeps ints until
+    # rows leave the module
+    mats = [SparseMatrix(3, 4, [{0: 3, 1: 1, 3: 2}, {0: 6, 1: 5, 2: 1},
+                                {1: 2, 2: 4, 3: 7}]),
+            SparseMatrix(3, 4, [{0: Fraction(3, 2), 1: 1, 3: 2},
+                                {0: 6, 1: Fraction(-3, 2), 2: 1},
+                                {1: 2, 2: Fraction(3, 2), 3: 7}])]
 
     def no_fraction(*args):
         raise AssertionError(f"Fraction{args} built inside the elimination")
 
-    monkeypatch.setattr(linalg, "Fraction", no_fraction)
-    rows, pivots = linalg._echelon(mat)
-    kernel = linalg._kernel(mat)
-    elim = Eliminator()
-    assert all(elim.add(row) for row in mat.rows)
-    assert det_sign([{0: 3, 1: 6}, {0: 1, 1: 5}]) == 1
-    assert rank(mat) == 3
-    assert elim.rows[0][0] == 3 and all(row[p] > 1 for row, p in zip(rows, pivots))
-    assert all(type(v) is int for vec in rows + kernel + list(elim.rows.values())
-               for v in vec.values())
-    monkeypatch.undo()
-    assert pivots == want_pivots
-    assert rref(mat) == (want_rows, want_pivots)
-    assert kernel_basis(mat) == oracle_kernel(mat, dense_rref)
+    for mat in mats:
+        want_rows, want_pivots = dense_rref(mat)
+        square = [{r: mat.rows[r][c] for r in (0, 1) if c in mat.rows[r]}
+                  for c in (0, 1)]
+        det = _dense_det(square, 2)
+        monkeypatch.setattr(linalg, "Fraction", no_fraction)
+        rows, pivots = linalg._echelon(mat)
+        kernel = linalg._kernel(mat)
+        elim = Eliminator()
+        assert all(elim.add(row) for row in mat.rows)
+        assert det_sign(square) == (det > 0) - (det < 0)
+        assert rank(mat) == 3
+        assert elim.rows[0][0] == 3 and all(row[p] > 1 for row, p in zip(rows, pivots))
+        assert all(type(v) is int for vec in rows + kernel + list(elim.rows.values())
+                   for v in vec.values())
+        monkeypatch.undo()
+        assert pivots == want_pivots
+        assert rref(mat) == (want_rows, want_pivots)
+        assert kernel_basis(mat) == oracle_kernel(mat, dense_rref)
 
 
 def _dense_det(cols, n):

@@ -17,9 +17,10 @@ or a string naming it (the benchmark tracer wraps functions by name, e.g.
 ``"Eliminator.reduce"``).
 
 Dead methods: a method of a package class counts as used when some
-searched file refers to it as an attribute or names it in a string;
-dunders and overrides of a method of a base class (``_Parser.error``) are
-exempt.
+searched file calls it (``x.name(...)``) or names it in a string; a field
+or property of the same name reached as a plain attribute does not count.
+Properties, dunders and overrides of a method of a base class
+(``_Parser.error``) are exempt.
 
 Options without a caller: every defaulted parameter of a function or
 method of ``src/cycibl`` is passed, by keyword or by position, by some
@@ -81,29 +82,33 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _references(tree: ast.AST, names: bool = True) -> set[str]:
-    """Attributes and strings naming identifiers; with ``names`` also
-    loaded and imported names."""
+def _references(tree: ast.AST, calls: bool = False) -> set[str]:
+    """Identifiers that strings name, and with ``calls`` the attributes
+    that are called (``x.name(...)``), else every attribute and every
+    loaded and imported name."""
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(p.isidentifier() for p in parts):
                 refs.update(parts)
-        elif names and isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        elif calls:
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                refs.add(node.func.attr)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
-        elif names and isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias):
             refs.add(node.name.split(".")[-1])
     return refs
 
 
-def _searched_references(names: bool = True) -> set[str]:
+def _searched_references(calls: bool = False) -> set[str]:
     refs: set[str] = set()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            refs |= _references(ast.parse(path.read_text(), str(path)), names)
+            refs |= _references(ast.parse(path.read_text(), str(path)), calls)
     return refs
 
 
@@ -119,7 +124,7 @@ def _unreferenced_definitions() -> list[str]:
 
 def _methods():
     """``module.Class.method`` for each method that no base class defines,
-    dunders left out."""
+    dunders and properties left out."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"cycibl.{path.stem}")
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -129,12 +134,14 @@ def _methods():
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not _is_dunder(item.name)
+                        and not any(getattr(d, "id", None) == "property"
+                                    for d in item.decorator_list)
                         and not any(hasattr(b, item.name) for b in bases)):
                     yield f"{path.stem}.{node.name}.{item.name}"
 
 
 def _unreferenced_methods() -> list[str]:
-    refs = _searched_references(names=False)
+    refs = _searched_references(calls=True)
     return [m for m in _methods() if m.rsplit(".", 1)[1] not in refs]
 
 

@@ -20,9 +20,7 @@ def test_sphere_bundle_metadata():
     b = build_sn(3)
     assert b.structure.basis.degrees == (-1, 2)
     assert b.structure.manifold_dim == 3
-    assert "-(k-1)" in b.expected_relations["product_on_unit_and_wk"]
-    b2 = build_sn(2)
-    assert b2.expected_relations["product_on_unit_and_wk"] == "zero"
+    assert build_sn(2).structure.basis.degrees == (-1, 1)
     with pytest.raises(ValueError):
         build_sn(0)
 
@@ -31,7 +29,6 @@ def test_cpn_bundle_metadata():
     b = build_cpn(2)
     assert b.structure.basis.degrees == (-1, 1, 3)
     assert b.structure.manifold_dim == 4
-    assert (3, 2 * 1 + 2 * 2 - 1) in b.expected_homology
     with pytest.raises(ValueError):
         build_cpn(0)
 

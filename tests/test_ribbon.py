@@ -733,6 +733,60 @@ def test_vertex_orders_differ_by_the_sign_of_the_order():
     assert set(seen) == {(k, l, parity) for k, l in ((2, 1), (3, 1), (4, 1), (2, 2))
                          for parity in (0, 1)}, seen
 
+    # distinct cochains of different degrees, two of them odd, psis[i] on
+    # vertex pi(i): the term of pi is sign(pi)^|P| times the Koszul sign of
+    # pi in the cochain degrees times the identity-order term with the
+    # cochains so placed
+    mixed = Counter()
+    for s in (build_sn(3).structure, build_cpn(2).structure,
+              random_cyclic_dga(6, seed=0)):
+        deg, n = s.basis.degrees, len(s.basis)
+        words = [u for w in range(1, 5) for u in canonical_words(s.basis, w)]
+        wdegs = sorted({s.basis.word_degree(u) for u in words})
+        odd = [d for d in wdegs if d % 2]
+        for pdeg in sorted({deg[i] + deg[j] for i in range(n) for j in range(n)}):
+            P = random_symmetric_propagator(s, pdeg, rng)
+            for k, l in ((2, 1), (3, 1), (2, 2)):
+                for legs in (1, 2, 3):
+                    for graph, _ in enumerate_graphs(k, l, 0, legs)[:3]:
+                        if not P or mixed[(k, l)] >= 3:
+                            continue
+                        ds = rng.sample(odd, 2)
+                        ds += rng.sample([d for d in wdegs if d not in ds], k - 2)
+                        rng.shuffle(ds)
+                        psis = []
+                        for d in ds:
+                            psis.append(CochainTensor(s.basis, 1, s.slot_shift))
+                            for u in words:
+                                if s.basis.word_degree(u) == d:
+                                    psis[-1].add((u,), rng.randint(1, 4))
+                        for _ in range(50):
+                            ws = [tuple(rng.randrange(n) for _ in b)
+                                  for b in graph.boundary_legs()]
+                            if sum(deg[x] for w in ws for x in w) == \
+                                    sum(ds) - (k + l - 2) * pdeg:
+                                break
+                        else:
+                            continue
+                        terms = {pi: oracle_graph_pairing(s, graph, P, psis, ws, [pi])
+                                 for pi in permutations(range(k))}
+                        if not any(terms.values()):
+                            continue
+                        for pi, term in terms.items():
+                            placed = [None] * k
+                            for i, v in enumerate(pi):
+                                placed[v] = psis[i]
+                            assert term == koszul_sign(pi, [pdeg] * k) * \
+                                koszul_sign(pi, ds) * oracle_graph_pairing(
+                                    s, graph, P, placed, ws, [tuple(range(k))])
+                        assert graph_pairing(s, graph, P, psis, ws) == \
+                            sum(terms.values())
+                        mixed[(k, l)] += 1
+                        mixed["odd swap"] += any(
+                            term and koszul_sign(pi, ds) < 0
+                            for pi, term in terms.items())
+    assert mixed[(2, 1)] and mixed[(3, 1)] and mixed["odd swap"], mixed
+
 
 def dense_propagators():
     for bundle in (build_sn(3), build_cpn(2)):
