@@ -102,19 +102,18 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     arities = integral.arities()
     by_degree = _by_degree(s, _word_index(s, weight_bound, reduced),
                            weight_bound)
+    unit = s.unit if reduced else None
+    # every differential is computed first and the canonical memo dropped
+    # before the elimination; graded_homology asks for each key once and
+    # keeps its own copy, so the table gives its entries up
     canon: dict = {}
+    table = {key: {(len(v), v): c for v, c in hochschild_b_cyclic(
+        integral, key[1], arities, canon).items() if unit is None or unit not in v}
+        for keys in by_degree.values() for key in keys}
+    del canon
 
     def basis_fn(d):
         return list(by_degree.get(d, []))
 
-    def diff_fn(key):
-        w, u = key
-        out = {}
-        for v, c in hochschild_b_cyclic(integral, u, arities, canon).items():
-            if reduced and s.unit is not None and s.unit in v:
-                continue
-            out[(len(v), v)] = c
-        return out
-
-    return graded_homology(basis_fn, diff_fn, sorted(by_degree), weight_bound,
+    return graded_homology(basis_fn, table.pop, sorted(by_degree), weight_bound,
                            weight_step=-1, degree_step=1)

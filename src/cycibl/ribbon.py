@@ -220,13 +220,31 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
 
     Returns a list of (graph, automorphism order).  The number of internal
     edges is forced: e = k + l + 2g - 2.  With ``trivalent`` every internal
-    vertex has valency 3 (so 3k = 2e + legs must hold).  ``reduced`` applies
-    the degenerate-class exclusions: for the two one-edge families these are
-    the classes with no legs (two-vertex family) and with at most one leg
-    (one-vertex two-boundary family); for other types, graphs with a legless
-    boundary component are dropped (they cannot pair with nonempty words).
-    Negative counts are rejected before the cache is consulted, so it only
-    ever holds the finitely many types within the enumeration budget.
+    vertex has valency 3 (so 3k = 2e + legs must hold).  A type without
+    internal vertices, or with fewer than k - 1 edges, has no connected
+    graph.  ``reduced`` applies the degenerate-class exclusions: for the two
+    one-edge families these are the classes with no legs (two-vertex
+    family) and with at most one leg (one-vertex two-boundary family); for
+    other types, graphs with a legless boundary component are dropped (they
+    cannot pair with nonempty words).  Negative counts are rejected before
+    the cache is consulted, so it only ever holds the finitely many types
+    within the enumeration budget.
+
+    Each valency list lays the half-edges out in consecutive vertex blocks,
+    and the e-edge matchings of that layout are walked in a fixed order
+    (each half-edge in turn stays a leg, or is matched with a later one).
+    The walk carries a component label per vertex and cuts an edge inside
+    a component when the edges left would then be too few to join the
+    components (fewer than components - 1), so every leaf is connected; it
+    also carries each matching's key, the bitmask of its half-edge pairs.
+    Two matchings of a layout give isomorphic graphs exactly when a layout
+    symmetry (a permutation of equal blocks, a rotation of each block)
+    carries one to the other.  So the first leaf of each class not yet
+    known is its representative: it is built and encoded, and its whole
+    orbit is marked known by applying the symmetries to its edge pairs.
+    The cut removes only branches without a connected leaf, so the
+    representatives, and with them the output, are those of the walk over
+    every matching.
     """
     if min(k, l, g, legs) < 0:
         raise ValueError("k, l, g and legs must be nonnegative")
@@ -234,75 +252,85 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
     if cache_key in _ENUM_CACHE:
         return _ENUM_CACHE[cache_key]
     e = k + l + 2 * g - 2
-    if e < 0:
+    if k == 0 or e < k - 1:
         return []
-    total_half = 2 * e + legs
-    if total_half > 24 or k > 4:
+    n = 2 * e + legs
+    if n > 24 or k > 4:
         raise EnumerationBudgetExceeded(
-            f"enumeration budget exceeded: {k} vertices and {total_half} "
+            f"enumeration budget exceeded: {k} vertices and {n} "
             f"half-edges (at most 4 and 24)")
-    if trivalent and 3 * k != total_half:
+    if trivalent and 3 * k != n:
         return []
 
     # distribute valencies over vertices (nondecreasing partitions)
-    if trivalent:
-        valency_lists = [[3] * k] if k >= 1 else []
-    else:
-        def partitions(total, parts, minimum=1):
-            if parts == 1:
-                if total >= minimum:
-                    yield (total,)
-                return
-            for first in range(minimum, total - (parts - 1) + 1):
-                for rest in partitions(total - first, parts - 1, first):
-                    yield (first,) + rest
+    def partitions(total, parts, minimum=1):
+        if parts == 1:
+            if total >= minimum:
+                yield (total,)
+            return
+        for first in range(minimum, total - (parts - 1) + 1):
+            for rest in partitions(total - first, parts - 1, first):
+                yield (first,) + rest
 
-        valency_lists = [list(p) for p in partitions(total_half, k)]
-
+    bit = [[1 << (min(a, b) * n + max(a, b)) for b in range(n)] for a in range(n)]
     seen_signatures = {}
-    for vals in valency_lists:
-        # half-edge layout: vertex i owns a consecutive block
-        blocks = []
-        start = 0
-        for v in vals:
-            blocks.append(tuple(range(start, start + v)))
-            start += v
-        n = start
-        halves = list(range(n))
+    for vals in [(3,) * k] if trivalent else partitions(n, k):
+        # half-edge layout: vertex i owns the block from starts[i]
+        starts = [sum(vals[:i]) for i in range(k)]
+        blocks = [tuple(range(a, a + v)) for a, v in zip(starts, vals)]
         owner = [i for i, v in enumerate(vals) for _ in range(v)]
+        symmetries = [perm for perm in permutations(range(k))
+                      if all(vals[perm[i]] == vals[i] for i in range(k))]
+        rotations = list(iproduct(*(range(v) for v in vals)))
+        known = set()
+        pairs = []
 
-        def matchings(avail, count):
-            if count == 0:
-                yield []
+        def mark_orbit():
+            # per block permutation, one column of bits per edge over all
+            # block rotations; a rotated matching's key is a row sum
+            for perm in symmetries:
+                columns = []
+                for a, b in pairs:
+                    i, j = owner[a], owner[b]
+                    pa, pb, si, sj = a - starts[i], b - starts[j], vals[i], vals[j]
+                    ta, tb = starts[perm[i]], starts[perm[j]]
+                    columns.append([bit[ta + (pa + r[i]) % si][tb + (pb + r[j]) % sj]
+                                    for r in rotations])
+                known.update(map(sum, zip(*columns)))
+
+        def leaf(mask):
+            if mask in known:
                 return
+            graph = RibbonGraph(blocks, pairs)
+            mark_orbit()
+            if graph.counts() == (k, l, g):
+                sig, aut = graph._canonical()
+                seen_signatures[sig] = (graph, aut)
+
+        def walk(avail, count, mask, comp, parts):
+            # comp[i] labels (one character) the component of vertex i;
+            # the edges left can always join the components: count >= parts - 1
             if len(avail) < 2 * count:
                 return
+            if count == 0:
+                return leaf(mask)
             first, rest0 = avail[0], avail[1:]
-            # first half-edge stays a leg
-            yield from matchings(rest0, count)
-            # or is matched with any later half-edge
-            for idx in range(len(rest0)):
-                rest = rest0[:idx] + rest0[idx + 1:]
-                for m in matchings(rest, count - 1):
-                    yield [(first, rest0[idx])] + m
+            walk(rest0, count, mask, comp, parts)  # first stays a leg
+            row, ca = bit[first], comp[owner[first]]
+            for idx, x in enumerate(rest0):
+                cb = comp[owner[x]]
+                if ca == cb and count < parts:
+                    continue  # an edge inside a component, none to spare
+                pairs.append((first, x))
+                if count == 1:
+                    leaf(mask | row[x])
+                else:
+                    walk(rest0[:idx] + rest0[idx + 1:], count - 1, mask | row[x],
+                         comp.replace(cb, ca), parts - (ca != cb))
+                pairs.pop()
 
-        # Two matchings of this layout give isomorphic graphs exactly when a
-        # layout symmetry carries one to the other.  So the images of each
-        # connected matching built are marked known, and only the first
-        # matching of each class in generation order, its representative,
-        # is built and encoded.
-        known = set()
-        for match in matchings(halves, e):
-            if _matching_key(match, n) in known:
-                continue
-            if not _one_component(k, owner, match):
-                continue
-            graph = RibbonGraph(blocks, match)
-            known.update(_block_images(blocks, match))
-            if graph.counts() != (k, l, g):
-                continue
-            sig, aut = graph._canonical()
-            seen_signatures[sig] = (graph, aut)
+        walk(tuple(range(n)), e, 0, "0123"[:k], k)
+        del walk  # a self-reference: freed now, not by the cycle collector
 
     out = list(seen_signatures.values())
     if reduced:
@@ -310,50 +338,6 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
     out.sort(key=lambda pair_: pair_[0]._canonical()[0])
     _ENUM_CACHE[cache_key] = out
     return out
-
-
-def _one_component(k: int, owner, edges) -> bool:
-    """Whether k vertices joined by the edges (half-edge pairs, ``owner[h]``
-    the vertex of h) form one component."""
-    if k == 0:
-        return False
-    root = list(range(k))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    parts = k
-    for a, b in edges:
-        ra, rb = find(owner[a]), find(owner[b])
-        if ra != rb:
-            root[ra] = rb
-            parts -= 1
-    return parts == 1
-
-
-def _matching_key(pairs, n: int) -> int:
-    """The set of half-edge pairs as a bitmask over the n * n ordered pairs."""
-    return sum(1 << (a * n + b if a < b else b * n + a) for a, b in pairs)
-
-
-def _block_images(blocks: list[tuple[int, ...]], match):
-    """Keys of the matching under every layout symmetry: the relabelings of
-    the consecutive half-edge blocks that permute blocks of equal size and
-    rotate each block."""
-    k = len(blocks)
-    n = sum(len(b) for b in blocks)
-    where = {h: (i, p) for i, b in enumerate(blocks) for p, h in enumerate(b)}
-    sizes = [len(b) for b in blocks]
-    for perm in permutations(range(k)):
-        if any(sizes[perm[i]] != sizes[i] for i in range(k)):
-            continue
-        for rots in iproduct(*(range(size) for size in sizes)):
-            def image(h):
-                i, p = where[h]
-                return blocks[perm[i]][(p + rots[i]) % sizes[i]]
-            yield _matching_key(((image(a), image(b)) for a, b in match), n)
 
 
 def _is_degenerate(graph: RibbonGraph, k: int, l: int, g: int) -> bool:

@@ -1,5 +1,6 @@
 import argparse
 import inspect
+import itertools
 import json
 from collections import Counter
 
@@ -111,6 +112,28 @@ def test_graphs_listing(capsys):
     rows = json.loads(out)
     auts = sorted(r["automorphisms"] for r in rows)
     assert auts == [1, 2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["graphs", "0", "2", "0", "--legs", "2"],
+    ["graphs", "0", "0", "1"],
+    ["graphs", "0", "1", "1"],
+])
+def test_graphs_without_internal_vertices_list_no_classes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.endswith(" legs: 0\n")
+
+
+def test_graphs_exit_codes_over_small_types(capsys):
+    # every small type lists its classes or is an input error, never a crash
+    for k, l, g in itertools.product(range(5), range(4), range(2)):
+        e = max(k + l + 2 * g - 2, 0)
+        for legs in range(9 - 2 * e):
+            for flags in ([], ["--trivalent"]):
+                code, _, err = run(capsys, "graphs", str(k), str(l), str(g),
+                                   "--legs", str(legs), *flags)
+                assert code in (0, 2), (k, l, g, legs, flags, err)
 
 
 def test_pushforward_zero_kernel(tmp_path, capsys):

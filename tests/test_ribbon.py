@@ -11,7 +11,7 @@ from cycibl.dibl import (canonical_mc, collection_sign, distribution_sign,
 from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
 from cycibl.linalg import Eliminator, det_sign
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
-from cycibl.ribbon import (Labeling, RibbonGraph, _one_component, _surface_complex,
+from cycibl.ribbon import (Labeling, RibbonGraph, _surface_complex,
                            enumerate_graphs, f_klg, f_klg_tensor, graph_pairing,
                            orientation_compatible, compatible_edge_labeling,
                            pushforward_mc, sigma_L)
@@ -102,6 +102,17 @@ def test_enumerate_graphs_rejects_negative_counts():
         with pytest.raises(ValueError, match="nonnegative"):
             enumerate_graphs(*args)
     assert len(ribbon._ENUM_CACHE) == before
+
+
+def test_types_without_a_connected_graph_have_no_classes():
+    # a connected graph needs an internal vertex, whatever its edge count,
+    # and k - 1 edges to join k vertices (so a boundary or genus)
+    for args in ((0, 2, 0, 2), (0, 0, 1, 3), (0, 1, 1, 3), (0, 1, 1, 0),
+                 (0, 3, 0, 0), (0, 1, 12, 0), (2, 0, 0, 3), (3, 0, 0, 2)):
+        for trivalent in (False, True):
+            for reduced in (False, True):
+                assert enumerate_graphs(*args, trivalent=trivalent,
+                                        reduced=reduced) == [], args
 
 
 def test_enumerate_trivalent_tree():
@@ -442,9 +453,12 @@ def oracle_canonical(graph):
     return best, encodings.count(best)
 
 
+# (2, 2, 0, 2) without trivalence is also the count of a disconnected graph:
+# a vertex with two crossing loops beside a vertex with the two legs
 ENUMERATED = [((1, 1, 0, 3), True), ((2, 1, 0, 4), True), ((3, 1, 0, 5), True),
-              ((4, 1, 0, 6), True), ((2, 1, 0, 3), False), ((1, 2, 0, 3), False),
-              ((3, 1, 0, 4), False), ((2, 1, 1, 2), False)]
+              ((4, 1, 0, 6), True), ((2, 1, 1, 0), True), ((2, 2, 0, 2), True),
+              ((2, 1, 0, 3), False), ((1, 2, 0, 3), False), ((3, 1, 0, 4), False),
+              ((2, 1, 1, 2), False), ((4, 1, 0, 3), False), ((2, 2, 0, 2), False)]
 
 
 def relabeled(graph, rng):
@@ -476,7 +490,22 @@ def test_canonical_pass_matches_all_starts_oracle():
 
 
 def is_connected(graph: RibbonGraph) -> bool:
-    return _one_component(len(graph.vertices), graph._vert, graph.edges)
+    """Whether the vertices joined by the edges form one component (a
+    union-find); a graph without vertices is not connected."""
+    root = list(range(len(graph.vertices)))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    parts = len(root)
+    for a, b in graph.edges:
+        ra, rb = find(graph.vertex_of(a)), find(graph.vertex_of(b))
+        if ra != rb:
+            root[ra] = rb
+            parts -= 1
+    return parts == 1
 
 
 def test_canonical_pass_on_disconnected_graphs():
