@@ -77,40 +77,53 @@ def q110(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
                                   {1: s.mu.get(1, {})}), psi)
 
 
-def _tensor_multiplicity(word: Word) -> int:
-    """Number of rotations of a word's cyclic class equal to it as a tensor."""
-    k = len(word)
-    return k // next(p for p in range(1, k + 1)
-                     if k % p == 0 and word[p:] + word[:p] == word)
+def _canonical_term(word: Word, basis, memo: dict) -> tuple[Word | None, int]:
+    """A contracted word's canonical form and its sign times the number of
+    rotations of its class equal to it as a tensor, kept in ``memo``."""
+    if (hit := memo.get(word)) is None:
+        canon, sign = canonicalize(word, basis)
+        k = len(word)
+        period = next(p for p in range(1, k + 1)
+                      if k % p == 0 and word[p:] + word[:p] == word)
+        hit = memo[word] = (canon, sign * (k // period))
+    return hit
 
 
-def dual_word_product(s: CyclicStructure, T, u: Word, v: Word) -> dict[Word, Fraction]:
+def _rotation_table(u: Word, basis, memo: dict) -> list:
+    """The distinct rotations of u as (first letter, tail, sign, parities of
+    tail and first letter), kept in ``memo`` under ``(u,)``, never a word."""
+    if (table := memo.get((u,))) is None:
+        deg, total = basis.degrees, basis.word_degree(u)
+        table = memo[(u,)] = [(x[0], x[1:], sx, (total - deg[x[0]]) % 2, deg[x[0]] % 2)
+                              for x, sx in dict(rotations(u, basis)).items()]
+    return table
+
+
+def dual_word_product(s: CyclicStructure, T, u: Word, v: Word,
+                      memo: dict | None = None) -> dict[Word, Fraction]:
     """Product of the dual words of two canonical words, as canonical word ->
     value, by direct contraction.
 
     Every pair of rotations (e_i w1, e_j w2) of u and v with T^{ij} != 0 is
     one term of the product formula on the class of w1 w2, counted once for
-    each rotation of that class equal to w1 w2 as a tensor.
+    each rotation of that class equal to w1 w2 as a tensor.  A caller's
+    ``memo`` keeps each word's rotations and canonical form for its call.
     """
     basis = s.basis
-    deg = basis.degrees
+    memo = {} if memo is None else memo
     out: dict[Word, Fraction] = {}
-    rots_v = dict(rotations(v, basis)).items()
-    for ru, su in dict(rotations(u, basis)).items():
-        i, w1 = ru[0], ru[1:]
-        odd1 = basis.word_degree(w1) % 2
-        for rv, sv in rots_v:
-            t = T.get((i, rv[0]))
-            if not t or len(ru) + len(rv) < 3:
+    rots_v = _rotation_table(v, basis, memo)
+    for i, w1, su, odd1, _ in _rotation_table(u, basis, memo):
+        for j, w2, sv, _, odd_j in rots_v:
+            t = T.get((i, j))
+            if not t or not (w1 or w2):
                 continue
-            word = w1 + rv[1:]
-            canon, sign = canonicalize(word, basis)
+            canon, sign = _canonical_term(w1 + w2, basis, memo)
             if canon is None:
                 continue
-            if odd1 and deg[rv[0]] % 2:
+            if odd1 and odd_j:
                 sign = -sign
-            val = _tensor_multiplicity(word) * sign * su * sv * t
-            out[canon] = out.get(canon, 0) + val
+            out[canon] = out.get(canon, 0) + sign * su * sv * t
     return {w: c for w, c in out.items() if c}
 
 
@@ -130,11 +143,12 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor
     bound = _contraction_bound(psi1, psi2)
     out = CochainTensor(s.basis, 1, psi1.slot_shift, bound)
     acc: dict[Word, Fraction] = {}
+    memo: dict = {}
     for (u,), c1 in psi1.items():
         for (v,), c2 in psi2.items():
             if bound is not None and len(u) + len(v) - 2 > bound:
                 continue
-            for w, c in dual_word_product(s, T, u, v).items():
+            for w, c in dual_word_product(s, T, u, v, memo).items():
                 acc[w] = acc.get(w, ZERO) + c1 * c2 * c
     out.values = {(w,): c for w, c in acc.items() if c}
     return out
@@ -165,7 +179,7 @@ def distribution_sign(s: CyclicStructure, words: tuple[Word, ...]) -> int:
     return -1 if total % 2 else 1
 
 
-def dual_word_coproduct(s: CyclicStructure, T, u: Word
+def dual_word_coproduct(s: CyclicStructure, T, u: Word, memo: dict | None = None
                         ) -> dict[tuple[Word, Word], Fraction]:
     """Twice the coproduct of the dual word of a canonical word, as pair ->
     value, by direct contraction; the formula's 1/2 is left to the caller,
@@ -179,9 +193,12 @@ def dual_word_coproduct(s: CyclicStructure, T, u: Word
     keeps its place with value 0.  Values are in the distributed-suspension
     normalization (the collected formula times the sign distributing the
     two suspensions), under which slot swaps cost the shifted Koszul sign.
+    A caller's ``memo`` keeps each half's canonical form and each pair's
+    slot order for its call.
     """
     basis, shift = s.basis, s.slot_shift
     deg = basis.degrees
+    memo = {} if memo is None else memo
     k = len(u)
     acc: dict[tuple[Word, Word], Fraction] = {}
     for x, sx in dict(rotations(u, basis)).items():
@@ -190,18 +207,19 @@ def dual_word_coproduct(s: CyclicStructure, T, u: Word
             if not t:
                 continue
             w1, w2 = x[1:p], x[p + 1:]
-            a, sa = canonicalize(w1, basis)
-            b, sb = canonicalize(w2, basis)
+            a, sa = _canonical_term(w1, basis, memo)
+            b, sb = _canonical_term(w2, basis, memo)
             if a is None or b is None:
                 continue
-            keyed = canonical_key((a, b), basis, shift)
-            if keyed is None or keyed[0] != (a, b):
+            if (ordered := memo.get((a, b))) is None:
+                keyed = canonical_key((a, b), basis, shift)
+                ordered = memo[(a, b)] = keyed is not None and keyed[0] == (a, b)
+            if not ordered:
                 continue
             sign = sx * sa * sb
             if deg[x[p]] % 2 and basis.word_degree(w1) % 2:
                 sign = -sign
-            mult = _tensor_multiplicity(w1) * _tensor_multiplicity(w2)
-            acc[(a, b)] = acc.get((a, b), 0) + mult * sign * t
+            acc[(a, b)] = acc.get((a, b), 0) + sign * t
     return {key: distribution_sign(s, key) * c for key, c in acc.items()}
 
 
@@ -214,10 +232,11 @@ def q120(s: CyclicStructure, psi: CochainTensor, T=None) -> CochainTensor:
     bound = None if psi.weight_bound is None else psi.weight_bound - 2
     out = CochainTensor(s.basis, 2, psi.slot_shift, bound)
     acc: dict[tuple[Word, Word], Fraction] = {}
+    memo: dict = {}
     for (u,), c in psi.items():
         if bound is not None and len(u) - 2 > bound:
             continue
-        for key, v in dual_word_coproduct(s, T, u).items():
+        for key, v in dual_word_coproduct(s, T, u, memo).items():
             acc[key] = acc.get(key, 0) + c * v
     out.values = {key: Fraction(c, 2) for key, c in acc.items() if c}
     return out
@@ -318,7 +337,7 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
     basis, shift = s.basis, psi.slot_shift
     bound = _contraction_bound(pmc_lg, psi)
     out = CochainTensor(basis, pmc_lg.arity, shift, bound)
-    products: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
+    memo: dict = {}
     for key, ce in pmc_lg.items():
         weight = sum(len(v) for v in key)
         before = shift  # |s| plus the shifted degrees of key[:j]
@@ -327,10 +346,7 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
             for (u,), cp in psi.items():
                 if bound is not None and weight + len(u) - 2 > bound:
                     continue
-                prod = products.get((u, v))
-                if prod is None:
-                    prod = products[(u, v)] = dual_word_product(s, T, u, v)
-                for w, c in prod.items():
+                for w, c in dual_word_product(s, T, u, v, memo).items():
                     new = key[:j] + (w,) + key[j + 1:]
                     if (dv + basis.word_degree(w)) * before % 2:
                         c = -c
@@ -491,7 +507,10 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
     every ordered pair of dual words (:func:`dual_word_product`), filled
     when first used.  The arity-2 and arity-3 relations are accumulated as
     coefficients on symmetric products of dual words, so a sum vanishes
-    exactly when the tensor it stands for does.
+    exactly when the tensor it stands for does.  The coproduct table and
+    the product table each pass one memo dict, made for this call, to all
+    their calls: a word's rotations, a contracted word's canonical form and
+    a pair's slot order are found once per table, not once per pair.
 
     The tables hold Python ints.  Each relation is homogeneous of fixed
     degree (a, b, c) in mu_1, the product and the coproduct, the last two
@@ -516,8 +535,9 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
         _, mu1 = integral_multiple(CyclicStructure(
             s.name, basis, s.manifold_dim, None, {1: s.mu[1]}))
         bdry = transposed_b(mu1, gens)
+    memo: dict = {}
     cop = {u: [(c if a == b else 2 * c, a, b)
-               for (a, b), c in dual_word_coproduct(s, T, u).items() if c]
+               for (a, b), c in dual_word_coproduct(s, T, u, memo).items() if c]
            for u in gens}
     return _relation_report(s, T, by_weight, {u: bdry.get(u, {}) for u in gens}, cop)
 
@@ -548,13 +568,14 @@ def _relation_report(s: CyclicStructure, T, by_weight: dict[int, list[Word]],
                 fails.append((name, witness))
 
     products: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
+    memo: dict = {}
 
     def product(u, v):
         """The product of two dual words, times the sign of the first
         suspension crossing u: its distributed-suspension form."""
         got = products.get((u, v))
         if got is None:
-            got = dual_word_product(s, T, u, v)
+            got = dual_word_product(s, T, u, v, memo)
             if (s.manifold_dim - 3) * basis.word_degree(u) % 2:
                 got = {w: -c for w, c in got.items()}
             products[(u, v)] = got

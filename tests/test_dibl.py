@@ -860,6 +860,10 @@ def _mu1_mutant(s, letter, out, change):
     return replace(s, mu={**s.mu, 1: mu1})
 
 
+# the data mutant families: one entry of T changed (to 0: deleted)
+T_CHANGES = {"T flipped": lambda t: -t, "T doubled": lambda t: 2 * t,
+             "T deleted": lambda t: 0, "T scaled by 1/3": lambda t: t / 3}
+
 RELATIONS = ("boundary squared", "coproduct coderivation", "involutivity",
              "product derivation", "Jacobi", "co-Jacobi", "Drinfeld compatibility")
 
@@ -875,16 +879,14 @@ def relation_cases():
     plain = [(build_sn(2).structure, 5), (s3, 5), (cp2, 4), (build_cpn(3).structure, 4)]
     plain += [(random_cyclic_dga(6, seed=seed), 4) for seed in range(4)]
 
-    def t_family(change, s3_weight=5):
+    def t_family(change, s3_weight):
         return [*_t_mutants(s3, s3_weight, change), *_t_mutants(cp2, 4, change),
                 *_t_mutants(r0, 4, change)]
 
     return {
         "none": [(s, w, None) for s, w in plain],
-        "T flipped": t_family(lambda t: -t, s3_weight=6),
-        "T doubled": t_family(lambda t: 2 * t),
-        "T deleted": t_family(lambda t: 0),
-        "T scaled by 1/3": t_family(lambda t: t / 3),
+        **{family: t_family(change, 6 if family == "T flipped" else 5)
+           for family, change in T_CHANGES.items()},
         "mu_1 scaled": [(_mu1_mutant(r0, 2, 3, lambda c: 2 * c), 4, None),
                         (_mu1_mutant(r0, 4, 5, lambda c: c / 2), 4, None)],
         "mu_1 added": [(_mu1_mutant(r0, 5, 2, lambda c: Fraction(1)), 3, None)],
@@ -939,14 +941,18 @@ def _crossing_sign_dropped():
 def kill_matrix(relation_reports):
     """The mutation-adequacy matrix: mutant family -> the relations that
     some mutant of the family fails.  The code mutant of the coproduct's
-    crossing sign runs on S3 at weight 8, where a second cut exists, and
-    stays out of the rational-table comparison."""
+    crossing sign and the eight T mutants of S3 run at weight 8, where a
+    second cut exists, and stay out of the rational-table comparison."""
     reports, _ = relation_reports
     matrix = {family: {name for rep in reps for name, _ in rep.failures}
               for family, reps in reports.items()}
+    s3 = build_sn(3).structure
+    for family, change in T_CHANGES.items():
+        for _, w, T in _t_mutants(s3, 8, change):
+            matrix[family] |= {name for name, _ in ibl_relations_check(s3, w, T=T).failures}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dibl, "dual_word_coproduct", _crossing_sign_dropped())
-        rep = ibl_relations_check(build_sn(3).structure, 8)
+        rep = ibl_relations_check(s3, 8)
     matrix["coproduct crossing sign dropped"] = {name for name, _ in rep.failures}
     return matrix
 
@@ -954,10 +960,11 @@ def kill_matrix(relation_reports):
 def test_mutant_families_kill_the_relations_they_reach(kill_matrix):
     assert kill_matrix["none"] == set()
     assert kill_matrix["mu_1 added"] >= {"boundary squared"}
+    # S3 at weight 8 gives the T mutants a second cut: every family fails co-Jacobi
     assert kill_matrix["T flipped"] >= {"Drinfeld compatibility"}
-    for family in ("T flipped", "T doubled", "T deleted", "T scaled by 1/3"):
+    for family in T_CHANGES:
         assert kill_matrix[family] >= {"Jacobi", "involutivity", "product derivation",
-                                       "coproduct coderivation"}, family
+                                       "coproduct coderivation", "co-Jacobi"}, family
     assert kill_matrix["coproduct crossing sign dropped"] >= {
         "co-Jacobi", "Drinfeld compatibility", "involutivity"}
 
@@ -1039,3 +1046,45 @@ def test_dual_word_product_matches_word_by_word_evaluation(pushforward):
         for u in canonical_words(harm.basis, w):
             psi = dual_word(harm.basis, u, slot_shift=harm.slot_shift)
             _assert_product_matches_oracle(harm, T, e10, psi)
+
+
+def test_a_shared_memo_gives_the_results_of_fresh_calls():
+    # one memo shared by every product and coproduct call on a structure
+    # gives the dicts, values and key order, of calls that each make their
+    # own; the calls run forward, then reversed with a new memo, so each
+    # word meets the memo first in another role
+    cases = [(build_sn(2).structure, 7), (build_sn(3).structure, 8),
+             (build_cpn(2).structure, 6), (build_cpn(3).structure, 5),
+             (random_cyclic_dga(6, seed=0), 4), (random_cyclic_dga(6, seed=5), 4)]
+    for s, weight in cases:
+        T = t_tensor(s)
+        gens = [u for w in range(1, weight + 1) for u in canonical_words(s.basis, w)]
+        calls = [(dibl.dual_word_product, (u, v)) for u in gens for v in gens
+                 if len(u) + len(v) <= weight]
+        calls += [(dibl.dual_word_coproduct, (u,)) for u in gens]
+        fresh = [list(op(s, T, *words).items()) for op, words in calls]
+        for order in (range(len(calls)), range(len(calls) - 1, -1, -1)):
+            memo = {}
+            for n in order:
+                op, words = calls[n]
+                assert list(op(s, T, *words, memo).items()) == fresh[n], (s.name, words)
+
+
+def test_relation_reports_do_not_depend_on_the_memos():
+    # reports interleaved over two structures, with T flipped so that the
+    # failures in order fingerprint each one, equal those from calls that
+    # each make their own memo
+    s3, cp2 = build_sn(3).structure, build_cpn(2).structure
+    runs = [(s, w, T) for (s, w) in ((s3, 8), (cp2, 6), (s3, 8))
+            for T in (None, next(_t_mutants(s, w, T_CHANGES["T flipped"]))[2])]
+    got = [ibl_relations_check(s, w, T=T) for s, w, T in runs]
+    product, coproduct = dibl.dual_word_product, dibl.dual_word_coproduct
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dibl, "dual_word_product",
+                   lambda s, T, u, v, memo: product(s, T, u, v))
+        mp.setattr(dibl, "dual_word_coproduct",
+                   lambda s, T, u, memo: coproduct(s, T, u))
+        want = [ibl_relations_check(s, w, T=T) for s, w, T in runs]
+    assert got == want
+    assert got[0] == got[4] and got[1] == got[5]
+    assert all(rep.failures for rep in got[1::2])
