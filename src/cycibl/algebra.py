@@ -24,7 +24,6 @@ check and report failures with explicit witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import SparseMatrix, add_into, add_scaled, rank, solve
@@ -40,34 +39,54 @@ def _clean(vec: Vector) -> Vector:
     return {i: c for i, c in vec.items() if c}
 
 
-@dataclass
 class CyclicStructure:
     """A finite cyclic structure (V[1], pairing, mu_1, mu_2, ..., unit, augmentation).
 
     ``pairing[i][j]`` is the value on ``(e_i, e_j)``; ``mu[k]`` maps input
     index tuples to sparse output vectors.  ``manifold_dim`` fixes the
     pairing degree ``2 - m`` and every sign of the canonical operations.
+    Construction drops zero outputs from ``mu`` and checks the pairing's
+    shape.  Two structures are equal when their fields are; the caches of
+    the dual basis and of ``T`` take no part.
     """
 
-    name: str
-    basis: GradedBasis
-    manifold_dim: int
-    pairing: list[list[Fraction]] | None
-    mu: dict[int, MuTable]
-    unit: int | None = None
-    augmentation: Vector | None = None
-    _dual: list[Vector] | None = field(default=None, repr=False)
-    _t_tensor: dict | None = field(default=None, repr=False, compare=False)
+    _FIELDS = ("name", "basis", "manifold_dim", "pairing", "mu", "unit",
+               "augmentation")
 
-    def __post_init__(self):
-        self.mu = {k: {t: c for t, v in table.items() if (c := _clean(v))}
-                   for k, table in self.mu.items()}
-        if self.pairing is not None:
-            n = len(self.basis)
-            if len(self.pairing) != n or any(len(r) != n for r in self.pairing):
+    def __init__(self, name: str, basis: GradedBasis, manifold_dim: int,
+                 pairing: list[list[Fraction]] | None, mu: dict[int, MuTable],
+                 unit: int | None = None, augmentation: Vector | None = None):
+        self.name = name
+        self.basis = basis
+        self.manifold_dim = manifold_dim
+        if pairing is not None:
+            n = len(basis)
+            if len(pairing) != n or any(len(r) != n for r in pairing):
                 raise ValueError("pairing matrix has wrong shape")
-            self.pairing = [[x if isinstance(x, Fraction) else Fraction(x)
-                             for x in row] for row in self.pairing]
+            pairing = [[x if isinstance(x, Fraction) else Fraction(x)
+                        for x in row] for row in pairing]
+        self.pairing = pairing
+        self.mu = {k: {t: c for t, v in table.items() if (c := _clean(v))}
+                   for k, table in mu.items()}
+        self.unit = unit
+        self.augmentation = augmentation
+        self._dual: list[Vector] | None = None
+        self._t_tensor: dict | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not CyclicStructure:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def replace(self, **changes) -> CyclicStructure:
+        """A new structure with the given fields changed, built (and so
+        validated) like any other; the caches carry over while the basis
+        and the pairing stay."""
+        out = CyclicStructure(**{**{f: getattr(self, f) for f in self._FIELDS},
+                                 **changes})
+        if "basis" not in changes and "pairing" not in changes:
+            out._dual, out._t_tensor = self._dual, self._t_tensor
+        return out
 
     # -- pairing ------------------------------------------------------
 
@@ -148,12 +167,16 @@ def _pairing_columns(pairing: list[list[Fraction]]) -> list[Vector]:
 # axiom checks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckReport:
-    passed: bool
-    failures: list[tuple[str, tuple, Fraction, Fraction]]
-    # relation name -> number of instances checked
-    checked: dict[str, int]
+    """Outcome of an axiom check: failures as (relation, witness, lhs, rhs),
+    and per relation name the number of instances checked."""
+
+    def __init__(self, passed: bool,
+                 failures: list[tuple[str, tuple, Fraction, Fraction]],
+                 checked: dict[str, int]):
+        self.passed = passed
+        self.failures = failures
+        self.checked = checked
 
     def summary(self) -> str:
         if not any(self.checked.values()):

@@ -4,13 +4,20 @@ Exit codes: 0 success, 1 property failure, 2 input error (one line on
 stderr), 3 internal error: any exception other than the input errors
 raised where files and arguments are validated (its traceback on stderr).
 Structured output is byte-stable across runs for identical inputs.
+
+Start-up is part of every command's cost, so each handler imports what it
+runs.  Every command loads ``cli``, ``fileio``, ``algebra``, ``linalg``,
+``signs`` and ``words``; ``eval`` adds ``dibl``, ``homology`` adds
+``dibl`` and ``homology``, ``green`` adds ``green``, ``graphs`` adds
+``ribbon``, and ``pushforward`` adds ``dibl``, ``green`` and ``ribbon``.
+No package module imports ``dataclasses`` (and with it ``inspect`` and
+``ast``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import fileio
 from .algebra import check_cyclic_dga
@@ -19,8 +26,11 @@ from .fileio import InputError, dump_json, load_json
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"--output {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -76,7 +86,7 @@ def _checked_input(path: str, twist, paired: bool, need=None):
                              f"weight {e10.weight_bound}; homology needs "
                              f"weight {need}")
         induced = mu_from_mc(s, e10, max(2, max(e10.weights(), default=2) - 1))
-        checks.append((twist, replace(induced, unit=None, augmentation=None)))
+        checks.append((twist, induced.replace(unit=None, augmentation=None)))
     for where, structure in checks:
         for name, witness, _, _ in check_cyclic_dga(structure).failures[:1]:
             raise InputError(f"{where}: fails {name} at {witness}")

@@ -36,7 +36,6 @@ these operations become symmetric is ``m - 3``, carried as the tensors'
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import CyclicStructure, dual_b, integral_multiple, transposed_b
@@ -272,15 +271,14 @@ def canonical_mc(s: CyclicStructure) -> "MaurerCartanFamily":
     return MaurerCartanFamily(s, {(1, 0): mc10})
 
 
-@dataclass
 class MaurerCartanFamily:
     """Indexed family of twist entries; entry (l, g) is an arity-l cochain."""
 
-    structure: CyclicStructure
-    entries: dict[tuple[int, int], CochainTensor]
-
-    def __post_init__(self):
-        e10 = self.entries.get((1, 0))
+    def __init__(self, structure: CyclicStructure,
+                 entries: dict[tuple[int, int], CochainTensor]):
+        self.structure = structure
+        self.entries = entries
+        e10 = entries.get((1, 0))
         if e10 is not None and not e10.is_zero() and e10.filtration_degree() <= 2:
             raise ValueError("the (1,0) entry must have filtration degree > 2")
 
@@ -439,7 +437,7 @@ def mu_from_mc(s: CyclicStructure, pmc10: CochainTensor,
     mu = {1: dict(s.mu.get(1, {}))}
     for k, table in acc.items():
         mu[k] = {key: dict(sorted(table[key].items())) for key in sorted(table)}
-    return replace(s, name=f"{s.name}+twist", mu=mu)
+    return s.replace(name=f"{s.name}+twist", mu=mu)
 
 
 def twisted_boundary_vs_bar_dual(s: CyclicStructure, pmc: MaurerCartanFamily,
@@ -458,15 +456,24 @@ def twisted_boundary_vs_bar_dual(s: CyclicStructure, pmc: MaurerCartanFamily,
 # relation suite
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RelationReport:
-    passed: bool
-    failures: list[tuple[str, tuple]]
-    # relation name -> number of instances (generator tuples) checked
-    checked: dict[str, int]
-    # relation name -> number of those instances that received a term; an
-    # instance without one holds whatever the operations are
-    with_terms: dict[str, int]
+    """Outcome of the relation suite: failures as (relation, witness), per
+    relation name the number of instances (generator tuples) checked, and
+    the number of those that received a term; an instance without one
+    holds whatever the operations are."""
+
+    def __init__(self, passed: bool, failures: list[tuple[str, tuple]],
+                 checked: dict[str, int], with_terms: dict[str, int]):
+        self.passed = passed
+        self.failures = failures
+        self.checked = checked
+        self.with_terms = with_terms
+
+    def __eq__(self, other):
+        if other.__class__ is not RelationReport:
+            return NotImplemented
+        return ((self.passed, self.failures, self.checked, self.with_terms)
+                == (other.passed, other.failures, other.checked, other.with_terms))
 
     def summary(self) -> str:
         counts = ", ".join(f"{name} {n}" for name, n in self.checked.items())

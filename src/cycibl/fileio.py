@@ -179,8 +179,8 @@ def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
     index = {lab: i for i, lab in enumerate(s.basis.labels)}
     out = {}
     _typed(doc, dict, "kernel file")
-    for row_no, row in enumerate(_typed(doc.get("entries", []), list,
-                                        "kernel file: entries")):
+    for row_no, row in enumerate(_typed(_need(doc, "entries", "kernel file"),
+                                        list, "kernel file: entries")):
         where = f"kernel entry {row_no}"
         _typed(row, dict, where)
         i, j = (_label(index, _need(row, x, where), f"{where}.{x}") for x in "ij")
@@ -215,7 +215,7 @@ def cochain_from_dict(s: CyclicStructure, doc: dict) -> CochainTensor:
     bound = doc.get("weight_bound")
     ten = CochainTensor(s.basis, arity, s.slot_shift,
                         None if bound is None else _int(bound, "cochain weight_bound"))
-    for row_no, row in enumerate(_typed(doc.get("values", []), list,
+    for row_no, row in enumerate(_typed(_need(doc, "values", "cochain"), list,
                                         "cochain values")):
         where = f"cochain record {row_no}"
         _typed(row, dict, where)
@@ -244,8 +244,8 @@ def family_from_dict(s: CyclicStructure, doc: dict):
 
     entries = {}
     _typed(doc, dict, "twist file")
-    for row_no, row in enumerate(_typed(doc.get("entries", []), list,
-                                        "twist file: entries")):
+    for row_no, row in enumerate(_typed(_need(doc, "entries", "twist file"),
+                                        list, "twist file: entries")):
         where = f"twist entry {row_no}"
         _typed(row, dict, where)
         l, g = (_int(_need(row, x, where), where) for x in "lg")

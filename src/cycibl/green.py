@@ -26,7 +26,6 @@ G' = G - m1 G G G m1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CyclicStructure
@@ -139,18 +138,16 @@ def _vector_degree(s: CyclicStructure, vec: Vector) -> int:
 # kernels
 # ---------------------------------------------------------------------------
 
-@dataclass
 class KernelTensor:
     """Element of the two-fold tensor square as sparse coefficients."""
 
-    basis: object
-    degree: int
-    entries: dict[tuple[int, int], Fraction]
-
-    def __post_init__(self):
-        self.entries = {k: Fraction(v) for k, v in self.entries.items() if v}
+    def __init__(self, basis, degree: int,
+                 entries: dict[tuple[int, int], Fraction]):
+        self.basis = basis
+        self.degree = degree
+        self.entries = {k: Fraction(v) for k, v in entries.items() if v}
         for (i, j) in self.entries:
-            if self.basis.degrees[i] + self.basis.degrees[j] != self.degree:
+            if basis.degrees[i] + basis.degrees[j] != degree:
                 raise ValueError(f"kernel entry ({i},{j}) off-degree")
 
     def is_symmetric_propagator(self) -> bool:
@@ -198,7 +195,6 @@ def schwartz_kernel(s: CyclicStructure, L: LinearOperator) -> KernelTensor:
 # harmonic splitting and the pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HarmonicSplitting:
     """V[1] = H ⊕ im(m1) ⊕ C with m1 : C -> im(m1) an isomorphism.
 
@@ -211,11 +207,14 @@ class HarmonicSplitting:
     projection and the Green operator.
     """
 
-    structure: CyclicStructure
-    harmonic: list[Vector]
-    image: list[Vector]
-    complement: list[Vector]
-    coordinates: list[Vector]
+    def __init__(self, structure: CyclicStructure, harmonic: list[Vector],
+                 image: list[Vector], complement: list[Vector],
+                 coordinates: list[Vector]):
+        self.structure = structure
+        self.harmonic = harmonic
+        self.image = image
+        self.complement = complement
+        self.coordinates = coordinates
 
 
 def _degree_indices(s: CyclicStructure):
@@ -350,11 +349,14 @@ def green_gdg(s: CyclicStructure, G: LinearOperator) -> LinearOperator:
     return G.compose(m1).compose(G).scaled(-1)
 
 
-@dataclass
 class GreenReport:
-    results: dict[str, bool]
-    witnesses: dict[str, tuple]
-    note: str = "(G1) is vacuous for finite-dimensional coefficients"
+    """Pass/fail of (G2)-(G5) by name, with a witness entry per failure."""
+
+    note = "(G1) is vacuous for finite-dimensional coefficients"
+
+    def __init__(self, results: dict[str, bool], witnesses: dict[str, tuple]):
+        self.results = results
+        self.witnesses = witnesses
 
     @property
     def passed(self) -> bool:

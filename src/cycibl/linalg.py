@@ -46,7 +46,6 @@ weight filtration and "next" is the following filtration level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .signs import koszul_sign
@@ -315,7 +314,6 @@ class Eliminator:
         return True
 
 
-@dataclass
 class HomologyReport:
     """Graded homology of a truncated complex.
 
@@ -325,10 +323,11 @@ class HomologyReport:
     truncated answer provably equals the untruncated one.
     """
 
-    weight_bound: int
-    dims: dict = field(default_factory=dict)
-    reps: dict = field(default_factory=dict)
-    stable: dict = field(default_factory=dict)
+    def __init__(self, weight_bound: int):
+        self.weight_bound = weight_bound
+        self.dims: dict = {}
+        self.reps: dict = {}
+        self.stable: dict = {}
 
     def dim(self, degree: int, weight: int) -> int:
         return self.dims.get((degree, weight), 0)

@@ -10,7 +10,6 @@ products e_i * e_j = e_{i+j} (zero above the top class).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,11 +18,11 @@ from .signs import GradedBasis
 from .words import CochainTensor
 
 
-@dataclass
 class ModelBundle:
     """A built-in model: its structure, checked on construction."""
 
-    structure: CyclicStructure
+    def __init__(self, structure: CyclicStructure):
+        self.structure = structure
 
 
 def build_sn(n: int) -> ModelBundle:
@@ -115,7 +114,6 @@ def truncated_polynomial(n: int, d: int = 2) -> CyclicStructure:
 # circle twist configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class S1TwistConfig:
     """Moment data for the circle's genus-zero two-output twist entry.
 
@@ -123,10 +121,9 @@ class S1TwistConfig:
     k >= 2 may be nonzero.
     """
 
-    moments: dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for k, v in self.moments.items():
+    def __init__(self, moments: dict[int, Fraction]):
+        self.moments = moments
+        for k, v in moments.items():
             if k % 2 and v:
                 raise ValueError("odd moments must vanish")
             if k < 2 and v:

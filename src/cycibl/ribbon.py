@@ -37,7 +37,6 @@ puts the canonical twist entry, (-1)^(m-2) m2+, on every trivalent vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
@@ -211,7 +210,7 @@ _ENUM_CACHE: dict = {}
 
 
 class EnumerationBudgetExceeded(ValueError):
-    """A graph type with more than 4 internal vertices or 24 half-edges."""
+    """A graph type beyond the enumeration budget."""
 
 
 def enumerate_graphs(k: int, l: int, g: int, legs: int,
@@ -226,9 +225,11 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
     one-edge families these are the classes with no legs (two-vertex
     family) and with at most one leg (one-vertex two-boundary family); for
     other types, graphs with a legless boundary component are dropped (they
-    cannot pair with nonempty words).  Negative counts are rejected before
-    the cache is consulted, so it only ever holds the finitely many types
-    within the enumeration budget.
+    cannot pair with nonempty words); so with fewer legs than boundaries
+    there is no reduced class.  Negative counts are rejected before the
+    cache is consulted, so it only ever holds the finitely many types
+    within the enumeration budget: at most 4 internal vertices, 24
+    half-edges and 100,000 e-edge matchings of a layout.
 
     Each valency list lays the half-edges out in consecutive vertex blocks,
     and the e-edge matchings of that layout are walked in a fixed order
@@ -255,11 +256,15 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
     if k == 0 or e < k - 1:
         return []
     n = 2 * e + legs
-    if n > 24 or k > 4:
+    # the e-edge matchings of one half-edge layout, C(n, 2e) (2e - 1)!!,
+    # bound the walk; every trivalent type within 4 vertices has at most
+    # 62,370 of them
+    matchings = math.comb(n, 2 * e) * math.prod(range(2 * e - 1, 0, -2))
+    if k > 4 or n > 24 or matchings > 100_000:
         raise EnumerationBudgetExceeded(
-            f"enumeration budget exceeded: {k} vertices and {n} "
-            f"half-edges (at most 4 and 24)")
-    if trivalent and 3 * k != n:
+            f"enumeration budget exceeded: {k} vertices, {n} half-edges and "
+            f"{matchings} matchings per layout (at most 4, 24 and 100000)")
+    if (trivalent and 3 * k != n) or (reduced and legs < l):
         return []
 
     # distribute valencies over vertices (nondecreasing partitions)
@@ -353,7 +358,6 @@ def _is_degenerate(graph: RibbonGraph, k: int, l: int, g: int) -> bool:
 # orientation compatibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Labeling:
     """Vertex order, boundary order, oriented ordered edges, first marks.
 
@@ -363,11 +367,15 @@ class Labeling:
     ``boundary_order[i]``.
     """
 
-    vertex_order: tuple[int, ...]
-    boundary_order: tuple[int, ...]
-    edge_order: tuple[tuple[int, int], ...]
-    vertex_marks: tuple[int, ...]
-    boundary_marks: tuple[int, ...]
+    def __init__(self, vertex_order: tuple[int, ...],
+                 boundary_order: tuple[int, ...],
+                 edge_order: tuple[tuple[int, int], ...],
+                 vertex_marks: tuple[int, ...], boundary_marks: tuple[int, ...]):
+        self.vertex_order = vertex_order
+        self.boundary_order = boundary_order
+        self.edge_order = edge_order
+        self.vertex_marks = vertex_marks
+        self.boundary_marks = boundary_marks
 
 
 def orientation_compatible(graph: RibbonGraph, vertex_order, boundary_order,

@@ -14,7 +14,6 @@ factors along ``sigma`` multiplies the tensor by the Koszul sign, one factor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -64,28 +63,42 @@ def koszul_sign(sigma: tuple[int, ...], degrees) -> int:
     return -1 if count % 2 else 1
 
 
-@dataclass(frozen=True)
 class GradedBasis:
     """A finite ordered basis of the shifted one-letter space.
 
     ``degrees[i]`` is the degree of letter ``labels[i]`` in the shifted
-    space; the unshifted degree is ``degrees[i] + 1``.
+    space; the unshifted degree is ``degrees[i] + 1``.  Immutable, and
+    equal and hashed by ``(labels, degrees)``; ``lex_rank[i]`` is the rank
+    of ``labels[i]`` in label order.
     """
 
-    labels: tuple[str, ...]
-    degrees: tuple[int, ...]
-    lex_rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.degrees):
+    def __init__(self, labels: tuple[str, ...], degrees: tuple[int, ...]):
+        if len(labels) != len(degrees):
             raise ValueError("labels and degrees must have equal length")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
-        by_label = sorted(range(len(self.labels)), key=lambda i: self.labels[i])
-        rank = [0] * len(self.labels)
+        by_label = sorted(range(len(labels)), key=lambda i: labels[i])
+        rank = [0] * len(labels)
         for r, i in enumerate(by_label):
             rank[i] = r
-        object.__setattr__(self, "lex_rank", tuple(rank))
+        init = object.__setattr__
+        init(self, "labels", labels)
+        init(self, "degrees", degrees)
+        init(self, "lex_rank", tuple(rank))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GradedBasis is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GradedBasis is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not GradedBasis:
+            return NotImplemented
+        return self.labels == other.labels and self.degrees == other.degrees
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.degrees))
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -167,6 +167,35 @@ def test_check_report_counts_instances():
     assert "instances checked: " in text and "mu_2+ cyclicity 8" in text
 
 
+def test_replace_validates_and_equality_ignores_the_caches():
+    s = build_sn(3).structure
+    same = s.replace()
+    assert same == s and same is not s
+    # a new structure: zero outputs dropped, scalars and shape checked
+    mu2 = {key: dict(img) for key, img in s.mu[2].items()}
+    mu2[(1, 1)] = {1: Fraction(0)}
+    assert s.replace(mu={2: mu2}).mu == {2: s.mu[2]}
+    assert s.replace(pairing=[[0, 1], [-1, 0]]).pairing[0][1] == Fraction(1)
+    with pytest.raises(ValueError, match="wrong shape"):
+        s.replace(pairing=[[Fraction(0)]])
+    with pytest.raises(TypeError, match="dual"):
+        s.replace(dual=None)
+    renamed = s.replace(name="other", unit=None)
+    assert (renamed.name, renamed.unit, renamed.mu) == ("other", None, s.mu)
+    assert renamed != s
+    # the dual basis and T are caches: computed or not, equal structures
+    # stay equal, and a replaced basis or pairing drops them
+    fresh = build_sn(3).structure
+    s.dual_basis()
+    s._t_tensor = {(0, 1): Fraction(5)}
+    assert s == fresh
+    assert s.replace(name="x")._t_tensor is s._t_tensor
+    assert s.replace(pairing=s.pairing)._t_tensor is None
+    assert s.replace(basis=s.basis)._dual is None
+    with pytest.raises(TypeError):
+        hash(s)
+
+
 def _apply(s, k, vectors):
     """mu_k on vectors, by multilinearity."""
     out = Counter()

@@ -2,7 +2,12 @@ import argparse
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -318,12 +323,91 @@ def test_negative_graph_arguments_are_input_errors(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["graphs", "5", "1", "0"],
     ["graphs", "2", "1", "0", "--legs", "30"],
+    ["graphs", "1", "1", "5", "--legs", "0"],  # 19!! matchings of one layout
 ])
 def test_graphs_beyond_the_enumeration_budget_are_input_errors(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     _one_line_input_error(err)
     assert "enumeration budget exceeded" in err
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "graphs", "2", "1", "0",
+                             "--output", str(target))
+        assert code == 2 and out == "", target
+        _one_line_input_error(err)
+        assert f"--output {target}: " in err
+
+
+@pytest.mark.parametrize("option,field", [
+    ("--psi", "cochain: missing field 'values'"),
+    ("--kernel-file", "kernel file: missing field 'entries'"),
+    ("--twist", "twist file: missing field 'entries'"),
+])
+def test_an_algebra_file_is_not_a_cochain_kernel_or_twist_file(tmp_path, capsys,
+                                                               option, field):
+    # each reader requires the field its writer always writes
+    s3 = str(tmp_path / "s3.json")
+    run(capsys, "model", "sn", "--n", "3", "--output", s3)
+    argv = {"--psi": ["eval", "boundary", "--algebra", s3],
+            "--kernel-file": ["pushforward", s3],
+            "--twist": ["homology", s3, "--weight-bound", "2"]}[option]
+    code, out, err = run(capsys, *argv, option, s3)
+    assert code == 2 and out == ""
+    _one_line_input_error(err)
+    assert field in err, err
+
+
+# the cycibl modules each command loads; no command loads the dataclasses
+# machinery or its imports
+CORE_MODULES = {"cli", "fileio", "algebra", "linalg", "signs", "words"}
+FOOTPRINTS = {
+    "algebra-check": CORE_MODULES,
+    "eval": CORE_MODULES | {"dibl"},
+    "homology": CORE_MODULES | {"dibl", "homology"},
+    "green": CORE_MODULES | {"green"},
+    "graphs": CORE_MODULES | {"ribbon"},
+    "pushforward": CORE_MODULES | {"dibl", "green", "ribbon"},
+}
+PROBE = ("import sys\n"
+         "from cycibl.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print('\\n'.join(sorted(sys.modules)))\n"
+         "sys.exit(code)\n")
+
+
+def test_import_footprint_of_each_command(tmp_path, capsys):
+    s3, psi, out = (tmp_path / name for name in ("s3.json", "psi.json",
+                                                 "out"))
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    psi.write_text(json.dumps({"arity": 1, "values": [
+        {"tuple": [["w", "w", "w"]], "coefficient": "1"}]}))
+    argvs = {
+        "algebra-check": [str(s3)],
+        "eval": ["boundary", "--algebra", str(s3), "--psi", str(psi)],
+        "homology": [str(s3), "--twist", "mc", "--weight-bound", "3"],
+        "green": [str(s3)],
+        "graphs": ["2", "1", "0"],
+        "pushforward": [str(s3), "--weight-bound", "3"],
+    }
+    assert set(argvs) == set(FOOTPRINTS)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for command, args in argvs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, command, *args, "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (command, proc.stderr)
+        modules = set(proc.stdout.split())
+        assert not modules & {"dataclasses", "inspect", "ast"}, command
+        assert {m.split(".", 1)[1] for m in modules
+                if m.startswith("cycibl.")} == FOOTPRINTS[command], command
 
 
 @pytest.mark.parametrize("command,bound", [

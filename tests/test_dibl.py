@@ -1,7 +1,6 @@
 import inspect
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -777,7 +776,7 @@ def test_twisted_q1lg_on_unit_matches_volume_insertion():
         assert nonzero, s.name
     s = build_sn(3).structure
     with pytest.raises(ValueError, match="no unit"):
-        twisted_q1lg_on_unit(replace(s, unit=None), canonical_mc(s), 1, 0)
+        twisted_q1lg_on_unit(s.replace(unit=None), canonical_mc(s), 1, 0)
 
 
 def decompose_arity2(phi):
@@ -857,7 +856,7 @@ def _mu1_mutant(s, letter, out, change):
     mu1 = {key: dict(img) for key, img in s.mu.get(1, {}).items()}
     img = mu1.setdefault((letter,), {})
     img[out] = change(img.get(out, Fraction(0)))
-    return replace(s, mu={**s.mu, 1: mu1})
+    return s.replace(mu={**s.mu, 1: mu1})
 
 
 # the data mutant families: one entry of T changed (to 0: deleted)

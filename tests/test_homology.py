@@ -695,6 +695,20 @@ def test_reports_deterministic():
     assert r1.reps == r2.reps
 
 
+def test_homology_reports_never_share_their_dicts():
+    a, b = linalg.HomologyReport(3), linalg.HomologyReport(3)
+    for name in ("dims", "reps", "stable"):
+        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
+    a.dims[(0, 1)] = 1
+    assert b.dims == {}
+    s = build_sn(2).structure
+    r1, r2 = (cochain_homology(s, canonical_mc(s), weight_bound=3)
+              for _ in range(2))
+    assert r1.rows() == r2.rows()
+    for name in ("dims", "reps", "stable"):
+        assert getattr(r1, name) is not getattr(r2, name)
+
+
 def _fraction_table_homology(s, pmc, weight_bound, chain):
     """The homology route of ``cochain_homology`` / ``chain_homology`` on the
     unscaled ``Fraction`` structure constants: no integral multiple."""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 
@@ -108,3 +110,22 @@ def test_basis_validation():
         GradedBasis(("a", "a"), (0, 1))
     with pytest.raises(ValueError):
         GradedBasis(("a", "b"), (0,))
+
+
+def test_graded_basis_is_an_immutable_value():
+    b = GradedBasis(("w", "1"), (2, -1))
+    same = GradedBasis(("w", "1"), (2, -1))
+    assert b == same and hash(b) == hash(same)
+    assert b != GradedBasis(("w", "1"), (0, -1))
+    assert b != GradedBasis(("1", "w"), (-1, 2))
+    assert b.lex_rank == (1, 0)
+    for name in ("labels", "degrees", "lex_rank", "other"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, ())
+        with pytest.raises(AttributeError):
+            delattr(b, name)
+    for twin in (copy.copy(b), copy.deepcopy(b),
+                 pickle.loads(pickle.dumps(b))):
+        assert twin == b and hash(twin) == hash(b)
+        assert twin.lex_rank == b.lex_rank
+        assert {twin: 1}[b] == 1
