@@ -141,7 +141,7 @@ def cmd_graphs(args) -> int:
 def cmd_pushforward(args) -> int:
     from .ribbon import pushforward_mc
 
-    s = _structure(args.file)
+    s, _ = _checked_input(args.file, None, paired=True)
     kernel = {}
     if args.kernel_file:
         kernel = fileio.kernel_from_dict(s, load_json(args.kernel_file))
@@ -154,7 +154,7 @@ def cmd_pushforward(args) -> int:
 def cmd_green(args) -> int:
     from .green import check_g_properties, green_pipeline, schwartz_kernel
 
-    s = _structure(args.file)
+    s, _ = _checked_input(args.file, None, paired=True)
     g, proj, stages = green_pipeline(s)
     rep = check_g_properties(s, g, proj)
     kernel = schwartz_kernel(s, g)

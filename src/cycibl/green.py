@@ -1,8 +1,12 @@
 """Algebraic Schwartz kernels and the homotopy ("Green") operator pipeline.
 
 Operators are degree-homogeneous linear maps on the shifted space, stored
-as sparse column maps.  For an operator L of degree |L| the kernel tensor
-K_L in the two-fold tensor square satisfies
+as int columns over one positive denominator in primitive form (the gcd
+of the denominator and every entry is 1), so equal operators have equal
+fields.  ``compose``, ``add``, ``scaled`` and ``is_zero`` work on ints
+only; ``Fraction``s appear where values leave an operator (``apply``,
+``entries``, ``columns``).  For an operator L of degree |L| the kernel
+tensor K_L in the two-fold tensor square satisfies
 
     P(L(w1), w2) = P(K_L, w1 ⊗ w2)
 
@@ -26,71 +30,124 @@ G' = G - m1 G G G m1.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .algebra import CyclicStructure
-from .linalg import SparseMatrix, add_scaled, kernel_basis, solve
+from .linalg import SparseMatrix, add_into, add_scaled, integral, kernel_basis, solve
 
 Vector = dict[int, Fraction]
+IntVector = dict[int, int]
+
+
+def _int_vectors(vectors) -> tuple[list[IntVector], int]:
+    """The nonzero entries of ``vectors`` (ints or ``Fraction``s) as int
+    vectors over their least common denominator, and that denominator."""
+    den = math.lcm(1, *(c.denominator for v in vectors for c in v.values()))
+    return [{i: c.numerator * (den // c.denominator) for i, c in v.items() if c}
+            for v in vectors], den
+
+
+def _primitive(vec: dict) -> IntVector:
+    """The primitive int vector on the ray of ``vec`` (ints or ``Fraction``s)."""
+    vec = integral(vec)
+    g = math.gcd(*vec.values())
+    return vec if g == 1 else {i: c // g for i, c in vec.items()}
 
 
 class LinearOperator:
-    """A degree-homogeneous operator on the shifted space; column-sparse."""
+    """A degree-homogeneous operator on the shifted space: column j is
+    ``cols[j] / den`` in primitive form.  The constructor takes one column
+    of ints or ``Fraction``s per basis vector (all zero when None)."""
 
-    __slots__ = ("basis", "degree", "columns")
+    __slots__ = ("basis", "degree", "cols", "den")
 
     def __init__(self, basis, degree: int, columns: list[Vector] | None = None):
-        self.basis = basis
-        self.degree = degree
-        n = len(basis)
-        self.columns = [dict() for _ in range(n)] if columns is None else \
-            [{i: Fraction(c) for i, c in col.items() if c} for col in columns]
-        for j, col in enumerate(self.columns):
+        self._set(basis, degree, *_int_vectors(
+            [{}] * len(basis) if columns is None else columns))
+
+    def _set(self, basis, degree: int, cols: list[IntVector], den: int) -> None:
+        """Check shape and degree homogeneity, then store in primitive form."""
+        degs = basis.degrees
+        n = len(degs)
+        if len(cols) != n:
+            raise ValueError(f"{len(cols)} columns for a basis of {n} vectors")
+        g = den
+        for j, col in enumerate(cols):
+            want = degs[j] + degree
             for i in col:
-                if basis.degrees[i] != basis.degrees[j] + degree:
-                    raise ValueError(
-                        f"entry ({i},{j}) violates degree homogeneity")
+                if not 0 <= i < n:
+                    raise ValueError(f"row {i} of column {j} is outside range({n})")
+                if degs[i] != want:
+                    raise ValueError(f"entry ({i},{j}) violates degree homogeneity")
+            if g != 1:
+                g = math.gcd(g, *col.values())
+        if g != 1:
+            cols = [{i: c // g for i, c in col.items()} for col in cols]
+            den //= g
+        self.basis, self.degree, self.cols, self.den = basis, degree, cols, den
+
+    def _image(self, vec: dict) -> dict:
+        """``den`` times the image of ``vec``: sum over j of vec[j] * cols[j]."""
+        out: dict = {}
+        for j, c in vec.items():
+            add_scaled(out, self.cols[j], c)
+        return out
 
     def apply(self, vec: Vector) -> Vector:
-        out: Vector = {}
-        for j, c in vec.items():
-            add_scaled(out, self.columns[j], c)
-        return out
+        (ints,), d = _int_vectors([vec])
+        return {i: Fraction(c, self.den * d) for i, c in self._image(ints).items()}
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self ∘ other."""
-        cols = [self.apply(other.columns[j]) for j in range(len(self.basis))]
-        return LinearOperator(self.basis, self.degree + other.degree, cols)
+        return _int_operator(self.basis, self.degree + other.degree,
+                             [self._image(col) for col in other.cols],
+                             self.den * other.den)
 
     def add(self, other: "LinearOperator", scale=1) -> "LinearOperator":
+        """self + scale·other, for an int or ``Fraction`` scale."""
         if other.degree != self.degree:
             raise ValueError("cannot add operators of different degrees")
-        cols = [dict(col) for col in self.columns]
-        for col, other_col in zip(cols, other.columns):
-            add_scaled(col, other_col, scale)
-        return LinearOperator(self.basis, self.degree, cols)
+        q = other.den * scale.denominator
+        den = math.lcm(self.den, q)
+        a, b = den // self.den, scale.numerator * (den // q)
+        cols = [{i: a * c for i, c in col.items()} for col in self.cols]
+        for col, other_col in zip(cols, other.cols):
+            add_scaled(col, other_col, b)
+        return _int_operator(self.basis, self.degree, cols, den)
 
     def scaled(self, scale) -> "LinearOperator":
-        scale = Fraction(scale)
-        return LinearOperator(self.basis, self.degree,
-                              [{i: scale * c for i, c in col.items()}
-                               for col in self.columns])
+        return LinearOperator(self.basis, self.degree).add(self, scale)
 
     def is_zero(self) -> bool:
-        return all(not col for col in self.columns)
+        return not any(self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, LinearOperator) and self.basis == other.basis
-                and self.degree == other.degree and self.columns == other.columns)
+                and self.degree == other.degree and self.den == other.den
+                and self.cols == other.cols)
+
+    @property
+    def columns(self) -> list[Vector]:
+        return [{i: Fraction(c, self.den) for i, c in col.items()}
+                for col in self.cols]
 
     def entries(self):
-        for j, col in enumerate(self.columns):
+        for j, col in enumerate(self.cols):
             for i, c in col.items():
-                yield (i, j), c
+                yield (i, j), Fraction(c, self.den)
+
+
+def _int_operator(basis, degree: int, cols: list[IntVector],
+                  den: int = 1) -> LinearOperator:
+    """The operator with int columns ``cols / den`` (no zero entries)."""
+    op = LinearOperator.__new__(LinearOperator)
+    op._set(basis, degree, cols, den)
+    return op
 
 
 def identity_operator(basis) -> LinearOperator:
-    return LinearOperator(basis, 0, [{j: Fraction(1)} for j in range(len(basis))])
+    return _int_operator(basis, 0, [{j: 1} for j in range(len(basis))])
 
 
 def m1_operator(s: CyclicStructure) -> LinearOperator:
@@ -101,23 +158,23 @@ def adjoint(s: CyclicStructure, L: LinearOperator) -> LinearOperator:
     """The pairing adjoint L* with P(x, L*(y)) = (-1)^|x| P(L(x), y).
 
     With x = e^i, the dual basis vector, the left side picks the
-    e_i-coefficient of L*(e_j) times :func:`_dual_sign`, so each L(e^i)
-    is computed once and fills row i of every column.
+    e_i-coefficient of L*(e_j) times :func:`_dual_sign`, so each L(e^i),
+    contracted with the int rows of the pairing matrix, fills row i of
+    every column.
     """
-    dual = s.dual_basis()
-    n = len(s.basis)
+    dual, dual_den = _int_vectors(s.dual_basis())
+    prows, pden = _int_vectors([{j: x for j, x in enumerate(row) if x}
+                                for row in s.pairing])
     pdeg = pairing_degree(s)
-    cols: list[Vector] = [dict() for _ in range(n)]
-    for i in range(n):
-        img = L.apply(dual[i])
-        if not img:
-            continue
+    cols: list[IntVector] = [dict() for _ in dual]
+    for i, vec in enumerate(dual):
+        img = L._image(vec)
         sgn = _dual_sign(s, i) * (-1 if (pdeg - s.basis.degrees[i]) % 2 else 1)
-        for j in range(n):
-            c = s.pair(img, {j: Fraction(1)})
-            if c:
-                cols[j][i] = sgn * c
-    return LinearOperator(s.basis, L.degree, cols)
+        for k, a in img.items():
+            a *= sgn
+            for j, p in prows[k].items():
+                add_into(cols[j], i, a * p)
+    return _int_operator(s.basis, L.degree, cols, L.den * dual_den * pden)
 
 
 def _dual_sign(s: CyclicStructure, c: int) -> int:
@@ -125,13 +182,6 @@ def _dual_sign(s: CyclicStructure, c: int) -> int:
     vector e^c (P(e_c, e^c) = 1, and |e^c| = |P| - |e_c|)."""
     d = s.basis.degrees[c]
     return -1 if (1 + (pairing_degree(s) - d) * d) % 2 else 1
-
-
-def _vector_degree(s: CyclicStructure, vec: Vector) -> int:
-    degs = {s.basis.degrees[i] for i, c in vec.items() if c}
-    if len(degs) != 1:
-        raise ValueError("vector is not homogeneous")
-    return degs.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +225,15 @@ def pairing_degree(s: CyclicStructure) -> int:
 
 
 def schwartz_kernel(s: CyclicStructure, L: LinearOperator) -> KernelTensor:
-    """K_L^{ij} = (-1)^((|L|+1)(|P|+|e_i|)) P(L(e^i), e^j)."""
-    dual = s.dual_basis()
+    """K_L^{ij} = (-1)^((|L|+1)(|P|+|e_i|)) P(L(e^i), e^j), where P(v, e^j)
+    is the e_j-coefficient of v: row i of the kernel is L(e^i) up to sign."""
     pdeg = pairing_degree(s)
     entries = {}
-    for i in range(len(s.basis)):
-        img = L.apply(dual[i])
-        if not img:
-            continue
-        for j in range(len(s.basis)):
-            val = s.pair(img, dual[j])
-            if val:
-                e = (L.degree + 1) * (pdeg + s.basis.degrees[i])
-                entries[(i, j)] = -val if e % 2 else val
+    for i, dual in enumerate(s.dual_basis()):
+        img = L.apply(dual)
+        sgn = -1 if (L.degree + 1) * (pdeg + s.basis.degrees[i]) % 2 else 1
+        for j in sorted(img):
+            entries[(i, j)] = sgn * img[j]
     return KernelTensor(s.basis, pdeg + L.degree, entries)
 
 
@@ -201,104 +247,84 @@ class HarmonicSplitting:
     H is chosen inside ker(m1) and C inside the pairing-orthogonal
     complement of H, which makes the projection onto H self-adjoint for
     the pairing; both choices are deterministic (dot-product complements
-    within each degree).  ``image`` is m1 applied to ``complement``, and
-    ``coordinates[j]`` expands e_j in the basis harmonic + image +
-    complement: the inverse change of basis, shared by the harmonic
-    projection and the Green operator.
+    within each degree) and depend on subspaces only, so the spanning
+    vectors are primitive int vectors.  ``coordinates[j] / den`` expands
+    e_j in the basis harmonic + image + complement, with image the int
+    columns of ``m1`` applied to ``complement``: the inverse change of
+    basis, shared by the harmonic projection and the Green operator.
     """
 
-    def __init__(self, structure: CyclicStructure, harmonic: list[Vector],
-                 image: list[Vector], complement: list[Vector],
-                 coordinates: list[Vector]):
-        self.structure = structure
+    def __init__(self, m1: LinearOperator, harmonic: list[IntVector],
+                 complement: list[IntVector], coordinates: list[IntVector], den: int):
+        self.m1 = m1
         self.harmonic = harmonic
-        self.image = image
         self.complement = complement
         self.coordinates = coordinates
+        self.den = den
 
 
-def _degree_indices(s: CyclicStructure):
-    by_deg: dict[int, list[int]] = {}
-    for i, d in enumerate(s.basis.degrees):
-        by_deg.setdefault(d, []).append(i)
-    return by_deg
-
-
-def _orth_complement_inside(universe: list[Vector], subspace: list[Vector]) -> list[Vector]:
+def _orth_complement_inside(universe: list[IntVector],
+                            subspace: list[IntVector]) -> list[IntVector]:
     """Dot-product orthogonal complement of span(subspace) inside span(universe)."""
     if not subspace:
         return [dict(v) for v in universe]
     # universe-combinations annihilating every dot product with the subspace
-    rows = []
-    for w in subspace:
-        rows.append({c: sum((w.get(i, Fraction(0)) * u.get(i, Fraction(0))
-                             for i in set(w) | set(u)), Fraction(0))
-                     for c, u in enumerate(universe)})
-        rows[-1] = {c: v for c, v in rows[-1].items() if v}
+    rows = [{c: dot for c, u in enumerate(universe)
+             if (dot := sum(a * u.get(i, 0) for i, a in w.items()))}
+            for w in subspace]
     mat = SparseMatrix(len(subspace), len(universe), rows)
-    out = []
-    for combo in kernel_basis(mat):
-        vec: Vector = {}
-        for c, a in combo.items():
-            add_scaled(vec, universe[c], a)
-        out.append(vec)
-    return out
+    return [_primitive(_expand(combo, universe, 0)) for combo in kernel_basis(mat)]
 
 
 def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     """Deterministic splitting adapted to the differential and the pairing."""
     n = len(s.basis)
-    m1 = s.m1_matrix()
-    by_deg = _degree_indices(s)
-    harmonic: list[Vector] = []
-    # kernel and image, degree by degree, from one elimination each
-    kernel_by_deg: dict[int, list[Vector]] = {}
-    image_by_deg: dict[int, list[Vector]] = {}
+    degs = s.basis.degrees
+    m1 = m1_operator(s)
+    by_deg: dict[int, list[int]] = {}
+    for i, d in enumerate(degs):
+        by_deg.setdefault(d, []).append(i)
+    # kernel and image, degree by degree, from one elimination each: a
+    # kernel vector ends at its free column, and the other (pivot) columns
+    # are independent and span the image.  The image in degree d comes
+    # from degree d - 1, so H is ready in degree order.
+    harmonic: list[IntVector] = []
+    image_by_deg: dict[int, list[IntVector]] = {}
     for d, idx in sorted(by_deg.items()):
-        kb = kernel_basis(SparseMatrix.from_columns(n, [m1[i] for i in idx]))
-        kernel_by_deg[d] = [{idx[c]: v for c, v in vec.items()} for vec in kb]
-        # a kernel vector ends at its free column; the other (pivot)
-        # columns are independent and span the image
+        kb = [_primitive(vec) for vec in kernel_basis(
+            SparseMatrix.from_columns(n, [m1.cols[i] for i in idx]))]
         free = {max(vec) for vec in kb}
-        image_by_deg[d + 1] = [m1[i] for c, i in enumerate(idx) if c not in free]
-    for d in sorted(by_deg):
-        harmonic.extend(_orth_complement_inside(kernel_by_deg[d],
-                                                image_by_deg.get(d, [])))
+        image_by_deg[d + 1] = [m1.cols[i] for c, i in enumerate(idx) if c not in free]
+        harmonic.extend(_orth_complement_inside(
+            [{idx[c]: v for c, v in vec.items()} for vec in kb],
+            image_by_deg.get(d, [])))
 
     # C: inside the pairing-orthogonal complement of H, a complement of im(m1)
+    perp = [{j: 1} for j in range(n)]
     if harmonic:
-        rows = []
-        for h in harmonic:
-            row = {}
-            for j in range(n):
-                val = s.pair(h, {j: Fraction(1)})
-                if val:
-                    row[j] = val
-            rows.append(row)
-        perp = kernel_basis(SparseMatrix(len(harmonic), n, rows))
-    else:
-        perp = [{j: Fraction(1)} for j in range(n)]
+        prows, _ = _int_vectors([{j: x for j, x in enumerate(row) if x}
+                                 for row in s.pairing])
+        perp = [_primitive(vec) for vec in kernel_basis(SparseMatrix(
+            len(harmonic), n, [_expand(h, prows, 0) for h in harmonic]))]
     # split perp by degree and take the dot-orthogonal complement of image
-    complement: list[Vector] = []
+    complement: list[IntVector] = []
     for d in sorted(by_deg):
-        uni = [v for v in perp if v and _vector_degree(s, v) == d]
+        uni = [v for v in perp if {degs[i] for i in v} == {d}]
         complement.extend(_orth_complement_inside(uni, image_by_deg.get(d, [])))
 
-    mop = m1_operator(s)
-    image = [mop.apply(c) for c in complement]
-    basis_vecs = harmonic + image + complement
+    basis_vecs = harmonic + [m1._image(c) for c in complement] + complement
     if len(basis_vecs) != n:
         raise ValueError("splitting does not span")
     # m1 fails to be injective on C exactly when these are dependent
-    coordinates = solve(basis_vecs, [{j: Fraction(1)} for j in range(n)])
+    coordinates = solve(basis_vecs, [{j: 1} for j in range(n)])
     if None in coordinates:
         raise ValueError("splitting vectors are dependent")
-    return HarmonicSplitting(s, harmonic, image, complement, coordinates)
+    return HarmonicSplitting(m1, harmonic, complement, *_int_vectors(coordinates))
 
 
-def _expand(coord: Vector, vectors: list[Vector], offset: int) -> Vector:
+def _expand(coord: dict, vectors: list[dict], offset: int) -> dict:
     """sum over r of coord[offset + r] * vectors[r]."""
-    out: Vector = {}
+    out: dict = {}
     for r, vec in enumerate(vectors):
         if a := coord.get(offset + r):
             add_scaled(out, vec, a)
@@ -307,21 +333,22 @@ def _expand(coord: Vector, vectors: list[Vector], offset: int) -> Vector:
 
 def harmonic_projection(split: HarmonicSplitting) -> LinearOperator:
     """Projection onto H along im(m1) ⊕ C."""
-    return LinearOperator(split.structure.basis, 0,
-                          [_expand(coord, split.harmonic, 0)
-                           for coord in split.coordinates])
+    return _int_operator(split.m1.basis, 0,
+                         [_expand(coord, split.harmonic, 0)
+                          for coord in split.coordinates], split.den)
 
 
 def green_build(s: CyclicStructure, split: HarmonicSplitting) -> LinearOperator:
     """Degree -1 solution of m1 G + G m1 = proj_H - id:
     G = -(m1|_C)^{-1} on im(m1), zero on H and C.
 
-    The image part of e_j is expanded in image = m1(C), so (m1|_C)^{-1}
-    maps it to the same coefficients on C.
+    The image part of e_j is expanded in image = m1.den * m1(C), so
+    (m1|_C)^{-1} maps it to m1.den times the same coefficients on C.
     """
-    return LinearOperator(s.basis, -1,
-                          [_expand(coord, split.complement, len(split.harmonic))
-                           for coord in split.coordinates]).scaled(-1)
+    return _int_operator(s.basis, -1,
+                         [_expand(coord, split.complement, len(split.harmonic))
+                          for coord in split.coordinates],
+                         split.den).scaled(-split.m1.den)
 
 
 def green_symmetrize(s: CyclicStructure, G: LinearOperator) -> LinearOperator:
@@ -333,19 +360,17 @@ def green_symmetrize(s: CyclicStructure, G: LinearOperator) -> LinearOperator:
 def green_project(s: CyclicStructure, G: LinearOperator,
                   proj: LinearOperator) -> LinearOperator:
     """(id - proj) G (id - proj): arranges (G4), keeps (G2) and (G3)."""
-    one = identity_operator(s.basis)
-    q = one.add(proj, scale=-1)
+    q = identity_operator(s.basis).add(proj, scale=-1)
     return q.compose(G).compose(q)
 
 
-def green_gdg(s: CyclicStructure, G: LinearOperator) -> LinearOperator:
+def green_gdg(G: LinearOperator, m1: LinearOperator) -> LinearOperator:
     """The square-zero correction G' = -G m1 G.
 
     With the homotopy convention (G2) as stated, this is the variant of the
     classical trick that again satisfies (G2); it obeys the exact rewriting
     G' = G - m1 G G G m1 and squares to zero.
     """
-    m1 = m1_operator(s)
     return G.compose(m1).compose(G).scaled(-1)
 
 
@@ -372,33 +397,21 @@ def check_g_properties(s: CyclicStructure, G: LinearOperator,
                        proj: LinearOperator) -> GreenReport:
     """Exact pass/fail for (G2)-(G5) with witnesses."""
     m1 = m1_operator(s)
-    one = identity_operator(s.basis)
-    results = {}
-    witnesses = {}
+    results, witnesses = {}, {}
 
-    lhs = m1.compose(G).add(G.compose(m1))
-    rhs = proj.add(one, scale=-1)
-    diff = lhs.add(rhs, scale=-1)
-    results["G2"] = diff.is_zero()
-    if not results["G2"]:
-        witnesses["G2"] = next(iter(diff.entries()))
+    def record(name, lhs, rhs=None):
+        """lhs = rhs (rhs = 0 when None); an entry of lhs - rhs witnesses a failure."""
+        diff = lhs if rhs is None else lhs.add(rhs, scale=-1)
+        results[name] = diff.is_zero()
+        if not results[name]:
+            witnesses[name] = next(diff.entries())
 
-    diff = G.add(adjoint(s, G), scale=-1)
-    results["G3"] = diff.is_zero()
-    if not results["G3"]:
-        witnesses["G3"] = next(iter(diff.entries()))
-
+    record("G2", m1.compose(G).add(G.compose(m1)),
+           proj.add(identity_operator(s.basis), scale=-1))
+    record("G3", G, adjoint(s, G))
     gp = G.compose(proj)
-    pg = proj.compose(G)
-    results["G4"] = gp.is_zero() and pg.is_zero()
-    if not results["G4"]:
-        bad = gp if not gp.is_zero() else pg
-        witnesses["G4"] = next(iter(bad.entries()))
-
-    gg = G.compose(G)
-    results["G5"] = gg.is_zero()
-    if not results["G5"]:
-        witnesses["G5"] = next(iter(gg.entries()))
+    record("G4", gp if not gp.is_zero() else proj.compose(G))
+    record("G5", G.compose(G))
     return GreenReport(results, witnesses)
 
 
@@ -412,16 +425,15 @@ def green_pipeline(s: CyclicStructure):
     g0 = green_build(s, split)
     g1 = green_symmetrize(s, g0)
     g2 = green_project(s, g1, proj)
-    g3 = green_gdg(s, g2)
+    g3 = green_gdg(g2, split.m1)
     return g3, proj, [g0, g1, g2, g3]
 
 
 def gdg_rewriting_holds(s: CyclicStructure, G: LinearOperator) -> bool:
     """G' = G - m1 G G G m1 for the square-zero correction G' = -G m1 G."""
     m1 = m1_operator(s)
-    left = green_gdg(s, G)
     right = G.add(m1.compose(G).compose(G).compose(G).compose(m1), scale=-1)
-    return left.add(right, scale=-1).is_zero()
+    return green_gdg(G, m1) == right
 
 
 def harmonic_substructure(s: CyclicStructure, letters: list[int]) -> CyclicStructure:
@@ -437,9 +449,8 @@ def harmonic_substructure(s: CyclicStructure, letters: list[int]) -> CyclicStruc
     pos = {old: new for new, old in enumerate(letters)}
     labels = tuple(s.basis.labels[i] for i in letters)
     degrees = tuple(s.basis.degrees[i] for i in letters)
-    pairing = None
-    if s.pairing is not None:
-        pairing = [[s.pairing[a][b] for b in letters] for a in letters]
+    pairing = (None if s.pairing is None
+               else [[s.pairing[a][b] for b in letters] for a in letters])
     mu = {}
     for k, table in s.mu.items():
         tbl = {}
@@ -447,21 +458,10 @@ def harmonic_substructure(s: CyclicStructure, letters: list[int]) -> CyclicStruc
             if not all(i in pos for i in ins):
                 continue
             if any(o not in pos for o in out):
-                if out:
-                    raise ValueError("letters do not span a subalgebra")
-                continue
+                raise ValueError("letters do not span a subalgebra")
             tbl[tuple(pos[i] for i in ins)] = {pos[o]: c for o, c in out.items()}
         mu[k] = tbl
-    unit = pos.get(s.unit) if s.unit is not None else None
-    aug = None
-    if s.augmentation is not None:
-        aug = {pos[i]: c for i, c in s.augmentation.items() if i in pos}
-    return CyclicStructure(
-        name=f"{s.name}|harmonic",
-        basis=GradedBasis(labels, degrees),
-        manifold_dim=s.manifold_dim,
-        pairing=pairing,
-        mu=mu,
-        unit=unit,
-        augmentation=aug,
-    )
+    aug = (None if s.augmentation is None
+           else {pos[i]: c for i, c in s.augmentation.items() if i in pos})
+    return CyclicStructure(f"{s.name}|harmonic", GradedBasis(labels, degrees),
+                           s.manifold_dim, pairing, mu, pos.get(s.unit), aug)

@@ -295,7 +295,7 @@ def test_criterion_08_green_pipeline_hundred_seeds():
                 # the exact rewriting of the square-zero correction, and
                 # its square-zero property, hold at every stage
                 assert gdg_rewriting_holds(s, stage), seed
-                corr = green_gdg(s, stage)
+                corr = green_gdg(stage, m1_operator(s))
                 assert corr.compose(corr).is_zero(), seed
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from cycibl import cli, fileio
 from cycibl.cli import build_parser, main
-from cycibl.models import build_cpn, build_sn
+from cycibl.models import build_cpn, build_sn, random_cyclic_dga
 
 
 def run(capsys, *argv):
@@ -574,6 +574,23 @@ def test_loaded_inputs_are_checked_before_computing(tmp_path, capsys):
                          str(s3), "--psi", str(psi), "--twist", str(twist))
     assert code == 2 and out == ""
     assert err == f"input error: {twist}: fails mu_2 degree at (0, 1)\n"
+
+
+@pytest.mark.parametrize("argv", [["green"], ["pushforward", "--weight-bound", "3"]],
+                         ids=["green", "pushforward"])
+def test_algebra_failing_its_axioms_is_input_error(tmp_path, capsys, argv):
+    # one mu_1 entry doubled breaks an A-infinity relation: an input error,
+    # not a (G2)-(G5) failure (exit 1) or a family on the invalid algebra
+    doc = fileio.structure_to_dict(random_cyclic_dga(6, seed=0))
+    row = doc["mu"]["1"][0]
+    row["output"] = {k: str(2 * int(v)) for k, v in row["output"].items()}
+    path = tmp_path / "r6.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "algebra-check", str(path))[0] == 1
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == ("input error: random-0: fails A-infinity relation arity 2 "
+                   "at (2, 4)\n")
 
 
 def test_square_zero_error_on_a_valid_algebra_stays_internal(tmp_path, capsys,

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cycibl.algebra import CyclicStructure
+from cycibl.algebra import CyclicStructure, check_cyclic_dga
 from cycibl.green import (GreenReport, KernelTensor, LinearOperator, _dual_sign,
                           _expand, adjoint, check_g_properties,
                           gdg_rewriting_holds, green_build, green_gdg,
@@ -10,6 +12,7 @@ from cycibl.green import (GreenReport, KernelTensor, LinearOperator, _dual_sign,
                           harmonic_projection, harmonic_splitting,
                           identity_operator, m1_operator, pairing_degree,
                           schwartz_kernel)
+from cycibl.linalg import SparseMatrix, add_scaled, kernel_basis, solve
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
 from helpers import sparse_from_entries
 
@@ -276,13 +279,15 @@ def test_pipeline_properties_many_seeds():
             srep = check_g_properties(s, stage, proj)
             assert srep.results["G2"], (seed, srep.summary())
             assert gdg_rewriting_holds(s, stage), seed
-            assert green_gdg(s, stage).compose(green_gdg(s, stage)).is_zero()
+            corr = green_gdg(stage, m1_operator(s))
+            assert corr.compose(corr).is_zero()
 
 
 def test_pipeline_idempotent():
     s = random_cyclic_dga(8, seed=7)
     g, proj, _ = green_pipeline(s)
-    g2 = green_gdg(s, green_project(s, green_symmetrize(s, g), proj))
+    g2 = green_gdg(green_project(s, green_symmetrize(s, g), proj),
+                   m1_operator(s))
     assert g2 == g
 
 
@@ -314,3 +319,262 @@ def test_adjoint_involution():
     s = random_cyclic_dga(8, seed=3)
     g = green_build(s, harmonic_splitting(s))
     assert adjoint(s, adjoint(s, g)) == g
+
+
+def test_malformed_columns_are_rejected():
+    s = random_cyclic_dga(6, seed=0)
+    n = len(s.basis)
+    with pytest.raises(ValueError, match="5 columns for a basis of 6"):
+        LinearOperator(s.basis, 0, [{} for _ in range(n - 1)])
+    # row -6 has the degree of row 0, so only the range check catches it
+    for row in (-n, n):
+        with pytest.raises(ValueError, match=f"row {row} of column 0 is outside"):
+            LinearOperator(s.basis, 0, [{row: 1}] + [{} for _ in range(n - 1)])
+    with pytest.raises(ValueError, match="degree homogeneity"):
+        LinearOperator(s.basis, 0, [{1: 1}] + [{} for _ in range(n - 1)])
+
+
+# -- the Fraction operator route, the oracle of the int one: Fraction
+# columns, every entry re-wrapped by every operation, and the pipeline on
+# them with the pairing contracted entry by entry
+
+class FractionOperator:
+    def __init__(self, basis, degree, columns):
+        self.basis = basis
+        self.degree = degree
+        self.columns = [{i: Fraction(c) for i, c in col.items() if c}
+                        for col in columns]
+        for j, col in enumerate(self.columns):
+            for i in col:
+                assert basis.degrees[i] == basis.degrees[j] + degree
+
+    def apply(self, vec):
+        out = {}
+        for j, c in vec.items():
+            add_scaled(out, self.columns[j], c)
+        return out
+
+    def compose(self, other):
+        return FractionOperator(self.basis, self.degree + other.degree,
+                                [self.apply(col) for col in other.columns])
+
+    def add(self, other, scale=1):
+        assert other.degree == self.degree
+        cols = [dict(col) for col in self.columns]
+        for col, other_col in zip(cols, other.columns):
+            add_scaled(col, other_col, scale)
+        return FractionOperator(self.basis, self.degree, cols)
+
+    def scaled(self, scale):
+        return FractionOperator(self.basis, self.degree,
+                                [{i: Fraction(scale) * c for i, c in col.items()}
+                                 for col in self.columns])
+
+    def is_zero(self):
+        return not any(self.columns)
+
+    def entries(self):
+        for j, col in enumerate(self.columns):
+            for i, c in col.items():
+                yield (i, j), c
+
+
+def frac_identity(s):
+    return FractionOperator(s.basis, 0, [{j: 1} for j in range(len(s.basis))])
+
+
+def frac_m1(s):
+    return FractionOperator(s.basis, 1, s.m1_matrix())
+
+
+def frac_adjoint(s, L):
+    n = len(s.basis)
+    pdeg = pairing_degree(s)
+    cols = [dict() for _ in range(n)]
+    for i, dual in enumerate(s.dual_basis()):
+        img = L.apply(dual)
+        sgn = _dual_sign(s, i) * (-1 if (pdeg - s.basis.degrees[i]) % 2 else 1)
+        for j in range(n):
+            if c := s.pair(img, {j: Fraction(1)}):
+                cols[j][i] = sgn * c
+    return FractionOperator(s.basis, L.degree, cols)
+
+
+def frac_kernel(s, L):
+    dual = s.dual_basis()
+    pdeg = pairing_degree(s)
+    entries = {}
+    for i in range(len(s.basis)):
+        img = L.apply(dual[i])
+        for j in range(len(s.basis)):
+            if val := s.pair(img, dual[j]):
+                e = (L.degree + 1) * (pdeg + s.basis.degrees[i])
+                entries[(i, j)] = -val if e % 2 else val
+    return KernelTensor(s.basis, pdeg + L.degree, entries)
+
+
+def frac_orth_complement_inside(universe, subspace):
+    if not subspace:
+        return [dict(v) for v in universe]
+    rows = [{c: dot for c, u in enumerate(universe)
+             if (dot := sum(w.get(i, 0) * u.get(i, 0) for i in set(w) | set(u)))}
+            for w in subspace]
+    mat = SparseMatrix(len(subspace), len(universe), rows)
+    return [_expand(combo, universe, 0) for combo in kernel_basis(mat)]
+
+
+def frac_pipeline(s):
+    """build -> symmetrize -> project -> gdg on Fraction operators, with the
+    splitting vectors as the reduced-echelon ``Fraction`` vectors."""
+    n = len(s.basis)
+    deg = s.basis.degrees
+    m1 = s.m1_matrix()
+    by_deg = {}
+    for i, d in enumerate(deg):
+        by_deg.setdefault(d, []).append(i)
+    harmonic, image_by_deg = [], {}
+    for d, idx in sorted(by_deg.items()):
+        kb = kernel_basis(SparseMatrix.from_columns(n, [m1[i] for i in idx]))
+        free = {max(vec) for vec in kb}
+        image_by_deg[d + 1] = [m1[i] for c, i in enumerate(idx) if c not in free]
+        harmonic.extend(frac_orth_complement_inside(
+            [{idx[c]: v for c, v in vec.items()} for vec in kb],
+            image_by_deg.get(d, [])))
+    if harmonic:
+        rows = [{j: v for j in range(n) if (v := s.pair(h, {j: Fraction(1)}))}
+                for h in harmonic]
+        perp = kernel_basis(SparseMatrix(len(harmonic), n, rows))
+    else:
+        perp = [{j: Fraction(1)} for j in range(n)]
+    complement = []
+    for d in sorted(by_deg):
+        uni = [v for v in perp if {deg[i] for i in v} == {d}]
+        complement.extend(frac_orth_complement_inside(uni, image_by_deg.get(d, [])))
+    mop = frac_m1(s)
+    image = [mop.apply(c) for c in complement]
+    coordinates = solve(harmonic + image + complement,
+                        [{j: Fraction(1)} for j in range(n)])
+    proj = FractionOperator(s.basis, 0, [_expand(c, harmonic, 0)
+                                         for c in coordinates])
+    g0 = FractionOperator(s.basis, -1, [_expand(c, complement, len(harmonic))
+                                        for c in coordinates]).scaled(-1)
+    g1 = g0.add(frac_adjoint(s, g0)).scaled(Fraction(1, 2))
+    q = frac_identity(s).add(proj, scale=-1)
+    g2 = q.compose(g1).compose(q)
+    g3 = g2.compose(mop).compose(g2).scaled(-1)
+    return g3, proj, [g0, g1, g2, g3]
+
+
+def frac_check(s, G, proj):
+    """(results, witnesses) of (G2)-(G5) on the Fraction route."""
+    m1 = frac_m1(s)
+    diffs = {"G2": m1.compose(G).add(G.compose(m1)).add(
+                 proj.add(frac_identity(s), scale=-1), scale=-1),
+             "G3": G.add(frac_adjoint(s, G), scale=-1),
+             "G5": G.compose(G)}
+    gp, pg = G.compose(proj), proj.compose(G)
+    diffs["G4"] = gp if not gp.is_zero() else pg
+    results = {name: d.is_zero() for name, d in diffs.items()}
+    witnesses = {name: next(d.entries()) for name, d in diffs.items()
+                 if not d.is_zero()}
+    return results, witnesses
+
+
+def frac_gdg_holds(s, G):
+    m1 = frac_m1(s)
+    left = G.compose(m1).compose(G).scaled(-1)
+    right = G.add(m1.compose(G).compose(G).compose(G).compose(m1), scale=-1)
+    return left.add(right, scale=-1).is_zero()
+
+
+def assert_matches(op, oracle):
+    """Same degree and entries, primitive form with a positive denominator."""
+    assert op.degree == oracle.degree
+    assert op.columns == oracle.columns
+    assert list(op.entries()) == list(oracle.entries())
+    assert op.is_zero() == oracle.is_zero()
+    assert op.den > 0
+    assert math.gcd(op.den, *(c for col in op.cols for c in col.values())) == 1
+    assert all(type(c) is int for col in op.cols for c in col.values())
+
+
+OPERATOR_MODELS = [build_sn(3).structure, build_cpn(2).structure,
+                   random_cyclic_dga(6, seed=1), random_cyclic_dga(10, seed=2)]
+SCALARS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def operator_cases(draw):
+    """A model, a degree of its graded endomorphisms and two column lists of
+    that degree with small non-integral entries, so that sums often cancel."""
+    s = draw(st.sampled_from(OPERATOR_MODELS))
+    degs = s.basis.degrees
+    n = len(degs)
+    d = draw(st.sampled_from(sorted({a - b for a in degs for b in degs})))
+
+    def columns():
+        return [{i: draw(SCALARS) for i in range(n)
+                 if degs[i] == degs[j] + d and draw(st.booleans())}
+                for j in range(n)]
+    return s, d, columns(), columns()
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_cases(), SCALARS.filter(bool), st.integers(1, 12))
+def test_int_operators_match_the_fraction_route(case, scale, k):
+    s, d, cols_a, cols_b = case
+    a, b = (LinearOperator(s.basis, d, cols) for cols in (cols_a, cols_b))
+    fa, fb = (FractionOperator(s.basis, d, cols) for cols in (cols_a, cols_b))
+    assert_matches(a, fa)
+    for op, oracle in ((a.compose(b), fa.compose(fb)),
+                       (a.add(b, scale=scale), fa.add(fb, scale=scale)),
+                       (a.add(b), fa.add(fb)),
+                       (a.add(a.scaled(scale), scale=-1 / scale),
+                        fa.add(fa.scaled(scale), scale=-1 / scale)),
+                       (a.scaled(scale), fa.scaled(scale)),
+                       (a.scaled(0), fa.scaled(0)),
+                       (adjoint(s, a), frac_adjoint(s, fa))):
+        assert_matches(op, oracle)
+        # the same operator from the oracle's Fraction columns, and from
+        # those columns scaled by k and scaled back, is the same object
+        assert op == LinearOperator(s.basis, op.degree, oracle.columns)
+        assert op == LinearOperator(s.basis, op.degree, [
+            {i: k * c for i, c in col.items()} for col in oracle.columns]
+            ).scaled(Fraction(1, k))
+    assert a.add(a.scaled(scale), scale=-1 / scale).is_zero()
+    for vec in cols_b:
+        assert a.apply(vec) == fa.apply(vec)
+    assert schwartz_kernel(s, a).entries == frac_kernel(s, fa).entries
+
+
+def m1_scaled(s, c):
+    """s with mu_1 scaled by c: every relation is homogeneous in mu_1, so this
+    is again a cyclic dg algebra, and c = 2/3 gives an m1 with a denominator."""
+    mu1 = {ins: {o: c * v for o, v in out.items()} for ins, out in s.mu[1].items()}
+    return s.replace(mu={**s.mu, 1: mu1})
+
+
+PIPELINE_MODELS = [("S3", build_sn(3).structure), ("CP2", build_cpn(2).structure)]
+PIPELINE_MODELS += [(f"r{k}-{seed}", random_cyclic_dga(k, seed=seed))
+                    for k in (6, 10) for seed in range(8)]
+PIPELINE_MODELS += [(f"r{k}-{seed} m1*2/3",
+                     m1_scaled(random_cyclic_dga(k, seed=seed), Fraction(2, 3)))
+                    for k, seed in ((6, 3), (10, 5))]
+
+
+@pytest.mark.parametrize("name, s", PIPELINE_MODELS,
+                         ids=[name for name, _ in PIPELINE_MODELS])
+def test_pipeline_matches_the_fraction_route(name, s):
+    assert check_cyclic_dga(s).passed
+    g, proj, stages = green_pipeline(s)
+    fg, fproj, fstages = frac_pipeline(s)
+    assert_matches(g, fg)
+    assert_matches(proj, fproj)
+    for stage, fstage in zip(stages, fstages, strict=True):
+        assert_matches(stage, fstage)
+        rep = check_g_properties(s, stage, proj)
+        assert (rep.results, rep.witnesses) == frac_check(s, fstage, fproj)
+        assert gdg_rewriting_holds(s, stage) == frac_gdg_holds(s, fstage)
+    k, fk = schwartz_kernel(s, g), frac_kernel(s, fg)
+    assert (k.degree, k.entries) == (fk.degree, fk.entries)
+    assert list(k.entries) == list(fk.entries)
