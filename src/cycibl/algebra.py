@@ -352,18 +352,31 @@ def check_mu_plus_cyclic(s: CyclicStructure, k: int) -> CheckReport:
 Tensor = dict[Word, Fraction]
 
 
-def hochschild_b_tensor(s: CyclicStructure, letters: Word,
-                        arities: list[int] | None = None) -> Tensor:
-    """The full bar differential b = b' + R on a plain tensor word.
+def hochschild_b_cyclic(s: CyclicStructure, letters: Word,
+                        arities: list[int] | None = None,
+                        canon: dict | None = None) -> Tensor:
+    """The bar differential b = b' + R on the cyclic quotient, on canonical
+    representatives.  For each arity j <= k it sums over the k cyclic
+    windows v_(p+1)..v_(p+j) (indices mod k) of v = v_1..v_k, with
+    m = mu_j(window) in place of the window::
 
-    b'^k sums t^i ∘ (mu_j ⊗ id) ∘ t^{-i} over j = 1..k, i = 0..k-j; the
-    remainder R^k sums (mu_j ⊗ id) ∘ t^i over j and i = 1..j-1.  Rotation
-    signs come from the prefix degree sums of the word.  ``arities`` is
-    ``s.arities()``, passed in by callers that sweep many words.
+        p = 0..k-j (b'):         v_1..v_p m v_(p+j+1)..v_k
+        p = k-1..k-j+1 (R):      m v_(p+j-k+1)..v_p
+
+    Each term carries the sign of t^(k-p), which brings v_(p+1)..v_k to the
+    front, and a b' term that of t^p, which moves v_1..v_p back in front of
+    m; rotation signs come from the prefix degree sums of v.  Each term
+    goes through ``canon`` (word -> :func:`canonicalize` result, filled on
+    a miss) straight into the canonical accumulator.  A sweep
+    (:func:`bar_sweep`) passes ``arities = s.arities()`` and one ``canon``,
+    seeded with the signed rotations of the swept words below the top
+    weight.
     """
     letters = tuple(letters)
+    canon = {} if canon is None else canon
+    basis = s.basis
     k = len(letters)
-    deg = s.basis.degrees
+    deg = basis.degrees
     prefix = [0]
     for x in letters:
         prefix.append(prefix[-1] + deg[x])
@@ -372,45 +385,50 @@ def hochschild_b_tensor(s: CyclicStructure, letters: Word,
     for j in s.arities() if arities is None else arities:
         if j > k:
             break
-        table = s.mu[j]
-        # b' part: t^{-i} = t^{k-i} brings letters[i:] to the front, mu_j
-        # acts on letters[i:i+j], and t^i moves letters[:i] back in front
-        for i in range(0, k - j + 1):
-            img = table.get(letters[i:i + j])
-            if not img:
-                continue
-            sgn0 = rotation_sign(total, total - prefix[i])
-            rest = total - prefix[i + j] + prefix[i]
+        get = s.mu[j].get
+        for r in range(k):
+            # the window at p = r, then the wrapping ones at p = k - i
+            if r <= k - j:
+                img = get(letters[r:r + j])
+                if not img:
+                    continue
+                head, tail, lead = letters[:r], letters[r + j:], prefix[r]
+                sgn0 = rotation_sign(total, total - lead)
+                rest = total - prefix[r + j] + lead
+            else:
+                i = r - k + j
+                img = get(letters[k - i:] + letters[:j - i])
+                if not img:
+                    continue
+                head, tail, lead, rest = (), letters[j - i:k - i], 0, 0
+                sgn0 = rotation_sign(total, total - prefix[k - i])
             for mid, c in img.items():
-                sign = sgn0 * rotation_sign(rest + deg[mid], prefix[i])
-                add_into(acc, letters[:i] + (mid,) + letters[i + j:],
-                         c if sign > 0 else -c)
-        # R part: t^i brings the last i letters to the front
-        for i in range(1, j):
-            base = letters[k - i:] + letters[:k - i]
-            img = table.get(base[:j])
-            if not img:
-                continue
-            negate = rotation_sign(total, total - prefix[k - i]) < 0
-            for mid, c in img.items():
-                add_into(acc, (mid,) + base[j:], -c if negate else c)
+                w = head + (mid,) + tail
+                if (hit := canon.get(w)) is None:
+                    hit = canon[w] = canonicalize(w, basis)
+                if hit[0] is not None:
+                    sign = sgn0 * hit[1] * rotation_sign(rest + deg[mid], lead)
+                    add_into(acc, hit[0], c if sign > 0 else -c)
     return acc
 
 
-def hochschild_b_cyclic(s: CyclicStructure, letters: Word,
-                        arities: list[int] | None = None,
-                        canon: dict | None = None) -> Tensor:
-    """The bar differential on the cyclic quotient, on canonical
-    representatives.  A sweep passes one ``canon`` dict, word ->
-    :func:`canonicalize` result, so that each word is canonicalized once."""
-    canon = {} if canon is None else canon
-    acc: Tensor = {}
-    for w, c in hochschild_b_tensor(s, letters, arities).items():
-        if (hit := canon.get(w)) is None:
-            hit = canon[w] = canonicalize(w, s.basis)
-        if hit[0] is not None:
-            add_into(acc, hit[0], c if hit[1] > 0 else -c)
-    return acc
+def bar_sweep(s: CyclicStructure, words, skip: int | None = None):
+    """Yield ``(v, b(v))`` for the canonical ``words``, in their order,
+    leaving out every term that holds the letter ``skip``.  The one memo,
+    dropped when the sweep ends, starts with the signed rotations of every
+    swept word below the top weight; when ``words`` are all the canonical
+    words that avoid ``skip``, only annihilated words, words holding
+    ``skip`` and mu_1 images of top weight reach :func:`canonicalize`.
+    """
+    words = list(words)
+    top = max(map(len, words), default=0)
+    arities = s.arities()
+    canon = {x: (v, sign) for v in words if len(v) < top
+             for x, sign in rotations(v, s.basis)}
+    for v in words:
+        col = hochschild_b_cyclic(s, v, arities, canon)
+        yield v, col if skip is None else {
+            u: c for u, c in col.items() if skip not in u}
 
 
 def transposed_b(s: CyclicStructure, words, skip: int | None = None
@@ -418,13 +436,10 @@ def transposed_b(s: CyclicStructure, words, skip: int | None = None
     """One sweep of the cyclic bar differential over canonical ``words``,
     transposed: u -> {v: the coefficient of u in b(v)}, v in the order of
     ``words``, leaving out every u that holds the letter ``skip``."""
-    arities = s.arities()
-    canon: dict = {}
     table: dict[Word, Tensor] = {}
-    for v in words:
-        for u, c in hochschild_b_cyclic(s, v, arities, canon).items():
-            if skip is None or skip not in u:
-                table.setdefault(u, {})[v] = c
+    for v, col in bar_sweep(s, words, skip):
+        for u, c in col.items():
+            table.setdefault(u, {})[v] = c
     return table
 
 

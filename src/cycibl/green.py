@@ -395,7 +395,8 @@ class GreenReport:
 
 def check_g_properties(s: CyclicStructure, G: LinearOperator,
                        proj: LinearOperator) -> GreenReport:
-    """Exact pass/fail for (G2)-(G5) with witnesses."""
+    """Exact pass/fail for (G2)-(G5) with witnesses.  (G2) needs degree -1:
+    an operator of degree d != -1 fails it with the witness ``("degree", d)``."""
     m1 = m1_operator(s)
     results, witnesses = {}, {}
 
@@ -406,8 +407,11 @@ def check_g_properties(s: CyclicStructure, G: LinearOperator,
         if not results[name]:
             witnesses[name] = next(diff.entries())
 
-    record("G2", m1.compose(G).add(G.compose(m1)),
-           proj.add(identity_operator(s.basis), scale=-1))
+    if G.degree == -1:
+        record("G2", m1.compose(G).add(G.compose(m1)),
+               proj.add(identity_operator(s.basis), scale=-1))
+    else:  # m1 G + G m1 has degree G.degree + 1, the right side degree 0
+        results["G2"], witnesses["G2"] = False, ("degree", G.degree)
     record("G3", G, adjoint(s, G))
     gp = G.compose(proj)
     record("G4", gp if not gp.is_zero() else proj.compose(G))

@@ -9,8 +9,7 @@ lowering weight by at most one.
 
 from __future__ import annotations
 
-from .algebra import (CyclicStructure, hochschild_b_cyclic, integral_multiple,
-                      transposed_b)
+from .algebra import CyclicStructure, bar_sweep, integral_multiple, transposed_b
 from .dibl import MaurerCartanFamily, mu_from_mc
 from .linalg import HomologyReport, graded_homology
 from .words import canonical_words
@@ -99,18 +98,15 @@ def chain_homology(s: CyclicStructure, weight_bound: int,
     which scales it without changing its homology or representatives.
     """
     _, integral = integral_multiple(s)
-    arities = integral.arities()
     by_degree = _by_degree(s, _word_index(s, weight_bound, reduced),
                            weight_bound)
-    unit = s.unit if reduced else None
-    # every differential is computed first and the canonical memo dropped
+    # every differential is computed first and the sweep's memo dropped
     # before the elimination; graded_homology asks for each key once and
     # keeps its own copy, so the table gives its entries up
-    canon: dict = {}
-    table = {key: {(len(v), v): c for v, c in hochschild_b_cyclic(
-        integral, key[1], arities, canon).items() if unit is None or unit not in v}
-        for keys in by_degree.values() for key in keys}
-    del canon
+    cols = bar_sweep(integral, (u for keys in by_degree.values() for _, u in keys),
+                     s.unit if reduced else None)
+    table = {(len(u), u): {(len(v), v): c for v, c in col.items()}
+             for u, col in cols}
 
     def basis_fn(d):
         return list(by_degree.get(d, []))

@@ -374,15 +374,16 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
     diff_cache: dict = {}
 
     def diff(key):
-        if key not in diff_cache:
+        img = diff_cache.get(key)
+        if img is None:
             img = {k: v for k, v in diff_fn(key).items() if v}
+            allowed = (key[0], key[0] + weight_step)
             for tgt in img:
-                lo, hi = sorted((key[0], key[0] + weight_step))
-                if not (lo <= tgt[0] <= hi):
+                if tgt[0] not in allowed:
                     raise ValueError(
                         f"differential moved weight {key[0]} -> {tgt[0]}")
             diff_cache[key] = img
-        return diff_cache[key]
+        return img
 
     # d*d = 0 is checked on every degree before any is eliminated: an
     # image that leaves the kernel would otherwise surface as a count

@@ -1,5 +1,9 @@
 """Helpers shared by several test modules (pytest does not collect this file).
 
+* ``bar_terms`` (the terms of the bar differential on a plain tensor word,
+  in order), ``hochschild_b_tensor`` (their sum) and ``cyclic_image`` (plain
+  terms canonicalized one by one): the oracle of the one-pass cyclic
+  kernel ``algebra.hochschild_b_cyclic``.
 * The classical (unshifted) Hochschild complex and the degree shift that
   conjugates it to the bar differential: a second route to b, the oracle
   of acceptance criterion 12.
@@ -14,11 +18,71 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cycibl.algebra import CyclicStructure, Tensor, hochschild_b_tensor
+from cycibl.algebra import CyclicStructure, Tensor
 from cycibl.linalg import SparseMatrix, add_into
 from cycibl.models import S1TwistConfig
 from cycibl.signs import GradedBasis
-from cycibl.words import Word, rotation_sign
+from cycibl.words import Word, canonicalize, rotation_sign
+
+
+def bar_terms(s: CyclicStructure, letters: Word):
+    """The terms ``(word, coefficient)`` of the full bar differential
+    b = b' + R on a plain tensor word, one per image letter, in order.
+
+    b'^k sums t^i ∘ (mu_j ⊗ id) ∘ t^{-i} over j = 1..k, i = 0..k-j; the
+    remainder R^k sums (mu_j ⊗ id) ∘ t^i over j and i = 1..j-1.  Rotation
+    signs come from the prefix degree sums of the word.
+    """
+    letters = tuple(letters)
+    k = len(letters)
+    deg = s.basis.degrees
+    prefix = [0]
+    for x in letters:
+        prefix.append(prefix[-1] + deg[x])
+    total = prefix[k]
+    for j in s.arities():
+        if j > k:
+            break
+        table = s.mu[j]
+        # b' part: t^{-i} = t^{k-i} brings letters[i:] to the front, mu_j
+        # acts on letters[i:i+j], and t^i moves letters[:i] back in front
+        for i in range(0, k - j + 1):
+            img = table.get(letters[i:i + j])
+            if not img:
+                continue
+            sgn0 = rotation_sign(total, total - prefix[i])
+            rest = total - prefix[i + j] + prefix[i]
+            for mid, c in img.items():
+                sign = sgn0 * rotation_sign(rest + deg[mid], prefix[i])
+                yield letters[:i] + (mid,) + letters[i + j:], c if sign > 0 else -c
+        # R part: t^i brings the last i letters to the front
+        for i in range(1, j):
+            base = letters[k - i:] + letters[:k - i]
+            img = table.get(base[:j])
+            if not img:
+                continue
+            negate = rotation_sign(total, total - prefix[k - i]) < 0
+            for mid, c in img.items():
+                yield (mid,) + base[j:], -c if negate else c
+
+
+def hochschild_b_tensor(s: CyclicStructure, letters: Word) -> Tensor:
+    """b = b' + R on a plain tensor word, as a dict of tensor words."""
+    acc: Tensor = {}
+    for w, c in bar_terms(s, letters):
+        add_into(acc, w, c)
+    return acc
+
+
+def cyclic_image(s: CyclicStructure, terms) -> Tensor:
+    """The class of a sum of plain tensor words, on canonical words: each
+    term canonicalized on its own and added in the order given."""
+    acc: Tensor = {}
+    for w, c in terms:
+        canon, sign = canonicalize(w, s.basis)
+        if canon is not None:
+            add_into(acc, canon, sign * c)
+    return acc
 
 
 def rotate(letters: Word, basis: GradedBasis) -> tuple[Word, int]:

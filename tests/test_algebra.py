@@ -7,15 +7,17 @@ from itertools import product as iproduct
 
 import pytest
 
-from cycibl.algebra import (CyclicStructure, check_ainfty, check_cyclic_dga,
+from cycibl.algebra import (CyclicStructure, bar_sweep, check_ainfty, check_cyclic_dga,
                             check_mu_plus_cyclic, dual_b, hochschild_b_cyclic,
-                            hochschild_b_tensor, reduced_membership, unit_cochain)
+                            integral_multiple, reduced_membership, transposed_b,
+                            unit_cochain)
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga, truncated_polynomial
 from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_words, canonicalize,
-                          dual_word)
+                          dual_word, rotations)
 from helpers import (classical_b_tensor, classical_rotation, classical_shift_U,
-                     conjugated_b_tensor, rotate)
+                     bar_terms, conjugated_b_tensor, cyclic_image, hochschild_b_tensor,
+                     rotate)
 
 
 def test_sphere_models_pass_axioms():
@@ -380,18 +382,13 @@ def _stepped_b_tensor(s, letters):
     return acc
 
 
-def test_shared_canonical_memo_changes_nothing():
-    # one memo over a whole sweep gives the per-word values, items and
-    # order, and reaches no module-level state
-    from cycibl import algebra
+def _twisted_families(cases):
+    """``mu_from_mc`` families: the canonical entry of each (structure,
+    weight) plus three seeded words of that weight, so mu_(weight - 1)."""
     from cycibl.dibl import canonical_mc, mu_from_mc
-    s3, r6 = build_sn(3).structure, random_cyclic_dga(6, seed=3)
-    cases = [(s3, 7), (build_cpn(2).structure, 5), (build_cpn(3).structure, 4),
-             (r6, 4), (random_cyclic_dga(10, seed=1), 3)]
-    # twisted families: the canonical entry plus seeded words of weight 6
-    # (S3, giving mu_5) and 4 (r6, giving mu_3)
     rng = random.Random(5)
-    for s, w in ((s3, 6), (r6, 4)):
+    out = []
+    for s, w in cases:
         entry = canonical_mc(s).entry(1, 0).scaled(1)
         words = [u for u in canonical_words(s.basis, w)
                  if s.basis.word_degree(u) == entry.degree()]
@@ -399,19 +396,155 @@ def test_shared_canonical_memo_changes_nothing():
             entry.add((u,), Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 3)))
         twisted = mu_from_mc(s, entry, w - 1)
         assert twisted.arities()[-1] == w - 1
-        cases.append((twisted, 5))
+        out.append(twisted)
+    return out
+
+
+def _sweep_words(s, top):
+    return [u for w in range(1, top + 1) for u in canonical_words(s.basis, w)]
+
+
+def test_shared_canonical_memo_changes_nothing(monkeypatch):
+    # a seeded sweep gives the per-word values, items and order, reaches no
+    # module-level state, and canonicalizes each word at most once and never
+    # a rotation of a swept word below the top weight: only annihilated
+    # words and words of the top weight
+    from cycibl import algebra
+    s3, r6 = build_sn(3).structure, random_cyclic_dga(6, seed=3)
+    cases = [(s3, 7), (build_cpn(2).structure, 5), (build_cpn(3).structure, 4),
+             (r6, 4), (random_cyclic_dga(10, seed=1), 3)]
+    cases += [(t, 5) for t in _twisted_families([(s3, 6), (r6, 4)])]
     module_dicts = {n: len(v) for n, v in vars(algebra).items() if isinstance(v, dict)}
+    seen = []
+    monkeypatch.setattr(algebra, "canonicalize",
+                        lambda w, basis: seen.append(w) or canonicalize(w, basis))
     for s, top in cases:
-        arities, memo, calls = s.arities(), {}, 0
-        for w in range(1, top + 1):
-            for v in canonical_words(s.basis, w):
-                shared = hochschild_b_cyclic(s, v, arities, memo)
-                assert list(shared.items()) == \
-                    list(hochschild_b_cyclic(s, v).items()), (s.name, v)
-                calls += len(hochschild_b_tensor(s, v))
-        assert 0 < len(memo) < calls, s.name  # the sweep hit its memo
+        words = _sweep_words(s, top)
+        seeded = {x for v in words if len(v) < top for x, _ in rotations(v, s.basis)}
+        seen.clear()
+        swept = list(bar_sweep(s, words))
+        calls = list(seen)
+        assert [v for v, _ in swept] == words
+        for v, col in swept:
+            assert list(col.items()) == list(hochschild_b_cyclic(s, v).items()), \
+                (s.name, v)
+        assert len(calls) == len(set(calls)), s.name
+        assert not seeded.intersection(calls), s.name
+        assert all(len(w) == top or canonicalize(w, s.basis)[0] is None
+                   for w in calls), s.name
+        # the per-word route canonicalizes every term it meets
+        seen.clear()
+        for v in words:
+            hochschild_b_cyclic(s, v)
+        assert 0 < len(calls) < len(seen), s.name
     assert module_dicts == {n: len(v) for n, v in vars(algebra).items()
                             if isinstance(v, dict)}
+
+
+def _oracle(s, v):
+    return cyclic_image(s, bar_terms(s, v))
+
+
+def _oracle_table(s, words, skip):
+    table = {}
+    for v in words:
+        for u, c in _oracle(s, v).items():
+            if skip is None or skip not in u:
+                table.setdefault(u, {})[v] = c
+    return table
+
+
+def _ordered(table):
+    return [(u, list(row.items())) for u, row in table.items()]
+
+
+def test_one_pass_kernel_matches_the_tensor_oracle(monkeypatch):
+    # hochschild_b_cyclic, transposed_b with and without a skipped letter
+    # and chain_homology's columns against the window terms canonicalized
+    # one by one, values and order; the values are those of the summed
+    # tensor canonicalized, and so is the order when no tensor word recurs
+    # among the terms (a recurring word is added up before the tensor
+    # route canonicalizes it, so a class can take another place there)
+    from cycibl import homology
+    s3, cp2, r6 = (build_sn(3).structure, build_cpn(2).structure,
+                   random_cyclic_dga(6, seed=3))
+    cases = [(s3, 7), (cp2, 5), (build_cpn(3).structure, 4), (r6, 4),
+             (random_cyclic_dga(10, seed=1), 3)]
+    cases += zip(_twisted_families([(r6, 4), (cp2, 5), (r6, 5)]), (5, 5, 4))
+    columns = {}
+
+    def capture(basis_fn, diff_fn, degrees, *args, **kwargs):
+        columns.update((key, list(diff_fn(key).items()))
+                       for d in degrees for key in basis_fn(d))
+
+    monkeypatch.setattr(homology, "graded_homology", capture)
+    recurring = 0
+    for s, top in cases:
+        words = _sweep_words(s, top)
+        for v in words:
+            got = list(hochschild_b_cyclic(s, v).items())
+            terms = list(bar_terms(s, v))
+            assert got == list(cyclic_image(s, terms).items()), (s.name, v)
+            tensor = cyclic_image(s, hochschild_b_tensor(s, v).items())
+            assert dict(got) == tensor, (s.name, v)
+            if len({w for w, _ in terms}) == len(terms):
+                assert got == list(tensor.items()), (s.name, v)
+            else:
+                recurring += 1
+        for skip in (None, s.unit, 1):
+            assert _ordered(transposed_b(s, words, skip)) == \
+                _ordered(_oracle_table(s, words, skip)), (s.name, skip)
+        integral = integral_multiple(s)[1]
+        for reduced in (False, True):
+            columns.clear()
+            homology.chain_homology(s, top, reduced)
+            unit = s.unit if reduced else None
+            want = {(len(u), u): [((len(v), v), c) for v, c in _oracle(integral, u).items()
+                                  if unit is None or unit not in v]
+                    for u in words if unit is None or unit not in u}
+            assert columns == want, (s.name, reduced)
+    assert recurring > 100
+
+
+def test_seeded_memo_entries_are_canonical_forms(monkeypatch):
+    # exhaustive over every word below the top weight on small random
+    # graded bases (labels shuffled, so letter order is not rank order):
+    # the sweep's memo holds each non-annihilated word, and every entry it
+    # holds, periodic and annihilated words included, is canonicalize's
+    from cycibl import algebra
+    memos = []
+
+    def capture(s, v, arities, canon):
+        memos.append(canon)
+        return hochschild_b_cyclic(s, v, arities, canon)
+
+    monkeypatch.setattr(algebra, "hochschild_b_cyclic", capture)
+    outcomes = Counter()
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(2, 3)
+        labels = rng.sample("abcd", n)
+        basis = GradedBasis(tuple(labels), tuple(rng.randint(-2, 3) for _ in range(n)))
+        mu = {k: {t: {rng.randrange(n): Fraction(rng.choice((-2, -1, 1, 3)))}
+                  for t in iproduct(range(n), repeat=k) if rng.random() < 0.3}
+              for k in range(1, 4)}
+        s = CyclicStructure("random tables", basis, 3, None, mu)
+        top = 7
+        memos.clear()
+        swept = dict(bar_sweep(s, _sweep_words(s, top)))
+        assert all(m is memos[0] for m in memos)
+        memo = memos[0]
+        for w in range(1, top):
+            for x in iproduct(range(n), repeat=w):
+                assert x in memo or canonicalize(x, basis)[0] is None, (seed, x)
+        for x, hit in memo.items():
+            assert hit == canonicalize(x, basis), (seed, x)
+            periodic = any(x == x[p:] + x[:p] for p in range(1, len(x)))
+            outcomes["annihilated" if hit[0] is None else
+                     "periodic" if periodic else "aperiodic"] += 1
+        for v, col in swept.items():
+            assert list(col.items()) == list(_oracle(s, v).items()), (seed, v)
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def test_bar_differential_matches_single_step_rotations():

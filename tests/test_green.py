@@ -176,8 +176,8 @@ def _adjointness_cases(s):
 
 
 def test_kernel_symmetry_iff_adjointness():
-    # self-adjointness in the (G3) sense == twist symmetry of the kernel,
-    # and for degree -1 operators == the (G3) entry of check_g_properties
+    # self-adjointness in the (G3) sense == twist symmetry of the kernel
+    # == the (G3) entry of check_g_properties, in every degree
     models = [random_cyclic_dga(6, seed=seed) for seed in (0, 1, 2, 9)]
     models += [random_cyclic_dga(8, seed=seed) for seed in range(3)]
     models += [build_sn(3).structure, build_cpn(2).structure,
@@ -189,10 +189,9 @@ def test_kernel_symmetry_iff_adjointness():
             selfadj = adjoint(s, op) == op
             assert selfadj == schwartz_kernel(s, op).is_symmetric_propagator(), \
                 (s.name, name)
-            if op.degree == -1:
-                rep = check_g_properties(s, op, proj)
-                assert rep.results["G3"] == selfadj, (s.name, name)
-                assert ("G3" in rep.witnesses) == (not selfadj), (s.name, name)
+            rep = check_g_properties(s, op, proj)
+            assert rep.results["G3"] == selfadj, (s.name, name)
+            assert ("G3" in rep.witnesses) == (not selfadj), (s.name, name)
             if name in ("G1", "G2", "G3"):
                 assert selfadj, (s.name, name)  # symmetrized stages
             seen.add((op.degree == -1, selfadj))
@@ -206,6 +205,29 @@ def test_g3_witness_is_an_entry_where_g_and_its_adjoint_differ():
     op = dict(cases)["G1 B"]
     (i, j), c = check_g_properties(s, op, proj).witnesses["G3"]
     assert c == op.columns[j].get(i, 0) - adjoint(s, op).columns[j].get(i, 0) != 0
+
+
+def test_operators_of_other_degrees_fail_g2_by_degree():
+    # (G2) needs degree -1: operators of degree 1, 0 and -2 fail it with a
+    # witness naming their degree, and (G3)-(G5) are still decided
+    seen = set()
+    for s in (random_cyclic_dga(6, seed=0), random_cyclic_dga(8, seed=2),
+              build_cpn(2).structure):
+        g, proj, _ = green_pipeline(s)
+        m1 = m1_operator(s)
+        for op in (m1, identity_operator(s.basis), proj, m1.compose(g).compose(m1),
+                   g.compose(g)):
+            rep = check_g_properties(s, op, proj)
+            assert not rep.results["G2"] and not rep.passed, (s.name, op.degree)
+            assert rep.witnesses["G2"] == ("degree", op.degree)
+            assert rep.results["G3"] == (adjoint(s, op) == op)
+            assert rep.results["G4"] == (op.compose(proj).is_zero()
+                                         and proj.compose(op).is_zero())
+            assert rep.results["G5"] == op.compose(op).is_zero()
+            assert "G2: FAIL" in rep.summary()
+            seen.add((op.degree, rep.results["G3"], rep.results["G5"]))
+    assert {d for d, _, _ in seen} == {1, 0, -2}
+    assert {g3 for _, g3, _ in seen} == {g5 for _, _, g5 in seen} == {True, False}
 
 
 def test_kernel_of_composition_matches_operator_route():

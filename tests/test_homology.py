@@ -581,6 +581,30 @@ def test_square_zero_guard():
         graded_homology(basis_fn, bad_diff, [1, 2, 3], 1)
 
 
+def test_weight_guard_names_the_move():
+    # a target of weight outside {w, w + weight_step} is refused, on either
+    # side; the two allowed weights pass
+    basis = GradedBasis(("a", "b"), (2, 2))
+
+    def basis_fn(d):
+        return [(w, u) for w in range(1, 4) for u in canonical_words(basis, w)
+                if basis.word_degree(u) == d]
+
+    def jump(step):
+        return lambda key: {(2 + step, "target"): 1} if key == (2, (0, 0)) else {}
+
+    for weight_step, step in ((1, 2), (1, -1), (-1, 1), (-1, -2)):
+        with pytest.raises(ValueError,
+                           match=f"^differential moved weight 2 -> {2 + step}$"):
+            graded_homology(basis_fn, jump(step), [2, 4, 6], 3,
+                            weight_step=weight_step, degree_step=2)
+    for weight_step in (1, -1):
+        for step in (0, weight_step):
+            with pytest.raises(ValueError, match="missing from basis"):
+                graded_homology(basis_fn, jump(step), [2, 4, 6], 3,
+                                weight_step=weight_step, degree_step=2)
+
+
 def test_even_sphere_reduced_twisted_homology():
     bundle = build_sn(2)
     s = bundle.structure
