@@ -451,7 +451,9 @@ def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
     v.  The candidates are read off the stored words through the transposed
     tables: each position p of v and each input tuple t whose image holds
     v[p] give u = canon(v[:p] + t + v[p+1:]).  The value on u is b(u)
-    contracted with the stored values.
+    contracted with the stored values.  One ``canon`` memo (word ->
+    :func:`canonicalize` result) serves the candidate splices and every
+    :func:`hochschild_b_cyclic` call.
 
     The value on u needs psi up to weight |u| - (least arity) + 1, so with a
     truncation bound W on psi the result is honest up to W + (least arity)
@@ -469,14 +471,17 @@ def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
         for t, img in s.mu[k].items():
             for letter in img:
                 hits.setdefault(letter, []).append(t)
+    canon: dict = {}
     candidates = set()
     for (v,) in psi.values:
         for p, letter in enumerate(v):
             for t in hits.get(letter, ()):
-                u = canonicalize(v[:p] + t + v[p + 1:], s.basis)[0]
+                w = v[:p] + t + v[p + 1:]
+                if (hit := canon.get(w)) is None:
+                    hit = canon[w] = canonicalize(w, s.basis)
+                u = hit[0]
                 if u is not None and (bound is None or len(u) <= bound):
                     candidates.add(u)
-    canon: dict = {}
     for u in sorted(candidates, key=lambda u: (len(u), u)):
         val = Fraction(0)
         for v, c in hochschild_b_cyclic(s, u, arities, canon).items():

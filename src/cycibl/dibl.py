@@ -188,12 +188,13 @@ def dual_word_coproduct(s: CyclicStructure, T, u: Word, memo: dict | None = None
     one term of the coproduct formula on the pair of classes of x_1..x_{p-1}
     and x_{p+1}..x_k, counted once for each pair of rotations of the halves
     equal to them as tensors.  Terms are collected on pairs in canonical
-    slot order, where a tensor stores its values; a pair whose terms cancel
-    keeps its place with value 0.  Values are in the distributed-suspension
-    normalization (the collected formula times the sign distributing the
-    two suspensions), under which slot swaps cost the shifted Koszul sign.
-    A caller's ``memo`` keeps each half's canonical form and each pair's
-    slot order for its call.
+    slot order, (weight, letters), where a tensor stores its values; the
+    other order of each pair and two equal halves of odd slot degree are
+    left out, and a pair whose terms cancel keeps its place with value 0.
+    Values are in the distributed-suspension normalization (the collected
+    formula times the sign distributing the two suspensions), under which
+    slot swaps cost the shifted Koszul sign.  A caller's ``memo`` keeps each
+    half's canonical form for its call.
     """
     basis, shift = s.basis, s.slot_shift
     deg = basis.degrees
@@ -208,12 +209,9 @@ def dual_word_coproduct(s: CyclicStructure, T, u: Word, memo: dict | None = None
             w1, w2 = x[1:p], x[p + 1:]
             a, sa = _canonical_term(w1, basis, memo)
             b, sb = _canonical_term(w2, basis, memo)
-            if a is None or b is None:
+            if a is None or b is None or (len(a), a) > (len(b), b):
                 continue
-            if (ordered := memo.get((a, b))) is None:
-                keyed = canonical_key((a, b), basis, shift)
-                ordered = memo[(a, b)] = keyed is not None and keyed[0] == (a, b)
-            if not ordered:
+            if a == b and slot_degree(a, basis, shift) % 2:
                 continue
             sign = sx * sa * sb
             if deg[x[p]] % 2 and basis.word_degree(w1) % 2:
@@ -516,8 +514,8 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
     coefficients on symmetric products of dual words, so a sum vanishes
     exactly when the tensor it stands for does.  The coproduct table and
     the product table each pass one memo dict, made for this call, to all
-    their calls: a word's rotations, a contracted word's canonical form and
-    a pair's slot order are found once per table, not once per pair.
+    their calls: a word's rotations and a contracted word's canonical form
+    are found once per table, not once per pair.
 
     The tables hold Python ints.  Each relation is homogeneous of fixed
     degree (a, b, c) in mu_1, the product and the coproduct, the last two

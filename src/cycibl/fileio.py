@@ -30,10 +30,18 @@ def _scalar(x, where) -> Fraction:
 
 
 def _int(x, where) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{where}: not an integer: {x!r}") from None
+    """A JSON integer; a float, a string or a boolean is an input error."""
+    if x.__class__ is not int:
+        raise InputError(f"{where}: not an integer: {x!r}")
+    return x
+
+
+def _unique(table: dict, key, where):
+    """``key`` if ``table`` does not hold it yet: a repeated row or entry
+    would silently overwrite the earlier one."""
+    if key in table:
+        raise InputError(f"{where}: duplicates an earlier entry")
+    return key
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
@@ -129,7 +137,10 @@ def structure_from_dict(doc: dict) -> CyclicStructure:
         try:
             k = int(key)
         except ValueError:
+            k = 0
+        if k < 1:
             raise InputError(f"{where}: bad arity '{key}'")
+        _unique(mu, k, f"{where}: mu[{key}]")
         tbl = {}
         for row_no, row in enumerate(_typed(table, list, f"{where}: mu[{key}]")):
             at = f"{where}: mu[{key}][{row_no}]"
@@ -138,7 +149,8 @@ def structure_from_dict(doc: dict) -> CyclicStructure:
             outs = _typed(_need(row, "output", at), dict, f"{at}.output")
             if len(ins) != k:
                 raise InputError(f"{at} arity mismatch")
-            tbl[tuple(_label(index, i, f"{at}.inputs") for i in ins)] = {
+            inputs = tuple(_label(index, i, f"{at}.inputs") for i in ins)
+            tbl[_unique(tbl, inputs, at)] = {
                 _label(index, o, f"{at}.output"): _scalar(c, at)
                 for o, c in outs.items()}
         mu[k] = tbl
@@ -151,8 +163,9 @@ def structure_from_dict(doc: dict) -> CyclicStructure:
                         _scalar(c, f"{where}: augmentation")
                         for lab, c in augmentation.items()}
 
+    name = _optional(doc, "name", str, where)
     return CyclicStructure(
-        name=str(doc.get("name", "algebra")),
+        name="algebra" if name is None else name,
         basis=basis,
         manifold_dim=_int(_need(doc, "manifold_dimension", where), where),
         pairing=pairing,
@@ -184,7 +197,8 @@ def kernel_from_dict(s: CyclicStructure, doc: dict) -> dict:
         where = f"kernel entry {row_no}"
         _typed(row, dict, where)
         i, j = (_label(index, _need(row, x, where), f"{where}.{x}") for x in "ij")
-        out[(i, j)] = _scalar(_need(row, "value", where), where)
+        value = _scalar(_need(row, "value", where), where)
+        out[_unique(out, (i, j), where)] = value
     out = {k: v for k, v in out.items() if v}
     try:
         check_propagator(s.basis, out)
@@ -213,8 +227,9 @@ def cochain_from_dict(s: CyclicStructure, doc: dict) -> CochainTensor:
     if arity < 1:
         raise InputError(f"cochain arity: must be positive, got {arity}")
     bound = doc.get("weight_bound")
-    ten = CochainTensor(s.basis, arity, s.slot_shift,
-                        None if bound is None else _int(bound, "cochain weight_bound"))
+    if bound is not None:
+        bound = _int(bound, "cochain weight_bound")
+    ten = CochainTensor(s.basis, arity, s.slot_shift, bound)
     for row_no, row in enumerate(_typed(_need(doc, "values", "cochain"), list,
                                         "cochain values")):
         where = f"cochain record {row_no}"
@@ -226,6 +241,10 @@ def cochain_from_dict(s: CyclicStructure, doc: dict) -> CochainTensor:
             raise InputError(f"{where}: empty word")
         words = tuple(tuple(_label(index, lab, f"{where}.tuple") for lab in w)
                       for w in words)
+        weight = sum(map(len, words))
+        if bound is not None and weight > bound:
+            raise InputError(
+                f"{where}: weight {weight} exceeds the weight_bound {bound}")
         ten.add(words, _scalar(_need(row, "coefficient", where), where))
     return ten
 
@@ -249,7 +268,13 @@ def family_from_dict(s: CyclicStructure, doc: dict):
         where = f"twist entry {row_no}"
         _typed(row, dict, where)
         l, g = (_int(_need(row, x, where), where) for x in "lg")
-        entries[(l, g)] = cochain_from_dict(s, _need(row, "cochain", where))
+        if l < 1 or g < 0:
+            raise InputError(f"{where}: needs l >= 1 and g >= 0, got ({l}, {g})")
+        entry = cochain_from_dict(s, _need(row, "cochain", where))
+        if entry.arity != l:
+            raise InputError(
+                f"{where}: an arity-{entry.arity} cochain as entry ({l}, {g})")
+        entries[_unique(entries, (l, g), where)] = entry
     try:
         return MaurerCartanFamily(s, entries)
     except ValueError as exc:

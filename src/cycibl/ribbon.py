@@ -672,7 +672,7 @@ def f_klg_tensor(s: CyclicStructure, legs: CyclicStructure, propagator: dict,
         graphs = enumerate_graphs(k, l, g, total, trivalent=trivalent)
         if not graphs:
             continue
-        for key, _ in canonical_tuples(legs.basis, legs.slot_shift, total, l):
+        for key in canonical_tuples(legs.basis, legs.slot_shift, total, l):
             words = [tuple(lift[x] for x in w) for w in key]
             if leg_degree is not None and leg_degree != sum(
                     deg[x] for w in words for x in w):

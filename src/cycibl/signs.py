@@ -68,8 +68,8 @@ class GradedBasis:
 
     ``degrees[i]`` is the degree of letter ``labels[i]`` in the shifted
     space; the unshifted degree is ``degrees[i] + 1``.  Immutable, and
-    equal and hashed by ``(labels, degrees)``; ``lex_rank[i]`` is the rank
-    of ``labels[i]`` in label order.
+    equal and hashed by ``(labels, degrees)``.  Letters are ordered by their
+    index ``i``; labels only name them and never enter a computation.
     """
 
     def __init__(self, labels: tuple[str, ...], degrees: tuple[int, ...]):
@@ -77,14 +77,9 @@ class GradedBasis:
             raise ValueError("labels and degrees must have equal length")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
-        by_label = sorted(range(len(labels)), key=lambda i: labels[i])
-        rank = [0] * len(labels)
-        for r, i in enumerate(by_label):
-            rank[i] = r
         init = object.__setattr__
         init(self, "labels", labels)
         init(self, "degrees", degrees)
-        init(self, "lex_rank", tuple(rank))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GradedBasis is immutable: cannot set {name!r}")

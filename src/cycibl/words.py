@@ -4,16 +4,17 @@ A word is a nonempty tuple of letter indices into a :class:`GradedBasis`.
 The rotation ``t`` moves the last letter to the front and multiplies by the
 Koszul sign ``(-1)**(|v_k| * (|v_1| + ... + |v_{k-1}|))``; a cyclic word is a
 word modulo this signed rotation.  Canonical representatives are the
-rotation whose label sequence is lexicographically minimal (ties broken by
-the smallest rotation count), with the accumulated sign pushed into
-coefficients.  A cyclic word whose stabilizing rotation carries sign -1 is
-its own negative: the class is zero and the word is called *annihilated*.
+rotation whose sequence of letter indices is lexicographically minimal
+(ties broken by the smallest rotation count), with the accumulated sign
+pushed into coefficients; labels play no part.  A cyclic word whose
+stabilizing rotation carries sign -1 is its own negative: the class is zero
+and the word is called *annihilated*.
 
 Cochain tensors are arity-``k`` functionals on tuples of cyclic words, with
 support truncated at a weight bound when they arise from truncated data.
-Tuples are stored on canonically sorted keys; swapping two slots costs the
-Koszul sign in the per-slot degrees shifted by ``slot_shift`` (the shift
-under which the product/coproduct operations become symmetric, i.e.
+Tuples are stored on keys sorted by (weight, letters); swapping two slots
+costs the Koszul sign in the per-slot degrees shifted by ``slot_shift`` (the
+shift under which the product/coproduct operations become symmetric, i.e.
 ``m - 3`` for a pairing of degree ``2 - m``).
 """
 
@@ -65,18 +66,16 @@ def canonicalize(letters: Word, basis: GradedBasis) -> tuple[Word | None, int]:
     in the cyclic quotient, or ``(None, 1)`` when the class is annihilated.
     """
     letters = tuple(letters)
-    rank = basis.lex_rank
     deg = basis.degrees
     total = sum([deg[i] for i in letters])
-    least = min(letters, key=rank.__getitem__)
+    least = min(letters)
     if letters.count(least) == 1:
         # a unique least letter starts the canonical rotation, and a word
         # holding a letter once is not periodic
         start = letters.index(least)
     else:
         k = len(letters)
-        ranked = tuple([rank[i] for i in letters])
-        doubled = ranked + ranked
+        doubled = letters + letters
         rots = [doubled[r:r + k] for r in range(k)]
         best = min(rots)
         start = rots.index(best)
@@ -116,25 +115,18 @@ def canonical_words(basis: GradedBasis, weight: int):
     """All non-annihilated canonical cyclic words of a given weight, in
     ascending order of letter indices.
 
-    Necklaces are generated over the label ranks, so they are exactly the
-    canonical rotations; a periodic one is annihilated when moving one
-    period to the front has sign -1.
+    The necklaces over the letter indices are exactly the canonical
+    rotations; a periodic one is annihilated when moving one period to the
+    front has sign -1.
     """
     if weight < 1 or not len(basis):
         return
     deg = basis.degrees
-    letter_of = sorted(range(len(basis)), key=basis.lex_rank.__getitem__)
-    out = []
     for a, period in _necklaces(len(basis), weight):
-        word = tuple([letter_of[r] for r in a])
-        block = sum([deg[i] for i in word[:period]])
-        copies = weight // period
-        if not copies & 1 and block & 1:
+        block = sum([deg[i] for i in a[:period]])
+        if not (weight // period) & 1 and block & 1:
             continue
-        out.append(word)
-    if letter_of != list(range(len(basis))):
-        out.sort()
-    yield from out
+        yield tuple(a)
 
 
 def slot_degree(letters: Word, basis: GradedBasis, slot_shift: int) -> int:
@@ -143,7 +135,8 @@ def slot_degree(letters: Word, basis: GradedBasis, slot_shift: int) -> int:
 
 
 def canonical_key(words: tuple[Word, ...], basis: GradedBasis, slot_shift: int):
-    """Sort a tuple of canonical words into the canonical slot order.
+    """Sort a tuple of canonical words into the canonical slot order, by
+    (weight, letters).
 
     Returns ``(key, sign)``, or ``None`` when the tuple is self-annihilating
     (two equal slots of odd shifted degree).
@@ -152,8 +145,7 @@ def canonical_key(words: tuple[Word, ...], basis: GradedBasis, slot_shift: int):
     if k == 1:
         return words, 1
     degs = [slot_degree(w, basis, slot_shift) for w in words]
-    keys = [(len(w), tuple(basis.lex_rank[i] for i in w)) for w in words]
-    order = sorted(range(k), key=lambda i: keys[i])
+    order = sorted(range(k), key=lambda i: (len(words[i]), words[i]))
     for a in range(k):
         for b in range(a + 1, k):
             if words[a] == words[b] and degs[a] % 2:
@@ -166,13 +158,13 @@ def canonical_key(words: tuple[Word, ...], basis: GradedBasis, slot_shift: int):
 
 
 def canonical_tuples(basis: GradedBasis, slot_shift: int, total: int, slots: int):
-    """Each canonical, slot-ordered tuple of ``slots`` canonical words of
-    the given total weight, once, as ``(key, sign)`` from :func:`canonical_key`.
+    """Each key of :func:`canonical_key` made of ``slots`` canonical words
+    of the given total weight, once.
 
     The nondecreasing tuples over the canonical words, ordered by (weight,
-    letters), are walked lexicographically.  Each multiset of words is met
-    once, at its least arrangement, so keys come in the order in which a
-    walk over all ordered tuples first reaches them, with that tuple's sign.
+    letters), are walked lexicographically.  Such a tuple is already in
+    slot order, so it is its own key with sign +1; only the
+    self-annihilating ones are left out.
     """
     weights = range(1, total - slots + 2) if slots > 1 else (total,)
     by_weight = {w: list(canonical_words(basis, w)) for w in weights}
@@ -190,9 +182,8 @@ def canonical_tuples(basis: GradedBasis, slot_shift: int, total: int, slots: int
                         yield (u,) + rest
 
     for words in walk(slots, total, (1, ())):
-        keyed = canonical_key(words, basis, slot_shift)
-        if keyed is not None:
-            yield keyed
+        if canonical_key(words, basis, slot_shift) is not None:
+            yield words
 
 
 class CochainTensor:

@@ -203,7 +203,7 @@ def test_criterion_07_graph_pairing_laws():
                     # law, must give the same tensor as this walk
                     walk = {}
                     total = wsum - 2 * e
-                    for key, _ in (canonical_tuples(s.basis, s.slot_shift,
+                    for key in (canonical_tuples(s.basis, s.slot_shift,
                                                     total, l)
                                    if l <= total <= 8 else ()):
                         val = f_klg(s, P, psis, k, l, g, list(key))

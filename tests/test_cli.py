@@ -232,6 +232,98 @@ def test_zero_denominator_in_cochain_and_kernel_is_input_error(tmp_path, capsys)
     _one_line_input_error(err)
 
 
+def _set_basis_degree(doc):
+    doc["basis"][1]["shifted_degree"] = 1.5
+
+
+def _add_arity_zero(doc):
+    doc["mu"]["0"] = [{"inputs": [], "output": {"w": "1"}}]
+
+
+def _add_negative_arity(doc):
+    doc["mu"]["-1"] = []
+
+
+def _repeat_mu_row(doc):
+    doc["mu"]["2"].append({"inputs": ["1", "w"], "output": {"w": "2"}})
+
+
+def _set_list_name(doc):
+    doc["name"] = ["x"]
+
+
+@pytest.mark.parametrize("defect,why", [
+    (_set_basis_degree, "basis[1].shifted_degree: not an integer: 1.5"),
+    (_add_arity_zero, "bad arity '0'"),
+    (_add_negative_arity, "bad arity '-1'"),
+    (_repeat_mu_row, "mu[2][3]: duplicates an earlier entry"),
+    (_set_list_name, "name: expected a string, got a list"),
+], ids=["float-degree", "arity-0", "arity-minus-1", "repeated-row", "list-name"])
+def test_malformed_algebra_fields_are_input_errors(tmp_path, capsys, defect, why):
+    doc = fileio.structure_to_dict(build_sn(3).structure)
+    defect(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "algebra-check", str(path))
+    assert code == 2 and out == ""
+    _one_line_input_error(err)
+    assert why in err
+
+
+@pytest.mark.parametrize("psi,why", [
+    ({"arity": True}, "cochain arity: not an integer: True"),
+    ({"weight_bound": -3}, "weight 3 exceeds the weight_bound -3"),
+    ({"weight_bound": 2.5}, "cochain weight_bound: not an integer: 2.5"),
+], ids=["bool-arity", "negative-bound", "float-bound"])
+def test_malformed_cochain_fields_are_input_errors(tmp_path, capsys, psi, why):
+    s3, path = tmp_path / "s3.json", tmp_path / "psi.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    path.write_text(json.dumps({**psi, "values": [
+        {"tuple": [["w", "w", "w"]], "coefficient": "1"}]}))
+    code, out, err = run(capsys, "eval", "boundary", "--algebra", str(s3),
+                         "--psi", str(path))
+    assert code == 2 and out == ""
+    _one_line_input_error(err)
+    assert why in err
+
+
+def test_repeated_kernel_entry_is_input_error(tmp_path, capsys):
+    # the second entry would have overwritten the first, leaving the zero
+    # kernel, a valid propagator
+    s3, kernel = tmp_path / "s3.json", tmp_path / "kernel.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    kernel.write_text(json.dumps({"entries": [
+        {"i": "1", "j": "w", "value": "1"}, {"i": "1", "j": "w", "value": "0"}]}))
+    code, out, err = run(capsys, "pushforward", str(s3), "--kernel-file",
+                         str(kernel), "--weight-bound", "3")
+    assert code == 2 and out == ""
+    _one_line_input_error(err)
+    assert "kernel entry 1: duplicates an earlier entry" in err
+    kernel.write_text(json.dumps({"entries": [{"i": "1", "j": "w", "value": "0"}]}))
+    assert run(capsys, "pushforward", str(s3), "--kernel-file", str(kernel),
+               "--weight-bound", "3")[0] == 0
+
+
+@pytest.mark.parametrize("defect,why", [
+    ({"l": -1}, "twist entry 0: needs l >= 1 and g >= 0, got (-1, 0)"),
+    ({"l": 2}, "twist entry 0: an arity-1 cochain as entry (2, 0)"),
+], ids=["negative-l", "arity-mismatch"])
+def test_malformed_twist_entries_are_input_errors(tmp_path, capsys, defect, why):
+    s3, twist = tmp_path / "s3.json", tmp_path / "twist.json"
+    run(capsys, "model", "sn", "--n", "3", "--output", str(s3))
+    run(capsys, "pushforward", str(s3), "--weight-bound", "5",
+        "--output", str(twist))
+    doc = json.loads(twist.read_text())
+    assert [(e["l"], e["g"]) for e in doc["entries"]] == [(1, 0)]
+    doc["entries"][0].update(defect)
+    twist.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "homology", str(s3), "--twist", str(twist),
+                         "--weight-bound", "3")
+    assert code == 2 and out == ""
+    _one_line_input_error(err)
+    assert why in err
+
+
 def test_degenerate_pairing_is_input_error(tmp_path, capsys):
     # algebra-check reports it as a failed axiom; a command that contracts
     # with the pairing cannot run on it
@@ -465,8 +557,10 @@ def _mutations(doc):
 def test_mutated_model_files_exit_0_1_or_2(tmp_path, capsys):
     # every field of the S3 and CP2 files replaced by a value of each JSON
     # type: a property failure or an input error, never an internal error
+    # (a float in an integer field is always an input error)
     path = tmp_path / "mutated.json"
     codes = Counter()
+    floats = 0
     for s in (build_sn(3).structure, build_cpn(2).structure):
         for where, value, doc in _mutations(fileio.structure_to_dict(s)):
             path.write_text(json.dumps(doc))
@@ -477,8 +571,13 @@ def test_mutated_model_files_exit_0_1_or_2(tmp_path, capsys):
                 assert code in (0, 1, 2), (s.name, where, value, argv[0], err)
                 if code == 2:
                     _one_line_input_error(err)
+                if isinstance(value, float) and where[-1] in (
+                        "manifold_dimension", "shifted_degree"):
+                    assert code == 2, (s.name, where, argv[0])
+                    floats += 1
                 codes[code] += 1
     assert min(codes[0], codes[1], codes[2]) > 50, codes
+    assert floats, floats
 
 
 def test_mutated_twist_files_exit_0_or_2(tmp_path, capsys):

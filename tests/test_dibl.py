@@ -13,7 +13,9 @@ from cycibl.dibl import (MaurerCartanFamily, _relation_report, canonical_mc, cir
                          ibl_relations_check, mu_from_mc, q110, q120, q210,
                          t_tensor, twisted_boundary_vs_bar_dual, twisted_q110,
                          twisted_q120, twisted_q1lg_on_unit)
+from cycibl.homology import cochain_homology
 from cycibl.models import build_cpn, build_s1_pmc, build_sn, random_cyclic_dga
+from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
                           canonical_tuples, canonical_words, canonicalize,
                           dual_word, product_cochain, rotations, slot_degree)
@@ -740,7 +742,7 @@ def _reduced_entry(s, rng, arity, bound, terms):
     (5 for arity 3) that avoid the unit letter, as a strictly reduced
     family needs."""
     keys = [key for total in range(arity + 1, 5 + (arity == 3))
-            for key, _ in canonical_tuples(s.basis, s.slot_shift, total, arity)
+            for key in canonical_tuples(s.basis, s.slot_shift, total, arity)
             if not any(s.unit in w for w in key)]
     entry = CochainTensor(s.basis, arity, s.slot_shift, bound)
     for key in rng.sample(keys, min(terms, len(keys))):
@@ -767,7 +769,7 @@ def test_twisted_q1lg_on_unit_matches_volume_insertion():
                 assert out.weight_bound == (None if bound is None else bound - 1)
                 top = max(entry.weights()) - 1
                 for total in range(l, top + 1):
-                    for key, _ in canonical_tuples(s.basis, s.slot_shift,
+                    for key in canonical_tuples(s.basis, s.slot_shift,
                                                    total, l):
                         want = -iota_vol_pairing(s, entry, key)
                         assert out.eval_tuple(key) == want, (s.name, l, key)
@@ -1087,3 +1089,39 @@ def test_relation_reports_do_not_depend_on_the_memos():
     assert got == want
     assert got[0] == got[4] and got[1] == got[5]
     assert all(rep.failures for rep in got[1::2])
+
+
+def test_labels_never_influence_a_computation():
+    # the same structures with labels whose sort order reverses the index
+    # order: words, relation reports, homology and the operations on dual
+    # words agree index for index
+    cases = [(random_cyclic_dga(6, seed=0), 4), (random_cyclic_dga(6, seed=3), 4),
+             (build_cpn(2).structure, 6)]
+    for s, top in cases:
+        n = len(s.basis)
+        labels = tuple(chr(ord("z") - i) for i in range(n))
+        assert sorted(labels) == list(reversed(labels))
+        r = s.replace(basis=GradedBasis(labels, s.basis.degrees))
+        for w in range(1, 7):
+            assert list(canonical_words(r.basis, w)) == \
+                list(canonical_words(s.basis, w)), (s.name, w)
+        for w in range(1, 6):
+            for word in iproduct(range(n), repeat=w):
+                assert canonicalize(word, r.basis) == \
+                    canonicalize(word, s.basis), (s.name, word)
+        assert ibl_relations_check(r, top + 1) == ibl_relations_check(s, top + 1)
+        got, want = (cochain_homology(x, None, top) for x in (r, s))
+        assert (got.dims, got.reps, got.stable) == \
+            (want.dims, want.reps, want.stable), s.name
+        duals = [u for w in range(1, top + 1) for u in canonical_words(s.basis, w)]
+        mc_r, mc_s = canonical_mc(r), canonical_mc(s)
+        for u in duals:
+            pr, ps = wdual(r, u), wdual(s, u)
+            assert q120(r, pr).values == q120(s, ps).values, (s.name, u)
+            assert twisted_q110(r, mc_r, pr).values == \
+                twisted_q110(s, mc_s, ps).values, (s.name, u)
+        short = [u for u in duals if len(u) < top]
+        for u in short:
+            for v in short[::3]:
+                assert q210(r, wdual(r, u), wdual(r, v)).values == \
+                    q210(s, wdual(s, u), wdual(s, v)).values, (s.name, u, v)
