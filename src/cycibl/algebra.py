@@ -47,7 +47,7 @@ class CyclicStructure:
     pairing degree ``2 - m`` and every sign of the canonical operations.
     Construction drops zero outputs from ``mu`` and checks the pairing's
     shape.  Two structures are equal when their fields are; the caches of
-    the dual basis and of ``T`` take no part.
+    the dual basis, of ``T`` and of its integral multiple take no part.
     """
 
     _FIELDS = ("name", "basis", "manifold_dim", "pairing", "mu", "unit",
@@ -72,6 +72,7 @@ class CyclicStructure:
         self.augmentation = augmentation
         self._dual: list[Vector] | None = None
         self._t_tensor: dict | None = None
+        self._t_int: tuple[int, dict] | None = None
 
     def __eq__(self, other):
         if other.__class__ is not CyclicStructure:
@@ -85,7 +86,7 @@ class CyclicStructure:
         out = CyclicStructure(**{**{f: getattr(self, f) for f in self._FIELDS},
                                  **changes})
         if "basis" not in changes and "pairing" not in changes:
-            out._dual, out._t_tensor = self._dual, self._t_tensor
+            out._dual, out._t_tensor, out._t_int = self._dual, self._t_tensor, self._t_int
         return out
 
     # -- pairing ------------------------------------------------------

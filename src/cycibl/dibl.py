@@ -29,6 +29,14 @@ Each output word is counted once per rotation equal to it as a tensor.
 The unit relations are the partial composition with the dual of the unit
 letter, which inserts the volume letter into the entry's stored words.
 
+These contractions run on ints.  T enters as D_T T, D_T the least common
+denominator of its entries, computed once per structure beside T; each
+cochain enters as its values times their least common denominator.  The
+terms of an output word are summed as ints, and its value is one
+``Fraction``: that sum over the product of the denominators, times 2 for
+the coproduct's half and lcm(1..l) for the count factor of the partial
+composition into an arity-l entry.
+
 All cochains are stored unshifted; the degree shift per slot under which
 these operations become symmetric is ``m - 3``, carried as the tensors'
 ``slot_shift``; Koszul signs between slots always use the shifted degrees.
@@ -36,6 +44,7 @@ these operations become symmetric is ``m - 3``, carried as the tensors'
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .algebra import CyclicStructure, dual_b, integral_multiple, transposed_b
@@ -59,6 +68,14 @@ def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
                     T[(i, j)] = v
         s._t_tensor = T
     return dict(s._t_tensor)
+
+
+def _integral_t(s: CyclicStructure) -> tuple[int, dict[tuple[int, int], int]]:
+    """D_T, the least common denominator of T, and D_T T as ints, computed
+    once per structure beside T; callers only read it."""
+    if s._t_int is None:
+        s._t_int = integral(t_tensor(s))
+    return s._t_int
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +147,7 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor
          ) -> CochainTensor:
     """The product on an ordered pair of arity-1 cochains: both factors are
     expanded bilinearly over their stored dual words
-    (:func:`dual_word_product`).
+    (:func:`dual_word_product`), in ints over D_T T.
 
     A pair of words u, v contributes at weight |u| + |v| - 2 only; weights
     above the contraction bound, where a truncated factor's unknown values
@@ -138,18 +155,21 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor
     """
     if psi1.arity != 1 or psi2.arity != 1:
         raise ValueError("q210 takes arity-1 cochains")
-    T = t_tensor(s)
+    d_t, T = _integral_t(s)
     bound = _contraction_bound(psi1, psi2)
     out = CochainTensor(s.basis, 1, psi1.slot_shift, bound)
-    acc: dict[Word, Fraction] = {}
+    d1, values1 = integral(psi1.values)
+    d2, values2 = integral(psi2.values)
+    acc: dict[Word, int] = {}
     memo: dict = {}
-    for (u,), c1 in psi1.items():
-        for (v,), c2 in psi2.items():
+    for (u,), c1 in values1.items():
+        for (v,), c2 in values2.items():
             if bound is not None and len(u) + len(v) - 2 > bound:
                 continue
             for w, c in dual_word_product(s, T, u, v, memo).items():
-                acc[w] = acc.get(w, ZERO) + c1 * c2 * c
-    out.values = {(w,): c for w, c in acc.items() if c}
+                acc[w] = acc.get(w, 0) + c1 * c2 * c
+    den = d_t * d1 * d2
+    out.values = {(w,): Fraction(c, den) for w, c in acc.items() if c}
     return out
 
 
@@ -222,20 +242,23 @@ def dual_word_coproduct(s: CyclicStructure, T, u: Word, memo: dict | None = None
 
 def q120(s: CyclicStructure, psi: CochainTensor, T=None) -> CochainTensor:
     """The coproduct of an arity-1 cochain, as an arity-2 tensor: half the
-    sum of :func:`dual_word_coproduct` over its stored words."""
+    sum of :func:`dual_word_coproduct` over its stored words, in ints over
+    D_T T."""
     if psi.arity != 1:
         raise ValueError("q120 takes arity-1 cochains")
-    T = t_tensor(s) if T is None else T
+    d_t, T = _integral_t(s) if T is None else integral(T)
     bound = None if psi.weight_bound is None else psi.weight_bound - 2
     out = CochainTensor(s.basis, 2, psi.slot_shift, bound)
-    acc: dict[tuple[Word, Word], Fraction] = {}
+    d_psi, values = integral(psi.values)
+    acc: dict[tuple[Word, Word], int] = {}
     memo: dict = {}
-    for (u,), c in psi.items():
+    for (u,), c in values.items():
         if bound is not None and len(u) - 2 > bound:
             continue
         for key, v in dual_word_coproduct(s, T, u, memo).items():
             acc[key] = acc.get(key, 0) + c * v
-    out.values = {key: Fraction(c, 2) for key, c in acc.items() if c}
+    den = 2 * d_t * d_psi
+    out.values = {key: Fraction(c, den) for key, c in acc.items() if c}
     return out
 
 
@@ -325,29 +348,40 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
     the product, which has only |e_b| |w1|, eps' adds (|v| + |w|) times the
     parity before slot j.  The entry's slots holding v account for K.count(v)
     such terms where the formula on K' has one per slot holding w, hence the
-    factor K'.count(w) / K.count(v).
+    factor K'.count(w) / K.count(v), whose denominator lcm(1..l) clears in
+    the int sums.
     """
     if psi.arity != 1:
         raise ValueError("circ1 twists arity-1 cochains")
-    T = t_tensor(s)
+    d_t, T = _integral_t(s)
     basis, shift = s.basis, psi.slot_shift
     bound = _contraction_bound(pmc_lg, psi)
     out = CochainTensor(basis, pmc_lg.arity, shift, bound)
+    d_e, entry = integral(pmc_lg.values)
+    d_psi, values = integral(psi.values)
+    d_count = math.lcm(*range(1, pmc_lg.arity + 1))
+    acc: dict[tuple[Word, ...], int] = {}
     memo: dict = {}
-    for key, ce in pmc_lg.items():
+    for key, ce in entry.items():
         weight = sum(len(v) for v in key)
         before = shift  # |s| plus the shifted degrees of key[:j]
         for j, v in enumerate(key):
             dv = basis.word_degree(v)
-            for (u,), cp in psi.items():
+            per_slot = ce * (d_count // key.count(v))
+            for (u,), cp in values.items():
                 if bound is not None and weight + len(u) - 2 > bound:
                     continue
                 for w, c in dual_word_product(s, T, u, v, memo).items():
-                    new = key[:j] + (w,) + key[j + 1:]
+                    keyed = canonical_key(key[:j] + (w,) + key[j + 1:], basis, shift)
+                    if keyed is None:
+                        continue
+                    new, sign = keyed
                     if (dv + basis.word_degree(w)) * before % 2:
-                        c = -c
-                    out.add(new, c * ce * cp * Fraction(new.count(w), key.count(v)))
+                        sign = -sign
+                    acc[new] = acc.get(new, 0) + sign * c * cp * per_slot * new.count(w)
             before += slot_degree(v, basis, shift)
+    den = d_t * d_e * d_psi * d_count
+    out.values = {key: Fraction(c, den) for key, c in acc.items() if c}
     return out
 
 
@@ -531,7 +565,7 @@ def ibl_relations_check(s: CyclicStructure, max_weight: int,
 
     Passing ``T`` overrides the contraction tensor (mutation testing).
     """
-    T = integral(t_tensor(s) if T is None else T)
+    _, T = _integral_t(s) if T is None else integral(T)
     basis = s.basis
     by_weight = {w: list(canonical_words(basis, w)) for w in range(1, max_weight + 1)}
     gens = [u for w in range(1, max_weight + 1) for u in by_weight[w]]

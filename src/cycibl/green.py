@@ -50,7 +50,7 @@ def _int_vectors(vectors) -> tuple[list[IntVector], int]:
 
 def _primitive(vec: dict) -> IntVector:
     """The primitive int vector on the ray of ``vec`` (ints or ``Fraction``s)."""
-    vec = integral(vec)
+    _, vec = integral(vec)
     g = math.gcd(*vec.values())
     return vec if g == 1 else {i: c // g for i, c in vec.items()}
 

@@ -99,7 +99,7 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     for i, r in enumerate(mat.rows):
         if r:
             by_lead.setdefault(min(r), []).append(
-                (i, dict(r) if ints else integral(r)))
+                (i, dict(r) if ints else integral(r)[1]))
     pivots: list[int] = []
     out: list[dict] = []
     holders: dict[int, list[dict]] = {}
@@ -129,10 +129,11 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     return [out[i] for i in order], [pivots[i] for i in order]
 
 
-def integral(vec: dict) -> dict:
-    """``vec`` times the least common denominator of its entries, as ints."""
+def integral(vec: dict) -> tuple[int, dict]:
+    """The least common denominator d of ``vec``'s entries (1 when it is
+    empty), and d * ``vec`` as ints."""
     d = math.lcm(*(v.denominator for v in vec.values()))
-    return {c: v.numerator * (d // v.denominator) for c, v in vec.items()}
+    return d, {c: v.numerator * (d // v.denominator) for c, v in vec.items()}
 
 
 def _normalized(row: dict, lead: int) -> dict:
@@ -294,7 +295,7 @@ class Eliminator:
     def reduce(self, vec: dict) -> dict:
         vec = {c: v for c, v in vec.items() if v}
         if type(sum(vec.values())) is not int:  # a Fraction entry makes a Fraction sum
-            vec = integral(vec)
+            _, vec = integral(vec)
         rows = self.rows
         while vec:
             lead = min(vec)

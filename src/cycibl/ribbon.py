@@ -229,7 +229,9 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
     there is no reduced class.  Negative counts are rejected before the
     cache is consulted, so it only ever holds the finitely many types
     within the enumeration budget: at most 4 internal vertices, 24
-    half-edges and 100,000 e-edge matchings of a layout.
+    half-edges and 100,000 e-edge matchings summed over the half-edge
+    layouts walked (one per valency list: a single one when ``trivalent``,
+    else one per partition of the half-edges into k valencies).
 
     Each valency list lays the half-edges out in consecutive vertex blocks,
     and the e-edge matchings of that layout are walked in a fixed order
@@ -256,16 +258,6 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
     if k == 0 or e < k - 1:
         return []
     n = 2 * e + legs
-    # the e-edge matchings of one half-edge layout, C(n, 2e) (2e - 1)!!,
-    # bound the walk; every trivalent type within 4 vertices has at most
-    # 62,370 of them
-    matchings = math.comb(n, 2 * e) * math.prod(range(2 * e - 1, 0, -2))
-    if k > 4 or n > 24 or matchings > 100_000:
-        raise EnumerationBudgetExceeded(
-            f"enumeration budget exceeded: {k} vertices, {n} half-edges and "
-            f"{matchings} matchings per layout (at most 4, 24 and 100000)")
-    if (trivalent and 3 * k != n) or (reduced and legs < l):
-        return []
 
     # distribute valencies over vertices (nondecreasing partitions)
     def partitions(total, parts, minimum=1):
@@ -277,9 +269,26 @@ def enumerate_graphs(k: int, l: int, g: int, legs: int,
             for rest in partitions(total - first, parts - 1, first):
                 yield (first,) + rest
 
+    # the e-edge matchings of every half-edge layout walked, C(n, 2e)
+    # (2e - 1)!! each, bound the walk; a trivalent type within 4 vertices
+    # has at most 62,370 of them
+    matchings = None
+    if k <= 4 and n <= 24:
+        layouts = [(3,) * k] if trivalent else list(partitions(n, k))
+        matchings = len(layouts) * math.comb(n, 2 * e) * \
+            math.prod(range(2 * e - 1, 0, -2))
+    if matchings is None or matchings > 100_000:
+        walk = "" if matchings is None else \
+            f", {matchings} matchings over {len(layouts)} half-edge layouts"
+        raise EnumerationBudgetExceeded(
+            f"enumeration budget exceeded: {k} vertices, {n} half-edges{walk} "
+            f"(at most 4 vertices, 24 half-edges and 100000 matchings)")
+    if (trivalent and 3 * k != n) or (reduced and legs < l):
+        return []
+
     bit = [[1 << (min(a, b) * n + max(a, b)) for b in range(n)] for a in range(n)]
     seen_signatures = {}
-    for vals in [(3,) * k] if trivalent else partitions(n, k):
+    for vals in layouts:
         # half-edge layout: vertex i owns the block from starts[i]
         starts = [sum(vals[:i]) for i in range(k)]
         blocks = [tuple(range(a, a + v)) for a, v in zip(starts, vals)]
@@ -528,6 +537,29 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
     components.  Sums over all vertex orders, boundary orders and boundary
     marks with a compatible edge labeling in each summand.
 
+    Vertex orders: the order pi puts ``psis[i]`` on vertex pi(i).  For
+    homogeneous cochains and a homogeneous twist-symmetric propagator of
+    degree |P|, its term is sign(pi)^|P| times the Koszul sign of pi in the
+    cochain degrees times the identity-order term with the cochains so
+    placed: relabeling the vertices composes the routing with a block
+    permutation, a block is nonzero only at its cochain's degree, and the
+    compatible edge labeling flips edge 0 exactly when pi is odd, which
+    twist symmetry turns into (-1)^|P|.  With one cochain psi at every
+    vertex the k! orders thus sum to k! times the identity term when
+    deg psi + |P| is even, and to 0 when it is odd and k >= 2.
+
+    So the sum runs once per vertex arrangement, a placement of the
+    cochains on the vertices.  Entries of ``psis`` that are one object form
+    a group; the m_g! orders that only permute its copies give one
+    arrangement, their terms differing by sign^(deg psi_g + |P|) (moving
+    blocks of one degree past the others costs an even sign).  An
+    arrangement is evaluated under its order that keeps each group's
+    vertices increasing, weighted by the product of the m_g!; a group of
+    m_g >= 2 with odd deg psi_g + |P| makes the sum 0, with no vertex
+    evaluated.  Grouping applies only to a degree-homogeneous
+    twist-symmetric propagator and to cochains whose ``degree()`` is not
+    None; otherwise every order is its own arrangement.
+
     The sum is evaluated as a contraction, each piece computed once:
     - the vertex-block spans, per vertex order;
     - the compatible edge labeling and the slot routing ``sigma_L`` at
@@ -539,17 +571,6 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
     evaluated as soon as its edges carry letters, and a zero value prunes
     every assignment of the later edges; only a nonzero product of all
     block and propagator values pays for the Koszul sign of the routing.
-
-    Vertex orders: the order pi puts ``psis[i]`` on vertex pi(i).  For
-    homogeneous cochains and a homogeneous twist-symmetric propagator of
-    degree |P|, its term is sign(pi)^|P| times the Koszul sign of pi in the
-    cochain degrees times the identity-order term with the cochains so
-    placed: relabeling the vertices composes the routing with a block
-    permutation, a block is nonzero only at its cochain's degree, and the
-    compatible edge labeling flips edge 0 exactly when pi is odd, which
-    twist symmetry turns into (-1)^|P|.  With one cochain psi at every
-    vertex the k! orders thus sum to k! times the identity term when
-    deg psi + |P| is even, and to 0 when it is odd and k >= 2.
     """
     k = len(graph.vertices)
     l = len(graph.boundaries())
@@ -564,7 +585,30 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
     n_slots = 2 * e + len(word_letters)
     total = Fraction(0)
 
+    # chain[i]: the previous entry of psis[i]'s group, on a lesser vertex
+    chain = [None] * k
+    multiplicity = 1
+    if len({id(psi) for psi in psis}) < k:
+        from .green import KernelTensor
+        pdegs = {deg[a] + deg[b] for (a, b), _ in items}
+        pdeg = min(pdegs, default=0)
+        if len(pdegs) <= 1 and \
+                KernelTensor(s.basis, pdeg, propagator).is_symmetric_propagator():
+            for i in range(k):
+                same = [j for j in range(i) if psis[j] is psis[i]]
+                degree = getattr(psis[i], "degree", None)
+                d = degree() if same and degree else None
+                if d is None:
+                    continue
+                if (d + pdeg) % 2:
+                    return Fraction(0)
+                chain[i] = same[-1]
+                multiplicity *= len(same) + 1
+
     for vertex_order in permutations(range(k)):
+        if any(j is not None and vertex_order[j] > vertex_order[i]
+               for i, j in enumerate(chain)):
+            continue
         vertex_marks = tuple(graph.vertices[v][0] for v in vertex_order)
         spans = []
         block_at = []
@@ -616,7 +660,7 @@ def graph_pairing(s: CyclicStructure, graph: RibbonGraph,
                     return acc
 
                 total += descend(0, Fraction(1))
-    return total
+    return multiplicity * total
 
 
 def f_klg(s: CyclicStructure, propagator: dict, psis: list,

@@ -416,6 +416,9 @@ def test_negative_graph_arguments_are_input_errors(capsys, argv):
     ["graphs", "5", "1", "0"],
     ["graphs", "2", "1", "0", "--legs", "30"],
     ["graphs", "1", "1", "5", "--legs", "0"],  # 19!! matchings of one layout
+    # 62,370 matchings per layout, over 15 and 6 layouts
+    ["graphs", "4", "1", "1", "--legs", "2"],
+    ["graphs", "2", "1", "2", "--legs", "2"],
 ])
 def test_graphs_beyond_the_enumeration_budget_are_input_errors(capsys, argv):
     start = time.perf_counter()

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycibl import dibl
 from cycibl.algebra import check_ainfty, dual_b, hochschild_b_cyclic, unit_cochain
@@ -1125,3 +1126,166 @@ def test_labels_never_influence_a_computation():
             for v in short[::3]:
                 assert q210(r, wdual(r, u), wdual(r, v)).values == \
                     q210(s, wdual(s, u), wdual(s, v)).values, (s.name, u, v)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route of the contractions, the oracle of their int route:
+# q210, q120 and circ1 term by term over the rational T, each term a
+# Fraction
+# ---------------------------------------------------------------------------
+
+def fraction_q210(s, psi1, psi2):
+    T = t_tensor(s)
+    bound = dibl._contraction_bound(psi1, psi2)
+    out = CochainTensor(s.basis, 1, psi1.slot_shift, bound)
+    acc = {}
+    memo = {}
+    for (u,), c1 in psi1.items():
+        for (v,), c2 in psi2.items():
+            if bound is not None and len(u) + len(v) - 2 > bound:
+                continue
+            for w, c in dibl.dual_word_product(s, T, u, v, memo).items():
+                acc[w] = acc.get(w, Fraction(0)) + c1 * c2 * c
+    out.values = {(w,): c for w, c in acc.items() if c}
+    return out
+
+
+def fraction_q120(s, psi):
+    T = t_tensor(s)
+    bound = None if psi.weight_bound is None else psi.weight_bound - 2
+    out = CochainTensor(s.basis, 2, psi.slot_shift, bound)
+    acc = {}
+    memo = {}
+    for (u,), c in psi.items():
+        if bound is not None and len(u) - 2 > bound:
+            continue
+        for key, v in dibl.dual_word_coproduct(s, T, u, memo).items():
+            acc[key] = acc.get(key, 0) + c * v
+    out.values = {key: Fraction(c, 2) for key, c in acc.items() if c}
+    return out
+
+
+def fraction_circ1(s, pmc_lg, psi):
+    T = t_tensor(s)
+    basis, shift = s.basis, psi.slot_shift
+    bound = dibl._contraction_bound(pmc_lg, psi)
+    out = CochainTensor(basis, pmc_lg.arity, shift, bound)
+    memo = {}
+    for key, ce in pmc_lg.items():
+        weight = sum(len(v) for v in key)
+        before = shift
+        for j, v in enumerate(key):
+            dv = basis.word_degree(v)
+            for (u,), cp in psi.items():
+                if bound is not None and weight + len(u) - 2 > bound:
+                    continue
+                for w, c in dibl.dual_word_product(s, T, u, v, memo).items():
+                    new = key[:j] + (w,) + key[j + 1:]
+                    if (dv + basis.word_degree(w)) * before % 2:
+                        c = -c
+                    out.add(new, c * ce * cp * Fraction(new.count(w), key.count(v)))
+            before += slot_degree(v, basis, shift)
+    return out
+
+
+def fraction_twisted_q110(s, pmc, psi):
+    e10 = pmc.entry(1, 0)
+    return q110(s, psi) + fraction_q210(s, e10, psi).scaled(collection_sign(s, e10))
+
+
+def fraction_twisted_q120(s, pmc, psi):
+    base = fraction_q120(s, psi)
+    e20 = pmc.entry(2, 0)
+    return base if e20.is_zero() else base + fraction_circ1(s, e20, psi)
+
+
+def _pairing_scaled(s, c):
+    """s with its pairing scaled by c: the relations are homogeneous in the
+    pairing, and c = 2/3 gives a T with a denominator."""
+    return s.replace(name=f"{s.name} P*{c}",
+                     pairing=[[c * x for x in row] for row in s.pairing])
+
+
+CONTRACTION_MODELS = [build_sn(3).structure, build_cpn(2).structure,
+                      _pairing_scaled(build_cpn(2).structure, Fraction(2, 3)),
+                      random_cyclic_dga(6, seed=0), random_cyclic_dga(6, seed=5),
+                      random_cyclic_dga(10, seed=1)]
+VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+
+
+@st.composite
+def contraction_cases(draw):
+    """A model, two arity-1 cochains and an arity-2 or -3 entry, each on a
+    few short words with small non-integral values and truncated at a
+    drawn bound or not at all; entry keys often repeat a slot word."""
+    s = draw(st.sampled_from(CONTRACTION_MODELS))
+    top = 3 if len(s.basis) > 6 else 4
+    words = {w: list(canonical_words(s.basis, w)) for w in range(1, top + 1)}
+
+    def cochain():
+        bound = draw(st.sampled_from([None, 2, 3, 4, 5, 6]))
+        pool = [u for w, us in words.items() if bound is None or w <= bound
+                for u in us]
+        psi = CochainTensor(s.basis, 1, s.slot_shift, bound)
+        for u in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)):
+            psi.add((u,), draw(VALUES))
+        return psi
+
+    arity = draw(st.sampled_from([2, 3]))
+    entry = CochainTensor(s.basis, arity, s.slot_shift,
+                          draw(st.sampled_from([None, arity + 1, 2 * arity])))
+    short = words[1] + words[2]
+    for _ in range(draw(st.integers(1, 5))):
+        key = [draw(st.sampled_from(short)) for _ in range(arity)]
+        if draw(st.booleans()):
+            key[1] = key[0]
+        if entry.weight_bound is None or sum(map(len, key)) <= entry.weight_bound:
+            entry.add(tuple(key), draw(VALUES))
+    return s, cochain(), cochain(), entry, draw(VALUES)
+
+
+def _cancelled(s, fraction_op, psi):
+    """psi plus a multiple of one of its dual words that cancels the first
+    output key two of its dual words reach, and that key; (psi, None) when
+    no key is reached twice."""
+    parts = {u: fraction_op(wdual(s, u, psi.weight_bound)) for (u,) in psi.values}
+    reached = Counter(key for out in parts.values() for key in out.values)
+    total = fraction_op(psi).values
+    for key in total:
+        if reached[key] >= 2:
+            u = next(u for u, out in parts.items() if key in out.values)
+            fix = wdual(s, u, psi.weight_bound).scaled(-total[key] / parts[u].values[key])
+            return psi + fix, key
+    return psi, None
+
+
+def _assert_same(got, want):
+    assert got.weight_bound == want.weight_bound
+    assert set(got.values) == set(want.values)
+    assert got.values == want.values
+    assert all(type(c) is Fraction for c in got.values.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(contraction_cases())
+def test_int_contractions_match_the_fraction_route(case):
+    # values, key sets and weight bounds of the int route equal the Fraction
+    # route's, also where a key's terms cancel exactly
+    s, psi1, psi2, entry, scale = case
+    _assert_same(q210(s, psi1, psi2), fraction_q210(s, psi1, psi2))
+    _assert_same(q120(s, psi1), fraction_q120(s, psi1))
+    _assert_same(circ1(s, entry, psi1), fraction_circ1(s, entry, psi1))
+    cases = [(lambda psi: q210(s, psi, psi2), lambda psi: fraction_q210(s, psi, psi2)),
+             (lambda psi: q120(s, psi), lambda psi: fraction_q120(s, psi)),
+             (lambda psi: circ1(s, entry, psi), lambda psi: fraction_circ1(s, entry, psi))]
+    for op, fraction_op in cases:
+        psi, key = _cancelled(s, fraction_op, psi1)
+        got = op(psi)
+        _assert_same(got, fraction_op(psi))
+        assert key not in got.values
+    pmc = MaurerCartanFamily(s, {(1, 0): canonical_mc(s).entry(1, 0).scaled(scale),
+                                 (2, 0): entry if entry.arity == 2 else
+                                 CochainTensor(s.basis, 2, s.slot_shift)})
+    for psi in (psi1, psi2):
+        _assert_same(twisted_q110(s, pmc, psi), fraction_twisted_q110(s, pmc, psi))
+        _assert_same(twisted_q120(s, pmc, psi), fraction_twisted_q120(s, pmc, psi))

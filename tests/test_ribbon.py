@@ -376,6 +376,46 @@ def test_pushforward_is_the_signed_graph_sum_of_the_canonical_entry():
     assert nonzero >= 5, nonzero
 
 
+def test_pushforward_evaluates_each_graph_under_one_vertex_order(monkeypatch):
+    # the canonical entry at every vertex is one group: eval_word, counted
+    # through a wrapper, runs under the identity vertex order only in each
+    # graph pairing, so a return of the k! loop over orders fails here
+    from cycibl import ribbon
+    s = random_cyclic_dga(6, seed=5)
+    kernel = unit_propagator(s, random.Random(5))
+    want = pushforward_mc(s, s, kernel, 5).entries
+    pairings, orders, evals = [], [], Counter()
+    pairing, labeling = ribbon.graph_pairing, ribbon.compatible_edge_labeling
+    eval_word = CochainTensor.eval_word
+
+    def spy_pairing(s, graph, propagator, psis, words):
+        pairings.append(graph)
+        return pairing(s, graph, propagator, psis, words)
+
+    def spy_labeling(graph, vertex_order, boundary_order):
+        orders.append(vertex_order)
+        return labeling(graph, vertex_order, boundary_order)
+
+    def spy_eval(self, letters):
+        evals[(len(pairings) - 1, orders[-1])] += 1
+        return eval_word(self, letters)
+
+    monkeypatch.setattr(ribbon, "graph_pairing", spy_pairing)
+    monkeypatch.setattr(ribbon, "compatible_edge_labeling", spy_labeling)
+    monkeypatch.setattr(CochainTensor, "eval_word", spy_eval)
+    got = pushforward_mc(s, s, kernel, 5).entries
+    assert {key: ten.values for key, ten in got.items()} == \
+        {key: ten.values for key, ten in want.items()}
+    per_call = {}
+    for call, order in evals:
+        per_call.setdefault(call, []).append(order)
+    assert all(evaluated == [tuple(range(len(pairings[call].vertices)))]
+               for call, evaluated in per_call.items()), per_call
+    trees = [call for call in per_call if pairings[call].counts()[1:] == (1, 0)
+             and len(pairings[call].vertices) == 3]
+    assert len(trees) >= 10 and sum(evals.values()) >= 100, (len(trees), evals)
+
+
 def test_pushforward_without_product_gives_zero_family():
     # no product means no vertex cochain: only the (1, 0) entry, zero and
     # at the full weight bound
@@ -829,6 +869,120 @@ def test_vertex_orders_differ_by_the_sign_of_the_order():
                             term and koszul_sign(pi, ds) < 0
                             for pi, term in terms.items())
     assert mixed[(2, 1)] and mixed[(3, 1)] and mixed["odd swap"], mixed
+
+
+def graded_cochain(s, words, d, rng):
+    """A combination of the dual words of degree d among ``words``, with
+    small non-integral values."""
+    psi = CochainTensor(s.basis, 1, s.slot_shift)
+    for u in words:
+        if s.basis.word_degree(u) == d:
+            psi.add((u,), Fraction(rng.choice((-3, -1, 1, 2, 4)), rng.randint(1, 3)))
+    return psi
+
+
+def arrangement_orders(psis):
+    """One vertex order per arrangement of psis: the one that keeps the
+    vertices of each group of one object increasing."""
+    k = len(psis)
+    return [pi for pi in permutations(range(k))
+            if all(pi[j] < pi[i] for i in range(k) for j in range(i)
+                   if psis[j] is psis[i])]
+
+
+def grouped_sum(s, graph, propagator, psis, words):
+    """The oracle on :func:`arrangement_orders` times the product of the
+    group factorials: the sum grouping would give for an even group."""
+    weight = math.prod(map(math.factorial, Counter(map(id, psis)).values()))
+    return weight * oracle_graph_pairing(s, graph, propagator, psis, words,
+                                         arrangement_orders(psis))
+
+
+# entries of psis as indices into (psi, phi): repeats mixed with distinct ones
+ARRANGEMENTS = {2: ((0, 0),), 3: ((0, 0, 1), (0, 1, 0)), 4: ((0, 1, 0, 1), (0, 0, 0, 1))}
+
+
+def test_graph_pairing_sums_once_per_arrangement():
+    # repeated cochains mixed with distinct ones: graph_pairing is the full
+    # oracle sum where grouping applies (0 for a group of odd deg psi + |P|)
+    # and where it must not: a propagator that is not twist-symmetric and an
+    # inhomogeneous psi, on which the grouped sum would be wrong.  A case is
+    # kept when the oracle has a nonzero term on one order per arrangement
+    rng = random.Random(53)
+    seen = Counter()
+    for s, types in ((build_sn(3).structure, ((3, 1), (4, 1), (2, 2))),
+                     (build_cpn(2).structure, ((3, 1), (4, 1), (2, 2))),
+                     (random_cyclic_dga(6, seed=0), ((3, 1), (2, 2)))):
+        deg, n = s.basis.degrees, len(s.basis)
+        words = [u for w in range(1, 5) for u in canonical_words(s.basis, w)]
+        wdegs = sorted({s.basis.word_degree(u) for u in words})
+        for pdeg in sorted({deg[i] + deg[j] for i in range(n) for j in range(n)}):
+            P = random_symmetric_propagator(s, pdeg, rng)
+            off = [key for key in sorted(P) if key[0] != key[1]]
+            if not off:
+                continue
+            skew = dict(P)
+            skew[off[0]] *= 3
+            for k, l in types:
+                for legs in range(1, 6):
+                    for graph, _ in enumerate_graphs(k, l, 0, legs)[:4]:
+                        for pattern, _ in iproduct(ARRANGEMENTS[k], range(40)):
+                            ds = rng.choices(wdegs, k=2)
+                            parity = (ds[0] + pdeg) % 2
+                            if seen[(k, l, parity)] >= 2:
+                                continue
+                            psi, phi = (graded_cochain(s, words, d, rng) for d in ds)
+                            psis = [(psi, phi)[c] for c in pattern]
+                            target = sum(ds[c] for c in pattern) - (k + l - 2) * pdeg
+                            for _ in range(50):
+                                ws = [tuple(rng.randrange(n) for _ in b)
+                                      for b in graph.boundary_legs()]
+                                if sum(deg[x] for w in ws for x in w) == target:
+                                    break
+                            else:
+                                continue
+                            if not oracle_graph_pairing(s, graph, P, psis, ws,
+                                                        arrangement_orders(psis)):
+                                continue
+                            want = oracle_graph_pairing(s, graph, P, psis, ws)
+                            assert graph_pairing(s, graph, P, psis, ws) == want
+                            assert not (parity and want)
+                            seen[(k, l, parity)] += 1
+                            mixed = psi + graded_cochain(
+                                s, words, rng.choice([d for d in wdegs if d != ds[0]]), rng)
+                            for P2, psis2, name in (
+                                    (skew, psis, "not twist-symmetric"),
+                                    (P, [(mixed, phi)[c] for c in pattern], "inhomogeneous")):
+                                want = oracle_graph_pairing(s, graph, P2, psis2, ws)
+                                assert graph_pairing(s, graph, P2, psis2, ws) == want
+                                seen[name] += want != grouped_sum(s, graph, P2, psis2, ws)
+    assert {key for key in seen if key[0] in (2, 3, 4)} == {
+        (k, l, parity) for k, l in ((3, 1), (4, 1), (2, 2)) for parity in (0, 1)}, seen
+    assert seen["not twist-symmetric"] and seen["inhomogeneous"], seen
+
+
+def test_graph_pairing_does_not_group_cochains_without_a_degree():
+    # the m2+ table has no degree(): its copies, beside a cochain that has
+    # one, are summed over every order, as the oracle does
+    rng = random.Random(59)
+    nonzero = 0
+    for s, propagator in dense_propagators():
+        m2p = OracleMuPlusCochain(s)
+        entry = canonical_mc(s).entry(1, 0)
+        for (k, l, legs), pattern in (((3, 1, 5), (0, 0, 1)), ((2, 2, 2), (0, 0)),
+                                      ((4, 1, 6), (0, 1, 0, 0))):
+            psis = [(m2p, entry)[c] for c in pattern]
+            for graph, _ in enumerate_graphs(k, l, 0, legs, trivalent=True)[:3]:
+                if l == 1:
+                    ws = [supported_word(graph, propagator, m2p.values, rng) or
+                          tuple(rng.randrange(len(s.basis)) for _ in range(legs))]
+                else:
+                    ws = [tuple(rng.randrange(len(s.basis)) for _ in b)
+                          for b in graph.boundary_legs()]
+                want = oracle_graph_pairing(s, graph, propagator, psis, ws)
+                assert graph_pairing(s, graph, propagator, psis, ws) == want
+                nonzero += bool(want)
+    assert nonzero, nonzero
 
 
 def dense_propagators():
