@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import SparseMatrix, add_into, add_scaled, rank, solve
+from .linalg import SparseMatrix, add_into, add_scaled, integral, rank, solve
 from .signs import GradedBasis, koszul_sign
 from .words import (CochainTensor, TruncationError, Word, canonical_words,
                     canonicalize, rotation_sign, rotations)
@@ -47,7 +47,7 @@ class CyclicStructure:
     pairing degree ``2 - m`` and every sign of the canonical operations.
     Construction drops zero outputs from ``mu`` and checks the pairing's
     shape.  Two structures are equal when their fields are; the caches of
-    the dual basis, of ``T`` and of its integral multiple take no part.
+    the dual basis and of ``T`` take no part.
     """
 
     _FIELDS = ("name", "basis", "manifold_dim", "pairing", "mu", "unit",
@@ -71,8 +71,7 @@ class CyclicStructure:
         self.unit = unit
         self.augmentation = augmentation
         self._dual: list[Vector] | None = None
-        self._t_tensor: dict | None = None
-        self._t_int: tuple[int, dict] | None = None
+        self._t_tensor: tuple[int, dict] | None = None
 
     def __eq__(self, other):
         if other.__class__ is not CyclicStructure:
@@ -86,7 +85,7 @@ class CyclicStructure:
         out = CyclicStructure(**{**{f: getattr(self, f) for f in self._FIELDS},
                                  **changes})
         if "basis" not in changes and "pairing" not in changes:
-            out._dual, out._t_tensor, out._t_int = self._dual, self._t_tensor, self._t_int
+            out._dual, out._t_tensor = self._dual, self._t_tensor
         return out
 
     # -- pairing ------------------------------------------------------
@@ -151,10 +150,9 @@ def integral_multiple(s: CyclicStructure) -> tuple[int, CyclicStructure]:
 
     Its bar differential is D times that of ``s``: same kernels and images.
     """
-    D = math.lcm(*(c.denominator for table in s.mu.values()
-                   for img in table.values() for c in img.values()))
-    mu = {k: {t: {o: c.numerator * (D // c.denominator) for o, c in img.items()}
-              for t, img in table.items()} for k, table in s.mu.items()}
+    D, *ints = integral(*(img for table in s.mu.values() for img in table.values()))
+    ints = iter(ints)
+    mu = {k: dict(zip(table, ints)) for k, table in s.mu.items()}
     return D, CyclicStructure(s.name, s.basis, s.manifold_dim, None, mu, s.unit)
 
 

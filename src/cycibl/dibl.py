@@ -29,13 +29,12 @@ Each output word is counted once per rotation equal to it as a tensor.
 The unit relations are the partial composition with the dual of the unit
 letter, which inserts the volume letter into the entry's stored words.
 
-These contractions run on ints.  T enters as D_T T, D_T the least common
-denominator of its entries, computed once per structure beside T; each
-cochain enters as its values times their least common denominator.  The
-terms of an output word are summed as ints, and its value is one
-``Fraction``: that sum over the product of the denominators, times 2 for
-the coproduct's half and lcm(1..l) for the count factor of the partial
-composition into an arity-l entry.
+These contractions run on ints, in the int form of :mod:`cycibl.linalg`:
+T enters as D_T T, cached once per structure, and the cochains as their
+values over their least common denominator.  An output word's value is
+one ``Fraction``: its int sum over the product of the denominators, times
+2 for the coproduct's half and lcm(1..l) for the count factor of the
+partial composition into an arity-l entry.
 
 All cochains are stored unshifted; the degree shift per slot under which
 these operations become symmetric is ``m - 3``, carried as the tensors'
@@ -56,8 +55,16 @@ from .words import (CochainTensor, TruncationError, Word, canonical_key,
 
 
 def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
-    """Sparse contraction tensor T^{ij} = (-1)^|e_i| P(e^i, e^j), computed
-    once per structure; every call returns a fresh dict."""
+    """Sparse contraction tensor T^{ij} = (-1)^|e_i| P(e^i, e^j); every
+    call returns a fresh dict, read off the cached D_T T of
+    :func:`_integral_t`."""
+    d_t, T = _integral_t(s)
+    return {k: Fraction(v, d_t) for k, v in T.items()}
+
+
+def _integral_t(s: CyclicStructure) -> tuple[int, dict[tuple[int, int], int]]:
+    """D_T, the least common denominator of T, and D_T T as ints, computed
+    once per structure; callers only read it."""
     if s._t_tensor is None:
         dual = s.dual_basis()
         T = {}
@@ -66,16 +73,8 @@ def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
             for j in range(len(s.basis)):
                 if v := sgn * s.pair(dual[i], dual[j]):
                     T[(i, j)] = v
-        s._t_tensor = T
-    return dict(s._t_tensor)
-
-
-def _integral_t(s: CyclicStructure) -> tuple[int, dict[tuple[int, int], int]]:
-    """D_T, the least common denominator of T, and D_T T as ints, computed
-    once per structure beside T; callers only read it."""
-    if s._t_int is None:
-        s._t_int = integral(t_tensor(s))
-    return s._t_int
+        s._t_tensor = integral(T)
+    return s._t_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +157,7 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor
     d_t, T = _integral_t(s)
     bound = _contraction_bound(psi1, psi2)
     out = CochainTensor(s.basis, 1, psi1.slot_shift, bound)
-    d1, values1 = integral(psi1.values)
-    d2, values2 = integral(psi2.values)
+    d, values1, values2 = integral(psi1.values, psi2.values)
     acc: dict[Word, int] = {}
     memo: dict = {}
     for (u,), c1 in values1.items():
@@ -168,7 +166,7 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor
                 continue
             for w, c in dual_word_product(s, T, u, v, memo).items():
                 acc[w] = acc.get(w, 0) + c1 * c2 * c
-    den = d_t * d1 * d2
+    den = d_t * d * d
     out.values = {(w,): Fraction(c, den) for w, c in acc.items() if c}
     return out
 
@@ -357,8 +355,7 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
     basis, shift = s.basis, psi.slot_shift
     bound = _contraction_bound(pmc_lg, psi)
     out = CochainTensor(basis, pmc_lg.arity, shift, bound)
-    d_e, entry = integral(pmc_lg.values)
-    d_psi, values = integral(psi.values)
+    d, entry, values = integral(pmc_lg.values, psi.values)
     d_count = math.lcm(*range(1, pmc_lg.arity + 1))
     acc: dict[tuple[Word, ...], int] = {}
     memo: dict = {}
@@ -380,7 +377,7 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
                         sign = -sign
                     acc[new] = acc.get(new, 0) + sign * c * cp * per_slot * new.count(w)
             before += slot_degree(v, basis, shift)
-    den = d_t * d_e * d_psi * d_count
+    den = d_t * d * d * d_count
     out.values = {key: Fraction(c, den) for key, c in acc.items() if c}
     return out
 

@@ -1,12 +1,11 @@
 """Algebraic Schwartz kernels and the homotopy ("Green") operator pipeline.
 
 Operators are degree-homogeneous linear maps on the shifted space, stored
-as int columns over one positive denominator in primitive form (the gcd
-of the denominator and every entry is 1), so equal operators have equal
-fields.  ``compose``, ``add``, ``scaled`` and ``is_zero`` work on ints
-only; ``Fraction``s appear where values leave an operator (``apply``,
-``entries``, ``columns``).  For an operator L of degree |L| the kernel
-tensor K_L in the two-fold tensor square satisfies
+as int columns over one positive denominator in the primitive form of
+:mod:`cycibl.linalg`, so equal operators have equal fields; ``compose``,
+``add``, ``scaled`` and ``is_zero`` work on ints only.  For an operator L
+of degree |L| the kernel tensor K_L in the two-fold tensor square
+satisfies
 
     P(L(w1), w2) = P(K_L, w1 ⊗ w2)
 
@@ -30,29 +29,14 @@ G' = G - m1 G G G m1.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .algebra import CyclicStructure
-from .linalg import SparseMatrix, add_into, add_scaled, integral, kernel_basis, solve
+from .linalg import (SparseMatrix, add_into, add_scaled, integral, kernel_basis,
+                     primitive, solve)
 
 Vector = dict[int, Fraction]
 IntVector = dict[int, int]
-
-
-def _int_vectors(vectors) -> tuple[list[IntVector], int]:
-    """The nonzero entries of ``vectors`` (ints or ``Fraction``s) as int
-    vectors over their least common denominator, and that denominator."""
-    den = math.lcm(1, *(c.denominator for v in vectors for c in v.values()))
-    return [{i: c.numerator * (den // c.denominator) for i, c in v.items() if c}
-            for v in vectors], den
-
-
-def _primitive(vec: dict) -> IntVector:
-    """The primitive int vector on the ray of ``vec`` (ints or ``Fraction``s)."""
-    _, vec = integral(vec)
-    g = math.gcd(*vec.values())
-    return vec if g == 1 else {i: c // g for i, c in vec.items()}
 
 
 class LinearOperator:
@@ -63,16 +47,16 @@ class LinearOperator:
     __slots__ = ("basis", "degree", "cols", "den")
 
     def __init__(self, basis, degree: int, columns: list[Vector] | None = None):
-        self._set(basis, degree, *_int_vectors(
-            [{}] * len(basis) if columns is None else columns))
+        den, *cols = integral(*([{}] * len(basis) if columns is None else columns))
+        self._set(basis, degree, cols, den)
 
     def _set(self, basis, degree: int, cols: list[IntVector], den: int) -> None:
-        """Check shape and degree homogeneity, then store in primitive form."""
+        """Check shape and degree homogeneity, then store ``cols``, divided
+        in place, over ``den`` in primitive form."""
         degs = basis.degrees
         n = len(degs)
         if len(cols) != n:
             raise ValueError(f"{len(cols)} columns for a basis of {n} vectors")
-        g = den
         for j, col in enumerate(cols):
             want = degs[j] + degree
             for i in col:
@@ -80,11 +64,7 @@ class LinearOperator:
                     raise ValueError(f"row {i} of column {j} is outside range({n})")
                 if degs[i] != want:
                     raise ValueError(f"entry ({i},{j}) violates degree homogeneity")
-            if g != 1:
-                g = math.gcd(g, *col.values())
-        if g != 1:
-            cols = [{i: c // g for i, c in col.items()} for col in cols]
-            den //= g
+        den = primitive(cols, den)
         self.basis, self.degree, self.cols, self.den = basis, degree, cols, den
 
     def _image(self, vec: dict) -> dict:
@@ -95,7 +75,7 @@ class LinearOperator:
         return out
 
     def apply(self, vec: Vector) -> Vector:
-        (ints,), d = _int_vectors([vec])
+        d, ints = integral(vec)
         return {i: Fraction(c, self.den * d) for i, c in self._image(ints).items()}
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
@@ -108,16 +88,18 @@ class LinearOperator:
         """self + scale·other, for an int or ``Fraction`` scale."""
         if other.degree != self.degree:
             raise ValueError("cannot add operators of different degrees")
-        q = other.den * scale.denominator
-        den = math.lcm(self.den, q)
-        a, b = den // self.den, scale.numerator * (den // q)
+        q, num = integral({0: scale})
+        a, b = q * other.den, num.get(0, 0) * self.den
         cols = [{i: a * c for i, c in col.items()} for col in self.cols]
         for col, other_col in zip(cols, other.cols):
             add_scaled(col, other_col, b)
-        return _int_operator(self.basis, self.degree, cols, den)
+        return _int_operator(self.basis, self.degree, cols, a * self.den)
 
     def scaled(self, scale) -> "LinearOperator":
-        return LinearOperator(self.basis, self.degree).add(self, scale)
+        q, num = integral({0: scale})
+        p = num.get(0, 0)
+        cols = [{i: p * c for i, c in col.items() if p} for col in self.cols]
+        return _int_operator(self.basis, self.degree, cols, self.den * q)
 
     def is_zero(self) -> bool:
         return not any(self.cols)
@@ -162,9 +144,8 @@ def adjoint(s: CyclicStructure, L: LinearOperator) -> LinearOperator:
     contracted with the int rows of the pairing matrix, fills row i of
     every column.
     """
-    dual, dual_den = _int_vectors(s.dual_basis())
-    prows, pden = _int_vectors([{j: x for j, x in enumerate(row) if x}
-                                for row in s.pairing])
+    dual_den, *dual = integral(*s.dual_basis())
+    pden, *prows = integral(*(dict(enumerate(row)) for row in s.pairing))
     pdeg = pairing_degree(s)
     cols: list[IntVector] = [dict() for _ in dual]
     for i, vec in enumerate(dual):
@@ -263,17 +244,22 @@ class HarmonicSplitting:
         self.den = den
 
 
-def _orth_complement_inside(universe: list[IntVector],
+def _orth_complement_inside(universe: list[Vector],
                             subspace: list[IntVector]) -> list[IntVector]:
-    """Dot-product orthogonal complement of span(subspace) inside span(universe)."""
-    if not subspace:
-        return [dict(v) for v in universe]
-    # universe-combinations annihilating every dot product with the subspace
-    rows = [{c: dot for c, u in enumerate(universe)
-             if (dot := sum(a * u.get(i, 0) for i, a in w.items()))}
-            for w in subspace]
-    mat = SparseMatrix(len(subspace), len(universe), rows)
-    return [_primitive(_expand(combo, universe, 0)) for combo in kernel_basis(mat)]
+    """Dot-product orthogonal complement of span(subspace) inside
+    span(universe), one primitive int vector per spanning ray."""
+    _, *universe = integral(*universe)
+    if subspace:
+        # universe-combinations annihilating every dot product with the subspace
+        rows = [{c: dot for c, u in enumerate(universe)
+                 if (dot := sum(a * u.get(i, 0) for i, a in w.items()))}
+                for w in subspace]
+        mat = SparseMatrix(len(subspace), len(universe), rows)
+        _, *universe = integral(*(_expand(combo, universe, 0)
+                                  for combo in kernel_basis(mat)))
+    for vec in universe:
+        primitive((vec,))
+    return universe
 
 
 def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
@@ -291,8 +277,7 @@ def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     harmonic: list[IntVector] = []
     image_by_deg: dict[int, list[IntVector]] = {}
     for d, idx in sorted(by_deg.items()):
-        kb = [_primitive(vec) for vec in kernel_basis(
-            SparseMatrix.from_columns(n, [m1.cols[i] for i in idx]))]
+        kb = kernel_basis(SparseMatrix.from_columns(n, [m1.cols[i] for i in idx]))
         free = {max(vec) for vec in kb}
         image_by_deg[d + 1] = [m1.cols[i] for c, i in enumerate(idx) if c not in free]
         harmonic.extend(_orth_complement_inside(
@@ -302,10 +287,9 @@ def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     # C: inside the pairing-orthogonal complement of H, a complement of im(m1)
     perp = [{j: 1} for j in range(n)]
     if harmonic:
-        prows, _ = _int_vectors([{j: x for j, x in enumerate(row) if x}
-                                 for row in s.pairing])
-        perp = [_primitive(vec) for vec in kernel_basis(SparseMatrix(
-            len(harmonic), n, [_expand(h, prows, 0) for h in harmonic]))]
+        _, *prows = integral(*(dict(enumerate(row)) for row in s.pairing))
+        perp = kernel_basis(SparseMatrix(
+            len(harmonic), n, [_expand(h, prows, 0) for h in harmonic]))
     # split perp by degree and take the dot-orthogonal complement of image
     complement: list[IntVector] = []
     for d in sorted(by_deg):
@@ -319,7 +303,8 @@ def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     coordinates = solve(basis_vecs, [{j: 1} for j in range(n)])
     if None in coordinates:
         raise ValueError("splitting vectors are dependent")
-    return HarmonicSplitting(m1, harmonic, complement, *_int_vectors(coordinates))
+    den, *coordinates = integral(*coordinates)
+    return HarmonicSplitting(m1, harmonic, complement, coordinates, den)
 
 
 def _expand(coord: dict, vectors: list[dict], offset: int) -> dict:

@@ -21,12 +21,17 @@ signs through it:
 
 Entries are ints or ``Fraction``s, never floats, so elimination is exact
 by construction.  There is one elimination route, on ints only
-(Bareiss 1968).  A matrix row or an ``Eliminator`` vector that holds a
-``Fraction`` enters scaled by the least common denominator of its entries
-(``integral``); a positive row scale keeps the leads, the signs and the
-reduced echelon form.  Pivot rows stay primitive with a positive lead p,
-a row holding f at the lead becomes ``p·row - f·pivot`` over its content,
-and rows become ``Fraction``s of lead 1 only where they leave the module.
+(Bareiss 1968), and this module alone turns rationals into ints:
+
+* ``integral`` scales vectors to ints over the least common denominator
+  of their entries; a positive row scale keeps the leads, the signs and
+  the reduced echelon form, so a ``Fraction`` row enters so scaled;
+* ``primitive`` divides int vectors, and optionally their denominator, by
+  their positive gcd: pivot rows have a positive lead p, a row holding f
+  at the lead becomes ``p·row - f·pivot`` over its content, and a
+  :mod:`cycibl.green` operator ``cols / den`` has gcd 1;
+* ``Fraction``s appear only where values leave int form.
+
 The homology callers scale a bar differential b, linear in the structure
 constants, to the integral D·b: it has the kernels, images and
 reduced-echelon kernel vectors of b, and (D·b)² = D²·b².
@@ -45,6 +50,7 @@ weight filtration and "next" is the following filtration level.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -90,9 +96,10 @@ def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
 def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     """:func:`rref` up to a positive factor per row, in primitive int rows.
     A matrix that holds a ``Fraction`` has each row scaled to ints first
-    (:func:`integral`).  A new pivot is eliminated only from the earlier
-    pivot rows that ``holders`` lists under its lead column: those that
-    took an entry there (it may have cancelled).
+    (:func:`integral`).  The pending lead columns wait in a heap, pushed
+    when their bucket is made.  A new pivot is eliminated only from the
+    earlier pivot rows that ``holders`` lists under its lead column: those
+    that took an entry there (it may have cancelled).
     """
     ints = all(type(v) is int for r in mat.rows for v in r.values())
     by_lead: dict[int, list[tuple[int, dict]]] = {}
@@ -100,15 +107,17 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
         if r:
             by_lead.setdefault(min(r), []).append(
                 (i, dict(r) if ints else integral(r)[1]))
+    leads = sorted(by_lead)
     pivots: list[int] = []
     out: list[dict] = []
     holders: dict[int, list[dict]] = {}
-    while by_lead:
-        lead = min(by_lead)
+    while leads:
+        lead = heapq.heappop(leads)
         bucket = by_lead.pop(lead)
         entry = min(bucket, key=lambda e: (len(e[1]), e[0]))
         bucket.remove(entry)
-        pivot = _normalized(entry[1], lead)
+        pivot = entry[1]
+        primitive((pivot,), lead=lead)
         p = pivot[lead]
         tail = [(c, v) for c, v in pivot.items() if c != lead]
         for prev in holders.pop(lead, ()):
@@ -120,7 +129,10 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
         for i, r in bucket:
             _eliminate(r, p, r.pop(lead), tail)
             if r:
-                by_lead.setdefault(min(r), []).append((i, r))
+                c = min(r)
+                if c not in by_lead:
+                    heapq.heappush(leads, c)
+                by_lead.setdefault(c, []).append((i, r))
         for c, _ in tail:
             holders.setdefault(c, []).append(pivot)
         out.append(pivot)
@@ -129,28 +141,40 @@ def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
     return [out[i] for i in order], [pivots[i] for i in order]
 
 
-def integral(vec: dict) -> tuple[int, dict]:
-    """The least common denominator d of ``vec``'s entries (1 when it is
-    empty), and d * ``vec`` as ints."""
-    d = math.lcm(*(v.denominator for v in vec.values()))
-    return d, {c: v.numerator * (d // v.denominator) for c, v in vec.items()}
+def integral(*vecs: dict) -> tuple:
+    """``(d, d·vecs[0], d·vecs[1], ...)``: d the least common denominator
+    of the entries of ``vecs`` (1 when there are none), each vector scaled
+    by it to ints, without its zero entries."""
+    d = math.lcm(*[v.denominator for vec in vecs for v in vec.values()])
+    return (d, *[{c: v.numerator * (d // v.denominator)
+                  for c, v in vec.items() if v} for vec in vecs])
 
 
-def _normalized(row: dict, lead: int) -> dict:
-    """The int ``row`` as a pivot: over its content with a positive lead;
-    ``row`` itself where it is so already."""
-    g = math.gcd(*row.values())
-    if row[lead] < 0:
+def primitive(vecs, den: int = 0, lead=None) -> int:
+    """Divide the int vectors of ``vecs`` in place, and ``den``, by the
+    positive gcd g of ``den`` and their entries, by -g instead when the
+    entry of ``vecs[0]`` at ``lead`` is negative; return ``den`` so divided.
+    The default ``den`` 0 leaves g to the entries alone."""
+    g = den
+    for vec in vecs:
+        if g == 1:
+            break
+        g = math.gcd(g, *vec.values())
+    if lead is not None and vecs[0][lead] < 0:
         g = -g
-    return row if g == 1 else {c: v // g for c, v in row.items()}
+    if g != 1 and g:
+        for vec in vecs:
+            for c in vec:
+                vec[c] //= g
+        den //= g
+    return den
 
 
 def _eliminate(row: dict, p: int, f: int, items) -> None:
     """``row <- p·row - f·items`` in place (p > 0) for the ``(c, v)`` of
-    ``items``, dropping entries that cancel; then over its content when p
-    is not 1.  All entries are ints."""
-    scale = p != 1
-    if scale:
+    ``items``, dropping entries that cancel; then primitive when p is not
+    1.  All entries are ints."""
+    if p != 1:
         for c in row:
             row[c] *= p
     for c, v in items:
@@ -163,10 +187,8 @@ def _eliminate(row: dict, p: int, f: int, items) -> None:
                 row[c] = new
             else:
                 del row[c]
-    if scale:
-        g = math.gcd(*row.values())
-        for c in row:
-            row[c] //= g
+    if p != 1:
+        primitive((row,))
 
 
 def _over(vec: dict, d: int) -> dict:
@@ -311,7 +333,8 @@ class Eliminator:
         if not red:
             return False
         lead = min(red)
-        self.rows[lead] = _normalized(red, lead)
+        primitive((red,), lead=lead)
+        self.rows[lead] = red
         return True
 
 

@@ -324,10 +324,6 @@ def dual_word(basis: GradedBasis, letters, slot_shift: int = 0,
     """The dual of a single cyclic word: value 1 on it, 0 elsewhere."""
     out = CochainTensor(basis, 1, slot_shift, weight_bound)
     out.add((tuple(letters),), 1)
-    if out.is_zero():
-        canon, _ = canonicalize(tuple(letters), basis)
-        if canon is not None:
-            raise ValueError("dual_word lost its value")
     return out
 
 

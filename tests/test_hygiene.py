@@ -29,6 +29,9 @@ call in the searched files to a callee of that name.
 Dead imports: every name a module of ``src/cycibl`` imports is used in the
 scope that imports it, the module for a top-level import and the function
 (with its nested functions) for a function-local one.
+
+One int form: ``linalg`` alone turns rationals into ints, so no other
+module of ``src/cycibl`` reads ``.numerator`` or ``.denominator``.
 """
 
 from __future__ import annotations
@@ -216,6 +219,21 @@ def test_no_unbounded_memo():
             if _unbounded_memo(node):
                 found.append(f"{path.stem}:{node.lineno}")
     assert not found, "unbounded memo: " + ", ".join(found)
+
+
+def test_only_linalg_takes_rationals_apart():
+    """Scaling to ints over a common denominator and primitive forms live
+    in ``linalg`` (``integral``, ``primitive``); another module that reads
+    a numerator or a denominator keeps a private copy of that rule."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("numerator", "denominator"):
+                found.append(f"{path.stem}:{node.lineno} .{node.attr}")
+    assert not found, "rationals taken apart outside linalg: " + ", ".join(found)
 
 
 def _defaulted_parameters(tree: ast.Module):

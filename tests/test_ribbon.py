@@ -151,6 +151,49 @@ def test_trivalent_trees_count_rooted_planar_trees():
             2 * (legs - 2), legs - 2) // (legs - 1)
 
 
+def harer_zagier(g, n):
+    """epsilon_g(n), the number of gluings of the sides of a 2n-gon into a
+    surface of genus g, from the Harer-Zagier recursion
+    (n + 1) e_g(n) = 2(2n - 1) e_g(n - 1) + (n - 1)(2n - 1)(2n - 3) e_(g-1)(n - 2)."""
+    if g < 0 or n < 0:
+        return 0
+    if n == 0:
+        return int(g == 0)
+    return (2 * (2 * n - 1) * harer_zagier(g, n - 1) + (n - 1) * (2 * n - 1)
+            * (2 * n - 3) * harer_zagier(g - 1, n - 2)) // (n + 1)
+
+
+def test_one_vertex_classes_count_harer_zagier_gluings():
+    # rooting a one-vertex class with E loops at one of its 2E half-edges
+    # gives 2E/|Aut| gluings of a 2E-gon, one boundary per face of the
+    # dual map; E = 7 is beyond the enumeration budget
+    types = [(edges, g) for edges in range(1, 7) for g in range(edges // 2 + 1)]
+    assert len(types) == 15
+    for edges, g in types:
+        found = enumerate_graphs(1, edges + 1 - 2 * g, g, 0, reduced=False)
+        assert sum(Fraction(2 * edges, a) for _, a in found) == \
+            harer_zagier(g, edges), (edges, g)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_graphs(1, 8, 0, 0, reduced=False)
+
+
+def test_legless_classes_give_orbifold_euler_characteristics():
+    # sum over the classes with every valency >= 3 of (-1)^k / |Aut| is the
+    # orbifold Euler characteristic of M_(g,l) / S_l (Harer-Zagier, Penner):
+    # chi(M_(0,3)) = 1, chi(M_(1,1)) = -1/12, chi(M_(0,4)) = -1 and
+    # chi(M_(1,2)) = 1/12; with 2e = 3k every vertex is trivalent
+    for (g, l), chi in {(0, 3): Fraction(1, 6), (1, 1): Fraction(-1, 12),
+                        (0, 4): Fraction(-1, 24), (1, 2): Fraction(1, 24)}.items():
+        total = Fraction(0)
+        for k in range(1, 2 * (l + 2 * g - 2) + 1):
+            e = k + l + 2 * g - 2
+            for graph, aut in enumerate_graphs(k, l, g, 0, trivalent=2 * e == 3 * k,
+                                               reduced=False):
+                if min(graph.valencies()) >= 3:
+                    total += Fraction((-1) ** k, aut)
+        assert total == chi, (g, l)
+
+
 def test_compatible_edge_orientation_two_vertex():
     # for vertex order (1, 2) the edge runs from the first to the second
     g = two_vertex_graph(2, 3)
@@ -1053,6 +1096,21 @@ class OracleMuPlusCochain:
         return [3]
 
 
+class GradedOracleMuPlusCochain(OracleMuPlusCochain):
+    """The m2+ table with a ``degree()`` read off its letter triples, so
+    that ``graph_pairing`` sums its copies once per vertex arrangement."""
+
+    __slots__ = ("_degree",)
+
+    def __init__(self, s):
+        super().__init__(s)
+        degs = {s.basis.word_degree(key) for key in self.values}
+        self._degree = degs.pop() if len(degs) == 1 else None
+
+    def degree(self):
+        return self._degree
+
+
 def supported_word(graph, propagator, support, rng):
     """A boundary word such that one propagator assignment puts a triple of
     ``support`` on every vertex (None when the drawn edge letters allow
@@ -1158,7 +1216,7 @@ def oracle_pushforward_entries(s, harmonic, kernel, weight_bound,
     table at each vertex and the sign (-1)^(k (m-2)) per graph sum."""
     amb_index = {lab: i for i, lab in enumerate(s.basis.labels)}
     lift = [amb_index[lab] for lab in harmonic.basis.labels]
-    m2p = OracleMuPlusCochain(s)
+    m2p = GradedOracleMuPlusCochain(s)
     entries = {}
     for l in range(1, l_bound + 1):
         for g in range(genus_bound + 1):
