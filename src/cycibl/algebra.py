@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .linalg import SparseMatrix, add_into, add_scaled, integral, rank, solve
-from .signs import GradedBasis, koszul_sign
+from .signs import GradedBasis
 from .words import (CochainTensor, TruncationError, Word, canonical_words,
                     canonicalize, rotation_sign, rotations)
 
@@ -333,12 +333,12 @@ def check_mu_plus_cyclic(s: CyclicStructure, k: int) -> CheckReport:
         for x in range(n):
             if v := s.pair(img, {x: Fraction(1)}):
                 plus[t + (x,)] = v
-    cycle = tuple((i + 1) % (k + 1) for i in range(k + 1))
     fails = []
     for letters in sorted(set(plus) | {w[1:] + w[:1] for w in plus}):
         lhs = plus.get(letters, Fraction(0))
         rot = (letters[-1],) + letters[:-1]
-        rhs = koszul_sign(cycle, [deg[i] for i in letters]) * plus.get(rot, Fraction(0))
+        sign = rotation_sign(s.basis.word_degree(letters), deg[letters[-1]])
+        rhs = sign * plus.get(rot, Fraction(0))
         if lhs != rhs:
             fails.append((name, letters, lhs, rhs))
     return CheckReport(not fails, fails, {name: n ** (k + 1)})

@@ -26,8 +26,11 @@ by word.  :func:`dual_word_product` contracts a pair of dual words; the
 product and the partial composition (once per slot of the entry) sum it
 over pairs of stored words, and the coproduct cuts one stored word twice.
 Each output word is counted once per rotation equal to it as a tensor.
-The unit relations are the partial composition with the dual of the unit
-letter, which inserts the volume letter into the entry's stored words.
+Each twisted operation is its base operation plus the partial composition
+:func:`circ1` with its entry: the boundary with the (1,0) entry, the
+coproduct with the (2,0) entry, and the unit relations, with no base term,
+the (l,g) entry composed with the dual of the unit letter, which inserts
+the volume letter into the entry's stored words.
 
 These contractions run on ints, in the int form of :mod:`cycibl.linalg`:
 T enters as D_T T, cached once per structure, and the cochains as their
@@ -64,15 +67,13 @@ def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
 
 def _integral_t(s: CyclicStructure) -> tuple[int, dict[tuple[int, int], int]]:
     """D_T, the least common denominator of T, and D_T T as ints, computed
-    once per structure; callers only read it."""
+    once per structure; callers only read it.  P(e_a, e^j) = delta_aj, so
+    P(e^i, e^j) is coordinate j of e^i: row i of T is the signed e^i."""
     if s._t_tensor is None:
-        dual = s.dual_basis()
         T = {}
-        for i in range(len(s.basis)):
+        for i, e in enumerate(s.dual_basis()):
             sgn = -1 if s.basis.degrees[i] % 2 else 1
-            for j in range(len(s.basis)):
-                if v := sgn * s.pair(dual[i], dual[j]):
-                    T[(i, j)] = v
+            T.update(((i, j), sgn * c) for j, c in e.items())
         s._t_tensor = integral(T)
     return s._t_tensor
 
@@ -169,18 +170,6 @@ def q210(s: CyclicStructure, psi1: CochainTensor, psi2: CochainTensor
     den = d_t * d * d
     out.values = {(w,): Fraction(c, den) for w, c in acc.items() if c}
     return out
-
-
-def collection_sign(s: CyclicStructure, psi: CochainTensor) -> int:
-    """Sign relating the collected two-argument product formula, whose first
-    argument carries both suspensions, to the distributed pair: the first
-    cochain's suspension crosses the other one."""
-    if psi.is_zero():
-        return 1
-    d = psi.degree()
-    if d is None:
-        raise ValueError("need a homogeneous cochain")
-    return -1 if ((s.manifold_dim - 3) * d) % 2 else 1
 
 
 def distribution_sign(s: CyclicStructure, words: tuple[Word, ...]) -> int:
@@ -373,7 +362,7 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
                     if keyed is None:
                         continue
                     new, sign = keyed
-                    if (dv + basis.word_degree(w)) * before % 2:
+                    if before % 2 and (dv + basis.word_degree(w)) % 2:
                         sign = -sign
                     acc[new] = acc.get(new, 0) + sign * c * cp * per_slot * new.count(w)
             before += slot_degree(v, basis, shift)
@@ -384,12 +373,9 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
 
 def twisted_q110(s: CyclicStructure, pmc: MaurerCartanFamily,
                  psi: CochainTensor) -> CochainTensor:
-    """Twisted boundary: q110 plus the product against the (1,0) entry, in
-    the distributed-suspension normalization (the form that agrees exactly
-    with the dual bar differential of the induced family)."""
-    e10 = pmc.entry(1, 0)
-    twist = q210(s, e10, psi).scaled(collection_sign(s, e10))
-    return q110(s, psi) + twist
+    """Twisted boundary: q110 + (product ∘₁ (1,0)-entry), the form that
+    agrees exactly with the dual bar differential of the induced family."""
+    return q110(s, psi) + circ1(s, pmc.entry(1, 0), psi)
 
 
 def twisted_q120(s: CyclicStructure, pmc: MaurerCartanFamily,

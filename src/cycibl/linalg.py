@@ -58,7 +58,8 @@ from .signs import koszul_sign
 
 
 class SparseMatrix:
-    """Rows stored as dicts ``col -> int or Fraction``."""
+    """Rows stored as dicts ``col -> int or Fraction``, without zero entries:
+    a given row that holds one is replaced by a copy without them."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -66,10 +67,12 @@ class SparseMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = [dict() for _ in range(nrows)] if rows is None else rows
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(rows or ()):
             for c in row:
                 if not (0 <= c < ncols):
                     raise ValueError(f"column {c} out of range in row {r}")
+            if not all(row.values()):
+                rows[r] = {c: v for c, v in row.items() if v}
 
     @classmethod
     def from_columns(cls, nrows, columns):

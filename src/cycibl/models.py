@@ -2,9 +2,10 @@
 
 The sphere model S^n has basis {1, w} in shifted degrees (-1, n-1), pairing
 [[0,1],[(-1)^n,0]] and products 1*1 = 1, 1*w = w, w*1 = (-1)^n w, w*w = 0.
-The projective model CP^n (complex dimension n, manifold dimension 2n) has
-basis e_0..e_n in shifted degrees 2i-1, the antidiagonal pairing and
-products e_i * e_j = e_{i+j} (zero above the top class).
+The projective model CP^n (complex dimension n, manifold dimension 2n) is
+the truncated polynomial algebra on a generator of degree 2 with a pairing:
+basis e_0..e_n in shifted degrees 2i-1, products e_i * e_j = e_{i+j} (zero
+above the top class) and the antidiagonal pairing.
 """
 
 from __future__ import annotations
@@ -47,47 +48,27 @@ def build_sn(n: int) -> ModelBundle:
         unit=0,
         augmentation={0: one},
     )
-    rep = check_cyclic_dga(s)
-    if not rep.passed:
-        raise AssertionError(f"S{n} model is inconsistent: {rep.summary()}")
-    return ModelBundle(s)
+    return _checked(s)
 
 
 def build_cpn(n: int) -> ModelBundle:
-    """The projective model: basis e_0..e_n, |e_i| = 2i - 1, manifold dimension 2n.
+    """The projective model: :func:`truncated_polynomial` of degree 2 with
+    the letters e_0..e_n (|e_i| = 2i - 1, e_i * e_j = e_{i+j}) and the
+    antidiagonal pairing, manifold dimension 2n.
 
-    Volume normalization is absorbed into the basis so that
-    e_i * e_j = e_{i+j}; all structure constants are rational.
+    Volume normalization is absorbed into the basis; all structure
+    constants are rational.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    one = Fraction(1)
+    poly = truncated_polynomial(n, 2)
     labels = tuple(f"e{i}" for i in range(n + 1))
-    basis = GradedBasis(labels, tuple(2 * i - 1 for i in range(n + 1)))
-    mu2 = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            mu2[(i, j)] = {i + j: one} if i + j <= n else {}
-    pairing = [[one if i + j == n else Fraction(0) for j in range(n + 1)]
-               for i in range(n + 1)]
-    s = CyclicStructure(
-        name=f"CP{n}",
-        basis=basis,
-        manifold_dim=2 * n,
-        pairing=pairing,
-        mu={1: {}, 2: mu2},
-        unit=0,
-        augmentation={0: one},
-    )
-    rep = check_cyclic_dga(s)
-    if not rep.passed:
-        raise AssertionError(f"CP{n} model is inconsistent: {rep.summary()}")
-    return ModelBundle(s)
+    pairing = [[Fraction(int(i + j == n)) for j in range(n + 1)] for i in range(n + 1)]
+    return _checked(poly.replace(name=f"CP{n}", pairing=pairing,
+                                 basis=GradedBasis(labels, poly.basis.degrees)))
 
 
 def truncated_polynomial(n: int, d: int = 2) -> CyclicStructure:
     """The algebra of polynomials in one generator of even degree d, truncated
-    above the n-th power.  No pairing: used for bar-complex brute force only."""
+    above the n-th power, without a pairing (:func:`build_cpn` gives it one)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if d <= 0 or d % 2:
@@ -108,6 +89,14 @@ def truncated_polynomial(n: int, d: int = 2) -> CyclicStructure:
         unit=0,
         augmentation={0: one},
     )
+
+
+def _checked(s: CyclicStructure) -> ModelBundle:
+    """The bundle of a built-in model that passes :func:`check_cyclic_dga`."""
+    rep = check_cyclic_dga(s)
+    if not rep.passed:
+        raise AssertionError(f"{s.name} model is inconsistent: {rep.summary()}")
+    return ModelBundle(s)
 
 
 # ---------------------------------------------------------------------------

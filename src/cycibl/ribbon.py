@@ -487,14 +487,14 @@ def _surface_complex(graph: RibbonGraph):
 
 def compatible_edge_labeling(graph: RibbonGraph, vertex_order, boundary_order):
     """A compatible (ordered, oriented) edge labeling for the given L1: the
-    canonical edges, the first one reversed exactly when the frame times
-    the signs of the vertex and boundary orders is -1."""
-    edges = list(graph.edges)
-    if _orientation_frame(graph) * _perm_sign(vertex_order) * \
-            _perm_sign(boundary_order) == -1:
-        # an edgeless (one-vertex, one-boundary) graph has frame +1
-        edges[0] = edges[0][::-1]
-    return tuple(edges)
+    canonical edges, the first one reversed exactly when
+    :func:`orientation_compatible` rejects them."""
+    edges = tuple(graph.edges)
+    if orientation_compatible(graph, vertex_order, boundary_order, edges):
+        return edges
+    # an edgeless (one-vertex, one-boundary) graph has frame +1, so it
+    # never gets here
+    return (edges[0][::-1],) + edges[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,5 @@ class GradedBasis:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
-
     def word_degree(self, letters) -> int:
         return sum(self.degrees[i] for i in letters)

@@ -11,6 +11,9 @@
 * ``sparse_from_entries``: a ``SparseMatrix`` from ``(row, col) -> value``.
 * ``random_s1_config``: seeded moments for the circle's two-output twist
   entry.
+* ``collection_sign`` and ``product_twisted_q110``: the twisted boundary
+  through the product with the (1,0) entry, the oracle of its route
+  through ``dibl.circ1``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import random
 from fractions import Fraction
 
 from cycibl.algebra import CyclicStructure, Tensor
+from cycibl.dibl import MaurerCartanFamily, q110, q210
 from cycibl.linalg import SparseMatrix, add_into
 from cycibl.models import S1TwistConfig
 from cycibl.signs import GradedBasis
-from cycibl.words import Word, canonicalize, rotation_sign
+from cycibl.words import CochainTensor, Word, canonicalize, rotation_sign
 
 
 def bar_terms(s: CyclicStructure, letters: Word):
@@ -110,6 +114,26 @@ def random_s1_config(rng: random.Random, top: int = 12) -> S1TwistConfig:
     for k in range(2, top + 1, 2):
         moments[k] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return S1TwistConfig(moments)
+
+
+def collection_sign(s: CyclicStructure, psi: CochainTensor) -> int:
+    """Sign relating the collected two-argument product formula, whose first
+    argument carries both suspensions, to the distributed pair: the first
+    cochain's suspension crosses the other one."""
+    if psi.is_zero():
+        return 1
+    d = psi.degree()
+    if d is None:
+        raise ValueError("need a homogeneous cochain")
+    return -1 if ((s.manifold_dim - 3) * d) % 2 else 1
+
+
+def product_twisted_q110(s: CyclicStructure, pmc: MaurerCartanFamily,
+                         psi: CochainTensor) -> CochainTensor:
+    """The twisted boundary as q110 plus the distributed ordered product
+    against the (1,0) entry."""
+    e10 = pmc.entry(1, 0)
+    return q110(s, psi) + q210(s, e10, psi).scaled(collection_sign(s, e10))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 
 from cycibl.algebra import check_ainfty, unit_cochain
 from cycibl.dibl import (MaurerCartanFamily, canonical_mc, circ1,
-                         collection_sign, distribution_sign, ibl_relations_check,
-                         mu_from_mc, q110, q120, q210, t_tensor,
+                         distribution_sign, ibl_relations_check, mu_from_mc,
+                         q110, q120, q210, t_tensor,
                          twisted_boundary_vs_bar_dual, twisted_q110,
                          twisted_q120)
 from cycibl.green import (check_g_properties, gdg_rewriting_holds, green_gdg,
@@ -27,7 +27,8 @@ from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
 from cycibl.ribbon import enumerate_graphs, f_klg, f_klg_tensor, pushforward_mc
 from cycibl.words import (CochainTensor, canonical_tuples, canonical_words,
                           dual_word)
-from helpers import classical_b_tensor, conjugated_b_tensor, random_s1_config
+from helpers import (classical_b_tensor, collection_sign, conjugated_b_tensor,
+                     random_s1_config)
 
 
 class Budget:

@@ -10,17 +10,16 @@ from hypothesis import given, settings, strategies as st
 from cycibl import dibl
 from cycibl.algebra import check_ainfty, dual_b, hochschild_b_cyclic, unit_cochain
 from cycibl.dibl import (MaurerCartanFamily, _relation_report, canonical_mc, circ1,
-                         collection_sign, distribution_sign,
-                         ibl_relations_check, mu_from_mc, q110, q120, q210,
-                         t_tensor, twisted_boundary_vs_bar_dual, twisted_q110,
-                         twisted_q120, twisted_q1lg_on_unit)
+                         distribution_sign, ibl_relations_check, mu_from_mc,
+                         q110, q120, q210, t_tensor, twisted_boundary_vs_bar_dual,
+                         twisted_q110, twisted_q120, twisted_q1lg_on_unit)
 from cycibl.homology import cochain_homology
 from cycibl.models import build_cpn, build_s1_pmc, build_sn, random_cyclic_dga
 from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_key,
                           canonical_tuples, canonical_words, canonicalize,
                           dual_word, product_cochain, rotations, slot_degree)
-from helpers import random_s1_config
+from helpers import collection_sign, product_twisted_q110, random_s1_config
 
 
 def wdual(s, letters, bound=None):
@@ -331,6 +330,19 @@ def test_t_tensor_projective():
         assert T == expected
 
 
+def test_t_tensor_is_the_signed_pairing_of_dual_basis_vectors():
+    # T^{ij} = (-1)^|e_i| P(e^i, e^j), evaluated through the pairing
+    structures = [build_sn(n).structure for n in range(1, 6)]
+    structures += [build_cpn(n).structure for n in range(1, 5)]
+    structures += [random_cyclic_dga(d, seed=seed) for d in (6, 10) for seed in range(3)]
+    for s in structures:
+        dual = s.dual_basis()
+        n = len(s.basis)
+        want = {(i, j): (-1 if s.basis.degrees[i] % 2 else 1)
+                * s.pair(dual[i], dual[j]) for i in range(n) for j in range(n)}
+        assert t_tensor(s) == {k: v for k, v in want.items() if v}, s.name
+
+
 def test_t_tensor_covariant_under_label_permutation():
     # permuting the basis labels permutes T accordingly and the product
     # of two dual words transforms to the same values
@@ -534,7 +546,6 @@ def test_q110_two_line_complex():
 def test_shifted_symmetry_of_product():
     # in distributed-suspension form the product is symmetric: swapping the
     # arguments costs exactly the shifted Koszul sign
-    from cycibl.dibl import collection_sign
     for bundle in (build_sn(3), build_cpn(2)):
         s = bundle.structure
         words = [u for w in (1, 2, 3) for u in canonical_words(s.basis, w)]
@@ -610,6 +621,43 @@ def test_circ1_routes_agree():
                 entry = _random_entry(s, rng, arity, rng.randint(arity + 1, 2 * arity), 5)
                 psi = _random_cochain(s, rng, 3, 4, bound=rng.choice((None, 3, 4)))
                 _assert_circ1_matches_oracle(s, T, entry, psi)
+
+
+def test_twisted_boundary_is_the_product_route(pushforward):
+    # twisted_q110 composes the (1,0) entry by circ1; the oracle takes the
+    # distributed ordered product with it: equal values and bounds on the
+    # canonical entries, seeded entries with values at weights 4..6 cut
+    # down to 3, 4 and 6, truncated cochains, and the transfer's harmonic
+    # families at weight 6 (the criterion-9 one and two more seeds)
+    from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
+    from cycibl.ribbon import pushforward_mc
+    rng = random.Random(31)
+    cases = []
+    for s in (build_sn(3).structure, build_cpn(2).structure,
+              random_cyclic_dga(6, seed=3)):
+        cases.append((s, canonical_mc(s).entry(1, 0)))
+        seeded = _seeded_entry(s, rng, (4, 5, 6))
+        cases += [(s, seeded)] + [(s, seeded.restricted(w)) for w in (3, 4, 6)]
+    cases.append(pushforward)
+    for seed in (0, 1):
+        s = random_cyclic_dga(6, seed=seed)
+        g, _, _ = green_pipeline(s)
+        harm = harmonic_substructure(s, [0, 1])
+        cases.append((harm, pushforward_mc(s, harm, schwartz_kernel(s, g).entries,
+                                           weight_bound=6, l_bound=1).entry(1, 0)))
+    reached = 0
+    for s, e10 in cases:
+        pmc = MaurerCartanFamily(s, {(1, 0): e10})
+        top = 4 if len(s.basis) < 6 else 3
+        psis = [wdual(s, u) for w in range(1, top + 1)
+                for u in canonical_words(s.basis, w)]
+        psis += [_random_cochain(s, rng, top, 4, bound=b) for b in (None, 3, 4)]
+        for psi in psis:
+            got, want = twisted_q110(s, pmc, psi), product_twisted_q110(s, pmc, psi)
+            assert got.weight_bound == want.weight_bound
+            assert got.values == want.values
+            reached += not got.is_zero()
+    assert reached > 50, reached
 
 
 def test_twisted_boundary_matches_bar_dual():

@@ -406,6 +406,53 @@ def test_fraction_free_elimination_matches_dense_oracle(mat, data):
         assert row[lead] > 0 and math.gcd(*row.values()) == 1
 
 
+def test_stored_zeros_change_no_elimination():
+    # a zero stored at a row's least column once made it a pivot row
+    mat = SparseMatrix(2, 2, [{0: 0, 1: 2}, {1: 3}])
+    assert rank(mat) == 1
+    assert kernel_basis(mat) == [{0: 1}]
+    assert rref(SparseMatrix(1, 2, [{0: 0, 1: 1}])) == ([{1: 1}], [1])
+    assert rank(SparseMatrix(1, 2, [{0: Fraction(0), 1: Fraction(1, 2)}])) == 1
+    with pytest.raises(ValueError):
+        SparseMatrix(1, 2, [{2: 0}])
+
+
+def _with_zeros(vec, zero, cols, rng):
+    """vec with ``zero`` stored at some of ``cols``, at drawn positions."""
+    items = list(vec.items())
+    for c in cols:
+        if c not in vec and rng.random() < 0.5:
+            items.insert(rng.randint(0, len(items)), (c, zero))
+    return dict(items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(int_matrices(), int_matrices(with_fractions=True)),
+       st.sampled_from([0, Fraction(0)]), st.randoms(use_true_random=False))
+def test_stored_zeros_match_the_matrix_without_them(mat, zero, rng):
+    # rank, rref, kernel_basis, solve and Eliminator equal their results on
+    # the same rows without the zeros
+    def zeroed():
+        return SparseMatrix(mat.nrows, mat.ncols,
+                            [_with_zeros(row, zero, range(mat.ncols), rng)
+                             for row in mat.rows])
+
+    assert rank(zeroed()) == rank(mat)
+    assert rref(zeroed()) == rref(mat)
+    assert kernel_basis(zeroed()) == kernel_basis(mat)
+    cols = [dict(col) for col in transpose(mat).rows]
+    rhs = [{0: 1}, matvec(mat, {c: Fraction(1) for c in range(mat.ncols)})]
+    zcols = [_with_zeros(col, zero, range(mat.nrows), rng) for col in cols]
+    zrhs = [_with_zeros(vec, zero, range(mat.nrows), rng) for vec in rhs]
+    assert solve(zcols, zrhs) == solve(cols, rhs)
+    elim, zelim = Eliminator(), Eliminator()
+    for vec in mat.rows + cols:
+        zvec = _with_zeros(vec, zero, range(max(mat.nrows, mat.ncols)), rng)
+        assert zelim.reduce(zvec) == elim.reduce(vec)
+        assert zelim.add(zvec) == elim.add(vec)
+    assert zelim.rows == elim.rows
+
+
 def test_int_elimination_makes_no_fraction(monkeypatch):
     # leads 3 and 2 would bring in Fraction(1, 3) on a rational route, and
     # entries of ±3/2 enter scaled to ints; the elimination keeps ints until

@@ -50,8 +50,6 @@ ALLOWED = {
         "paper object: membership in the reduced subcomplex",
     "dibl.twisted_q1lg_on_unit":
         "paper object: the twisted unit relations",
-    "ribbon.orientation_compatible":
-        "paper object: orientation compatibility of a ribbon-graph labeling",
     "models.build_s1_pmc":
         "paper object: the circle's two-output twist family",
     "dibl.q120(T)":

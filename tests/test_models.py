@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cycibl.algebra import check_cyclic_dga, unit_cochain
+from cycibl import fileio
+from cycibl.algebra import CyclicStructure, check_cyclic_dga, unit_cochain
 from cycibl.dibl import (canonical_mc, q110, q120, q210, twisted_q110,
                          twisted_q120)
 from cycibl.models import (S1TwistConfig, build_cpn, build_s1_pmc, build_sn,
                            random_cyclic_dga, truncated_polynomial)
+from cycibl.signs import GradedBasis
 from cycibl.words import canonical_words, dual_word, CochainTensor
 from helpers import random_s1_config
 
@@ -31,6 +33,29 @@ def test_cpn_bundle_metadata():
     assert b.structure.manifold_dim == 4
     with pytest.raises(ValueError):
         build_cpn(0)
+
+
+def oracle_cpn(n):
+    """CP^n from its table: e_i * e_j = e_{i+j} up to the top class, the
+    antidiagonal pairing, unit e_0."""
+    one, zero = Fraction(1), Fraction(0)
+    mu2 = {(i, j): {i + j: one} if i + j <= n else {}
+           for i in range(n + 1) for j in range(n + 1)}
+    return CyclicStructure(
+        f"CP{n}", GradedBasis(tuple(f"e{i}" for i in range(n + 1)),
+                              tuple(2 * i - 1 for i in range(n + 1))),
+        2 * n, [[one if i + j == n else zero for j in range(n + 1)]
+                for i in range(n + 1)],
+        {1: {}, 2: mu2}, unit=0, augmentation={0: one})
+
+
+def test_cpn_is_the_paired_truncated_polynomial():
+    for n in range(1, 12):
+        got, want = build_cpn(n).structure, oracle_cpn(n)
+        assert got == want, n
+        # in key order too, not only as JSON with sorted keys
+        assert repr(fileio.structure_to_dict(got)) == \
+            repr(fileio.structure_to_dict(want)), n
 
 
 def test_truncated_polynomial_validation():

@@ -6,8 +6,7 @@ from itertools import permutations, product as iproduct
 
 import pytest
 
-from cycibl.dibl import (canonical_mc, collection_sign, distribution_sign,
-                         q120, q210, t_tensor)
+from cycibl.dibl import canonical_mc, distribution_sign, q120, q210, t_tensor
 from cycibl.green import green_pipeline, harmonic_substructure, schwartz_kernel
 from cycibl.linalg import Eliminator, det_sign
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
