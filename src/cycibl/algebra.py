@@ -17,8 +17,9 @@ are, with the graded antisymmetry of the pairing::
     m2(m2(v1,v2),v3) = (-1)^(|v1|+1) m2(v1, m2(v2,v3))
     m2+(v1,v2,v3) = (-1)^(|v3|(|v1|+|v2|)) m2+(v3,v1,v2)
 
-All checks are exhaustive over basis tuples, count the instances they
-check and report failures with explicit witnesses.
+Every check counts all the basis tuples a relation ranges over, but
+visits only those the stored entries reach, and sums on ints; failures
+carry explicit witnesses with the values of the exhaustive check.
 """
 
 from __future__ import annotations
@@ -95,16 +96,6 @@ class CyclicStructure:
         """Degree shift per tensor slot under which the operations are symmetric."""
         return self.manifold_dim - 3
 
-    def pair(self, v: Vector, w: Vector) -> Fraction:
-        if self.pairing is None:
-            raise ValueError(f"{self.name}: no pairing")
-        s = Fraction(0)
-        for i, a in v.items():
-            row = self.pairing[i]
-            for j, b in w.items():
-                s += a * row[j] * b
-        return s
-
     def dual_basis(self) -> list[Vector]:
         """Vectors e^j with P(e_i, e^j) = delta_ij, from the inverse pairing matrix."""
         if self._dual is None:
@@ -130,16 +121,6 @@ class CyclicStructure:
         """Columns of mu_1: column i is mu_1(e_i)."""
         return [self.mu_apply(1, (i,)) for i in range(len(self.basis))]
 
-    def mu_plus(self, k: int, letters) -> Fraction:
-        """The (k+1)-linear functional P(mu_k(v_1..v_k), v_{k+1})."""
-        letters = tuple(letters)
-        if len(letters) != k + 1:
-            raise ValueError(f"mu_plus({k}) takes {k + 1} letters")
-        img = self.mu_apply(k, letters[:-1])
-        if not img:
-            return Fraction(0)
-        return self.pair(img, {letters[-1]: Fraction(1)})
-
     def arities(self) -> list[int]:
         return sorted(k for k, t in self.mu.items() if t)
 
@@ -150,10 +131,21 @@ def integral_multiple(s: CyclicStructure) -> tuple[int, CyclicStructure]:
 
     Its bar differential is D times that of ``s``: same kernels and images.
     """
+    D, mu = _integral_mu(s)
+    return D, CyclicStructure(s.name, s.basis, s.manifold_dim, None, mu, s.unit)
+
+
+def _integral_mu(s: CyclicStructure) -> tuple[int, dict[int, dict]]:
+    """D, the least common denominator of every mu table, and D * mu as
+    int tables (zero outputs dropped, every input kept)."""
     D, *ints = integral(*(img for table in s.mu.values() for img in table.values()))
     ints = iter(ints)
-    mu = {k: dict(zip(table, ints)) for k, table in s.mu.items()}
-    return D, CyclicStructure(s.name, s.basis, s.manifold_dim, None, mu, s.unit)
+    return D, {k: dict(zip(table, ints)) for k, table in s.mu.items()}
+
+
+def _integral_pairing(s: CyclicStructure) -> tuple:
+    """``(D_P, row_0, row_1, ...)``: the rows of D_P P as sparse int rows."""
+    return integral(*({j: x for j, x in enumerate(row) if x} for row in s.pairing))
 
 
 def _pairing_columns(pairing: list[list[Fraction]]) -> list[Vector]:
@@ -190,11 +182,15 @@ class CheckReport:
 
 
 def check_cyclic_dga(s: CyclicStructure) -> CheckReport:
-    """Exhaustively verify the cyclic A-infinity relations; failures carry witnesses.
+    """Verify the cyclic A-infinity relations; failures carry witnesses.
 
     Besides the pairing, unit and augmentation checks: every mu_k has
     degree 1, :func:`check_ainfty` up to arity 2K - 1 (K the top arity)
     and, with a pairing, :func:`check_mu_plus_cyclic` for every arity.
+    Every relation counts all its instances but visits, on ints, only
+    those the stored entries reach: the pairing checks run over the nonzero
+    entries and their transposes.  A failure reports the values of the
+    exhaustive check.
     """
     fails = []
     checked: dict[str, int] = {}
@@ -211,24 +207,31 @@ def check_cyclic_dga(s: CyclicStructure) -> CheckReport:
         checked.update(rep.checked)
 
     if s.pairing is not None:
-        for i in range(n):
-            for j in range(n):
-                lhs = s.pairing[i][j]
-                sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
-                record("pairing antisymmetry", (i, j), lhs, sign * s.pairing[j][i])
-                if s.pairing[i][j] and deg[i] + deg[j] != s.manifold_dim - 2:
-                    record("pairing degree", (i, j), Fraction(deg[i] + deg[j]),
-                           Fraction(s.manifold_dim - 2))
-        if rank(SparseMatrix.from_columns(n, _pairing_columns(s.pairing))) < n:
+        P = s.pairing
+        _, *rows = _integral_pairing(s)
+        top = s.manifold_dim - 2
+        for i, j in sorted({(i, j) for i, row in enumerate(rows) for j in row}
+                           | {(j, i) for i, row in enumerate(rows) for j in row}):
+            a = rows[i].get(j, 0)
+            sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
+            if a != sign * rows[j].get(i, 0):
+                fails.append(("pairing antisymmetry", (i, j), P[i][j], sign * P[j][i]))
+            if a and deg[i] + deg[j] != top:
+                fails.append(("pairing degree", (i, j), Fraction(deg[i] + deg[j]),
+                              Fraction(top)))
+        if rank(SparseMatrix(n, n, rows)) < n:
             fails.append(("pairing nondegenerate", (), Fraction(0), one))
         checked.update({"pairing antisymmetry": n * n, "pairing degree": n * n,
                         "pairing nondegenerate": 1})
 
     for k in sorted(s.mu):
-        for t, img in sorted(s.mu[k].items()):
+        bad = []
+        for t, img in s.mu[k].items():
             d = sum(deg[i] for i in t) + 1
-            for o in img:
-                record(f"mu_{k} degree", t, Fraction(deg[o]), Fraction(d))
+            bad.extend((t, o, d) for o in img if deg[o] != d)
+        bad.sort(key=lambda b: b[0])
+        fails.extend((f"mu_{k} degree", t, Fraction(deg[o]), Fraction(d))
+                     for t, o, d in bad)
         checked[f"mu_{k} degree"] = len(s.mu[k])
     merge(check_ainfty(s, 2 * max(s.arities(), default=0) - 1))
     if s.pairing is not None:
@@ -259,21 +262,33 @@ def check_cyclic_dga(s: CyclicStructure) -> CheckReport:
         eps = s.augmentation
         if s.unit is None or eps.get(s.unit, Fraction(0)) != 1:
             fails.append(("augmentation of unit", (), eps.get(s.unit, Fraction(0)), one))
-
-        def eps_of(vec):
-            return sum((c * eps.get(o, Fraction(0)) for o, c in vec.items()),
-                       Fraction(0))
-
-        for i in range(n):
-            record("augmentation chain map", (i,), eps_of(s.mu_apply(1, (i,))),
-                   Fraction(0))
-            for j in range(n):
-                record("augmentation multiplicative", (i, j),
-                       eps_of(s.mu_apply(2, (i, j))),
-                       eps.get(i, Fraction(0)) * eps.get(j, Fraction(0)))
+        fails.extend(_augmentation_failures(s))
         checked.update({"augmentation of unit": 1, "augmentation chain map": n,
                         "augmentation multiplicative": n * n})
     return CheckReport(not fails, fails, checked)
+
+
+def _augmentation_failures(s: CyclicStructure) -> list:
+    """The failing instances of eps(mu_1(v_i)) = 0 and eps(mu_2(v_i, v_j)) =
+    eps(v_i) eps(v_j), in the order (i, then the chain map before each j),
+    from the int tables D mu.  Both sides vanish off the stored inputs and
+    the pairs of letters that eps does not kill, so only those are visited."""
+    D, mu = _integral_mu(s)
+    d_eps, eps = integral(s.augmentation)
+    support = [i for i in eps if i in range(len(s.basis))]
+
+    def eps_of(vec):
+        return sum(c * eps.get(o, 0) for o, c in vec.items())
+
+    bad = {(i, -1): ("augmentation chain map", (i,), Fraction(v, D * d_eps), Fraction(0))
+           for (i,), img in mu.get(1, {}).items() if (v := eps_of(img))}
+    mu2 = mu.get(2, {})
+    for i, j in set(mu2) | {(i, j) for i in support for j in support}:
+        lhs, rhs = eps_of(mu2.get((i, j), {})), eps.get(i, 0) * eps.get(j, 0)
+        if lhs * d_eps != rhs * D:
+            bad[i, j] = ("augmentation multiplicative", (i, j),
+                         Fraction(lhs, D * d_eps), Fraction(rhs, d_eps * d_eps))
+    return [bad[key] for key in sorted(bad)]
 
 
 def _freeze(vec: Vector):
@@ -287,61 +302,83 @@ def check_ainfty(s: CyclicStructure, max_arity: int) -> CheckReport:
     terms.  Every basis tuple of each arity counts as checked, but only the
     tuples with a term are visited: a term of ``letters`` puts a stored
     input tuple t2 of mu_{k2} in slot p of a stored input tuple t1 of
-    mu_{k1} whose letter there lies in the image of t2.
+    mu_{k1} whose letter there lies in the image of t2.  The sums run on
+    the int tables D mu, and a failing one is reported over D^2.
     """
+    D, mu = _integral_mu(s)
     fails = []
     checked = {}
     deg = s.basis.degrees
     arities = s.arities()
     n = len(s.basis)
-    slots: dict[tuple[int, int, int], list] = {}  # (k1, p, letter) -> (t1, mu(t1))
+    # (k1, p, letter) -> (t1, D mu(t1), sign of the letters before slot p)
+    slots: dict[tuple[int, int, int], list] = {}
     for k1 in arities:
-        for t1, img in s.mu[k1].items():
+        for t1, img in mu[k1].items():
+            odd = 0
             for p, x in enumerate(t1):
-                slots.setdefault((k1, p, x), []).append((t1, img))
+                slots.setdefault((k1, p, x), []).append((t1, img, -1 if odd else 1))
+                odd ^= deg[x] & 1
+    den = D * D
     for k in range(1, max_arity + 1):
         pairs = [(k + 1 - k2, k2) for k2 in arities if k + 1 - k2 in arities]
         if not pairs:
             continue
         name = f"A-infinity relation arity {k}"
         checked[name] = n ** k
-        accs: dict[Word, Vector] = {}
+        accs: dict[Word, dict[int, int]] = {}
         for k1, k2 in pairs:
-            for t2, inner in s.mu[k2].items():
+            for t2, inner in mu[k2].items():
                 for p in range(k1):
                     for mid, c in inner.items():
-                        for t1, img in slots.get((k1, p, mid), ()):
-                            sc = -c if sum(deg[i] for i in t1[:p]) % 2 else c
+                        for t1, img, sign in slots.get((k1, p, mid), ()):
                             add_scaled(accs.setdefault(t1[:p] + t2 + t1[p + 1:], {}),
-                                       img, sc)
-        fails.extend((name, letters, _freeze(acc), ())
+                                       img, sign * c)
+        fails.extend((name, letters,
+                      tuple((o, Fraction(v, den)) for o, v in sorted(acc.items())), ())
                      for letters, acc in sorted(accs.items()) if acc)
     return CheckReport(not fails, fails, checked)
+
+
+def mu_plus_table(s: CyclicStructure, k: int) -> tuple[int, dict[Word, int]]:
+    """mu_k+ = P(mu_k ⊗ id) on its support, as ``(d, d·mu_k+)`` with int
+    values: ``t + (x,)`` maps to the sum over i of mu_k(t)_i P(e_i, e_x),
+    read off the nonzero pairing entries of the letters in the image."""
+    table = s.mu.get(k, {})
+    if not table:
+        return 1, {}
+    if s.pairing is None:
+        raise ValueError(f"{s.name}: no pairing")
+    d_p, *rows = _integral_pairing(s)
+    d_mu, *imgs = integral(*table.values())
+    plus = {}
+    for t, img in zip(table, imgs):
+        acc: dict[int, int] = {}
+        for i, c in img.items():
+            add_scaled(acc, rows[i], c)
+        for x, v in acc.items():
+            plus[t + (x,)] = v
+    return d_mu * d_p, plus
 
 
 def check_mu_plus_cyclic(s: CyclicStructure, k: int) -> CheckReport:
     """mu_k+ composed with the cyclic rotation equals mu_k+ (all basis tuples).
 
     Both sides vanish unless the tuple or its rotation is in the support of
-    mu_k+, so only those tuples are compared.
+    mu_k+ (:func:`mu_plus_table`), so only those tuples are compared.
     """
     deg = s.basis.degrees
-    n = len(s.basis)
     name = f"mu_{k}+ cyclicity"
-    plus = {}
-    for t, img in s.mu.get(k, {}).items():
-        for x in range(n):
-            if v := s.pair(img, {x: Fraction(1)}):
-                plus[t + (x,)] = v
+    den, plus = mu_plus_table(s, k)
     fails = []
     for letters in sorted(set(plus) | {w[1:] + w[:1] for w in plus}):
-        lhs = plus.get(letters, Fraction(0))
+        lhs = plus.get(letters, 0)
         rot = (letters[-1],) + letters[:-1]
         sign = rotation_sign(s.basis.word_degree(letters), deg[letters[-1]])
-        rhs = sign * plus.get(rot, Fraction(0))
+        rhs = sign * plus.get(rot, 0)
         if lhs != rhs:
-            fails.append((name, letters, lhs, rhs))
-    return CheckReport(not fails, fails, {name: n ** (k + 1)})
+            fails.append((name, letters, Fraction(lhs, den), Fraction(rhs, den)))
+    return CheckReport(not fails, fails, {name: len(s.basis) ** (k + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +479,10 @@ def transposed_b(s: CyclicStructure, words, skip: int | None = None
     return table
 
 
-def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
-    """Precomposition of an arity-1 cochain with the cyclic bar differential.
+def dual_b(s: CyclicStructure, psi: CochainTensor,
+           arities: list[int] | None = None) -> CochainTensor:
+    """Precomposition of an arity-1 cochain with the cyclic bar differential
+    of the operations ``arities`` (default: every one, ``s.arities()``).
 
     A word u can only be nonzero when a term of b(u) is a stored word v,
     that is when some mu_k sends k consecutive letters of u to a letter of
@@ -460,7 +499,7 @@ def dual_b(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
     """
     if psi.arity != 1:
         raise ValueError("dual_b takes arity-1 cochains")
-    arities = s.arities()
+    arities = s.arities() if arities is None else arities
     bound = psi.weight_bound
     if bound is not None:
         bound += min(arities, default=1) - 1

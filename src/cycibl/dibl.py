@@ -49,7 +49,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import CyclicStructure, dual_b, integral_multiple, transposed_b
+from .algebra import (CyclicStructure, dual_b, integral_multiple, mu_plus_table,
+                      transposed_b)
 from .linalg import integral
 from .signs import ZERO
 from .words import (CochainTensor, TruncationError, Word, canonical_key,
@@ -85,12 +86,10 @@ def _integral_t(s: CyclicStructure) -> tuple[int, dict[tuple[int, int], int]]:
 def q110(s: CyclicStructure, psi: CochainTensor) -> CochainTensor:
     """The boundary: insert the differential at each letter with Koszul
     prefix.  This is the dual bar differential of the differential alone,
-    so it is :func:`dual_b` on the structure cut down to mu_1, which needs
-    no pairing; the bound stays psi's."""
+    so it is :func:`dual_b` with mu_1 alone; the bound stays psi's."""
     if psi.arity != 1:
         raise ValueError("q110 takes arity-1 cochains")
-    return dual_b(CyclicStructure(s.name, s.basis, s.manifold_dim, None,
-                                  {1: s.mu.get(1, {})}), psi)
+    return dual_b(s, psi, [1] if s.mu.get(1) else [])
 
 
 def _canonical_term(word: Word, basis, memo: dict) -> tuple[Word | None, int]:
@@ -270,12 +269,12 @@ def canonical_mc(s: CyclicStructure) -> "MaurerCartanFamily":
     """The canonical twist element: weight-three values (-1)^(m-2) m2+(v1,v2,v3)."""
     if 2 not in s.mu:
         raise ValueError(f"{s.name}: no product")
-    sgn = Fraction(-1) ** (s.manifold_dim - 2)
+    sgn = -1 if s.manifold_dim % 2 else 1
+    den, plus = mu_plus_table(s, 2)
     mc10 = CochainTensor(s.basis, 1, s.slot_shift)
     for u in canonical_words(s.basis, 3):
-        val = sgn * s.mu_plus(2, u)
-        if val:
-            mc10.add((u,), val)
+        if val := plus.get(u):
+            mc10.add((u,), Fraction(sgn * val, den))
     return MaurerCartanFamily(s, {(1, 0): mc10})
 
 

@@ -31,7 +31,7 @@ def build_sn(n: int) -> ModelBundle:
     if n < 1:
         raise ValueError("n must be >= 1")
     one = Fraction(1)
-    sgn = Fraction(-1) ** n
+    sgn = -one if n % 2 else one
     basis = GradedBasis(("1", "w"), (-1, n - 1))
     mu2 = {
         (0, 0): {0: one},
@@ -146,7 +146,7 @@ def build_s1_pmc(config: S1TwistConfig, weight_bound: int):
             # a <= b only: the symmetric storage supplies the mirror slot,
             # and a C(a+b-1, a) is symmetric in (a, b)
             val = Fraction(1, 2) * factorial(a + b) * config.value(a + b) \
-                * (Fraction(-1) ** (a + 1)) * a * comb(a + b - 1, a)
+                * (1 if a % 2 else -1) * a * comb(a + b - 1, a)
             if val:
                 pmc20.add(((w,) * a, (w,) * b), val)
     fam = MaurerCartanFamily(s, {(1, 0): mc.entry(1, 0), (2, 0): pmc20})
@@ -176,7 +176,7 @@ def random_cyclic_dga(dim: int, seed: int = 0,
     labels = ["1", "w"]
     degrees = [-1, m - 1]
     one = Fraction(1)
-    sgn_m = Fraction(-1) ** m
+    sgn_m = -one if m % 2 else one
     pairing_entries = {(0, 1): one, (1, 0): sgn_m}
     mu1 = {}
     mu2 = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: sgn_m}, (1, 1): {}}
@@ -192,7 +192,7 @@ def random_cyclic_dga(dim: int, seed: int = 0,
         degrees += [alpha, alpha + 1, m - 3 - alpha, m - 2 - alpha]
         sval = nonzero_scalar()
         # P(a, q) = sval forces P(b, p) = (-1)^(alpha+1) sval via m1+ symmetry
-        beta = (Fraction(-1) ** (alpha + 1)) * sval
+        beta = sval if alpha % 2 else -sval
         pairing_entries[(ia, iq)] = sval
         pairing_entries[(ib, ip)] = beta
         mu1[(ia,)] = {ib: one}
@@ -200,14 +200,14 @@ def random_cyclic_dga(dim: int, seed: int = 0,
         # products with the unit
         for idx in (ia, ib, ip, iq):
             mu2[(0, idx)] = {idx: one}
-            mu2[(idx, 0)] = {idx: (Fraction(-1) ** (degrees[idx] + 1))}
+            mu2[(idx, 0)] = {idx: one if degrees[idx] % 2 else -one}
 
     n = len(labels)
     basis = GradedBasis(tuple(labels), tuple(degrees))
     pairing = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), v in pairing_entries.items():
         pairing[i][j] = v
-        pairing[j][i] = (Fraction(-1) ** (1 + degrees[i] * degrees[j])) * v
+        pairing[j][i] = v if degrees[i] * degrees[j] % 2 else -v
 
     # products of non-unit letters land on the volume class with coefficient
     # equal to their pairing; cyclicity of the triple product against the

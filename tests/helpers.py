@@ -14,6 +14,12 @@
 * ``collection_sign`` and ``product_twisted_q110``: the twisted boundary
   through the product with the (1,0) entry, the oracle of its route
   through ``dibl.circ1``.
+* ``pair`` (the pairing on two vectors) and ``mu_plus`` (one value of
+  P(mu_k ⊗ id)), evaluated entry by entry.
+* ``fraction_check_cyclic_dga``, ``fraction_check_ainfty`` and
+  ``fraction_check_mu_plus_cyclic``: the axiom checks on ``Fraction``s,
+  walking every letter and pair of letters; the oracle of the checks of
+  ``cycibl.algebra``, which visit only the stored support on ints.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cycibl.algebra import CyclicStructure, Tensor
+from cycibl.algebra import (CheckReport, CyclicStructure, Tensor, Vector, _freeze,
+                            _pairing_columns)
 from cycibl.dibl import MaurerCartanFamily, q110, q210
-from cycibl.linalg import SparseMatrix, add_into
+from cycibl.linalg import SparseMatrix, add_into, add_scaled, rank
 from cycibl.models import S1TwistConfig
 from cycibl.signs import GradedBasis
 from cycibl.words import CochainTensor, Word, canonicalize, rotation_sign
@@ -134,6 +141,169 @@ def product_twisted_q110(s: CyclicStructure, pmc: MaurerCartanFamily,
     against the (1,0) entry."""
     e10 = pmc.entry(1, 0)
     return q110(s, psi) + q210(s, e10, psi).scaled(collection_sign(s, e10))
+
+
+# ---------------------------------------------------------------------------
+# the pairing and the axiom checks, entry by entry on Fractions
+# ---------------------------------------------------------------------------
+
+def pair(s: CyclicStructure, v: Vector, w: Vector) -> Fraction:
+    if s.pairing is None:
+        raise ValueError(f"{s.name}: no pairing")
+    total = Fraction(0)
+    for i, a in v.items():
+        row = s.pairing[i]
+        for j, b in w.items():
+            total += a * row[j] * b
+    return total
+
+
+def mu_plus(s: CyclicStructure, k: int, letters) -> Fraction:
+    """The (k+1)-linear functional P(mu_k(v_1..v_k), v_{k+1})."""
+    letters = tuple(letters)
+    if len(letters) != k + 1:
+        raise ValueError(f"mu_plus({k}) takes {k + 1} letters")
+    img = s.mu_apply(k, letters[:-1])
+    if not img:
+        return Fraction(0)
+    return pair(s, img, {letters[-1]: Fraction(1)})
+
+
+def fraction_check_cyclic_dga(s: CyclicStructure) -> CheckReport:
+    """``algebra.check_cyclic_dga`` with every pairing entry, every letter
+    and every pair of letters visited, on Fractions."""
+    fails = []
+    checked: dict[str, int] = {}
+    n = len(s.basis)
+    deg = s.basis.degrees
+    one = Fraction(1)
+
+    def record(name, witness, lhs, rhs):
+        if lhs != rhs:
+            fails.append((name, witness, lhs, rhs))
+
+    def merge(rep):
+        fails.extend(rep.failures)
+        checked.update(rep.checked)
+
+    if s.pairing is not None:
+        for i in range(n):
+            for j in range(n):
+                lhs = s.pairing[i][j]
+                sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
+                record("pairing antisymmetry", (i, j), lhs, sign * s.pairing[j][i])
+                if s.pairing[i][j] and deg[i] + deg[j] != s.manifold_dim - 2:
+                    record("pairing degree", (i, j), Fraction(deg[i] + deg[j]),
+                           Fraction(s.manifold_dim - 2))
+        if rank(SparseMatrix.from_columns(n, _pairing_columns(s.pairing))) < n:
+            fails.append(("pairing nondegenerate", (), Fraction(0), one))
+        checked.update({"pairing antisymmetry": n * n, "pairing degree": n * n,
+                        "pairing nondegenerate": 1})
+
+    for k in sorted(s.mu):
+        for t, img in sorted(s.mu[k].items()):
+            d = sum(deg[i] for i in t) + 1
+            for o in img:
+                record(f"mu_{k} degree", t, Fraction(deg[o]), Fraction(d))
+        checked[f"mu_{k} degree"] = len(s.mu[k])
+    merge(fraction_check_ainfty(s, 2 * max(s.arities(), default=0) - 1))
+    if s.pairing is not None:
+        for k in s.arities():
+            merge(fraction_check_mu_plus_cyclic(s, k))
+
+    if s.unit is not None:
+        u = s.unit
+        if deg[u] != -1:
+            fails.append(("unit degree", (u,), Fraction(deg[u]), Fraction(-1)))
+        for i in range(n):
+            record("left unit", (i,), _freeze(s.mu_apply(2, (u, i))),
+                   _freeze({i: one}))
+            sgn = -1 if (deg[i] + 1) % 2 else 1
+            record("right unit", (i,), _freeze(s.mu_apply(2, (i, u))),
+                   _freeze({i: sgn * one}))
+        record("unit in m1 kernel", (u,), _freeze(s.mu_apply(1, (u,))), _freeze({}))
+        checked.update({"unit degree": 1, "left unit": n, "right unit": n,
+                        "unit in m1 kernel": 1})
+        for k in s.arities():
+            if k in (1, 2):
+                continue
+            for t, out in s.mu[k].items():
+                if u in t and out:
+                    fails.append((f"unit kills mu_{k}", t, one, Fraction(0)))
+            checked[f"unit kills mu_{k}"] = len(s.mu[k])
+    if s.augmentation is not None:
+        eps = s.augmentation
+        if s.unit is None or eps.get(s.unit, Fraction(0)) != 1:
+            fails.append(("augmentation of unit", (), eps.get(s.unit, Fraction(0)), one))
+
+        def eps_of(vec):
+            return sum((c * eps.get(o, Fraction(0)) for o, c in vec.items()),
+                       Fraction(0))
+
+        for i in range(n):
+            record("augmentation chain map", (i,), eps_of(s.mu_apply(1, (i,))),
+                   Fraction(0))
+            for j in range(n):
+                record("augmentation multiplicative", (i, j),
+                       eps_of(s.mu_apply(2, (i, j))),
+                       eps.get(i, Fraction(0)) * eps.get(j, Fraction(0)))
+        checked.update({"augmentation of unit": 1, "augmentation chain map": n,
+                        "augmentation multiplicative": n * n})
+    return CheckReport(not fails, fails, checked)
+
+
+def fraction_check_ainfty(s: CyclicStructure, max_arity: int) -> CheckReport:
+    """``algebra.check_ainfty`` composing the Fraction tables."""
+    fails = []
+    checked = {}
+    deg = s.basis.degrees
+    arities = s.arities()
+    n = len(s.basis)
+    slots: dict[tuple[int, int, int], list] = {}  # (k1, p, letter) -> (t1, mu(t1))
+    for k1 in arities:
+        for t1, img in s.mu[k1].items():
+            for p, x in enumerate(t1):
+                slots.setdefault((k1, p, x), []).append((t1, img))
+    for k in range(1, max_arity + 1):
+        pairs = [(k + 1 - k2, k2) for k2 in arities if k + 1 - k2 in arities]
+        if not pairs:
+            continue
+        name = f"A-infinity relation arity {k}"
+        checked[name] = n ** k
+        accs: dict[Word, Vector] = {}
+        for k1, k2 in pairs:
+            for t2, inner in s.mu[k2].items():
+                for p in range(k1):
+                    for mid, c in inner.items():
+                        for t1, img in slots.get((k1, p, mid), ()):
+                            sc = -c if sum(deg[i] for i in t1[:p]) % 2 else c
+                            add_scaled(accs.setdefault(t1[:p] + t2 + t1[p + 1:], {}),
+                                       img, sc)
+        fails.extend((name, letters, _freeze(acc), ())
+                     for letters, acc in sorted(accs.items()) if acc)
+    return CheckReport(not fails, fails, checked)
+
+
+def fraction_check_mu_plus_cyclic(s: CyclicStructure, k: int) -> CheckReport:
+    """``algebra.check_mu_plus_cyclic`` pairing each stored image with every
+    letter."""
+    deg = s.basis.degrees
+    n = len(s.basis)
+    name = f"mu_{k}+ cyclicity"
+    plus = {}
+    for t, img in s.mu.get(k, {}).items():
+        for x in range(n):
+            if v := pair(s, img, {x: Fraction(1)}):
+                plus[t + (x,)] = v
+    fails = []
+    for letters in sorted(set(plus) | {w[1:] + w[:1] for w in plus}):
+        lhs = plus.get(letters, Fraction(0))
+        rot = (letters[-1],) + letters[:-1]
+        sign = rotation_sign(s.basis.word_degree(letters), deg[letters[-1]])
+        rhs = sign * plus.get(rot, Fraction(0))
+        if lhs != rhs:
+            fails.append((name, letters, lhs, rhs))
+    return CheckReport(not fails, fails, {name: n ** (k + 1)})
 
 
 # ---------------------------------------------------------------------------

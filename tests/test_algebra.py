@@ -16,7 +16,9 @@ from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_words, canonicalize,
                           dual_word, rotations)
 from helpers import (classical_b_tensor, classical_rotation, classical_shift_U,
-                     bar_terms, conjugated_b_tensor, cyclic_image, hochschild_b_tensor,
+                     bar_terms, conjugated_b_tensor, cyclic_image,
+                     fraction_check_ainfty, fraction_check_cyclic_dga,
+                     fraction_check_mu_plus_cyclic, hochschild_b_tensor, mu_plus, pair,
                      rotate)
 
 
@@ -60,13 +62,13 @@ def test_perturbed_product_detected():
 def test_mu_plus_values():
     s3 = build_sn(3).structure
     # m2(w, w) = 0 kills every triple with two volume letters adjacent
-    assert s3.mu_plus(2, (1, 1, 0)) == 0
+    assert mu_plus(s3, 2, (1, 1, 0)) == 0
     cp2 = build_cpn(2).structure
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 expected = Fraction(1 if i + j + k == 2 else 0)
-                assert cp2.mu_plus(2, (i, j, k)) == expected
+                assert mu_plus(cp2, 2, (i, j, k)) == expected
 
 
 def test_mu_plus_cyclic_exhaustive():
@@ -230,7 +232,7 @@ def oracle_relation_failures(s):
         return _apply(s, 2, [v, w])
 
     def plus(k, letters):
-        return s.pair(_apply(s, k, [e[i] for i in letters[:-1]]), e[letters[-1]])
+        return pair(s, _apply(s, k, [e[i] for i in letters[:-1]]), e[letters[-1]])
 
     def sign(x):
         return -1 if x % 2 else 1
@@ -282,6 +284,118 @@ def test_relation_checks_match_docstring_oracle():
         assert got == oracle_relation_failures(s), s.name
         outcomes[bool(got)] += 1
     assert outcomes[True] > 100 and outcomes[False] >= len(structures), outcomes
+
+
+def _check_mutants(s, rng):
+    """Seeded single changes of a structure, one per kind: the pairing made
+    asymmetric (at a nonzero entry or a zero one), of wrong degree or
+    degenerate; a mu_1 or mu_2 entry
+    flipped, scaled by 1/3, deleted or added; a non-integral mu_3 entry;
+    a broken unit; the augmentation off the unit."""
+    n, deg = len(s.basis), s.basis.degrees
+    out = []
+
+    def mutant(change):
+        m = copy.deepcopy(s)
+        change(m)
+        out.append(m)
+
+    def bump(nonzero):
+        def change(m):
+            i, j = rng.choice([(i, j) for i in range(n) for j in range(n)
+                               if bool(m.pairing[i][j]) == nonzero])
+            m.pairing[i][j] += Fraction(1, 2)
+        return change
+
+    def off_degree(m):
+        i, j = rng.choice([(i, j) for i in range(n) for j in range(n)
+                           if deg[i] + deg[j] != m.manifold_dim - 2])
+        m.pairing[i][j] = Fraction(2)
+        m.pairing[j][i] = Fraction(2 if (deg[i] * deg[j]) % 2 else -2)
+
+    def degenerate(m):
+        i = rng.randrange(n)
+        for j in range(n):
+            m.pairing[i][j] = m.pairing[j][i] = Fraction(0)
+
+    def entry(kind):
+        def change(m):
+            k = rng.choice([k for k in (1, 2) if m.mu.get(k)])
+            t = rng.choice(sorted(m.mu[k]))
+            img = m.mu[k][t]
+            o = rng.choice(sorted(img))
+            if kind == "delete":
+                del img[o]
+            else:
+                img[o] *= -1 if kind == "flip" else Fraction(1, 3)
+        return change
+
+    def add(m):
+        k = rng.choice((1, 2))
+        t = tuple(rng.randrange(n) for _ in range(k))
+        m.mu.setdefault(k, {})[t] = {rng.randrange(n): Fraction(rng.choice((1, -2)))}
+
+    def mu3(m):
+        t = tuple(rng.randrange(n) for _ in range(3))
+        m.mu[3] = {t: {rng.randrange(n): Fraction(1, rng.choice((3, 5)))}}
+
+    def unit(m):
+        i = rng.randrange(n)
+        m.mu[2][(m.unit, i)] = {i: Fraction(2)}
+
+    def augmentation(m):
+        # a letter and its mu_1 image: the chain map and multiplicativity
+        # fail at the same first letter
+        i = rng.choice(sorted(t for t, in m.mu.get(1, {})) or range(1, n))
+        m.augmentation = {m.unit: Fraction(1), i: Fraction(rng.choice((1, -3)), 2)}
+        m.augmentation.update((o, Fraction(1, 3)) for o in m.mu_apply(1, (i,)))
+
+    for change in (bump(True), bump(False), off_degree, degenerate, entry("flip"),
+                   entry("scale"), entry("delete"), add, mu3, unit, augmentation):
+        mutant(change)
+    mutant(lambda m: setattr(m, "unit", rng.randrange(1, n)))
+    mutant(lambda m: setattr(m, "augmentation", {m.unit: Fraction(1, 2)}))
+    return out
+
+
+def test_check_reports_match_fraction_oracle():
+    """Every report of the support-only int checks equals that of the
+    exhaustive Fraction checks: pass, failures in order with the reprs (so
+    the types) of their values, and the checked counts in order."""
+    models = ([build_sn(n).structure for n in range(1, 6)]
+              + [build_cpn(n).structure for n in range(1, 8)]
+              + [random_cyclic_dga(d, seed=seed)
+                 for d, seed in ((6, 0), (6, 1), (6, 2), (6, 3), (10, 0), (10, 1))])
+    rng = random.Random(3)
+    structures = models + [m for s in models for m in _check_mutants(s, rng)]
+
+    def fields(rep):
+        return rep.passed, repr(rep.failures), list(rep.checked.items())
+
+    assert all(check_cyclic_dga(s).passed for s in models)
+    names = Counter()
+    fractional = False
+    for s in structures:
+        rep = check_cyclic_dga(s)
+        assert fields(rep) == fields(fraction_check_cyclic_dga(s)), s.name
+        fractional |= any(c.denominator > 1 for name, _, lhs, _ in rep.failures
+                          if name.startswith("A-infinity") for _, c in lhs)
+        top = 2 * max(s.arities(), default=0) - 1
+        assert fields(check_ainfty(s, top)) == fields(fraction_check_ainfty(s, top))
+        for k in s.arities():
+            assert fields(check_mu_plus_cyclic(s, k)) == \
+                fields(fraction_check_mu_plus_cyclic(s, k)), (s.name, k)
+        names.update({f[0] for f in rep.failures})
+    # every relation fails on some mutant, and some A-infinity sum has a
+    # denominator
+    assert {"pairing antisymmetry", "pairing degree", "pairing nondegenerate",
+            "mu_1 degree", "mu_2 degree", "mu_3 degree", "mu_1+ cyclicity",
+            "mu_2+ cyclicity", "mu_3+ cyclicity", "A-infinity relation arity 2",
+            "A-infinity relation arity 3", "A-infinity relation arity 4",
+            "A-infinity relation arity 5", "unit degree", "left unit",
+            "right unit", "unit kills mu_3", "augmentation of unit",
+            "augmentation chain map", "augmentation multiplicative"} <= set(names), names
+    assert fractional
 
 
 def test_bar_differential_squares_to_zero():

@@ -56,6 +56,43 @@ def test_algebra_check_fails_on_higher_operation(tmp_path, capsys):
     assert "A-infinity relation arity 5 32" in out
 
 
+def test_algebra_check_text_with_a_denominator(tmp_path, capsys):
+    # mu_3 entries in thirds and fifths: the A-infinity sums have
+    # denominators, and the failures print as the Fraction check prints them
+    path = tmp_path / "cp1.json"
+    doc = fileio.structure_to_dict(build_cpn(1).structure)
+    doc["mu"]["3"] = [{"inputs": ["e1", "e1", "e1"], "output": {"e1": "1/3"}},
+                      {"inputs": ["e0", "e1", "e0"], "output": {"e1": "-2/5"}}]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "algebra-check", str(path))
+    assert code == 1
+    assert out == """\
+16 failing relation(s), instances checked: pairing antisymmetry 4, \
+pairing degree 4, pairing nondegenerate 1, mu_2 degree 3, mu_3 degree 2, \
+A-infinity relation arity 3 8, A-infinity relation arity 4 16, \
+A-infinity relation arity 5 32, mu_2+ cyclicity 8, mu_3+ cyclicity 16, \
+unit degree 1, left unit 2, right unit 2, unit in m1 kernel 1, \
+unit kills mu_3 2, augmentation of unit 1, augmentation chain map 2, \
+augmentation multiplicative 4
+  mu_3 degree at (0, 1, 0): 1 != 0
+  mu_3 degree at (1, 1, 1): 1 != 4
+  A-infinity relation arity 4 at (0, 0, 1, 0): ((1, Fraction(2, 5)),) != ()
+  A-infinity relation arity 4 at (0, 1, 0, 0): ((1, Fraction(-2, 5)),) != ()
+  A-infinity relation arity 4 at (1, 1, 1, 0): ((1, Fraction(2, 3)),) != ()
+  A-infinity relation arity 5 at (0, 0, 1, 0, 0): ((1, Fraction(-4, 25)),) != ()
+  A-infinity relation arity 5 at (0, 1, 0, 1, 1): ((1, Fraction(-2, 15)),) != ()
+  A-infinity relation arity 5 at (0, 1, 1, 1, 0): ((1, Fraction(2, 15)),) != ()
+  A-infinity relation arity 5 at (1, 0, 1, 0, 1): ((1, Fraction(2, 15)),) != ()
+  A-infinity relation arity 5 at (1, 1, 0, 1, 0): ((1, Fraction(-2, 15)),) != ()
+  A-infinity relation arity 5 at (1, 1, 1, 1, 1): ((1, Fraction(1, 9)),) != ()
+  mu_3+ cyclicity at (0, 1, 0, 0): -2/5 != 0
+  mu_3+ cyclicity at (1, 0, 0, 0): 0 != 2/5
+  mu_3+ cyclicity at (1, 1, 0, 1): 0 != -1/3
+  mu_3+ cyclicity at (1, 1, 1, 0): 1/3 != 0
+  unit kills mu_3 at (0, 1, 0): 1 != 0
+"""
+
+
 def test_vacuous_algebra_check_is_input_error(tmp_path, capsys):
     # no pairing, no operation, no unit: no relation instance to check
     path = tmp_path / "bare.json"

@@ -14,7 +14,7 @@ from cycibl.green import (GreenReport, KernelTensor, LinearOperator, _dual_sign,
                           schwartz_kernel)
 from cycibl.linalg import SparseMatrix, add_scaled, kernel_basis, solve
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga
-from helpers import sparse_from_entries
+from helpers import pair, sparse_from_entries
 
 
 # -- test-side routes: an operator from its kernel, the kernel of a composite
@@ -266,8 +266,8 @@ def test_harmonic_projection_properties():
         n = len(s.basis)
         for x in range(n):
             for y in range(n):
-                a = s.pair(proj.apply({x: Fraction(1)}), {y: Fraction(1)})
-                b = s.pair({x: Fraction(1)}, proj.apply({y: Fraction(1)}))
+                a = pair(s, proj.apply({x: Fraction(1)}), {y: Fraction(1)})
+                b = pair(s, {x: Fraction(1)}, proj.apply({y: Fraction(1)}))
                 assert a == b
 
 
@@ -417,7 +417,7 @@ def frac_adjoint(s, L):
         img = L.apply(dual)
         sgn = _dual_sign(s, i) * (-1 if (pdeg - s.basis.degrees[i]) % 2 else 1)
         for j in range(n):
-            if c := s.pair(img, {j: Fraction(1)}):
+            if c := pair(s, img, {j: Fraction(1)}):
                 cols[j][i] = sgn * c
     return FractionOperator(s.basis, L.degree, cols)
 
@@ -429,7 +429,7 @@ def frac_kernel(s, L):
     for i in range(len(s.basis)):
         img = L.apply(dual[i])
         for j in range(len(s.basis)):
-            if val := s.pair(img, dual[j]):
+            if val := pair(s, img, dual[j]):
                 e = (L.degree + 1) * (pdeg + s.basis.degrees[i])
                 entries[(i, j)] = -val if e % 2 else val
     return KernelTensor(s.basis, pdeg + L.degree, entries)
@@ -463,7 +463,7 @@ def frac_pipeline(s):
             [{idx[c]: v for c, v in vec.items()} for vec in kb],
             image_by_deg.get(d, [])))
     if harmonic:
-        rows = [{j: v for j in range(n) if (v := s.pair(h, {j: Fraction(1)}))}
+        rows = [{j: v for j in range(n) if (v := pair(s, h, {j: Fraction(1)}))}
                 for h in harmonic]
         perp = kernel_basis(SparseMatrix(len(harmonic), n, rows))
     else:

@@ -17,6 +17,7 @@ from cycibl.ribbon import (Labeling, RibbonGraph, _surface_complex,
 from cycibl.signs import ZERO, GradedBasis, koszul_sign
 from cycibl.words import (CochainTensor, canonical_key, canonical_tuples,
                           canonical_words, dual_word)
+from helpers import mu_plus
 
 
 def two_vertex_graph(k1, k2):
@@ -1084,7 +1085,7 @@ class OracleMuPlusCochain:
         self.values = {}
         for xy in s.mu.get(2, {}):
             for z in range(len(s.basis)):
-                value = s.mu_plus(2, xy + (z,))
+                value = mu_plus(s, 2, xy + (z,))
                 if value:
                     self.values[xy + (z,)] = value
 
