@@ -69,13 +69,15 @@ def t_tensor(s: CyclicStructure) -> dict[tuple[int, int], Fraction]:
 def _integral_t(s: CyclicStructure) -> tuple[int, dict[tuple[int, int], int]]:
     """D_T, the least common denominator of T, and D_T T as ints, computed
     once per structure; callers only read it.  P(e_a, e^j) = delta_aj, so
-    P(e^i, e^j) is coordinate j of e^i: row i of T is the signed e^i."""
+    P(e^i, e^j) is coordinate j of e^i: row i of D_T T is the signed
+    D_T e^i of the int dual basis, whose denominator is D_T."""
     if s._t_tensor is None:
+        d_t, *dual = s.dual_basis()
         T = {}
-        for i, e in enumerate(s.dual_basis()):
+        for i, e in enumerate(dual):
             sgn = -1 if s.basis.degrees[i] % 2 else 1
             T.update(((i, j), sgn * c) for j, c in e.items())
-        s._t_tensor = integral(T)
+        s._t_tensor = d_t, T
     return s._t_tensor
 
 

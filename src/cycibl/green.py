@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CyclicStructure
+from .algebra import CyclicStructure, _integral_pairing
 from .linalg import (SparseMatrix, add_into, add_scaled, integral, kernel_basis,
                      primitive, solve)
 
@@ -73,10 +73,6 @@ class LinearOperator:
         for j, c in vec.items():
             add_scaled(out, self.cols[j], c)
         return out
-
-    def apply(self, vec: Vector) -> Vector:
-        d, ints = integral(vec)
-        return {i: Fraction(c, self.den * d) for i, c in self._image(ints).items()}
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self ∘ other."""
@@ -144,8 +140,8 @@ def adjoint(s: CyclicStructure, L: LinearOperator) -> LinearOperator:
     contracted with the int rows of the pairing matrix, fills row i of
     every column.
     """
-    dual_den, *dual = integral(*s.dual_basis())
-    pden, *prows = integral(*(dict(enumerate(row)) for row in s.pairing))
+    dual_den, *dual = s.dual_basis()
+    pden, *prows = _integral_pairing(s)
     pdeg = pairing_degree(s)
     cols: list[IntVector] = [dict() for _ in dual]
     for i, vec in enumerate(dual):
@@ -207,14 +203,17 @@ def pairing_degree(s: CyclicStructure) -> int:
 
 def schwartz_kernel(s: CyclicStructure, L: LinearOperator) -> KernelTensor:
     """K_L^{ij} = (-1)^((|L|+1)(|P|+|e_i|)) P(L(e^i), e^j), where P(v, e^j)
-    is the e_j-coefficient of v: row i of the kernel is L(e^i) up to sign."""
+    is the e_j-coefficient of v: row i of the kernel is L(e^i) up to sign,
+    read off the int image of the int dual vector over both denominators."""
     pdeg = pairing_degree(s)
+    d, *dual = s.dual_basis()
+    den = L.den * d
     entries = {}
-    for i, dual in enumerate(s.dual_basis()):
-        img = L.apply(dual)
+    for i, vec in enumerate(dual):
+        img = L._image(vec)
         sgn = -1 if (L.degree + 1) * (pdeg + s.basis.degrees[i]) % 2 else 1
         for j in sorted(img):
-            entries[(i, j)] = sgn * img[j]
+            entries[(i, j)] = Fraction(sgn * img[j], den)
     return KernelTensor(s.basis, pdeg + L.degree, entries)
 
 
@@ -244,19 +243,17 @@ class HarmonicSplitting:
         self.den = den
 
 
-def _orth_complement_inside(universe: list[Vector],
+def _orth_complement_inside(universe: list[IntVector],
                             subspace: list[IntVector]) -> list[IntVector]:
     """Dot-product orthogonal complement of span(subspace) inside
     span(universe), one primitive int vector per spanning ray."""
-    _, *universe = integral(*universe)
     if subspace:
         # universe-combinations annihilating every dot product with the subspace
         rows = [{c: dot for c, u in enumerate(universe)
                  if (dot := sum(a * u.get(i, 0) for i, a in w.items()))}
                 for w in subspace]
         mat = SparseMatrix(len(subspace), len(universe), rows)
-        _, *universe = integral(*(_expand(combo, universe, 0)
-                                  for combo in kernel_basis(mat)))
+        universe = [_expand(combo, universe, 0) for combo in kernel_basis(mat)]
     for vec in universe:
         primitive((vec,))
     return universe
@@ -287,7 +284,7 @@ def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     # C: inside the pairing-orthogonal complement of H, a complement of im(m1)
     perp = [{j: 1} for j in range(n)]
     if harmonic:
-        _, *prows = integral(*(dict(enumerate(row)) for row in s.pairing))
+        _, *prows = _integral_pairing(s)
         perp = kernel_basis(SparseMatrix(
             len(harmonic), n, [_expand(h, prows, 0) for h in harmonic]))
     # split perp by degree and take the dot-orthogonal complement of image
@@ -300,10 +297,9 @@ def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     if len(basis_vecs) != n:
         raise ValueError("splitting does not span")
     # m1 fails to be injective on C exactly when these are dependent
-    coordinates = solve(basis_vecs, [{j: 1} for j in range(n)])
+    den, *coordinates = solve(basis_vecs, [{j: 1} for j in range(n)])
     if None in coordinates:
         raise ValueError("splitting vectors are dependent")
-    den, *coordinates = integral(*coordinates)
     return HarmonicSplitting(m1, harmonic, complement, coordinates, den)
 
 

@@ -6,12 +6,11 @@ signs through it:
 
 * ``add_into`` and ``add_scaled`` -- ``acc += c·v`` on dict vectors,
   dropping the entries that cancel;
-* ``rref`` -- reduced row echelon form; the rows wait in buckets keyed by
-  lead column, the least key is the next pivot column, and its pivot row is
-  the bucket's sparsest row (the earliest on ties);
-* ``rank`` and ``kernel_basis`` -- read off one ``rref``;
+* ``rank`` and ``kernel_basis`` -- read off one echelon form; the rows wait
+  in buckets keyed by lead column, the least key is the next pivot column,
+  and its pivot row is the bucket's sparsest row (the earliest on ties);
 * ``solve`` -- coefficients of several right-hand sides in the span of a
-  list of columns, from one ``rref`` of ``[A | B]``;
+  list of columns, from one echelon form of ``[A | B]``;
 * ``det_sign`` -- the sign of a square determinant, from one incremental
   elimination;
 * ``Eliminator`` -- incremental echelon form for span membership, basis
@@ -19,18 +18,22 @@ signs through it:
 * ``graded_homology`` -- weight-graded homology of a weight-filtered
   complex.
 
-Entries are ints or ``Fraction``s, never floats, so elimination is exact
-by construction.  There is one elimination route, on ints only
-(Bareiss 1968), and this module alone turns rationals into ints:
+Elimination takes ints only and makes no ``Fraction`` (Bareiss 1968), so
+it is exact by construction, and this module alone turns rationals into
+ints:
 
 * ``integral`` scales vectors to ints over the least common denominator
-  of their entries; a positive row scale keeps the leads, the signs and
-  the reduced echelon form, so a ``Fraction`` row enters so scaled;
+  of their entries, the one way in: a caller scales its own rational data
+  once, and a positive row scale keeps the leads, the signs and the
+  reduced echelon form;
 * ``primitive`` divides int vectors, and optionally their denominator, by
   their positive gcd: pivot rows have a positive lead p, a row holding f
   at the lead becomes ``p·row - f·pivot`` over its content, and a
   :mod:`cycibl.green` operator ``cols / den`` has gcd 1;
-* ``Fraction``s appear only where values leave int form.
+* the solvers hand out ints in the same form: ``kernel_basis`` one int
+  vector per free column, ``solve`` ``(d, d·x_0, d·x_1, ...)`` over the
+  least common denominator d, as ``integral`` does.  ``Fraction``s appear
+  only where values leave the package's functions.
 
 The homology callers scale a bar differential b, linear in the structure
 constants, to the integral D·b: it has the kernels, images and
@@ -58,8 +61,9 @@ from .signs import koszul_sign
 
 
 class SparseMatrix:
-    """Rows stored as dicts ``col -> int or Fraction``, without zero entries:
-    a given row that holds one is replaced by a copy without them."""
+    """Rows stored as dicts ``col -> value``, without zero entries: a given
+    row that holds one is replaced by a copy without them.  The solvers
+    eliminate int rows only."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -84,32 +88,22 @@ class SparseMatrix:
         return mat
 
 
-def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
+    """The reduced row echelon form of an int matrix up to a positive
+    factor per row: (primitive int rows, pivot columns), by pivot.
 
     The remaining rows are kept in buckets by lead column, so the next lead
     is the least bucket key and only that bucket's rows are reduced.  The
     pivot is the bucket's row with the fewest entries, the earliest in the
-    input on ties.
+    input on ties.  The pending lead columns wait in a heap, pushed when
+    their bucket is made.  A new pivot is eliminated only from the earlier
+    pivot rows that ``holders`` lists under its lead column: those that
+    took an entry there (it may have cancelled).
     """
-    rows, pivots = _echelon(mat)
-    return [_over(row, row[p]) for row, p in zip(rows, pivots)], pivots
-
-
-def _echelon(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
-    """:func:`rref` up to a positive factor per row, in primitive int rows.
-    A matrix that holds a ``Fraction`` has each row scaled to ints first
-    (:func:`integral`).  The pending lead columns wait in a heap, pushed
-    when their bucket is made.  A new pivot is eliminated only from the
-    earlier pivot rows that ``holders`` lists under its lead column: those
-    that took an entry there (it may have cancelled).
-    """
-    ints = all(type(v) is int for r in mat.rows for v in r.values())
     by_lead: dict[int, list[tuple[int, dict]]] = {}
     for i, r in enumerate(mat.rows):
         if r:
-            by_lead.setdefault(min(r), []).append(
-                (i, dict(r) if ints else integral(r)[1]))
+            by_lead.setdefault(min(r), []).append((i, dict(r)))
     leads = sorted(by_lead)
     pivots: list[int] = []
     out: list[dict] = []
@@ -194,11 +188,6 @@ def _eliminate(row: dict, p: int, f: int, items) -> None:
         primitive((row,))
 
 
-def _over(vec: dict, d: int) -> dict:
-    """``vec / d`` as ``Fraction``s of ints, key order kept."""
-    return {c: Fraction(v, d) for c, v in vec.items()}
-
-
 def add_into(acc: dict, key, c) -> None:
     """``acc[key] += c``, dropping the entry if it cancels."""
     old = acc.get(key)
@@ -231,15 +220,12 @@ def rank(mat: SparseMatrix) -> int:
 
 
 def kernel_basis(mat: SparseMatrix) -> list[dict]:
-    """Vectors v (dicts over columns) with M v = 0, in reduced echelon form."""
-    return [_over(vec, vec[max(vec)]) for vec in _kernel(mat)]
-
-
-def _kernel(mat: SparseMatrix) -> list[dict]:
-    """:func:`kernel_basis` up to a positive factor per vector, as int
-    vectors.  Every entry of a reduced row off its pivot sits in a free
-    column, so one pass over the rows fills in every kernel vector, scaled
-    up where an entry would not be an int."""
+    """Int vectors v (dicts over columns) with M v = 0, one per free column
+    in column order: the reduced-echelon kernel vector of the column over
+    its least common denominator, so positive at the free column, which is
+    its maximum key.  Every entry of a reduced row off its pivot sits in a
+    free column, so one pass over the rows fills in every kernel vector,
+    scaled up where an entry would not be an int."""
     rows, pivots = _echelon(mat)
     basis = {c: {c: 1} for c in range(mat.ncols)}
     for p in pivots:
@@ -258,10 +244,12 @@ def _kernel(mat: SparseMatrix) -> list[dict]:
     return list(basis.values())
 
 
-def solve(columns: list[dict], rhs_list: list[dict]) -> list[dict | None]:
-    """Coefficients ``x`` with ``sum_c x[c] * columns[c] == rhs``, per right-hand side.
+def solve(columns: list[dict], rhs_list: list[dict]) -> tuple:
+    """``(d, d·x_0, d·x_1, ...)``, the form of :func:`integral`: per
+    right-hand side the coefficients x with ``sum_c x[c] * columns[c] ==
+    rhs``, as ints over d, the least common denominator of them all.
 
-    Vectors are dicts over nonnegative integer row indices.  One ``rref``
+    Vectors are int dicts over nonnegative row indices.  One echelon form
     of ``[A | B]`` serves every right-hand side; the entry for one outside
     the span of the columns is ``None``.  Coefficients of non-pivot columns
     are zero, so the answer is unique when the columns are independent.
@@ -269,7 +257,8 @@ def solve(columns: list[dict], rhs_list: list[dict]) -> list[dict | None]:
     n = len(columns)
     cols = list(columns) + list(rhs_list)
     nrows = 1 + max((r for col in cols for r in col), default=-1)
-    rows, pivots = rref(SparseMatrix.from_columns(nrows, cols))
+    rows, pivots = _echelon(SparseMatrix.from_columns(nrows, cols))
+    d = math.lcm(*(row[p] for row, p in zip(rows, pivots) if p < n))
     out: list[dict | None] = []
     for j in range(n, len(cols)):
         sol: dict | None = {}
@@ -278,9 +267,9 @@ def solve(columns: list[dict], rhs_list: list[dict]) -> list[dict | None]:
                 if p >= n:
                     sol = None
                     break
-                sol[p] = row[j]
+                sol[p] = row[j] * (d // row[p])
         out.append(sol)
-    return out
+    return primitive([x for x in out if x is not None], d), *out
 
 
 def det_sign(columns: list[dict]) -> int:
@@ -307,10 +296,10 @@ def det_sign(columns: list[dict]) -> int:
 
 
 class Eliminator:
-    """Incremental elimination for span membership and basis extension.
+    """Incremental elimination of int vectors for span membership and basis
+    extension.
 
-    ``rows`` are primitive int rows with a positive lead.  ``reduce`` takes
-    a vector that holds a ``Fraction`` to ints first (:func:`integral`) and
+    ``rows`` are primitive int rows with a positive lead.  ``reduce``
     returns a positive int multiple of the rational reduction, with its
     leads and signs."""
 
@@ -319,8 +308,6 @@ class Eliminator:
 
     def reduce(self, vec: dict) -> dict:
         vec = {c: v for c, v in vec.items() if v}
-        if type(sum(vec.values())) is not int:  # a Fraction entry makes a Fraction sum
-            _, vec = integral(vec)
         rows = self.rows
         while vec:
             lead = min(vec)
@@ -386,10 +373,11 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
 
     ``basis_fn(degree)`` lists basis keys ``(weight, payload)`` of that
     degree with weight between 1 and the bound.  ``diff_fn(key)`` gives the
-    differential of a basis vector as a dict ``key -> coeff`` (ints or
-    ``Fraction``s); it must be the untruncated differential, so on the dual
-    side it may reach weight ``weight_bound + 1`` (such targets are kept as
-    phantom coordinates and closedness is decided against them).
+    differential of a basis vector as a dict ``key -> coeff`` of ints (a
+    rational differential enters scaled by :func:`integral`); it must be
+    the untruncated differential, so on the dual side it may reach weight
+    ``weight_bound + 1`` (such targets are kept as phantom coordinates and
+    closedness is decided against them).
     ``degree_step`` is the degree shift of the differential; ``weight_step``
     (+1 dual side, -1 primal side) is the direction in which it may move
     weight besides preserving it.  Weights up to ``weight_bound - 1`` are
@@ -437,7 +425,7 @@ def graded_homology(basis_fn, diff_fn, degrees, weight_bound,
         coord_t: dict = {}
         cols = [{coord_t.setdefault(t, len(coord_t)): c
                  for t, c in diff(key).items()} for key in src]
-        kernel = _kernel(SparseMatrix.from_columns(len(coord_t), cols))
+        kernel = kernel_basis(SparseMatrix.from_columns(len(coord_t), cols))
 
         # Image: coordinates count down from the deepest key (len(src) - 1)
         # to the outermost one (0) and on to the phantom targets beyond the

@@ -479,7 +479,7 @@ def _surface_complex(graph: RibbonGraph):
         for col in d2:
             elim.add(col)
         for vec in kernel_basis(SparseMatrix.from_columns(len(graph.vertices), d1)):
-            if elim.add(dict(vec)):
+            if elim.add(vec):
                 middle.append(vec)
     graph._complex = (d1, d2, middle)
     return graph._complex

@@ -269,13 +269,6 @@ class CochainTensor:
             return degs.pop()
         return None
 
-    def scaled(self, c) -> "CochainTensor":
-        c = Fraction(c)
-        out = CochainTensor(self.basis, self.arity, self.slot_shift, self.weight_bound)
-        if c:
-            out.values = {k: c * v for k, v in self.values.items()}
-        return out
-
     def __add__(self, other: "CochainTensor") -> "CochainTensor":
         if (self.basis, self.arity, self.slot_shift) != (other.basis, other.arity, other.slot_shift):
             raise ValueError("incompatible cochain tensors")
@@ -284,9 +277,6 @@ class CochainTensor:
         out.values = dict(self.values)
         add_scaled(out.values, other.values)
         return out
-
-    def __sub__(self, other: "CochainTensor") -> "CochainTensor":
-        return self + other.scaled(-1)
 
     def equal_values(self, other: "CochainTensor") -> bool:
         return (self.arity == other.arity and self.slot_shift == other.slot_shift

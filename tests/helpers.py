@@ -8,7 +8,16 @@
   conjugates it to the bar differential: a second route to b, the oracle
   of acceptance criterion 12.
 * ``rotate``: one signed rotation, the oracle of ``words.rotations``.
-* ``sparse_from_entries``: a ``SparseMatrix`` from ``(row, col) -> value``.
+* ``sparse_from_entries``: an int ``SparseMatrix`` from ``(row, col) ->
+  value``.
+* ``oracle_rref``, ``oracle_kernel``, ``oracle_solve`` and
+  ``oracle_dual_basis``: the reduced row echelon form, kernel, solutions
+  and dual basis on ``Fraction``s, rescanning every remaining row for the
+  least lead column; the rational route that ``linalg``'s int solvers and
+  ``CyclicStructure.dual_basis`` equal once normalized.  ``as_fractions``
+  reads the ``(d, d·x_0, ...)`` int form as rationals.
+* ``scaled`` and ``difference`` (cochain tensors) and ``apply`` (an int
+  operator on a rational vector): arithmetic that only tests use.
 * ``random_s1_config``: seeded moments for the circle's two-output twist
   entry.
 * ``collection_sign`` and ``product_twisted_q110``: the twisted boundary
@@ -27,10 +36,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cycibl.algebra import (CheckReport, CyclicStructure, Tensor, Vector, _freeze,
-                            _pairing_columns)
+from cycibl.algebra import CheckReport, CyclicStructure, Tensor, Vector, _freeze
 from cycibl.dibl import MaurerCartanFamily, q110, q210
-from cycibl.linalg import SparseMatrix, add_into, add_scaled, rank
+from cycibl.green import LinearOperator
+from cycibl.linalg import SparseMatrix, add_into, add_scaled, integral, rank
 from cycibl.models import S1TwistConfig
 from cycibl.signs import GradedBasis
 from cycibl.words import CochainTensor, Word, canonicalize, rotation_sign
@@ -108,12 +117,115 @@ def rotate(letters: Word, basis: GradedBasis) -> tuple[Word, int]:
 
 
 def sparse_from_entries(nrows, ncols, entries) -> SparseMatrix:
-    mat = SparseMatrix(nrows, ncols)
+    """The matrix of rational ``(row, col) -> value`` entries with each row
+    scaled to ints (``linalg.integral``): the same rank and kernel."""
+    rows: list[dict] = [{} for _ in range(nrows)]
     for (r, c), v in entries.items():
-        v = Fraction(v)
-        if v:
-            mat.rows[r][c] = v
-    return mat
+        rows[r][c] = Fraction(v)
+    return SparseMatrix(nrows, ncols, [integral(row)[1] for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# the rational solvers, the oracles of linalg's int ones
+# ---------------------------------------------------------------------------
+
+def oracle_rref(mat):
+    """Reduced row echelon form that rescans every remaining row for the
+    least lead column at each pivot."""
+    rows = [dict(r) for r in mat.rows if r]
+    pivots, out = [], []
+    while rows:
+        lead = min(min(r) for r in rows)
+        pivot = min([r for r in rows if lead in r], key=len)
+        rows.remove(pivot)
+        inv = 1 / Fraction(pivot[lead])
+        pivot = {c: v * inv for c, v in pivot.items()}
+        for r in out + rows:
+            if lead in r:
+                f = r[lead]
+                for c, v in pivot.items():
+                    new = r.get(c, Fraction(0)) - f * v
+                    if new:
+                        r[c] = new
+                    else:
+                        r.pop(c, None)
+        rows = [r for r in rows if r]
+        out.append(pivot)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [out[i] for i in order], [pivots[i] for i in order]
+
+
+def oracle_kernel(mat, echelon=oracle_rref):
+    """The reduced-echelon kernel vectors, one per free column: 1 there."""
+    rows, pivots = echelon(mat)
+    basis = []
+    for f in range(mat.ncols):
+        if f not in pivots:
+            vec = {f: Fraction(1)}
+            for row, p in zip(rows, pivots):
+                if f in row:
+                    vec[p] = -row[f]
+            basis.append(vec)
+    return basis
+
+
+def oracle_solve(columns, rhs_list, echelon=oracle_rref):
+    """Per right-hand side its coefficients in the span of the columns, or
+    None outside it, from one echelon form of ``[A | B]``."""
+    n = len(columns)
+    cols = list(columns) + list(rhs_list)
+    nrows = 1 + max((r for col in cols for r in col), default=-1)
+    rows, pivots = echelon(SparseMatrix.from_columns(nrows, cols))
+    out = []
+    for j in range(n, len(cols)):
+        sol = {p: row[j] for row, p in zip(rows, pivots) if j in row}
+        out.append(None if any(p >= n for p in sol) else sol)
+    return out
+
+
+def pairing_columns(pairing) -> list[Vector]:
+    n = len(pairing)
+    return [{i: pairing[i][j] for i in range(n) if pairing[i][j]}
+            for j in range(n)]
+
+
+def oracle_dual_basis(s: CyclicStructure) -> list[Vector]:
+    """The vectors e^j with P(e_i, e^j) = delta_ij, on Fractions."""
+    n = len(s.basis)
+    return oracle_solve(pairing_columns(s.pairing),
+                        [{j: Fraction(1)} for j in range(n)])
+
+
+def as_fractions(form: tuple) -> list:
+    """The vectors of an int form ``(d, d·x_0, d·x_1, ...)`` as rationals,
+    key order and ``None`` kept."""
+    d, *vecs = form
+    return [None if vec is None else {c: Fraction(v, d) for c, v in vec.items()}
+            for vec in vecs]
+
+
+# ---------------------------------------------------------------------------
+# arithmetic that only tests use
+# ---------------------------------------------------------------------------
+
+def scaled(psi: CochainTensor, c) -> CochainTensor:
+    """c·psi, with psi's truncation bound."""
+    c = Fraction(c)
+    out = CochainTensor(psi.basis, psi.arity, psi.slot_shift, psi.weight_bound)
+    if c:
+        out.values = {k: c * v for k, v in psi.values.items()}
+    return out
+
+
+def difference(a: CochainTensor, b: CochainTensor) -> CochainTensor:
+    return a + scaled(b, -1)
+
+
+def apply(L: LinearOperator, vec: Vector) -> Vector:
+    """L(vec) for a rational vector, as Fractions."""
+    d, ints = integral(vec)
+    return {i: Fraction(c, L.den * d) for i, c in L._image(ints).items()}
 
 
 def random_s1_config(rng: random.Random, top: int = 12) -> S1TwistConfig:
@@ -140,7 +252,7 @@ def product_twisted_q110(s: CyclicStructure, pmc: MaurerCartanFamily,
     """The twisted boundary as q110 plus the distributed ordered product
     against the (1,0) entry."""
     e10 = pmc.entry(1, 0)
-    return q110(s, psi) + q210(s, e10, psi).scaled(collection_sign(s, e10))
+    return q110(s, psi) + scaled(q210(s, e10, psi), collection_sign(s, e10))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +307,8 @@ def fraction_check_cyclic_dga(s: CyclicStructure) -> CheckReport:
                 if s.pairing[i][j] and deg[i] + deg[j] != s.manifold_dim - 2:
                     record("pairing degree", (i, j), Fraction(deg[i] + deg[j]),
                            Fraction(s.manifold_dim - 2))
-        if rank(SparseMatrix.from_columns(n, _pairing_columns(s.pairing))) < n:
+        _, *cols = integral(*pairing_columns(s.pairing))
+        if rank(SparseMatrix.from_columns(n, cols)) < n:
             fails.append(("pairing nondegenerate", (), Fraction(0), one))
         checked.update({"pairing antisymmetry": n * n, "pairing degree": n * n,
                         "pairing nondegenerate": 1})

@@ -11,15 +11,16 @@ from cycibl.algebra import (CyclicStructure, bar_sweep, check_ainfty, check_cycl
                             check_mu_plus_cyclic, dual_b, hochschild_b_cyclic,
                             integral_multiple, reduced_membership, transposed_b,
                             unit_cochain)
+from cycibl.dibl import _integral_t
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga, truncated_polynomial
 from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_words, canonicalize,
                           dual_word, rotations)
-from helpers import (classical_b_tensor, classical_rotation, classical_shift_U,
-                     bar_terms, conjugated_b_tensor, cyclic_image,
+from helpers import (as_fractions, classical_b_tensor, classical_rotation,
+                     classical_shift_U, bar_terms, conjugated_b_tensor, cyclic_image,
                      fraction_check_ainfty, fraction_check_cyclic_dga,
                      fraction_check_mu_plus_cyclic, hochschild_b_tensor, mu_plus, pair,
-                     rotate)
+                     rotate, scaled)
 
 
 def test_sphere_models_pass_axioms():
@@ -34,17 +35,20 @@ def test_projective_models_pass_axioms():
 
 def test_sphere_dual_basis():
     s = build_sn(3).structure
-    dual = s.dual_basis()
-    # e^0 = w and e^1 = (-1)^n 1 for the sphere
+    d, *dual = s.dual_basis()
+    # e^0 = w and e^1 = (-1)^n 1 for the sphere, ints over d = 1
+    assert d == 1
     assert dual[0] == {1: Fraction(1)}
     assert dual[1] == {0: Fraction(-1)}
     s4 = build_sn(4).structure
-    assert s4.dual_basis()[1] == {0: Fraction(1)}
+    assert s4.dual_basis()[2] == {0: Fraction(1)}
+    assert all(type(v) is int for vec in dual for v in vec.values())
 
 
 def test_projective_dual_basis_is_reversal():
     s = build_cpn(2).structure
-    dual = s.dual_basis()
+    d, *dual = s.dual_basis()
+    assert d == 1
     for i in range(3):
         assert dual[i] == {2 - i: Fraction(1)}
 
@@ -196,6 +200,18 @@ def test_replace_validates_and_equality_ignores_the_caches():
     assert s.replace(name="x")._t_tensor is s._t_tensor
     assert s.replace(pairing=s.pairing)._t_tensor is None
     assert s.replace(basis=s.basis)._dual is None
+    # a replaced pairing solves its own dual basis and T: doubling P halves
+    # both; a replaced mu or name reuses the cached tuples themselves
+    dual, t = fresh.dual_basis(), _integral_t(fresh)
+    doubled = fresh.replace(pairing=[[2 * x for x in row] for row in fresh.pairing])
+    assert doubled.dual_basis() == (2, {1: 1}, {0: -1})
+    assert as_fractions(doubled.dual_basis()) == [
+        {c: v / 2 for c, v in vec.items()} for vec in as_fractions(dual)]
+    d_t, T = _integral_t(doubled)
+    assert {k: Fraction(v, d_t) for k, v in T.items()} == \
+        {k: Fraction(v, 2 * t[0]) for k, v in t[1].items()}
+    for other in (fresh.replace(mu={2: fresh.mu[2]}), fresh.replace(name="y")):
+        assert other.dual_basis() is dual and _integral_t(other) is t
     with pytest.raises(TypeError):
         hash(s)
 
@@ -503,7 +519,7 @@ def _twisted_families(cases):
     rng = random.Random(5)
     out = []
     for s, w in cases:
-        entry = canonical_mc(s).entry(1, 0).scaled(1)
+        entry = scaled(canonical_mc(s).entry(1, 0), 1)
         words = [u for u in canonical_words(s.basis, w)
                  if s.basis.word_degree(u) == entry.degree()]
         for u in rng.sample(words, 3):

@@ -6,26 +6,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycibl.algebra import CyclicStructure, hochschild_b_cyclic, integral_multiple
-from cycibl.dibl import canonical_mc, mu_from_mc, twisted_q110
-from cycibl import linalg
+from cycibl import algebra, green, linalg, ribbon
+from cycibl.algebra import (CyclicStructure, check_cyclic_dga, hochschild_b_cyclic,
+                            integral_multiple)
+from cycibl.dibl import _integral_t, canonical_mc, mu_from_mc, twisted_q110
 from cycibl.homology import chain_homology, cochain_homology
 from cycibl.linalg import (Eliminator, SparseMatrix, SquareZeroError,
-                           det_sign, graded_homology, kernel_basis, rank, rref,
+                           det_sign, graded_homology, integral, kernel_basis, rank,
                            solve)
 from cycibl.models import (build_cpn, build_sn, random_cyclic_dga,
                            truncated_polynomial)
 from cycibl.signs import GradedBasis
 from cycibl.words import canonical_words
-from helpers import sparse_from_entries
+from helpers import (as_fractions, oracle_dual_basis, oracle_kernel, oracle_rref,
+                     oracle_solve, scaled, sparse_from_entries)
 
 
 def matvec(mat: SparseMatrix, vec: dict) -> dict:
-    out: dict[int, Fraction] = {}
+    """M·vec, ints for int entries."""
+    out: dict = {}
     for r, row in enumerate(mat.rows):
-        s = Fraction(0)
+        s = 0
         for c, v in row.items():
-            s += v * vec.get(c, Fraction(0))
+            s += v * vec.get(c, 0)
         if s:
             out[r] = s
     return out
@@ -37,6 +40,45 @@ def transpose(mat: SparseMatrix) -> SparseMatrix:
         for c, v in row.items():
             out.rows[c][r] = v
     return out
+
+
+def int_rows(mat: SparseMatrix) -> SparseMatrix:
+    """mat with each row scaled to ints (``linalg.integral``), the form the
+    eliminator takes: the same rank, kernel and reduced echelon form."""
+    return SparseMatrix(mat.nrows, mat.ncols, [integral(row)[1] for row in mat.rows])
+
+
+def rref(mat: SparseMatrix) -> tuple[list[dict], list[int]]:
+    """The reduced row echelon form: linalg's primitive int echelon rows,
+    each over its lead."""
+    rows, pivots = linalg._echelon(int_rows(mat))
+    assert all(type(v) is int for row in rows for v in row.values())
+    return [{c: Fraction(v, row[p]) for c, v in row.items()}
+            for row, p in zip(rows, pivots)], pivots
+
+
+def reduced_kernel(mat: SparseMatrix) -> list[dict]:
+    """``kernel_basis`` of the int rows, each vector an int vector over its
+    least denominator, positive at its free column (its maximum key), read
+    over that entry: the reduced-echelon kernel vectors."""
+    out = []
+    for vec in kernel_basis(int_rows(mat)):
+        free = vec[max(vec)]
+        assert all(type(v) is int for v in vec.values())
+        assert free > 0 and math.gcd(*vec.values()) == 1
+        out.append({c: Fraction(v, free) for c, v in vec.items()})
+    return out
+
+
+def rational_solve(columns: list[dict], rhs_list: list[dict]) -> list:
+    """``solve`` on the columns and right-hand sides scaled to ints
+    together, its ``(d, ints)`` form (d least, all ints) read as rationals."""
+    _, *ints = integral(*columns, *rhs_list)
+    d, *sols = solve(ints[:len(columns)], ints[len(columns):])
+    entries = [v for sol in sols if sol is not None for v in sol.values()]
+    assert all(type(v) is int for v in [d, *entries])
+    assert d > 0 and math.gcd(d, *entries) == 1
+    return as_fractions((d, *sols))
 
 
 def image_basis(mat: SparseMatrix) -> list[dict]:
@@ -73,17 +115,17 @@ def test_linalg_rank_nullity_random():
     # included; the determinant reference is the Leibniz expansion
     seen = set()
     for nrows, ncols in [(5, 5), (6, 6), (4, 6), (6, 4)] * 8:
-        cols = [{r: Fraction(rng.randint(-3, 3)) for r in range(nrows)
+        cols = [{r: rng.randint(-3, 3) for r in range(nrows)
                  if rng.random() < 0.5} for _ in range(ncols)]
         if rng.random() < 0.3:
             cols[-1] = {r: cols[0].get(r, 0) - 2 * cols[1].get(r, 0)
                         for r in range(nrows)}
         cols = [{r: v for r, v in col.items() if v} for col in cols]
         mat = SparseMatrix.from_columns(nrows, cols)
-        inside = matvec(mat, {c: Fraction(rng.randint(-2, 2)) for c in range(ncols)})
-        other = {r: Fraction(rng.randint(-3, 3)) for r in range(nrows)}
+        inside = matvec(mat, {c: rng.randint(-2, 2) for c in range(ncols)})
+        other = {r: rng.randint(-3, 3) for r in range(nrows)}
         other = {r: v for r, v in other.items() if v}
-        sol_in, sol_other = solve(cols, [inside, other])
+        sol_in, sol_other = rational_solve(cols, [inside, other])
         assert matvec(mat, sol_in) == inside
         outside = rank(SparseMatrix.from_columns(nrows, cols + [other])) > rank(mat)
         assert (sol_other is None) == outside
@@ -109,59 +151,7 @@ def _leibniz_det(cols, n):
     return total
 
 
-# -- elimination oracles: the rescanning rref and the min-led reduce --------
-
-def oracle_rref(mat):
-    """Reduced row echelon form that rescans every remaining row for the
-    least lead column at each pivot."""
-    rows = [dict(r) for r in mat.rows if r]
-    pivots, out = [], []
-    while rows:
-        lead = min(min(r) for r in rows)
-        pivot = min([r for r in rows if lead in r], key=len)
-        rows.remove(pivot)
-        inv = 1 / pivot[lead]
-        pivot = {c: v * inv for c, v in pivot.items()}
-        for r in out + rows:
-            if lead in r:
-                f = r[lead]
-                for c, v in pivot.items():
-                    new = r.get(c, Fraction(0)) - f * v
-                    if new:
-                        r[c] = new
-                    else:
-                        r.pop(c, None)
-        rows = [r for r in rows if r]
-        out.append(pivot)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [out[i] for i in order], [pivots[i] for i in order]
-
-
-def oracle_kernel(mat, echelon=oracle_rref):
-    rows, pivots = echelon(mat)
-    basis = []
-    for f in range(mat.ncols):
-        if f not in pivots:
-            vec = {f: Fraction(1)}
-            for row, p in zip(rows, pivots):
-                if f in row:
-                    vec[p] = -row[f]
-            basis.append(vec)
-    return basis
-
-
-def oracle_solve(columns, rhs_list, echelon=oracle_rref):
-    n = len(columns)
-    cols = list(columns) + list(rhs_list)
-    nrows = 1 + max((r for col in cols for r in col), default=-1)
-    rows, pivots = echelon(SparseMatrix.from_columns(nrows, cols))
-    out = []
-    for j in range(n, len(cols)):
-        sol = {p: row[j] for row, p in zip(rows, pivots) if j in row}
-        out.append(None if any(p >= n for p in sol) else sol)
-    return out
-
+# -- elimination oracles: the rescanning rref (helpers) and the min-led reduce
 
 class OracleEliminator:
     """Incremental echelon form whose reduce takes the least column of the
@@ -247,7 +237,7 @@ def test_elimination_matches_rescanning_oracles():
         got_rows, got_pivots = rref(mat)
         assert got_pivots == want_pivots, (trial, shape)
         assert _ordered(got_rows) == _ordered(want_rows), (trial, shape)
-        assert _ordered(kernel_basis(mat)) == _ordered(oracle_kernel(mat))
+        assert _ordered(reduced_kernel(mat)) == _ordered(oracle_kernel(mat))
         seen.add((shape, len(want_pivots) < min(mat.nrows, mat.ncols)))
 
         cols = [dict(col) for col in transpose(mat).rows]
@@ -255,18 +245,21 @@ def test_elimination_matches_rescanning_oracles():
                              for c in range(mat.ncols)})
         other = {r: Fraction(rng.randint(1, 3)) for r in range(mat.nrows)
                  if rng.random() < 0.5}
-        assert solve(cols, [inside, other]) == oracle_solve(cols, [inside, other])
+        assert rational_solve(cols, [inside, other]) == \
+            oracle_solve(cols, [inside, other])
         if mat.nrows == mat.ncols:
             det = _dense_det(cols, mat.nrows)
-            assert det_sign(cols) == (det > 0) - (det < 0), (trial, shape)
+            assert det_sign(integral(*cols)[1:]) == (det > 0) - (det < 0), (trial, shape)
             seen.add(("singular", det == 0))
 
         # the rows are the oracle's in primitive int form, and each
-        # reduction a positive multiple of the oracle's, same keys in order
+        # reduction of a vector scaled to ints a positive multiple of the
+        # oracle's, same keys in order
         elim, oracle = Eliminator(), OracleEliminator()
         for vec in mat.rows + cols:
-            assert _positive_multiple(elim.reduce(vec), oracle.reduce(vec))
-            assert elim.add(vec) == oracle.add(vec)
+            _, ints = integral(vec)
+            assert _positive_multiple(elim.reduce(ints), oracle.reduce(vec))
+            assert elim.add(ints) == oracle.add(vec)
             assert len(elim.rows) == len(oracle.rows)
         assert [(lead, list(row.items())) for lead, row in elim.rows.items()] == \
             [(lead, list(_primitive(row).items()))
@@ -279,9 +272,10 @@ def test_elimination_matches_rescanning_oracles():
 
 
 def test_elimination_never_yields_floats():
-    # int matrices with some Fraction entries: every reduction and every
-    # row held is int-valued, leads other than ±1 occur, and the public
-    # outputs are Fractions, so no route divides one int by another
+    # int matrices with some Fraction entries, scaled to ints by the caller:
+    # every reduction and every row held is int-valued, leads other than ±1
+    # occur, and the public outputs are ints, so no route divides one int
+    # by another
     rng = random.Random(3)
     leads = set()
     for trial in range(40):
@@ -290,14 +284,18 @@ def test_elimination_never_yields_floats():
                  for c in range(ncols) if rng.random() < 0.5} for _ in range(nrows)]
         mat = SparseMatrix(nrows, ncols, rows)
         cols = [dict(col) for col in transpose(mat).rows]
-        echelon, _ = rref(mat)
-        public = echelon + kernel_basis(mat) + image_basis(mat)
-        public += [sol for sol in solve(cols, [rows[0], {0: 1}]) if sol is not None]
-        assert all(type(v) is Fraction for vec in public for v in vec.values())
+        imat = int_rows(mat)
+        icols = [dict(col) for col in transpose(imat).rows]
+        d, *sols = solve(icols, [imat.rows[0], {0: 1}])
+        public = linalg._echelon(imat)[0] + kernel_basis(imat)
+        public += [sol for sol in sols if sol is not None]
+        assert type(d) is int
+        assert all(type(v) is int for vec in public for v in vec.values())
         if nrows == ncols:
-            assert type(det_sign(cols)) is int
+            assert type(det_sign(icols)) is int
         elim = Eliminator()
         for vec in rows + cols:
+            _, vec = integral(vec)
             red = elim.reduce(vec)
             if red:
                 leads.add(red[min(red)])
@@ -378,27 +376,27 @@ def test_fraction_free_elimination_matches_dense_oracle(mat, data):
     assert got_pivots == want_pivots and got_rows == want_rows
     # key order is that of the rational route (the rescanning oracle)
     assert _ordered(got_rows) == _ordered(oracle_rref(_as_fractions(mat))[0])
-    assert all(type(v) is Fraction for row in got_rows for v in row.values())
-    assert _ordered(kernel_basis(mat)) == _ordered(oracle_kernel(mat, dense_rref))
-    assert rank(mat) == len(want_pivots)
+    assert _ordered(reduced_kernel(mat)) == _ordered(oracle_kernel(mat, dense_rref))
+    assert rank(int_rows(mat)) == len(want_pivots)
 
     cols = [dict(col) for col in transpose(mat).rows]
     inside = matvec(mat, {c: Fraction(data.draw(st.integers(-2, 2)))
                           for c in range(mat.ncols)})
     other = {r: data.draw(st.integers(-5, 5)) for r in range(mat.nrows)}
     rhs = [inside, {r: v for r, v in other.items() if v}]
-    got = solve(cols, rhs)
+    got = rational_solve(cols, rhs)
     assert [None if sol is None else list(sol.items()) for sol in got] == \
         [None if sol is None else list(sol.items())
          for sol in oracle_solve(cols, rhs, dense_rref)]
     if mat.nrows == mat.ncols:
         det = _dense_det(_as_fractions(transpose(mat)).rows, mat.nrows)
-        assert det_sign(cols) == (det > 0) - (det < 0)
+        assert det_sign(integral(*cols)[1:]) == (det > 0) - (det < 0)
 
     elim, oracle = Eliminator(), OracleEliminator()
     for vec in mat.rows + cols:
-        assert _positive_multiple(elim.reduce(vec), oracle.reduce(vec))
-        assert elim.add(vec) == oracle.add(vec)
+        _, ints = integral(vec)
+        assert _positive_multiple(elim.reduce(ints), oracle.reduce(vec))
+        assert elim.add(ints) == oracle.add(vec)
     assert elim.rows.keys() == oracle.rows.keys()
     for lead, row in elim.rows.items():
         assert _positive_multiple(row, oracle.rows[lead])
@@ -412,7 +410,7 @@ def test_stored_zeros_change_no_elimination():
     assert rank(mat) == 1
     assert kernel_basis(mat) == [{0: 1}]
     assert rref(SparseMatrix(1, 2, [{0: 0, 1: 1}])) == ([{1: 1}], [1])
-    assert rank(SparseMatrix(1, 2, [{0: Fraction(0), 1: Fraction(1, 2)}])) == 1
+    assert rank(int_rows(SparseMatrix(1, 2, [{0: Fraction(0), 1: Fraction(1, 2)}]))) == 1
     with pytest.raises(ValueError):
         SparseMatrix(1, 2, [{2: 0}])
 
@@ -431,7 +429,9 @@ def _with_zeros(vec, zero, cols, rng):
        st.sampled_from([0, Fraction(0)]), st.randoms(use_true_random=False))
 def test_stored_zeros_match_the_matrix_without_them(mat, zero, rng):
     # rank, rref, kernel_basis, solve and Eliminator equal their results on
-    # the same rows without the zeros
+    # the same rows without the zeros (the drawn rows scaled to ints first)
+    mat = int_rows(mat)
+
     def zeroed():
         return SparseMatrix(mat.nrows, mat.ncols,
                             [_with_zeros(row, zero, range(mat.ncols), rng)
@@ -441,7 +441,7 @@ def test_stored_zeros_match_the_matrix_without_them(mat, zero, rng):
     assert rref(zeroed()) == rref(mat)
     assert kernel_basis(zeroed()) == kernel_basis(mat)
     cols = [dict(col) for col in transpose(mat).rows]
-    rhs = [{0: 1}, matvec(mat, {c: Fraction(1) for c in range(mat.ncols)})]
+    rhs = [{0: 1}, matvec(mat, dict.fromkeys(range(mat.ncols), 1))]
     zcols = [_with_zeros(col, zero, range(mat.nrows), rng) for col in cols]
     zrhs = [_with_zeros(vec, zero, range(mat.nrows), rng) for vec in rhs]
     assert solve(zcols, zrhs) == solve(cols, rhs)
@@ -455,8 +455,8 @@ def test_stored_zeros_match_the_matrix_without_them(mat, zero, rng):
 
 def test_int_elimination_makes_no_fraction(monkeypatch):
     # leads 3 and 2 would bring in Fraction(1, 3) on a rational route, and
-    # entries of ±3/2 enter scaled to ints; the elimination keeps ints until
-    # rows leave the module
+    # entries of ±3/2 enter scaled to ints by the caller; the elimination,
+    # the kernel and the solutions stay ints
     mats = [SparseMatrix(3, 4, [{0: 3, 1: 1, 3: 2}, {0: 6, 1: 5, 2: 1},
                                 {1: 2, 2: 4, 3: 7}]),
             SparseMatrix(3, 4, [{0: Fraction(3, 2), 1: 1, 3: 2},
@@ -468,23 +468,96 @@ def test_int_elimination_makes_no_fraction(monkeypatch):
 
     for mat in mats:
         want_rows, want_pivots = dense_rref(mat)
-        square = [{r: mat.rows[r][c] for r in (0, 1) if c in mat.rows[r]}
+        imat = int_rows(mat)
+        square = [{r: imat.rows[r][c] for r in (0, 1) if c in imat.rows[r]}
                   for c in (0, 1)]
         det = _dense_det(square, 2)
+        cols = [dict(col) for col in transpose(imat).rows]
         monkeypatch.setattr(linalg, "Fraction", no_fraction)
-        rows, pivots = linalg._echelon(mat)
-        kernel = linalg._kernel(mat)
+        rows, pivots = linalg._echelon(imat)
+        kernel = kernel_basis(imat)
+        d, *sols = solve(cols[:3], [cols[3]])
         elim = Eliminator()
-        assert all(elim.add(row) for row in mat.rows)
+        assert all(elim.add(row) for row in imat.rows)
         assert det_sign(square) == (det > 0) - (det < 0)
-        assert rank(mat) == 3
+        assert rank(imat) == 3
         assert elim.rows[0][0] == 3 and all(row[p] > 1 for row, p in zip(rows, pivots))
-        assert all(type(v) is int for vec in rows + kernel + list(elim.rows.values())
-                   for v in vec.values())
+        assert type(d) is int and all(
+            type(v) is int for vec in rows + kernel + sols + list(elim.rows.values())
+            for v in vec.values())
         monkeypatch.undo()
         assert pivots == want_pivots
         assert rref(mat) == (want_rows, want_pivots)
-        assert kernel_basis(mat) == oracle_kernel(mat, dense_rref)
+        assert reduced_kernel(mat) == oracle_kernel(mat, dense_rref)
+        assert as_fractions((d, *sols)) == oracle_solve(
+            [dict(col) for col in transpose(mat).rows][:3],
+            [dict(transpose(mat).rows[3])], dense_rref)
+
+
+def test_library_elimination_sees_ints_only(monkeypatch):
+    # every matrix and vector that the package hands to the eliminator
+    # holds ints only, and every kernel, solution and dual basis it asks
+    # for is the rational route's once normalized: least denominators,
+    # positive free entries
+    calls = dict.fromkeys(("echelon", "reduce", "kernel", "solve"), 0)
+    echelon, reduce = linalg._echelon, Eliminator.reduce
+
+    def int_echelon(mat):
+        assert all(type(v) is int for row in mat.rows for v in row.values()), mat.rows
+        calls["echelon"] += 1
+        return echelon(mat)
+
+    def int_reduce(self, vec):
+        assert all(type(v) is int for v in vec.values()), vec
+        calls["reduce"] += 1
+        return reduce(self, vec)
+
+    def checked_kernel(mat):
+        got = kernel_basis(mat)
+        for vec in got:
+            free = max(vec)
+            assert vec[free] > 0 and math.gcd(*vec.values()) == 1
+        assert [{c: Fraction(v, vec[max(vec)]) for c, v in vec.items()}
+                for vec in got] == oracle_kernel(mat)
+        calls["kernel"] += 1
+        return got
+
+    def checked_solve(columns, rhs_list):
+        got = solve(columns, rhs_list)
+        entries = [v for sol in got[1:] if sol is not None for v in sol.values()]
+        assert got[0] > 0 and math.gcd(got[0], *entries) == 1
+        assert as_fractions(got) == oracle_solve(columns, rhs_list)
+        calls["solve"] += 1
+        return got
+
+    monkeypatch.setattr(linalg, "_echelon", int_echelon)
+    monkeypatch.setattr(Eliminator, "reduce", int_reduce)
+    for module in (linalg, green, ribbon):
+        monkeypatch.setattr(module, "kernel_basis", checked_kernel)
+    for module in (algebra, green):
+        monkeypatch.setattr(module, "solve", checked_solve)
+    models = [build_sn(3).structure, build_cpn(2).structure,
+              random_cyclic_dga(6, seed=1), random_cyclic_dga(10, seed=2)]
+    for s in models:
+        s = s.replace(pairing=s.pairing)  # no cached dual basis
+        d, *dual = s.dual_basis()
+        assert as_fractions((d, *dual)) == oracle_dual_basis(s), s.name
+        assert math.gcd(d, *(v for vec in dual for v in vec.values())) == 1
+        assert _integral_t(s)[0] == d
+        g, _, _ = green.green_pipeline(s)
+        green.schwartz_kernel(s, g)
+        assert check_cyclic_dga(s).passed
+        cochain_homology(s, None, 3)
+        chain_homology(s, 3)
+    # fresh graphs, so that each builds its surface complex here
+    monkeypatch.setattr(ribbon, "_ENUM_CACHE", {})
+    s = random_cyclic_dga(6, seed=3)
+    g, _, _ = green.green_pipeline(s)
+    harm = green.harmonic_substructure(s, [0, 1])
+    before = dict(calls)
+    ribbon.pushforward_mc(s, harm, green.schwartz_kernel(s, g).entries, weight_bound=4)
+    assert calls["kernel"] > before["kernel"] and calls["reduce"] > before["reduce"]
+    assert all(calls.values()), calls
 
 
 def _dense_det(cols, n):
@@ -517,7 +590,7 @@ def _random_two_term(rng, size, weight_step):
             for j in range(size):
                 if degs[j] == 1 and wts[j] - wts[i] in (0, weight_step) \
                         and rng.random() < 0.8:
-                    col[j] = Fraction(rng.randint(-2, 2))
+                    col[j] = rng.randint(-2, 2)
         diff.append({j: c for j, c in col.items() if c})
     return degs, wts, diff
 
@@ -714,8 +787,8 @@ def test_projective_plane_twisted_homology():
             from cycibl.words import dual_word
             acc = None
             for (w, u), c in vec.items():
-                term = twisted_q110(s, mc, dual_word(
-                    s.basis, u, slot_shift=s.slot_shift).scaled(c))
+                term = twisted_q110(s, mc, scaled(dual_word(
+                    s.basis, u, slot_shift=s.slot_shift), c))
                 acc = term if acc is None else acc + term
             assert acc.is_zero()
 
@@ -782,7 +855,8 @@ def test_homology_reports_never_share_their_dicts():
 
 def _fraction_table_homology(s, pmc, weight_bound, chain):
     """The homology route of ``cochain_homology`` / ``chain_homology`` on the
-    unscaled ``Fraction`` structure constants: no integral multiple."""
+    unscaled ``Fraction`` structure constants: no integral multiple, the
+    ``Fraction`` differential scaled to ints as a whole instead."""
     amb = s
     if pmc is not None:
         e10 = pmc.entry(1, 0)
@@ -801,6 +875,8 @@ def _fraction_table_homology(s, pmc, weight_bound, chain):
                 table.setdefault(v, {})[(len(u), u)] = c
             else:
                 table.setdefault(u, {})[(len(v), v)] = c
+    _, *cols = integral(*table.values())
+    table = dict(zip(table, cols))
     return graded_homology(lambda d: list(by_degree.get(d, [])),
                            lambda key: table.get(key[1], {}),
                            sorted(by_degree), weight_bound,

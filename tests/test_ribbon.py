@@ -700,8 +700,8 @@ def oracle_orientation_compatible(graph, vertex_order, boundary_order,
     for c, col in enumerate(d1_cols):
         if col and elim.add(col):
             lift_cols.append(col)
-            lift1_cols_in_c1.append({c: Fraction(1)})
-    level0 = det_sign(lift_cols + [{0: Fraction(1)}]) \
+            lift1_cols_in_c1.append({c: 1})
+    level0 = det_sign(lift_cols + [{0: 1}]) \
         if len(lift_cols) + 1 == k else 0
     # level 2: [fundamental class | lifts of the image of d2] against C2
     elim2 = Eliminator()
@@ -709,8 +709,8 @@ def oracle_orientation_compatible(graph, vertex_order, boundary_order,
     for c, col in enumerate(d2_cols):
         if col and elim2.add(col):
             lift2.append(col)
-            lift2_cols_in_c2.append({c: Fraction(1)})
-    fund = {c: Fraction(1) for c in range(l)}
+            lift2_cols_in_c2.append({c: 1})
+    fund = dict.fromkeys(range(l), 1)
     level2 = det_sign([fund] + lift2_cols_in_c2) \
         if 1 + len(lift2_cols_in_c2) == l else 0
     # level 1: [image of d2 | middle reference | level-0 lifts] against C1
