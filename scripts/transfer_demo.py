@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end homotopy transfer demo: build a random acyclic extension of a
 sphere-like core, run the homotopy-operator pipeline, push the canonical
-twist element to the harmonic part through trivalent graph sums, and verify
-the induced operations satisfy the higher associativity relations."""
+twist element to the harmonic part (the (1,0) entry by the recursion over
+planar trivalent trees, the others through trivalent graph sums), and
+verify the induced operations satisfy the higher associativity
+relations."""
 
 import argparse
 

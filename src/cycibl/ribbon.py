@@ -32,6 +32,12 @@ edge's tail half, second on its head half) and the boundary words to the
 vertex slots, sums over all vertex/boundary orders and boundary marks, and
 evaluates the cochains on the vertex blocks.  The pushforward twist element
 puts the canonical twist entry, (-1)^(m-2) m2+, on every trivalent vertex.
+Its genus-0, one-boundary (1, 0) entry is the tree-level transfer
+(Merkulov 1999; Kontsevich-Soibelman 2001): an interval recursion over the
+boundary word sums the planar trivalent trees, the triangulations of the
+polygon, in time polynomial in its length, with no graph enumerated or
+paired.  The entries with l >= 2 or g >= 1 are graph sums, truncated below
+the enumeration budget.
 """
 
 from __future__ import annotations
@@ -41,9 +47,10 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .algebra import CyclicStructure
-from .linalg import Eliminator, SparseMatrix, add_into, det_sign, kernel_basis
+from .linalg import (Eliminator, SparseMatrix, add_into, det_sign, integral,
+                     kernel_basis)
 from .signs import koszul_sign
-from .words import CochainTensor, Word, canonical_tuples
+from .words import CochainTensor, Word, canonical_tuples, rotations
 
 
 class RibbonGraph:
@@ -707,7 +714,6 @@ def f_klg_tensor(s: CyclicStructure, legs: CyclicStructure, propagator: dict,
     leg_degree = None
     if None not in psi_degs and len(prop_degs) <= 1:
         leg_degree = sum(psi_degs) - e * min(prop_degs, default=0)
-    lift = [s.basis.labels.index(lab) for lab in legs.basis.labels]
     trivalent = all(psi.weights() == [3] and psi.weight_bound is None
                     for psi in psis)
     totals = {sum(combo) - 2 * e
@@ -716,14 +722,142 @@ def f_klg_tensor(s: CyclicStructure, legs: CyclicStructure, propagator: dict,
         graphs = enumerate_graphs(k, l, g, total, trivalent=trivalent)
         if not graphs:
             continue
-        for key in canonical_tuples(legs.basis, legs.slot_shift, total, l):
-            words = [tuple(lift[x] for x in w) for w in key]
-            if leg_degree is not None and leg_degree != sum(
-                    deg[x] for w in words for x in w):
-                continue
+        for key, words in _lawful_keys(s, legs, total, l, leg_degree):
             val = f_klg(s, propagator, psis, k, l, g, words, graphs=graphs)
             if val:
                 out.add(key, val)
+    return out
+
+
+def _lawful_keys(s: CyclicStructure, legs: CyclicStructure, total: int, l: int,
+                leg_degree: int | None):
+    """The canonical keys of l words of ``legs`` of the given total weight,
+    in :func:`canonical_tuples` order, each with its words lifted to the
+    letters of ``s`` (matched by label), that the degree law admits: the
+    keys of degree ``leg_degree``, all of them when it is None."""
+    deg = s.basis.degrees
+    lift = [s.basis.labels.index(lab) for lab in legs.basis.labels]
+    for key in canonical_tuples(legs.basis, legs.slot_shift, total, l):
+        words = [tuple(lift[x] for x in w) for w in key]
+        if leg_degree is None or \
+                leg_degree == sum(deg[x] for w in words for x in w):
+            yield key, words
+
+
+# ---------------------------------------------------------------------------
+# the (1, 0) entry by the tree recursion
+# ---------------------------------------------------------------------------
+
+# The weight of the largest trees within the enumeration budget (four
+# vertices), where the graph sum checks the recursion.
+TREE_WEIGHT = 6
+
+
+def tree_entry(s: CyclicStructure, harmonic: CyclicStructure,
+               kernel: dict[tuple[int, int], Fraction], vertex: CochainTensor,
+               weight_bound: int) -> CochainTensor:
+    """The (1, 0) entry of :func:`pushforward_mc`: the genus-0, one-boundary
+    graph sum with the weight-3 cochain ``vertex`` at every vertex, by the
+    recursion over planar trees, with no graph enumerated.  The recursion
+    needs ``vertex`` homogeneous, as the canonical entry of a structure
+    with its degree axioms is: another one is a ``ValueError``.  The zero
+    ``vertex`` (no product) gives the zero entry, known to
+    ``weight_bound``.
+
+    The classes of that type are the trivalent trees.  Summed over the
+    boundary marks with weight 1/|Aut|, they become the trees whose n legs
+    carry the word's letters in boundary order: the triangulations of the
+    n-gon, Catalan(n - 2) of them.  A tree's pairing is the same under
+    every compatible labeling.  This one roots the tree at the vertex of
+    the last letter x, orders the vertices in preorder, gives each edge the
+    place of its lower vertex and runs it from its upper vertex (tail) to
+    its lower one (head).  It is compatible: against those vertices the
+    columns [d1 edges | point class at the root] are unitriangular once the
+    root column comes first.  By :func:`graph_pairing`, the k! vertex orders
+    give k! times this one when |psi| + |P| is even, and cancel when it is
+    odd and k >= 2.
+
+    A branch on the legs w has len(w) - 1 vertices and as many edges, the
+    one above it included.  It is a vector over the letter a on the tail of
+    that top edge: B(y) = e_y for one leg y, and, over the splits w = w1 w2
+    with e_i = len(w_i) - 1,
+
+        B(w)_a = sum P(a, b) psi(b o1 o2) B(w1)_o1 B(w2)_o2
+                 (-1)^(|w1| e2 |P| + e1 |psi| |o2|).
+
+    The sign moves the letters of w1 past the edges of w2, then the vertex
+    blocks of w1 past o2.  The word w' x takes the same sum over the splits
+    of w', read at b = x, times (-1)^(|x| (1 + k |psi|)): the cyclic
+    symmetry of psi moves x from the front of the root's block to its end,
+    and x comes from the end of the word past the k - 1 lower vertex
+    blocks.  The sums are kept per subword for one call, as ints: the
+    vertex values and the kernel each over their least common denominator,
+    so B(w) is over the (len(w) - 1)-th power of the product, and each
+    stored value is one ``Fraction``.  The keys are those of
+    :func:`f_klg_tensor`: ascending total weight, :func:`canonical_tuples`
+    order, the same degree law (:func:`_lawful_keys`).
+
+    Beyond four vertices the graph sum exceeds the enumeration budget, so
+    with a nonzero kernel the entry is kept to weight ``TREE_WEIGHT``, the
+    largest at which the graph sum checks it.  With the zero kernel every
+    tree with an edge vanishes, and the entry is known to ``weight_bound``.
+    """
+    if vertex.is_zero():
+        return CochainTensor(harmonic.basis, 1, harmonic.slot_shift,
+                             weight_bound)
+    vdeg = vertex.degree()
+    if vdeg is None:
+        raise ValueError("the vertex cochain is not homogeneous")
+    deg = s.basis.degrees
+    d_psi, stored = integral({w: c for (w,), c in vertex.items()})
+    # psi(b o1 o2) by (o1, o2), as eval_word reads it: the distinct
+    # rotations of each stored word, signed
+    by_pair: dict[tuple[int, int], list] = {}
+    for u, c in stored.items():
+        for (b, o1, o2), sign in dict(rotations(u, s.basis)).items():
+            by_pair.setdefault((o1, o2), []).append((b, sign * c))
+    d_p, P = integral(kernel)
+    by_head: dict[int, list] = {}
+    for (a, b), c in P.items():
+        by_head.setdefault(b, []).append((a, c))
+    pdeg = next((deg[a] + deg[b] for a, b in P), 0)
+    out = CochainTensor(harmonic.basis, 1, harmonic.slot_shift,
+                        min(weight_bound, TREE_WEIGHT) if P else weight_bound)
+    top_weight = out.weight_bound if P and (vdeg + pdeg) % 2 == 0 else 3
+    memo: dict[Word, tuple[dict[int, int], dict[int, int]]] = {}
+
+    def top(w: Word) -> tuple[dict[int, int], dict[int, int]]:
+        # the sum at the top vertex by its entry letter b, and B(w)
+        if (hit := memo.get(w)) is None:
+            heads: dict[int, int] = {}
+            for m in range(1, len(w)):
+                v1, v2 = branch(w[:m]), branch(w[m:])
+                e1, e2 = m - 1, len(w) - m - 1
+                odd = sum(deg[y] for y in w[:m]) * e2 * pdeg
+                for o2, c2 in v2.items():
+                    sign = -1 if (odd + e1 * vdeg * deg[o2]) & 1 else 1
+                    for o1, c1 in v1.items():
+                        for b, c in by_pair.get((o1, o2), ()):
+                            add_into(heads, b, sign * c * c1 * c2)
+            tails: dict[int, int] = {}
+            for b, c in heads.items():
+                for a, p in by_head.get(b, ()):
+                    add_into(tails, a, p * c)
+            hit = memo[w] = heads, tails
+        return hit
+
+    def branch(w: Word) -> dict[int, int]:
+        return {w[0]: 1} if len(w) == 1 else top(w)[1]
+
+    for total in range(3, top_weight + 1):
+        k = total - 2
+        den = d_psi ** k * d_p ** (k - 1)
+        for key, (w,) in _lawful_keys(s, harmonic, total, 1,
+                                     k * vdeg - (k - 1) * pdeg):
+            x = w[-1]
+            if c := top(w[:-1])[0].get(x):
+                sign = -1 if deg[x] * (1 + k * vdeg) & 1 else 1
+                out.values[key] = Fraction(sign * math.factorial(k) * c, den)
     return out
 
 
@@ -745,8 +879,12 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
     ``canonical_mc(s).entry(1, 0)``, the values (-1)^(m-2) m2+, at each of
     its k = n_legs + 2 l + 4 g - 4 vertices, so it carries the prefactor
     (-1)^(k (m-2)) / (l! |Aut|); each key stores that value times its
-    ``distribution_sign``.  An entry beyond the enumeration budget is
-    truncated below it.  A structure without a product gives the zero family.
+    ``distribution_sign``.  The (1, 0) entry, whose distribution signs are
+    all +1, is that sum by the recursion over planar trees
+    (:func:`tree_entry`), with no graph enumerated; with a nonzero kernel
+    it is kept to weight 6, where the graph sum checks it.  An entry with
+    l >= 2 or g >= 1 beyond the enumeration budget is truncated below it.
+    A structure without a product gives the zero family.
     """
     from .dibl import MaurerCartanFamily, canonical_mc, distribution_sign
     from .green import check_propagator
@@ -757,10 +895,15 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
     entries = {}
     for l in range(1, l_bound + 1):
         for g in range(0, genus_bound + 1):
+            if (l, g) == (1, 0):
+                entries[(1, 0)] = tree_entry(s, harmonic, kernel, vertex,
+                                             weight_bound)
+                continue
             ten = CochainTensor(harmonic.basis, l, harmonic.slot_shift,
                                 weight_bound)
-            # k = total + 2 l + 4 g - 4 vertices, at least one
-            for total in range(max(l, 5 - 2 * l - 4 * g), weight_bound + 1):
+            # k = total + 2 l + 4 g - 4 vertices, at least two when l >= 2
+            # or g >= 1
+            for total in range(l, weight_bound + 1):
                 k = total + 2 * l + 4 * g - 4
                 try:
                     part = f_klg_tensor(s, harmonic, kernel, [vertex] * k,
@@ -770,6 +913,6 @@ def pushforward_mc(s: CyclicStructure, harmonic: CyclicStructure,
                     break
                 for key, val in part.items():
                     ten.add(key, distribution_sign(harmonic, key) * val)
-            if not ten.is_zero() or (l, g) == (1, 0):
+            if not ten.is_zero():
                 entries[(l, g)] = ten
     return MaurerCartanFamily(harmonic, entries)

@@ -13,7 +13,7 @@ from cycibl.models import build_cpn, build_sn, random_cyclic_dga
 from cycibl.ribbon import (Labeling, RibbonGraph, _surface_complex,
                            enumerate_graphs, f_klg, f_klg_tensor, graph_pairing,
                            orientation_compatible, compatible_edge_labeling,
-                           pushforward_mc, sigma_L)
+                           pushforward_mc, sigma_L, tree_entry)
 from cycibl.signs import ZERO, GradedBasis, koszul_sign
 from cycibl.words import (CochainTensor, canonical_key, canonical_tuples,
                           canonical_words, dual_word)
@@ -393,10 +393,61 @@ def test_pushforward_zero_kernel_gives_canonical_mc():
         assert fam.entry(1, 1).is_zero()
 
 
+def graph_sum_tree_items(s, harmonic, kernel, weight_bound):
+    """The (1, 0) items of the graph sum with the canonical (1, 0) entry at
+    every vertex, in order: f_klg_tensor for k = 1, 2, ... vertices gives
+    the keys of weight k + 2 in canonical_tuples order."""
+    vertex = canonical_mc(s).entry(1, 0)
+    items = []
+    for k in range(1, weight_bound - 1):
+        part = f_klg_tensor(s, harmonic, kernel, [vertex] * k, k, 1, 0,
+                            weight_bound)
+        items += part.items()
+    return items
+
+
 def test_pushforward_is_the_signed_graph_sum_of_the_canonical_entry():
-    # the (1, 0) and (2, 0) entries are distribution_sign times the sum over
-    # k of f_klg_tensor with the canonical (1, 0) entry at every vertex (no
-    # budget stop below k = 5), and for l = 1 each value is f_klg's
+    # the (1, 0) entry, by the tree recursion, has the items of the graph
+    # sum, values and key order alike, with the unit kernels to weight 6,
+    # the pipeline kernels over the harmonic letters {1, w}, the zero
+    # kernel, and a dense kernel of each degree, whose odd-parity ones
+    # cancel over the vertex orders
+    cases = []
+    for seed in (0, 5):
+        s = random_cyclic_dga(6, seed=seed)
+        kernel = unit_propagator(s, random.Random(seed))
+        cases += [(s, s, kernel, W) for W in (4, 5, 6)]
+    for seed in range(8):
+        s = random_cyclic_dga(6, seed=seed)
+        g, _, _ = green_pipeline(s)
+        cases.append((s, harmonic_substructure(s, [0, 1]),
+                      schwartz_kernel(s, g).entries, 6))
+    # CP^3 has the one-letter word (x, x, x) at its vertices
+    for bundle in (build_sn(3), build_cpn(2), build_cpn(3)):
+        cases.append((bundle.structure, bundle.structure, {}, 5))
+    s = random_cyclic_dga(6, seed=2)
+    rng = random.Random(2)
+    for pdeg in range(-2, 3):
+        cases.append((s, s, random_symmetric_propagator(s, pdeg, rng), 5))
+    deep = []
+    for s, harm, kernel, W in cases:
+        want = graph_sum_tree_items(s, harm, kernel, W)
+        got = pushforward_mc(s, harm, kernel, W, l_bound=1).entry(1, 0)
+        assert list(got.values.items()) == want, (s.name, W)
+        assert got.weight_bound == W
+        # the (1, 0) entry stores no distribution sign, whatever the
+        # normalization of the entries with l >= 2
+        assert all(distribution_sign(harm, (u,)) == 1 for w in range(1, W + 1)
+                   for u in canonical_words(harm.basis, w))
+        deep.append([sum(len(key[0]) >= w for key, _ in want) for w in (4, 5)])
+    # values at weights 5 and 6 of the unit kernels, and on trees with an
+    # edge of the dense kernels
+    assert deep[2][1] >= 37 and deep[5][1] >= 37, deep
+    assert sum(n > 0 for n, _ in deep[-5:]) >= 2, deep
+
+    # the (2, 0) entry is distribution_sign times the sum over k of
+    # f_klg_tensor with the canonical (1, 0) entry at every vertex (no
+    # budget stop below k = 5), and f_klg_tensor stores f_klg's values
     W = 4
     nonzero = 0
     for seed in (0, 5):
@@ -404,32 +455,43 @@ def test_pushforward_is_the_signed_graph_sum_of_the_canonical_entry():
         kernel = unit_propagator(s, random.Random(seed))
         vertex = canonical_mc(s).entry(1, 0)
         fam = pushforward_mc(s, s, kernel, W, l_bound=2)
-        for l in (1, 2):
-            want = {}
-            for k in range(1, W + 2 * l - 3):
-                part = f_klg_tensor(s, s, kernel, [vertex] * k, k, l, 0, W)
-                for key, v in part.items():
-                    want[key] = want.get(key, 0) + distribution_sign(s, key) * v
-                    if l == 1:
-                        assert v == f_klg(s, kernel, [vertex] * k, k, l, 0,
-                                          list(key))
-            want = {key: v for key, v in want.items() if v}
-            assert fam.entry(l, 0).values == want, (s.name, l)
-            nonzero += len(want)
-    assert nonzero >= 5, nonzero
+        want = {}
+        for k in range(1, W + 1):
+            part = f_klg_tensor(s, s, kernel, [vertex] * k, k, 2, 0, W)
+            for key, v in part.items():
+                want[key] = want.get(key, 0) + distribution_sign(s, key) * v
+        for k in (1, 2):
+            for key, v in f_klg_tensor(s, s, kernel, [vertex] * k, k, 1, 0,
+                                       W).items():
+                assert v == f_klg(s, kernel, [vertex] * k, k, 1, 0, list(key))
+        want = {key: v for key, v in want.items() if v}
+        assert fam.entry(2, 0).values == want, s.name
+        nonzero += len(want)
+    assert nonzero >= 4, nonzero
 
 
 def test_pushforward_evaluates_each_graph_under_one_vertex_order(monkeypatch):
     # the canonical entry at every vertex is one group: eval_word, counted
     # through a wrapper, runs under the identity vertex order only in each
-    # graph pairing, so a return of the k! loop over orders fails here
+    # graph pairing, so a return of the k! loop over orders fails here.  The
+    # pairings are the (1, 0) graph sums of f_klg_tensor with k = 1..3
+    # vertices and the (2, 0) ones that pushforward_mc makes; its (1, 0)
+    # entry, by the tree recursion, enumerates and pairs no graph
     from cycibl import ribbon
     s = random_cyclic_dga(6, seed=5)
     kernel = unit_propagator(s, random.Random(5))
-    want = pushforward_mc(s, s, kernel, 5).entries
-    pairings, orders, evals = [], [], Counter()
+    vertex = canonical_mc(s).entry(1, 0)
+
+    def graph_sums():
+        fam = pushforward_mc(s, s, kernel, 5).entries
+        return ({key: ten.values for key, ten in fam.items()},
+                [f_klg_tensor(s, s, kernel, [vertex] * k, k, 1, 0, 5).values
+                 for k in (1, 2, 3)])
+
+    want = graph_sums()
+    pairings, orders, evals, enumerated = [], [], Counter(), []
     pairing, labeling = ribbon.graph_pairing, ribbon.compatible_edge_labeling
-    eval_word = CochainTensor.eval_word
+    enumerate_graphs_, eval_word = ribbon.enumerate_graphs, CochainTensor.eval_word
 
     def spy_pairing(s, graph, propagator, psis, words):
         pairings.append(graph)
@@ -443,12 +505,15 @@ def test_pushforward_evaluates_each_graph_under_one_vertex_order(monkeypatch):
         evals[(len(pairings) - 1, orders[-1])] += 1
         return eval_word(self, letters)
 
+    def spy_enumerate(*args, **kwargs):
+        enumerated.append(args)
+        return enumerate_graphs_(*args, **kwargs)
+
     monkeypatch.setattr(ribbon, "graph_pairing", spy_pairing)
     monkeypatch.setattr(ribbon, "compatible_edge_labeling", spy_labeling)
+    monkeypatch.setattr(ribbon, "enumerate_graphs", spy_enumerate)
     monkeypatch.setattr(CochainTensor, "eval_word", spy_eval)
-    got = pushforward_mc(s, s, kernel, 5).entries
-    assert {key: ten.values for key, ten in got.items()} == \
-        {key: ten.values for key, ten in want.items()}
+    assert graph_sums() == want
     per_call = {}
     for call, order in evals:
         per_call.setdefault(call, []).append(order)
@@ -457,6 +522,48 @@ def test_pushforward_evaluates_each_graph_under_one_vertex_order(monkeypatch):
     trees = [call for call in per_call if pairings[call].counts()[1:] == (1, 0)
              and len(pairings[call].vertices) == 3]
     assert len(trees) >= 10 and sum(evals.values()) >= 100, (len(trees), evals)
+    assert any(graph.counts()[1:] == (2, 0) for graph in pairings)
+    del pairings[:], enumerated[:]
+    assert pushforward_mc(s, s, kernel, 5, l_bound=1).entry(1, 0).values == \
+        want[0][(1, 0)]
+    assert not pairings and not enumerated
+
+
+def test_pushforward_keeps_the_tree_entry_to_weight_six():
+    # the graph sum that checks the tree recursion reaches four vertices, so
+    # with a nonzero kernel and product the (1, 0) entry stops at weight 6;
+    # with the zero kernel or without a product every tree with an edge
+    # vanishes and it is known to the bound.  The (2, 0) entry stops below
+    # its five-vertex classes; the (1, 1) entry is zero here and not kept
+    W = 7
+    s = random_cyclic_dga(6, seed=0)
+    unit = unit_propagator(s, random.Random(0))
+    g, _, _ = green_pipeline(s)
+    bare = s.replace(mu={1: {}})
+    sphere = build_sn(3).structure
+    cases = [(s, s, unit, 6),
+             (s, harmonic_substructure(s, [0, 1]), schwartz_kernel(s, g).entries, 6),
+             (sphere, sphere, {}, W), (s, s, {}, W), (bare, bare, unit, W)]
+    for amb, harm, kernel, bound in cases:
+        got = pushforward_mc(amb, harm, kernel, W, l_bound=1).entry(1, 0)
+        assert got.weight_bound == bound, (amb.name, kernel is unit)
+        assert got.values == pushforward_mc(amb, harm, kernel, bound,
+                                            l_bound=1).entry(1, 0).values
+    fam = pushforward_mc(s, s, unit, W, genus_bound=1)
+    assert {key: ten.weight_bound for key, ten in fam.entries.items()} == \
+        {(1, 0): 6, (2, 0): 4}
+
+
+def test_tree_entry_rejects_an_inhomogeneous_vertex():
+    # the recursion's signs need one vertex degree, which the canonical
+    # entry of a structure with its degree axioms has
+    s = build_cpn(2).structure
+    vertex = CochainTensor(s.basis, 1, s.slot_shift)
+    for u in (0, 0, 0), (0, 0, 1):
+        vertex.add((u,), 1)
+    assert vertex.degree() is None
+    with pytest.raises(ValueError, match="homogeneous"):
+        tree_entry(s, s, {}, vertex, 4)
 
 
 def test_pushforward_without_product_gives_zero_family():
