@@ -47,8 +47,18 @@ class CyclicStructure:
     index tuples to sparse output vectors.  ``manifold_dim`` fixes the
     pairing degree ``2 - m`` and every sign of the canonical operations.
     Construction drops zero outputs from ``mu`` and checks the pairing's
-    shape.  Two structures are equal when their fields are; the caches of
-    the dual basis and of ``T`` take no part.
+    shape.
+
+    A structure keeps four derived int forms, each computed when first
+    read: the int pairing rows (:meth:`pairing_rows`), the dual basis
+    solved from them (:meth:`dual_basis`), D_T·T read off that
+    (``dibl._integral_t``), and the int columns of mu_1
+    (:meth:`m1_columns`).  Callers share them and only read them, so an
+    in-place edit of a field after one was read is unsupported: change a
+    structure with :meth:`replace`, which keeps a form only while the
+    fields it is derived from stay.  Copies start without them and
+    equality ignores them.  The axiom checks read the fields, never these
+    forms, since their job is to validate the fields.
     """
 
     _FIELDS = ("name", "basis", "manifold_dim", "pairing", "mu", "unit",
@@ -71,22 +81,35 @@ class CyclicStructure:
                    for k, table in mu.items()}
         self.unit = unit
         self.augmentation = augmentation
+        self._prows: tuple | None = None
         self._dual: tuple | None = None
         self._t_tensor: tuple[int, dict] | None = None
+        self._m1: tuple | None = None
 
     def __eq__(self, other):
         if other.__class__ is not CyclicStructure:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
 
+    def __getstate__(self):
+        return {f: getattr(self, f) for f in self._FIELDS}
+
+    def __setstate__(self, state):
+        """Copies (``copy``, ``pickle``) are built like any other structure,
+        so they start without the derived forms."""
+        self.__init__(**state)
+
     def replace(self, **changes) -> CyclicStructure:
         """A new structure with the given fields changed, built (and so
-        validated) like any other; the caches carry over while the basis
-        and the pairing stay."""
-        out = CyclicStructure(**{**{f: getattr(self, f) for f in self._FIELDS},
-                                 **changes})
+        validated) like any other.  The pairing forms (rows, dual basis, T)
+        carry over while the basis and the pairing stay, the mu_1 columns
+        while the basis and mu stay."""
+        out = CyclicStructure(**{**self.__getstate__(), **changes})
         if "basis" not in changes and "pairing" not in changes:
-            out._dual, out._t_tensor = self._dual, self._t_tensor
+            out._prows, out._dual = self._prows, self._dual
+            out._t_tensor = self._t_tensor
+        if "basis" not in changes and "mu" not in changes:
+            out._m1 = self._m1
         return out
 
     # -- pairing ------------------------------------------------------
@@ -96,14 +119,21 @@ class CyclicStructure:
         """Degree shift per tensor slot under which the operations are symmetric."""
         return self.manifold_dim - 3
 
+    def pairing_rows(self) -> tuple:
+        """``(D_P, row_0, row_1, ...)``: the rows of D_P P as sparse int
+        rows (:func:`_integral_pairing`), computed once per structure."""
+        if self._prows is None:
+            if self.pairing is None:
+                raise ValueError(f"{self.name}: no pairing")
+            self._prows = _integral_pairing(self)
+        return self._prows
+
     def dual_basis(self) -> tuple:
         """``(d, d·e^0, d·e^1, ...)``: the vectors e^j with P(e_i, e^j) =
         delta_ij as ints over their least common denominator d, solved from
-        the int rows of D_P P (:func:`_integral_pairing`)."""
+        the int rows of D_P P (:meth:`pairing_rows`)."""
         if self._dual is None:
-            if self.pairing is None:
-                raise ValueError(f"{self.name}: no pairing")
-            d_p, *rows = _integral_pairing(self)
+            d_p, *rows = self.pairing_rows()
             cols: list[dict[int, int]] = [{} for _ in rows]
             for i, row in enumerate(rows):
                 for j, x in row.items():
@@ -125,6 +155,14 @@ class CyclicStructure:
     def m1_matrix(self) -> list[Vector]:
         """Columns of mu_1: column i is mu_1(e_i)."""
         return [self.mu_apply(1, (i,)) for i in range(len(self.basis))]
+
+    def m1_columns(self) -> tuple:
+        """``(d, d·mu_1(e_0), d·mu_1(e_1), ...)``: the columns of mu_1 as
+        int columns over their least common denominator d, computed once
+        per structure."""
+        if self._m1 is None:
+            self._m1 = integral(*self.m1_matrix())
+        return self._m1
 
     def arities(self) -> list[int]:
         return sorted(k for k, t in self.mu.items() if t)

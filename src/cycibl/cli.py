@@ -77,15 +77,13 @@ def _checked_input(path: str, twist, paired: bool, need=None):
     if twist == "mc":
         fam = _canonical_mc(s)
     elif twist:
-        from .dibl import mu_from_mc
-
         fam = fileio.family_from_dict(s, load_json(twist))
         e10 = fam.entry(1, 0)
         if None not in (need, e10.weight_bound) and e10.weight_bound < need:
             raise InputError(f"{twist}: the (1,0) entry is truncated at "
                              f"weight {e10.weight_bound}; homology needs "
                              f"weight {need}")
-        induced = mu_from_mc(s, e10, max(2, max(e10.weights(), default=2) - 1))
+        induced = fam.induced(max(2, max(e10.weights(), default=2) - 1))
         checks.append((twist, induced.replace(unit=None, augmentation=None)))
     for where, structure in checks:
         for name, witness, _, _ in check_cyclic_dga(structure).failures[:1]:

@@ -34,7 +34,8 @@ the volume letter into the entry's stored words.
 
 These contractions run on ints, in the int form of :mod:`cycibl.linalg`:
 T enters as D_T T, cached once per structure, and the cochains as their
-values over their least common denominator.  An output word's value is
+values over their least common denominator; a twist family keeps each
+entry in that form, with its words' rotation tables, once.  An output word's value is
 one ``Fraction``: its int sum over the product of the denominators, times
 2 for the coproduct's half and lcm(1..l) for the count factor of the
 partial composition into an arity-l entry.
@@ -281,7 +282,17 @@ def canonical_mc(s: CyclicStructure) -> "MaurerCartanFamily":
 
 
 class MaurerCartanFamily:
-    """Indexed family of twist entries; entry (l, g) is an arity-l cochain."""
+    """Indexed family of twist entries; entry (l, g) is an arity-l cochain.
+
+    A family keeps, once each, the data its twisted operations derive from
+    it on ``structure``: every entry they compose with, prepared for the
+    partial composition (:meth:`prepared`: its values as ints over one
+    denominator and the rotation tables of its stored words), and the
+    A-infinity structure the (1,0) entry induces, per arity
+    (:meth:`induced`).  An in-place edit of ``structure`` or ``entries``
+    after one was read is unsupported: build a new family.  Copies start
+    without them.
+    """
 
     def __init__(self, structure: CyclicStructure,
                  entries: dict[tuple[int, int], CochainTensor]):
@@ -290,6 +301,30 @@ class MaurerCartanFamily:
         e10 = entries.get((1, 0))
         if e10 is not None and not e10.is_zero() and e10.filtration_degree() <= 2:
             raise ValueError("the (1,0) entry must have filtration degree > 2")
+        self._prepared: dict[tuple[int, int], tuple] = {}
+        self._induced: dict[int, CyclicStructure] = {}
+
+    def __getstate__(self):
+        return {"structure": self.structure, "entries": self.entries}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
+
+    def prepared(self, l: int, g: int) -> tuple:
+        """The (l, g) entry prepared for :func:`_contract`, once per family."""
+        got = self._prepared.get((l, g))
+        if got is None:
+            got = self._prepared[(l, g)] = _prepare(self.structure, self.entry(l, g))
+        return got
+
+    def induced(self, max_arity: int) -> CyclicStructure:
+        """:func:`mu_from_mc` of the (1,0) entry up to ``max_arity``, once
+        per family and arity; callers only read it."""
+        got = self._induced.get(max_arity)
+        if got is None:
+            got = self._induced[max_arity] = mu_from_mc(
+                self.structure, self.entry(1, 0), max_arity)
+        return got
 
     def entry(self, l: int, g: int) -> CochainTensor:
         got = self.entries.get((l, g))
@@ -338,17 +373,40 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
     such terms where the formula on K' has one per slot holding w, hence the
     factor K'.count(w) / K.count(v), whose denominator lcm(1..l) clears in
     the int sums.
+
+    The entry is prepared (:func:`_prepare`), then contracted
+    (:func:`_contract`); a twist family keeps its prepared entries.
     """
+    return _contract(s, _prepare(s, pmc_lg), psi)
+
+
+def _prepare(s: CyclicStructure, pmc_lg: CochainTensor) -> tuple:
+    """``(entry, d, d·values, tables)``: a twist entry, its values as ints
+    over their least common denominator d, and the rotation tables
+    (:func:`_rotation_table`) of its stored words."""
+    d, values = integral(pmc_lg.values)
+    tables: dict = {}
+    for key in values:
+        for v in key:
+            _rotation_table(v, s.basis, tables)
+    return pmc_lg, d, values, tables
+
+
+def _contract(s: CyclicStructure, prepared: tuple, psi: CochainTensor
+              ) -> CochainTensor:
+    """:func:`circ1` of a prepared entry with psi; the call's memo starts
+    with the entry's rotation tables, which it only reads."""
     if psi.arity != 1:
         raise ValueError("circ1 twists arity-1 cochains")
+    pmc_lg, d_e, entry, tables = prepared
     d_t, T = _integral_t(s)
     basis, shift = s.basis, psi.slot_shift
     bound = _contraction_bound(pmc_lg, psi)
     out = CochainTensor(basis, pmc_lg.arity, shift, bound)
-    d, entry, values = integral(pmc_lg.values, psi.values)
+    d, values = integral(psi.values)
     d_count = math.lcm(*range(1, pmc_lg.arity + 1))
     acc: dict[tuple[Word, ...], int] = {}
-    memo: dict = {}
+    memo = dict(tables)
     for key, ce in entry.items():
         weight = sum(len(v) for v in key)
         before = shift  # |s| plus the shifted degrees of key[:j]
@@ -367,7 +425,7 @@ def circ1(s: CyclicStructure, pmc_lg: CochainTensor, psi: CochainTensor
                         sign = -sign
                     acc[new] = acc.get(new, 0) + sign * c * cp * per_slot * new.count(w)
             before += slot_degree(v, basis, shift)
-    den = d_t * d * d * d_count
+    den = d_t * d_e * d * d_count
     out.values = {key: Fraction(c, den) for key, c in acc.items() if c}
     return out
 
@@ -376,17 +434,16 @@ def twisted_q110(s: CyclicStructure, pmc: MaurerCartanFamily,
                  psi: CochainTensor) -> CochainTensor:
     """Twisted boundary: q110 + (product ∘₁ (1,0)-entry), the form that
     agrees exactly with the dual bar differential of the induced family."""
-    return q110(s, psi) + circ1(s, pmc.entry(1, 0), psi)
+    return q110(s, psi) + _contract(s, pmc.prepared(1, 0), psi)
 
 
 def twisted_q120(s: CyclicStructure, pmc: MaurerCartanFamily,
                  psi: CochainTensor) -> CochainTensor:
     """Twisted coproduct: q120 + (product ∘₁ (2,0)-entry)."""
     base = q120(s, psi)
-    e20 = pmc.entry(2, 0)
-    if e20.is_zero():
+    if pmc.entry(2, 0).is_zero():
         return base
-    return base + circ1(s, e20, psi)
+    return base + _contract(s, pmc.prepared(2, 0), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +468,8 @@ def twisted_q1lg_on_unit(s: CyclicStructure, pmc: MaurerCartanFamily,
         raise ValueError(f"{s.name}: no unit")
     if not pmc.is_strictly_reduced():
         raise ValueError("twist element is not strictly reduced")
-    return circ1(s, pmc.entry(l, g),
-                 dual_word(s.basis, (s.unit,), slot_shift=s.slot_shift))
+    return _contract(s, pmc.prepared(l, g),
+                     dual_word(s.basis, (s.unit,), slot_shift=s.slot_shift))
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +517,10 @@ def twisted_boundary_vs_bar_dual(s: CyclicStructure, pmc: MaurerCartanFamily,
                                  psi: CochainTensor
                                  ) -> tuple[CochainTensor, CochainTensor]:
     """Both routes to the twisted boundary: the operation itself, and the
-    dual bar differential of the induced A-infinity family, up to the arity
-    of the entry's top weight."""
+    dual bar differential of the family's induced A-infinity structure, up
+    to the arity of the entry's top weight."""
     left = twisted_q110(s, pmc, psi)
-    e10 = pmc.entry(1, 0)
-    twisted = mu_from_mc(s, e10, max(e10.weights(), default=3) - 1)
+    twisted = pmc.induced(max(pmc.entry(1, 0).weights(), default=3) - 1)
     return left, dual_b(twisted, psi)
 
 

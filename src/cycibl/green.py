@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CyclicStructure, _integral_pairing
+from .algebra import CyclicStructure
 from .linalg import (SparseMatrix, add_into, add_scaled, integral, kernel_basis,
                      primitive, solve)
 
@@ -42,12 +42,14 @@ IntVector = dict[int, int]
 class LinearOperator:
     """A degree-homogeneous operator on the shifted space: column j is
     ``cols[j] / den`` in primitive form.  The constructor takes one column
-    of ints or ``Fraction``s per basis vector (all zero when None)."""
+    of ints or ``Fraction``s per basis vector.  No method changes an
+    operator's own columns: :func:`m1_operator` shares them with its
+    structure."""
 
     __slots__ = ("basis", "degree", "cols", "den")
 
-    def __init__(self, basis, degree: int, columns: list[Vector] | None = None):
-        den, *cols = integral(*([{}] * len(basis) if columns is None else columns))
+    def __init__(self, basis, degree: int, columns: list[Vector]):
+        den, *cols = integral(*columns)
         self._set(basis, degree, cols, den)
 
     def _set(self, basis, degree: int, cols: list[IntVector], den: int) -> None:
@@ -129,7 +131,11 @@ def identity_operator(basis) -> LinearOperator:
 
 
 def m1_operator(s: CyclicStructure) -> LinearOperator:
-    return LinearOperator(s.basis, 1, s.m1_matrix())
+    """mu_1 as an operator on the structure's int columns
+    (:meth:`~cycibl.algebra.CyclicStructure.m1_columns`), which it shares:
+    no operator method changes its own columns."""
+    den, *cols = s.m1_columns()
+    return _int_operator(s.basis, 1, cols, den)
 
 
 def adjoint(s: CyclicStructure, L: LinearOperator) -> LinearOperator:
@@ -141,7 +147,7 @@ def adjoint(s: CyclicStructure, L: LinearOperator) -> LinearOperator:
     every column.
     """
     dual_den, *dual = s.dual_basis()
-    pden, *prows = _integral_pairing(s)
+    pden, *prows = s.pairing_rows()
     pdeg = pairing_degree(s)
     cols: list[IntVector] = [dict() for _ in dual]
     for i, vec in enumerate(dual):
@@ -284,7 +290,7 @@ def harmonic_splitting(s: CyclicStructure) -> HarmonicSplitting:
     # C: inside the pairing-orthogonal complement of H, a complement of im(m1)
     perp = [{j: 1} for j in range(n)]
     if harmonic:
-        _, *prows = _integral_pairing(s)
+        _, *prows = s.pairing_rows()
         perp = kernel_basis(SparseMatrix(
             len(harmonic), n, [_expand(h, prows, 0) for h in harmonic]))
     # split perp by degree and take the dot-orthogonal complement of image

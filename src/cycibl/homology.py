@@ -10,7 +10,7 @@ lowering weight by at most one.
 from __future__ import annotations
 
 from .algebra import CyclicStructure, bar_sweep, integral_multiple, transposed_b
-from .dibl import MaurerCartanFamily, mu_from_mc
+from .dibl import MaurerCartanFamily
 from .linalg import HomologyReport, graded_homology
 from .words import canonical_words
 
@@ -43,9 +43,10 @@ def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
     (twisted) family integral (:func:`~cycibl.algebra.integral_multiple`);
     it is 1 for the sphere and projective models.  D·b has the kernels,
     images and filtered dimensions of b.  The twisted boundary is the dual
-    bar differential of the family induced by the one-output entry, so one
-    cheap primal sweep over all words of weight up to ``top_weight``
-    assembles every column at once.  A caller that already holds the word
+    bar differential of the structure induced by the one-output entry,
+    which the family keeps (``MaurerCartanFamily.induced``), so one cheap
+    primal sweep over all words of weight up to ``top_weight`` assembles
+    every column at once.  A caller that already holds the word
     index of ``top_weight`` passes it as ``index``.
     """
     if pmc is None:
@@ -56,7 +57,7 @@ def dual_differential_table(s: CyclicStructure, pmc: MaurerCartanFamily | None,
             raise ValueError(
                 "twist entry is truncated below the homology range")
         top_arity = max(e10.weights(), default=2) - 1
-        amb = mu_from_mc(s, e10, max(2, top_arity))
+        amb = pmc.induced(max(2, top_arity))
     _, amb = integral_multiple(amb)
     if index is None:
         index = _word_index(s, top_weight, reduced)

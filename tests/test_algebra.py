@@ -7,11 +7,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from cycibl.algebra import (CyclicStructure, bar_sweep, check_ainfty, check_cyclic_dga,
-                            check_mu_plus_cyclic, dual_b, hochschild_b_cyclic,
-                            integral_multiple, reduced_membership, transposed_b,
-                            unit_cochain)
+from cycibl.algebra import (CyclicStructure, _integral_pairing, bar_sweep, check_ainfty,
+                            check_cyclic_dga, check_mu_plus_cyclic, dual_b,
+                            hochschild_b_cyclic, integral_multiple, reduced_membership,
+                            transposed_b, unit_cochain)
 from cycibl.dibl import _integral_t
+from cycibl.linalg import integral
 from cycibl.models import build_cpn, build_sn, random_cyclic_dga, truncated_polynomial
 from cycibl.signs import GradedBasis
 from cycibl.words import (CochainTensor, TruncationError, canonical_words, canonicalize,
@@ -214,6 +215,57 @@ def test_replace_validates_and_equality_ignores_the_caches():
         assert other.dual_basis() is dual and _integral_t(other) is t
     with pytest.raises(TypeError):
         hash(s)
+
+
+DERIVED = ("_prows", "_dual", "_t_tensor", "_m1")
+
+
+def _read_derived(s):
+    """Fill every derived int form of a structure; return them."""
+    s.pairing_rows(), s.dual_basis(), _integral_t(s), s.m1_columns()
+    return {name: getattr(s, name) for name in DERIVED}
+
+
+def test_derived_int_forms_are_kept_by_their_structure():
+    """The pairing rows and the mu_1 columns are computed once and equal a
+    fresh computation; ``replace`` keeps a form only while the fields it is
+    derived from stay, copies start without any, and equality ignores
+    them."""
+    models = [build_sn(3).structure, build_cpn(2).structure,
+              random_cyclic_dga(6, seed=0), random_cyclic_dga(8, seed=1)]
+    for s in models:
+        assert all(getattr(s, name) is None for name in DERIVED), s.name
+        kept = _read_derived(s)
+        assert s.pairing_rows() is kept["_prows"] and s.m1_columns() is kept["_m1"]
+        assert s.pairing_rows() == _integral_pairing(s), s.name
+        assert s.m1_columns() == integral(*s.m1_matrix()), s.name
+        # replace: the pairing forms follow basis and pairing, mu_1 follows
+        # basis and mu
+        pairing_forms = ("_prows", "_dual", "_t_tensor")
+        for changes, keeps in (
+                ({"name": "x"}, DERIVED),
+                ({"unit": None, "augmentation": None}, DERIVED),
+                ({"mu": s.mu}, pairing_forms),
+                ({"pairing": s.pairing}, ("_m1",)),
+                ({"basis": s.basis}, ())):
+            other = s.replace(**changes)
+            assert other == s.replace(**changes)
+            for name in DERIVED:
+                if name in keeps:
+                    assert getattr(other, name) is kept[name], (s.name, changes, name)
+                else:
+                    assert getattr(other, name) is None, (s.name, changes, name)
+            assert _read_derived(other) == kept, (s.name, changes)
+        # copies are built like any other structure: equal, no forms
+        for twin in (copy.copy(s), copy.deepcopy(s)):
+            assert twin == s and twin is not s
+            assert all(getattr(twin, name) is None for name in DERIVED), s.name
+            assert _read_derived(twin) == kept, s.name
+        # equality ignores the forms, filled or not
+        fresh = copy.deepcopy(s)
+        assert fresh == s and s == fresh
+        s._m1 = s._prows = (1,)
+        assert fresh == s
 
 
 def _apply(s, k, vectors):

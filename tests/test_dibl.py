@@ -1,3 +1,4 @@
+import copy
 import inspect
 import random
 from collections import Counter
@@ -672,6 +673,61 @@ def test_twisted_boundary_matches_bar_dual():
                 psi = wdual(s, u)
                 left, right = twisted_boundary_vs_bar_dual(s, mc, psi)
                 assert left.equal_values(right), (s.name, u)
+
+
+def _tensor_fields(t):
+    """Everything a cochain tensor holds, its value order included."""
+    return t.arity, t.slot_shift, t.weight_bound, list(t.values.items())
+
+
+def test_a_reused_family_matches_a_fresh_family_per_call(pushforward):
+    """A family keeps its prepared entries and its induced structure; one
+    family reused over every dual word up to weight 6 gives byte for byte
+    what a fresh family gives per call, for the twisted boundary, the
+    twisted coproduct, both routes of the bar-dual comparison and the unit
+    relations."""
+    rng = random.Random(11)
+    cp2 = build_cpn(2).structure
+    truncated = _seeded_entry(cp2, rng, (4, 5)).restricted(5)
+    families = [canonical_mc(build_sn(3).structure), canonical_mc(cp2),
+                build_s1_pmc(random_s1_config(rng, top=12), weight_bound=8),
+                MaurerCartanFamily(cp2, {(1, 0): truncated}),
+                MaurerCartanFamily(cp2, {(1, 0): canonical_mc(cp2).entry(1, 0),
+                                         (2, 0): _reduced_entry(cp2, rng, 2, None, 6),
+                                         (1, 1): _reduced_entry(cp2, rng, 1, 5, 6)}),
+                MaurerCartanFamily(pushforward[0], {(1, 0): pushforward[1]})]
+    ops = {"q110": twisted_q110, "q120": twisted_q120,
+           "bar dual": lambda s, fam, psi: twisted_boundary_vs_bar_dual(s, fam, psi)[1]}
+    nonzero, cases = Counter(), Counter()
+    for fam in families:
+        s = fam.structure
+
+        def fresh():
+            return MaurerCartanFamily(s, dict(fam.entries))
+
+        for w in range(1, 7):
+            for u in canonical_words(s.basis, w):
+                psi = wdual(s, u)
+                for name, op in ops.items():
+                    got = op(s, fam, psi)
+                    assert _tensor_fields(got) == _tensor_fields(op(s, fresh(), psi)), \
+                        (s.name, name, u)
+                    nonzero[name] += not got.is_zero()
+                    cases[name] += 1
+        if s.unit is not None and fam.is_strictly_reduced():
+            for l, g in fam.entries:
+                got = twisted_q1lg_on_unit(s, fam, l, g)
+                assert _tensor_fields(got) == \
+                    _tensor_fields(twisted_q1lg_on_unit(s, fresh(), l, g)), (s.name, l, g)
+                nonzero["unit"] += not got.is_zero()
+                cases["unit"] += 1
+        assert set(fam._prepared) <= set(fam.entries)
+        for twin in (copy.copy(fam), copy.deepcopy(fam)):
+            assert (twin._prepared, twin._induced) == ({}, {})
+            assert {k: _tensor_fields(t) for k, t in twin.entries.items()} == \
+                {k: _tensor_fields(t) for k, t in fam.entries.items()}
+    assert cases == {"q110": 717, "q120": 717, "bar dual": 717, "unit": 9}, cases
+    assert nonzero == {"q110": 628, "q120": 494, "bar dual": 628, "unit": 3}, nonzero
 
 
 @pytest.mark.parametrize("heavy", [False, True])

@@ -153,7 +153,7 @@ def test_kernel_round_trip():
 
 def test_zero_operator_kernel():
     s = build_sn(3).structure
-    z = LinearOperator(s.basis, -1)
+    z = LinearOperator(s.basis, -1, [{}] * len(s.basis))
     assert not schwartz_kernel(s, z).entries
 
 
@@ -304,6 +304,37 @@ def test_pipeline_properties_many_seeds():
             assert gdg_rewriting_holds(s, stage), seed
             corr = green_gdg(stage, m1_operator(s))
             assert corr.compose(corr).is_zero()
+
+
+def test_green_job_reads_the_structure_forms_and_leaves_them_intact():
+    """``m1_operator`` wraps the structure's int columns of mu_1 and shares
+    them; the green job (pipeline, property report, gdg rewriting) reads
+    those and the int pairing rows, changes neither, and gives what it gives
+    on a structure that has not computed them yet."""
+    from cycibl.algebra import _integral_pairing
+    from cycibl.linalg import integral
+
+    for s in [build_sn(3).structure, build_cpn(2).structure] + [
+            random_cyclic_dga(n, seed=seed) for n, seed in ((6, 0), (6, 3), (8, 2))]:
+        cold = s.replace()
+        m1 = m1_operator(s)
+        d, *cols = s.m1_columns()
+        assert (m1.den, m1.cols) == (d, cols)
+        assert all(a is b for a, b in zip(m1.cols, cols))
+        assert m1 == LinearOperator(s.basis, 1, s.m1_matrix())
+        g, proj, stages = green_pipeline(s)
+        rep = check_g_properties(s, g, proj)
+        rewriting = [gdg_rewriting_holds(s, st) for st in stages]
+        kernel = schwartz_kernel(s, g)
+        assert s.m1_columns() == integral(*s.m1_matrix()), s.name
+        assert s.pairing_rows() == _integral_pairing(s), s.name
+        assert cold._m1 is None and cold._prows is None
+        assert green_pipeline(cold) == (g, proj, stages), s.name
+        got = check_g_properties(cold, g, proj)
+        assert (got.results, got.witnesses) == (rep.results, rep.witnesses)
+        assert [gdg_rewriting_holds(cold, st) for st in stages] == rewriting
+        assert schwartz_kernel(cold, g).entries == kernel.entries
+        assert adjoint(cold, g) == adjoint(s, g)
 
 
 def test_pipeline_idempotent():

@@ -16,11 +16,18 @@ from its own definition: as a loaded name, an attribute, an imported name,
 or a string naming it (the benchmark tracer wraps functions by name, e.g.
 ``"Eliminator.reduce"``).
 
-Dead methods: a method of a package class counts as used when some
-searched file calls it (``x.name(...)``) or names it in a string; a field
-or property of the same name reached as a plain attribute does not count.
-Properties, dunders and overrides of a method of a base class
-(``_Parser.error``) are exempt.
+Dead methods: a method ``Class.name`` of a package class counts as used
+when some searched file calls it (``x.name(...)``) or names it in a
+string, and either no other package class defines ``name`` or the
+receiver resolves to ``Class`` (``self`` in its methods, a parameter
+annotated with it, a value of a call annotated to return it, a string
+``"Class.name"``); a field or property of the same name reached as a plain
+attribute does not count.  Properties, dunders and overrides of a method
+of a base class (``_Parser.error``) are exempt.
+
+Module state: no module of ``src/cycibl`` binds a mutable container at
+module level, apart from ``MODULE_STATE``, each entry with its reason;
+derived data lives on the object it is derived from.
 
 Options without a caller: every defaulted parameter of a function or
 method of ``src/cycibl`` is passed, by keyword or by position, by some
@@ -52,6 +59,13 @@ ALLOWED = {
         "paper object: the twisted unit relations",
     "models.build_s1_pmc":
         "paper object: the circle's two-output twist family",
+    "dibl.RelationReport.summary":
+        "the benchmark's relations check prints it for a failing suite, on "
+        "a job result whose class the source does not name",
+    "dibl.circ1":
+        "paper object: the partial composition of the product with a twist "
+        "entry; the twisted operations contract the entries their family "
+        "keeps prepared",
     "dibl.q120(T)":
         "test seam: the rational-table relation oracle injects mutant T, as "
         "the benchmark does through ibl_relations_check(T)",
@@ -83,19 +97,15 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _references(tree: ast.AST, calls: bool = False) -> set[str]:
-    """Identifiers that strings name, and with ``calls`` the attributes
-    that are called (``x.name(...)``), else every attribute and every
-    loaded and imported name."""
+def _references(tree: ast.AST) -> set[str]:
+    """Identifiers that strings name, every attribute and every loaded and
+    imported name."""
     refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(p.isidentifier() for p in parts):
                 refs.update(parts)
-        elif calls:
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                refs.add(node.func.attr)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -105,16 +115,16 @@ def _references(tree: ast.AST, calls: bool = False) -> set[str]:
     return refs
 
 
-def _searched_references(calls: bool = False) -> set[str]:
-    refs: set[str] = set()
+def _searched_trees():
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            refs |= _references(ast.parse(path.read_text(), str(path)), calls)
-    return refs
+            yield ast.parse(path.read_text(), str(path))
 
 
 def _unreferenced_definitions() -> list[str]:
-    refs = _searched_references()
+    refs: set[str] = set()
+    for tree in _searched_trees():
+        refs |= _references(tree)
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -141,9 +151,139 @@ def _methods():
                     yield f"{path.stem}.{node.name}.{item.name}"
 
 
+class _Receivers:
+    """The package class a call's receiver resolves to, when the source
+    says: ``self`` in a method, a class name, a parameter annotated with a
+    class, a call of a class or of a function or method whose return
+    annotation names one, an assignment from such an expression (when the
+    scope assigns the name nothing else), or a conditional of two of them
+    that agree."""
+
+    def __init__(self):
+        self.classes: set[str] = set()
+        self.defined_by: dict[str, set[str]] = {}  # method name -> classes
+        self.returns: dict[str, str | None] = {}  # function or Class.method
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.parse(path.read_text(), str(path)).body:
+                if isinstance(node, ast.ClassDef):
+                    self.classes.add(node.name)
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.parse(path.read_text(), str(path)).body:
+                if isinstance(node, ast.FunctionDef):
+                    self._returns(node.name, node)
+                elif isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            self.defined_by.setdefault(item.name, set()).add(node.name)
+                            self._returns(f"{node.name}.{item.name}", item)
+
+    def _returns(self, name, func):
+        # a name defined twice with different return classes resolves to none
+        got = self.annotated(func.returns)
+        self.returns[name] = got if self.returns.get(name, got) == got else None
+
+    def annotated(self, node) -> str | None:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            got = {self.annotated(node.left), self.annotated(node.right)} - {None}
+            return got.pop() if len(got) == 1 else None
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value.split(".")[-1]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = getattr(node, "id", getattr(node, "attr", None))
+        else:
+            return None
+        return name if name in self.classes else None
+
+    def type_of(self, node, env: dict) -> str | None:
+        if isinstance(node, ast.Name):
+            return node.id if node.id in self.classes else env.get(node.id)
+        if isinstance(node, ast.IfExp):
+            a, b = self.type_of(node.body, env), self.type_of(node.orelse, env)
+            return a if a == b else None
+        if not isinstance(node, ast.Call):
+            return None
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id if func.id in self.classes else self.returns.get(func.id)
+        if not isinstance(func, ast.Attribute):
+            return None
+        if func.attr in self.classes:
+            return func.attr
+        owner = self.type_of(func.value, env)
+        if owner is not None:
+            return self.returns.get(f"{owner}.{func.attr}")
+        if func.attr not in self.defined_by:  # module.function(...)
+            return self.returns.get(func.attr)
+        return None
+
+    def scope(self, node, env: dict, owner: str | None, uses: set) -> None:
+        """Add to ``uses`` the calls and strings of a module, class or
+        function body (``owner`` the class of a method), then visit the
+        scopes nested in it."""
+        env = dict(env)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            for i, arg in enumerate(args):
+                env.pop(arg.arg, None)
+                if i == 0 and owner is not None and arg.arg == "self":
+                    env[arg.arg] = owner
+                elif (t := self.annotated(arg.annotation)) is not None:
+                    env[arg.arg] = t
+        body, nested = [], []
+        stack = list(ast.iter_child_nodes(node))
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+                nested.append(item)
+            else:
+                body.append(item)
+                stack.extend(ast.iter_child_nodes(item))
+        # a name is typed when every binding in the scope is a plain
+        # assignment of an expression of that type
+        plain = {id(a.targets[0]): a.value for a in body
+                 if isinstance(a, ast.Assign) and len(a.targets) == 1}
+        bound: dict[str, set] = {}
+        for item in body:
+            if isinstance(item, ast.Name) and isinstance(item.ctx, ast.Store):
+                value = plain.get(id(item))
+                bound.setdefault(item.id, set()).add(
+                    None if value is None else self.type_of(value, env))
+        for name, types in bound.items():
+            env.pop(name, None)
+            if len(types) == 1 and None not in types:
+                env[name] = types.pop()
+        for item in body:
+            if isinstance(item, ast.Call) and isinstance(item.func, ast.Attribute):
+                t = self.type_of(item.func.value, env)
+                uses.add(item.func.attr if t is None else f"{t}.{item.func.attr}")
+            elif isinstance(item, ast.Constant) and isinstance(item.value, str):
+                parts = item.value.split(".")
+                if all(p.isidentifier() for p in parts):
+                    uses.update(parts)
+                    if len(parts) > 1 and parts[-2] in self.classes:
+                        uses.add(".".join(parts[-2:]))
+        owner = node.name if isinstance(node, ast.ClassDef) else None
+        for item in nested:
+            self.scope(item, env, owner, uses)
+
+
 def _unreferenced_methods() -> list[str]:
-    refs = _searched_references(calls=True)
-    return [m for m in _methods() if m.rsplit(".", 1)[1] not in refs]
+    """A method ``Class.name`` counts as used by a call ``x.name(...)`` or
+    a string naming it when no other package class defines ``name`` or the
+    receiver resolves to ``Class`` (:class:`_Receivers`); a string
+    ``"Class.name"`` resolves to ``Class``."""
+    receivers = _Receivers()
+    uses: set[str] = set()
+    for tree in _searched_trees():
+        receivers.scope(tree, {}, None, uses)
+    dead = []
+    for m in _methods():
+        cls, name = m.split(".")[1:]
+        if f"{cls}.{name}" not in uses and not (
+                name in uses and receivers.defined_by[name] == {cls}):
+            dead.append(m)
+    return dead
 
 
 def test_no_unreferenced_module_level_definitions():
@@ -191,6 +331,56 @@ def test_no_unused_imports():
         unused.extend(f"{path.stem}:{line} {name}"
                       for line, name in _unused_imports(tree))
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+MODULE_STATE = {
+    "ribbon._ENUM_CACHE":
+        "enumerated classes keyed by graph type, bounded by the enumeration "
+        "budget",
+    "fileio._JSON_TYPES": "a constant: JSON type -> its name in messages",
+}
+
+_MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict",
+                  "OrderedDict", "Counter", "deque"}
+
+
+def _mutable_container(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                         ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        return getattr(func, "attr", getattr(func, "id", None)) in _MUTABLE_CALLS
+    return False
+
+
+def _module_state() -> list[str]:
+    """``module.name`` for each module-level binding of a mutable container."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _mutable_container(node.value):
+                found.extend(f"{path.stem}.{name.id}" for target in targets
+                             for name in ast.walk(target)
+                             if isinstance(name, ast.Name))
+    return found
+
+
+def test_no_module_level_mutable_state():
+    """A cache in a module outlives the structures it was filled from;
+    derived data is kept by its owner (a structure, a family).  Every
+    listed entry must still exist."""
+    found = _module_state()
+    unlisted = [n for n in found if n not in MODULE_STATE]
+    stale = [n for n in MODULE_STATE if n not in found]
+    assert not unlisted, "module-level mutable containers: " + ", ".join(unlisted)
+    assert not stale, "stale MODULE_STATE entries: " + ", ".join(stale)
 
 
 def _unbounded_memo(node: ast.AST) -> bool:
@@ -271,18 +461,17 @@ def _calls():
     """Callee name -> list of (positional count or None for ``*args``,
     keyword names or None for ``**kwargs``) over every searched file."""
     calls: dict[str, list] = {}
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = getattr(func, "attr", getattr(func, "id", None))
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                keywords = {k.arg for k in node.keywords}
-                calls.setdefault(name, []).append(
-                    (None if starred else len(node.args),
-                     None if None in keywords else keywords))
+    for tree in _searched_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (None if starred else len(node.args),
+                 None if None in keywords else keywords))
     return calls
 
 
